@@ -25,10 +25,8 @@ from .metrics import (
     EDGE_HOMOPHILY,
     METRIC_KINDS,
     NODE_HOMOPHILY,
-    HomophilyValue,
     dirichlet_energy,
     edge_homophily,
-    edge_variation,
     edge_variation_values,
     exact_metric,
     homophily_profile,
@@ -43,15 +41,11 @@ from .sampling import (
     bernoulli_node_sample,
     draw_sample,
     induced_subgraph,
-    random_shortest_path,
     srs_node_sample,
-    traceroute_sample,
 )
 from .inclusion import (
     BetweennessTable,
     InclusionModel,
-    analytic_joint,
-    analytic_pi,
     approx_pi_traceroute,
     edge_betweenness,
     empirical_pi,

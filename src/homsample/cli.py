@@ -22,6 +22,7 @@ from .graphon import convergence_experiment, phi_step, to_step_pair, two_block_g
 from .harness import (
     DEFAULT_MODE_FOR_KIND,
     ExperimentConfig,
+    resolve_design,
     run_experiment,
     summarize,
     write_estimates_csv,
@@ -38,7 +39,7 @@ from .metrics import (
     homophily_profile,
 )
 from .rng import DEFAULT_SEED
-from .sampling import BernoulliDesign, SrsDesign, TracerouteDesign, draw_sample
+from .sampling import draw_sample
 
 METRIC_ALIASES = {
     "dirichlet": DIRICHLET_NORMALIZED,
@@ -101,8 +102,8 @@ def _ints(text):
     return [int(x) for x in text.split(",") if x]
 
 
-def _design_values(args, n):
-    """Design kind plus the list of sweep parameter dicts from the flags."""
+def _design_values(args):
+    """Per-sweep design parameter dicts as given by the flags."""
     if args.design == "bernoulli":
         if not args.p:
             raise ValueError("bernoulli design requires --p")
@@ -111,7 +112,7 @@ def _design_values(args, n):
         if args.n_star:
             return [{"n_star": v} for v in _ints(args.n_star)]
         if args.frac:
-            return [{"n_star": max(1, round(f * n))} for f in _floats(args.frac)]
+            return [{"frac": f} for f in _floats(args.frac)]
         raise ValueError("srs design requires --frac or --n-star")
     if not (args.sources and args.targets):
         raise ValueError("traceroute design requires --sources and --targets")
@@ -122,15 +123,10 @@ def _design_values(args, n):
 
 
 def _single_design(args, n, seed):
-    values = _design_values(args, n)
+    values = _design_values(args)
     if len(values) != 1:
         raise ValueError("this command takes exactly one design parameter value")
-    v = values[0]
-    if args.design == "bernoulli":
-        return BernoulliDesign(p=v["p"], seed=seed)
-    if args.design == "srs":
-        return SrsDesign(n_star=v["n_star"], seed=seed)
-    return TracerouteDesign(n_sources=v["n_sources"], n_targets=v["n_targets"], seed=seed)
+    return resolve_design({"kind": args.design, "seed": seed}, values[0], n)
 
 
 def _emit_json(obj, out_path):
@@ -165,10 +161,10 @@ def _cmd_info(args):
 def _cmd_homophily(args):
     g, s, name = _load_from_flags(args)
     profile = homophily_profile(g, s)
-    for hv in profile:
-        print(f"{name} {hv.kind}: {hv.value:.4f}")
+    for kind, value in profile.items():
+        print(f"{name} {kind}: {value:.4f}")
     if args.out:
-        _emit_json({"dataset": name, **{hv.kind: hv.value for hv in profile}}, args.out)
+        _emit_json({"dataset": name, **profile}, args.out)
     return 0
 
 
@@ -188,14 +184,15 @@ def _cmd_estimate(args):
     kind = _metric_kind(args.metric)
     sample = draw_sample(g, design)
     incl = inclusion_for(g, design, source=args.pi, replications=args.pi_reps)
-    report = estimate_metric(sample, s, kind, args.mode, incl=incl, parent=g)
+    report = estimate_metric(sample, s, kind, args.mode, incl=incl)
     _emit_json({"dataset": name, **report.to_json_dict()}, args.out)
     return 0
 
 
 def _cmd_experiment(args):
     g, s, name = _load_from_flags(args)
-    sweep = _design_values(args, g.node_count)
+    sweep = [resolve_design({"kind": args.design}, v, g.node_count).params()
+             for v in _design_values(args)]
     if args.metric == "all":
         kinds = list(TABLE_METRICS)
     else:
@@ -312,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
     p.add_argument("--pi-reps", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=None, help="worker cap (results identical)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored; replications run serially")
     p.add_argument("--out", help="RunRecord JSON path")
     p.add_argument("--summary-csv")
     p.add_argument("--hist-csv")

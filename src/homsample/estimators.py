@@ -10,7 +10,9 @@ reported as unsupported rather than approximated.
 Normalized metrics are estimated either as a ratio of two HT totals
 ("hajek_ratio", the default: consistent, not exactly unbiased) or by
 dividing one HT total by the parent graph's known normalizer
-("known_denominator": exactly unbiased, requires the parent). Node
+("known_denominator": exactly unbiased). A sample carries its parent graph
+and the ids of its edges there; per-edge values come from the
+:mod:`homsample.metrics` kernels evaluated on that edge subset. Node
 homophily is a mean of per-node ratios, not an edge total, and is only
 offered as a plug-in on the sampled subgraph.
 """
@@ -21,14 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphSignal, total_edge_weight
-from .inclusion import InclusionModel, JointUnavailableError
+from .graph import GraphSignal, total_edge_weight
+from .inclusion import DegenerateSampleError, InclusionModel, JointUnavailableError
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
     EDGE_HOMOPHILY,
     METRIC_KINDS,
     NODE_HOMOPHILY,
+    edge_variation_values,
+    node_homophily,
+    same_label_weight_values,
 )
 from .sampling import SampledGraph, design_to_dict
 
@@ -50,10 +55,6 @@ MODES_FOR_KIND = {
 VARIANCE_EXACT = "exact_design"
 VARIANCE_UNSUPPORTED = "unsupported"
 VARIANCE_CLAMPED = "negative_clamped"
-
-
-class DegenerateSampleError(ValueError):
-    """The realization cannot support the requested estimator (e.g. zero denominator)."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
         return None, VARIANCE_UNSUPPORTED
     if np.any(joint <= 0):
         a, b = np.argwhere(joint <= 0)[0]
-        raise ValueError(
+        raise DegenerateSampleError(
             f"observed edge pair (ids {sample.edge_index[a]}, {sample.edge_index[b]}) "
             "has joint inclusion probability 0; the inclusion model contradicts "
             "this realization")
@@ -150,40 +151,16 @@ def hajek_ratio(sample: SampledGraph, numerator_values, denominator_values,
     return ht_total(sample, numerator_values, incl, pi_floor) / den
 
 
-def _variation_values(sample: SampledGraph, signal: GraphSignal) -> np.ndarray:
-    d = signal.rows[sample.edge_i] - signal.rows[sample.edge_j]
-    return sample.edge_w * np.einsum("ef,ef->e", d, d)
-
-
-def _same_label_values(sample: SampledGraph, signal: GraphSignal) -> np.ndarray:
-    if signal.labels is None:
-        raise ValueError("metric requires labels")
-    return sample.edge_w * (signal.labels[sample.edge_i] == signal.labels[sample.edge_j])
-
-
-def _plug_in_node_homophily(sample: SampledGraph, signal: GraphSignal) -> float:
-    if signal.labels is None:
-        raise ValueError("metric requires labels")
-    if sample.edge_count == 0:
-        raise DegenerateSampleError("no sampled edges; node homophily undefined")
-    n = sample.parent_node_count
-    match = (signal.labels[sample.edge_i] == signal.labels[sample.edge_j]).astype(np.float64)
-    deg = np.bincount(sample.edge_i, minlength=n) + np.bincount(sample.edge_j, minlength=n)
-    same = (np.bincount(sample.edge_i, weights=match, minlength=n)
-            + np.bincount(sample.edge_j, weights=match, minlength=n))
-    active = deg > 0
-    return float(np.mean(same[active] / deg[active]))
-
-
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
-                    incl: InclusionModel | None = None, parent: Graph | None = None,
+                    incl: InclusionModel | None = None,
                     pi_floor: float = PI_FLOOR) -> EstimateReport:
     """Estimate one homophily metric from a sampled graph.
 
-    ``incl`` is required for HT-weighted modes; ``parent`` only for
-    "known_denominator", where the parent graph's total edge weight is
-    treated as known. Degenerate realizations (empty sample under a ratio
-    mode) raise DegenerateSampleError so callers can flag the replication.
+    ``incl`` is required for HT-weighted modes. "known_denominator" treats
+    the total edge weight of ``sample.parent`` as known. Degenerate
+    realizations (empty sample under a ratio mode, or an edge the model
+    gives probability 0) raise DegenerateSampleError so callers can flag
+    the replication.
     """
     if kind not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
@@ -193,13 +170,16 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     if mode in (HT_TOTAL, HAJEK_RATIO, KNOWN_DENOMINATOR) and incl is None:
         raise ValueError(f"mode {mode!r} requires an inclusion model")
 
+    g, ids = sample.parent, sample.edge_index
     variance = None
     variance_status = VARIANCE_UNSUPPORTED
 
     if kind == NODE_HOMOPHILY:
-        point = _plug_in_node_homophily(sample, signal)
+        if sample.edge_count == 0:
+            raise DegenerateSampleError("no sampled edges; node homophily undefined")
+        point = node_homophily(g, signal, ids)
     elif kind == DIRICHLET_TOTAL:
-        values = _variation_values(sample, signal)
+        values = edge_variation_values(g, signal, ids)
         if mode == PLUG_IN:
             point = plug_in_total(sample, values)
         else:
@@ -207,22 +187,20 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
             variance, variance_status = ht_variance(sample, values, incl, pi_floor)
     else:
         if kind == DIRICHLET_NORMALIZED:
-            numerator = _variation_values(sample, signal)
+            numerator = edge_variation_values(g, signal, ids)
             den_scale = 2.0
         else:
-            numerator = _same_label_values(sample, signal)
+            numerator = same_label_weight_values(g, signal, ids)
             den_scale = 1.0
         if mode == PLUG_IN:
-            den = float((den_scale * sample.edge_w).sum())
+            den = float((den_scale * g.edge_w[ids]).sum())
             if den == 0.0:
                 raise DegenerateSampleError("empty sample; plug-in ratio undefined")
             point = plug_in_total(sample, numerator) / den
         elif mode == HAJEK_RATIO:
-            point = hajek_ratio(sample, numerator, den_scale * sample.edge_w, incl, pi_floor)
+            point = hajek_ratio(sample, numerator, den_scale * g.edge_w[ids], incl, pi_floor)
         else:  # known_denominator
-            if parent is None:
-                raise ValueError("known_denominator mode requires the parent graph")
-            den = den_scale * total_edge_weight(parent)
+            den = den_scale * total_edge_weight(g)
             if den <= 0:
                 raise ValueError("parent graph has no edge weight")
             point = ht_total(sample, numerator, incl, pi_floor) / den

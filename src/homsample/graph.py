@@ -126,9 +126,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self._nbr[self._indptr[v]:self._indptr[v + 1]]
 
-    def neighbor_edge_ids(self, v: int) -> np.ndarray:
-        return self._nbr_eid[self._indptr[v]:self._indptr[v + 1]]
-
     def degrees(self) -> np.ndarray:
         """Unweighted degree of every node."""
         return np.diff(self._indptr)
@@ -274,7 +271,12 @@ def load_edge_list(source, n_hint: int | None = None) -> Graph:
 
 
 def dump_edge_list(g: Graph) -> str:
-    """Edge-list text that reloads to an identical Graph."""
+    """Edge-list text of g's edges, one ``i j w`` line each.
+
+    ``load_edge_list(text, n_hint=g.node_count)`` reloads an identical
+    Graph. The text itself does not record the node count, so without
+    ``n_hint`` isolated nodes above the largest endpoint id are lost.
+    """
     buf = io.StringIO()
     for i, j, w in zip(g.edge_i, g.edge_j, g.edge_w):
         buf.write(f"{i} {j} {float(w)!r}\n")
@@ -337,7 +339,13 @@ class DatasetManifest:
         )
 
     def load_dataset(self) -> tuple[Graph, GraphSignal]:
-        g = load_edge_list(self.edge_file)
+        """Load the graph and its labels.
+
+        The label file names every node once, so its line count sizes the
+        graph; isolated nodes absent from the edge list are kept.
+        """
+        labelled = sum(1 for _, raw in _as_lines(self.label_file) if raw.split("#", 1)[0].strip())
+        g = load_edge_list(self.edge_file, n_hint=labelled)
         s = load_labels(self.label_file, self.class_count, g.node_count)
         return g, s
 

@@ -47,13 +47,6 @@ class StepGraphon:
     def block_count(self) -> int:
         return self.values.shape[0]
 
-    def value_at(self, u: float, v: float) -> float:
-        """Value on the block containing (u, v) in [0,1]^2."""
-        n = self.block_count
-        a = min(int(u * n), n - 1)
-        b = min(int(v * n), n - 1)
-        return float(self.values[a, b])
-
 
 @dataclass(frozen=True, eq=False)
 class StepSignal:
@@ -70,10 +63,6 @@ class StepSignal:
     @property
     def block_count(self) -> int:
         return self.rows.shape[0]
-
-    def value_at(self, u: float) -> np.ndarray:
-        n = self.block_count
-        return self.rows[min(int(u * n), n - 1)]
 
 
 def to_step_pair(g: Graph, s: GraphSignal) -> tuple[StepGraphon, StepSignal]:

@@ -5,16 +5,19 @@ replication count, optionally sweeping one set of design parameters (e.g.
 retention probabilities {0.1, 0.3, 0.5}). Replication r of sweep s runs
 on the derived stream (base_seed, 1, s, r) and auxiliary draws (the
 empirical inclusion oracle) on (base_seed, 2, s), so records are byte-
-reproducible regardless of thread count or execution order. Ground truth
-is computed once on the full graph; summaries report mean, bias, standard
-deviation, invalid-replication counts and histogram bins per sweep value.
+reproducible and any replication can be rerun alone from its seed.
+Replications run serially, in order. Ground truth is computed once on the
+full graph; summaries report mean, bias, standard deviation,
+invalid-replication counts and histogram bins per sweep value. A
+replication whose sample cannot support an estimator (an empty ratio
+denominator, or an edge the inclusion model never saw) is recorded as
+invalid with the reason, and the experiment goes on.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +158,9 @@ class RunRecord:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _resolve_design(template: dict, overrides: dict, n: int):
+def resolve_design(template: dict, overrides: dict, n: int):
+    """Design from a template dict plus overrides; an SRS "frac" becomes
+    ``n_star = max(1, round(frac * n))`` unless n_star is given."""
     merged = {**template, **overrides}
     frac = merged.pop("frac", None)
     if frac is not None and "n_star" not in merged:
@@ -163,13 +168,13 @@ def _resolve_design(template: dict, overrides: dict, n: int):
     return design_from_dict(merged)
 
 
-def _replicate(g, signal, design, incl, parent, metric_pairs, rep, seed):
+def _replicate(g, signal, design, incl, metric_pairs, rep, seed):
     sample = draw_sample(g, with_seed(design, seed))
     estimates = {}
     for kind, mode in metric_pairs:
         key = f"{kind}:{mode}"
         try:
-            report = estimate_metric(sample, signal, kind, mode, incl=incl, parent=parent)
+            report = estimate_metric(sample, signal, kind, mode, incl=incl)
             estimates[key] = report.to_json_dict()
         except DegenerateSampleError as exc:
             estimates[key] = {"invalid": str(exc)}
@@ -182,8 +187,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: tuple[Graph, GraphSignal] | N
     """Run all replications of an experiment and aggregate summaries.
 
     ``dataset`` may pass a preloaded (graph, signal) pair; otherwise
-    ``cfg.dataset`` is treated as a manifest path. ``threads`` caps worker
-    parallelism; results are identical for any value.
+    ``cfg.dataset`` is treated as a manifest path. ``threads`` is accepted
+    for compatibility and ignored: replications run serially, because
+    they are Python-bound and a thread pool only added overhead.
     """
     if dataset is not None:
         g, signal = dataset
@@ -198,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: tuple[Graph, GraphSignal] | N
     sweep_list = cfg.sweep if cfg.sweep else ({},)
 
     for sweep_idx, overrides in enumerate(sweep_list):
-        design = _resolve_design(cfg.design, overrides, g.node_count)
+        design = resolve_design(cfg.design, overrides, g.node_count)
         design.validate(g.node_count)
         if cfg.pi_source == "empirical":
             oracle_design = with_seed(design, derive_seed(cfg.base_seed, 2, sweep_idx))
@@ -207,14 +213,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: tuple[Graph, GraphSignal] | N
         else:
             incl = inclusion_for(g, design, source="analytic")
 
-        seeds = [derive_seed(cfg.base_seed, 1, sweep_idx, r) for r in range(cfg.replications)]
-        jobs = ((g, signal, design, incl, g, cfg.metrics, r, seeds[r])
-                for r in range(cfg.replications))
-        if threads == 1:
-            reps = [_replicate(*job) for job in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reps = list(pool.map(lambda job: _replicate(*job), jobs))
+        reps = [_replicate(g, signal, design, incl, cfg.metrics, r,
+                           derive_seed(cfg.base_seed, 1, sweep_idx, r))
+                for r in range(cfg.replications)]
 
         summaries = {}
         for kind, mode in cfg.metrics:

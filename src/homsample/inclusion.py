@@ -1,33 +1,33 @@
-"""Edge inclusion probabilities for the supported sampling designs.
+"""Edge inclusion probabilities: the model type, traceroute's betweenness
+approximation and the Monte Carlo oracle.
 
-Induced designs admit exact closed forms: Bernoulli node retention gives
-``pi = p^2`` per edge and ``p^m`` for an edge pair spanning m distinct
-nodes; SRS gives falling-factorial ratios. Traceroute inclusion is
-approximated through ordered-pair edge betweenness,
+Each design builds its own analytic model with ``design.inclusion(g)``
+(see :mod:`homsample.sampling`). Induced designs admit exact closed forms:
+Bernoulli node retention gives ``pi = p^2`` per edge and ``p^k`` for an
+edge pair spanning k distinct nodes; SRS gives falling-factorial ratios.
+Both are stored as a per-k table (``joint_by_span``). Traceroute inclusion
+is approximated through ordered-pair edge betweenness,
 ``pi ~= 1 - exp(-b * n_S * n_T / n^2)``; no joint probabilities are
 available there, so variance estimation is unsupported under traceroute.
 A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies by
-replaying any design and is the fallback authority when the approximation
-is in doubt.
+replaying any design's ``realize`` and is the fallback authority when the
+approximation is in doubt.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import Graph
 from .rng import child_rng
-from .sampling import (
-    BernoulliDesign,
-    SampleDesign,
-    SrsDesign,
-    TracerouteDesign,
-    realize_edge_ids,
-)
 from .shortest_paths import path_dag
+
+if TYPE_CHECKING:
+    from .sampling import SampleDesign
 
 # empirical joint tables are dense edge x edge; refuse silly sizes
 _JOINT_EDGE_LIMIT = 4000
@@ -37,11 +37,14 @@ class JointUnavailableError(ValueError):
     """The design provides no joint inclusion probabilities."""
 
 
-def _falling(a: int, m: int) -> float:
-    out = 1.0
-    for k in range(m):
-        out *= a - k
-    return out
+class DegenerateSampleError(ValueError):
+    """The realization cannot support the requested estimator.
+
+    Raised for a zero ratio denominator or an empty sample, and for a
+    sampled edge (or edge pair) that the inclusion model gives probability
+    0, which an undersized empirical oracle produces. The experiment
+    harness records such a replication as invalid.
+    """
 
 
 def _shared_count_matrix(ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
@@ -58,20 +61,18 @@ class InclusionModel:
     """Per-edge inclusion probabilities plus (when defined) pairwise joints.
 
     ``pi`` is aligned with the parent graph's edge arrays; entries of 0
-    mark edges the design can never sample. ``joint_kind`` selects how
-    pairwise probabilities are computed: "bernoulli" and "srs" use the
-    closed forms, "empirical" uses observed co-occurrence frequencies,
-    "none" means unavailable.
+    mark edges the design can never sample. Joints come from one of two
+    sources: ``joint_by_span[k]`` is the closed-form joint probability of
+    an edge pair spanning k distinct nodes (k = 2..4), and ``joint_freq``
+    is an empirical edge x edge co-occurrence table. With neither, joints
+    are unavailable.
     """
 
     source: str
     pi: np.ndarray
     edge_i: np.ndarray
     edge_j: np.ndarray
-    node_count: int
-    joint_kind: str = "none"
-    p: float | None = None
-    n_star: int | None = None
+    joint_by_span: np.ndarray | None = None
     joint_freq: np.ndarray | None = None
 
     @property
@@ -80,14 +81,14 @@ class InclusionModel:
 
     @property
     def has_joint(self) -> bool:
-        return self.joint_kind != "none"
+        return self.joint_by_span is not None or self.joint_freq is not None
 
     def require_positive(self, edge_ids: np.ndarray, floor: float) -> np.ndarray:
         pi = self.pi[edge_ids]
         bad = np.nonzero(pi < floor)[0]
         if len(bad):
             k = edge_ids[bad[0]]
-            raise ValueError(
+            raise DegenerateSampleError(
                 f"sampled edge ({self.edge_i[k]}, {self.edge_j[k]}) has inclusion "
                 f"probability {pi[bad[0]]:g} below the floor {floor:g} under the "
                 f"{self.source} model, which contradicts this realization; use the "
@@ -101,67 +102,22 @@ class InclusionModel:
         The diagonal equals ``pi``. Raises JointUnavailableError when the
         design has no joint model.
         """
-        if self.joint_kind == "none":
-            raise JointUnavailableError(f"{self.source}: joint inclusion probabilities unavailable")
-        if self.joint_kind == "empirical":
+        if self.joint_freq is not None:
             return self.joint_freq[np.ix_(edge_ids, edge_ids)]
-        m = 4 - _shared_count_matrix(self.edge_i[edge_ids], self.edge_j[edge_ids])
-        if self.joint_kind == "bernoulli":
-            joint = self.p ** m.astype(np.float64)
-        else:  # srs; entries with m > node_count are unreachable
-            table = np.zeros(5)
-            for k in range(5):
-                denom = _falling(self.node_count, k)
-                table[k] = _falling(self.n_star, k) / denom if denom > 0 else 0.0
-            joint = table[m]
+        if self.joint_by_span is None:
+            raise JointUnavailableError(f"{self.source}: joint inclusion probabilities unavailable")
+        span = 4 - _shared_count_matrix(self.edge_i[edge_ids], self.edge_j[edge_ids])
+        joint = self.joint_by_span[span]
         np.fill_diagonal(joint, self.pi[edge_ids])
         return joint
-
-    def joint(self, e: int, f: int) -> float:
-        ids = np.array([e, f]) if e != f else np.array([e])
-        return float(self.joint_matrix(ids)[0, -1])
 
     def to_json_dict(self) -> dict:
         return {
             "source": self.source,
             "pi": [float(x) for x in self.pi],
             "sampleable": [bool(x) for x in self.sampleable],
-            "joint_kind": self.joint_kind,
+            "has_joint": self.has_joint,
         }
-
-
-def analytic_pi(design: SampleDesign, g: Graph) -> np.ndarray:
-    """Exact per-edge inclusion probability for induced designs."""
-    design.validate(g.node_count)
-    if isinstance(design, BernoulliDesign):
-        value = design.p ** 2
-    elif isinstance(design, SrsDesign):
-        n = g.node_count
-        value = design.n_star * (design.n_star - 1) / (n * (n - 1)) if n > 1 else 0.0
-    else:
-        raise ValueError("traceroute has no exact inclusion probabilities; "
-                         "use approx_pi_traceroute or empirical_pi")
-    return np.full(g.edge_count, value)
-
-
-def analytic_joint(design: SampleDesign, g: Graph, e: tuple[int, int], f: tuple[int, int]) -> float:
-    """Joint inclusion probability of two edges under an induced design.
-
-    ``m`` is the number of distinct endpoints spanned by the pair; the
-    Bernoulli joint is ``p^m`` and the SRS joint the falling-factorial
-    ratio, 0 when the sample size cannot cover all m nodes.
-    """
-    design.validate(g.node_count)
-    m = len({e[0], e[1], f[0], f[1]})
-    if m < 2 or e[0] == e[1] or f[0] == f[1]:
-        raise ValueError("edges must be unordered pairs of distinct nodes")
-    if isinstance(design, BernoulliDesign):
-        return design.p ** m
-    if isinstance(design, SrsDesign):
-        if design.n_star < m:
-            return 0.0
-        return _falling(design.n_star, m) / _falling(g.node_count, m)
-    raise ValueError("joint inclusion probabilities unavailable for traceroute")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,19 +185,15 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int,
     pair_counts = np.zeros((g.edge_count, g.edge_count), dtype=np.int64) if want_joint else None
     base = int(design.seed)
     for r in range(replications):
-        rng = child_rng(base, r)
-        ids = realize_edge_ids(g, design, rng)
+        ids = design.realize(g, child_rng(base, r)).edge_index
         counts[ids] += 1
         if want_joint and len(ids):
             pair_counts[np.ix_(ids, ids)] += 1
-    pi = counts / replications
     return InclusionModel(
         source=f"empirical:{design.kind}",
-        pi=pi,
+        pi=counts / replications,
         edge_i=g.edge_i,
         edge_j=g.edge_j,
-        node_count=g.node_count,
-        joint_kind="empirical" if want_joint else "none",
         joint_freq=(pair_counts / replications) if want_joint else None,
     )
 
@@ -251,24 +203,14 @@ def inclusion_for(g: Graph, design: SampleDesign,
                   want_joint: bool = False) -> InclusionModel:
     """Build the inclusion model a design calls for.
 
-    ``source="analytic"`` uses exact probabilities for induced designs and
-    the betweenness approximation for traceroute (joint unavailable);
-    ``source="empirical"`` runs the Monte Carlo oracle.
+    ``source="analytic"`` returns ``design.inclusion(g)``: exact
+    probabilities for induced designs and the betweenness approximation
+    for traceroute (joint unavailable); ``source="empirical"`` runs the
+    Monte Carlo oracle.
     """
     if source == "empirical":
         return empirical_pi(g, design, replications, want_joint=want_joint)
     if source != "analytic":
         raise ValueError(f"unknown inclusion source {source!r}")
-    if isinstance(design, TracerouteDesign):
-        pi = approx_pi_traceroute(edge_betweenness(g), design.n_sources,
-                                  design.n_targets, g.node_count)
-        return InclusionModel(source="traceroute-approx", pi=pi, edge_i=g.edge_i,
-                              edge_j=g.edge_j, node_count=g.node_count)
-    pi = analytic_pi(design, g)
-    if isinstance(design, BernoulliDesign):
-        return InclusionModel(source="analytic:bernoulli", pi=pi, edge_i=g.edge_i,
-                              edge_j=g.edge_j, node_count=g.node_count,
-                              joint_kind="bernoulli", p=design.p)
-    return InclusionModel(source="analytic:srs", pi=pi, edge_i=g.edge_i,
-                          edge_j=g.edge_j, node_count=g.node_count,
-                          joint_kind="srs", n_star=design.n_star)
+    design.validate(g.node_count)
+    return design.inclusion(g)

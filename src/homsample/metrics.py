@@ -15,9 +15,6 @@ what published benchmark tables use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .graph import Graph, GraphSignal, total_edge_weight
@@ -29,54 +26,42 @@ NODE_HOMOPHILY = "node_homophily"
 METRIC_KINDS = (DIRICHLET_TOTAL, DIRICHLET_NORMALIZED, EDGE_HOMOPHILY, NODE_HOMOPHILY)
 
 
-class EdgeVariation(NamedTuple):
-    edge: tuple[int, int]
-    value: float
-
-
-@dataclass(frozen=True)
-class HomophilyValue:
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-
-
 def _check_dims(g: Graph, s: GraphSignal):
     if s.node_count != g.node_count:
         raise ValueError(f"signal has {s.node_count} rows for a {g.node_count}-node graph")
 
 
-def edge_variation_values(g: Graph, s: GraphSignal) -> np.ndarray:
-    """Per-edge squared variation ``w_ij * ||x_i - x_j||^2``, aligned with g's edges."""
-    _check_dims(g, s)
-    d = s.rows[g.edge_i] - s.rows[g.edge_j]
-    return g.edge_w * np.einsum("ef,ef->e", d, d)
+def _edges(g: Graph, edge_ids):
+    """Endpoints and weights of all of g's edges, or of the subset ``edge_ids``."""
+    if edge_ids is None:
+        return g.edge_i, g.edge_j, g.edge_w
+    return g.edge_i[edge_ids], g.edge_j[edge_ids], g.edge_w[edge_ids]
 
 
-def same_label_weight_values(g: Graph, s: GraphSignal) -> np.ndarray:
-    """Per-edge ``w_ij * 1{label_i == label_j}``; requires labels."""
-    _check_dims(g, s)
+def _labels(s: GraphSignal) -> np.ndarray:
     if s.labels is None:
         raise ValueError("signal has no labels")
-    return g.edge_w * (s.labels[g.edge_i] == s.labels[g.edge_j])
+    return s.labels
 
 
-def edge_variation(g: Graph, s: GraphSignal, edge: tuple[int, int]) -> float:
-    """Squared variation on one edge; the edge must exist."""
+def edge_variation_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray:
+    """Per-edge squared variation ``w_ij * ||x_i - x_j||^2``.
+
+    Aligned with g's edges, or with ``edge_ids`` when given (a sampled
+    subset, at a cost proportional to its size).
+    """
     _check_dims(g, s)
-    i, j = edge
-    eid = g.edge_id(i, j)  # KeyError if absent
+    i, j, w = _edges(g, edge_ids)
     d = s.rows[i] - s.rows[j]
-    return float(g.edge_w[eid] * d.dot(d))
+    return w * np.einsum("ef,ef->e", d, d)
 
 
-def iter_edge_variations(g: Graph, s: GraphSignal):
-    values = edge_variation_values(g, s)
-    for i, j, v in zip(g.edge_i, g.edge_j, values):
-        yield EdgeVariation((int(i), int(j)), float(v))
+def same_label_weight_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray:
+    """Per-edge ``w_ij * 1{label_i == label_j}``, over g's edges or ``edge_ids``; requires labels."""
+    _check_dims(g, s)
+    labels = _labels(s)
+    i, j, w = _edges(g, edge_ids)
+    return w * (labels[i] == labels[j])
 
 
 def dirichlet_energy(g: Graph, s: GraphSignal) -> float:
@@ -102,22 +87,22 @@ def edge_homophily(g: Graph, s: GraphSignal) -> float:
     return float(same_label_weight_values(g, s).sum() / w)
 
 
-def node_homophily(g: Graph, s: GraphSignal) -> float:
-    """Mean same-label neighbor fraction over nodes with degree >= 1."""
+def node_homophily(g: Graph, s: GraphSignal, edge_ids=None) -> float:
+    """Mean same-label neighbor fraction over nodes with degree >= 1.
+
+    With ``edge_ids`` the neighbors and degrees are those of the subgraph
+    formed by that edge subset.
+    """
     _check_dims(g, s)
-    if s.labels is None:
-        raise ValueError("signal has no labels")
-    same = np.zeros(g.node_count)
-    deg = np.zeros(g.node_count)
-    match = (s.labels[g.edge_i] == s.labels[g.edge_j]).astype(np.float64)
-    np.add.at(deg, g.edge_i, 1.0)
-    np.add.at(deg, g.edge_j, 1.0)
-    np.add.at(same, g.edge_i, match)
-    np.add.at(same, g.edge_j, match)
-    active = deg > 0
-    if not active.any():
+    labels = _labels(s)
+    i, j, _ = _edges(g, edge_ids)
+    if not len(i):
         raise ValueError("graph has no edges")
-    return float(np.mean(same[active] / deg[active]))
+    match = (labels[i] == labels[j]).astype(np.float64)
+    # only endpoints of the given edges have degree >= 1; inverse ids keep node order
+    _, node = np.unique(np.concatenate([i, j]), return_inverse=True)
+    same = np.bincount(node, weights=np.concatenate([match, match]))
+    return float(np.mean(same / np.bincount(node)))
 
 
 _EXACT = {
@@ -136,6 +121,6 @@ def exact_metric(g: Graph, s: GraphSignal, kind: str) -> float:
     return fn(g, s)
 
 
-def homophily_profile(g: Graph, s: GraphSignal) -> list[HomophilyValue]:
-    """All four exact metrics, in the order of METRIC_KINDS."""
-    return [HomophilyValue(k, exact_metric(g, s, k)) for k in METRIC_KINDS]
+def homophily_profile(g: Graph, s: GraphSignal) -> dict:
+    """All four exact metrics by kind, in the order of METRIC_KINDS."""
+    return {k: exact_metric(g, s, k) for k in METRIC_KINDS}

@@ -1,10 +1,12 @@
 """Network sampling designs: Bernoulli-induced, SRS-induced, traceroute.
 
-Every design is a frozen dataclass carrying its parameters and a seed;
-``draw_sample(graph, design)`` is a pure function of that pair. Induced
-designs observe exactly the edges with both endpoints in the sampled node
-set; traceroute observes the union of edges on one random shortest path
-per source-target pair.
+Every design is a frozen dataclass carrying its parameters and a seed, and
+owns its mechanics: ``realize(g, rng)`` draws one sample from a given
+stream, and ``inclusion(g)`` builds its analytic inclusion model.
+``draw_sample(graph, design)`` realizes a design on the stream of its seed,
+so it is a pure function of that pair. Induced designs observe exactly the
+edges with both endpoints in the sampled node set; traceroute observes the
+union of edges on one random shortest path per source-target pair.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from typing import Union
 import numpy as np
 
 from .graph import Graph
+from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
 from .rng import DEFAULT_SEED, make_rng
 from .shortest_paths import path_dag, sample_path
+
+
+def _falling(a: int, m: int) -> float:
+    out = 1.0
+    for k in range(m):
+        out *= a - k
+    return out
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,16 @@ class BernoulliDesign:
     def params(self) -> dict:
         return {"p": self.p}
 
+    def realize(self, g: Graph, rng) -> "SampledGraph":
+        nodes = bernoulli_node_sample(g, self.p, rng)
+        return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
+
+    def inclusion(self, g: Graph) -> InclusionModel:
+        """pi = p^2 per edge; an edge pair spanning k nodes is joint with p^k."""
+        return InclusionModel(source="analytic:bernoulli", pi=np.full(g.edge_count, self.p ** 2),
+                              edge_i=g.edge_i, edge_j=g.edge_j,
+                              joint_by_span=self.p ** np.arange(5.0))
+
 
 @dataclass(frozen=True)
 class SrsDesign:
@@ -49,6 +69,21 @@ class SrsDesign:
 
     def params(self) -> dict:
         return {"n_star": self.n_star}
+
+    def realize(self, g: Graph, rng) -> "SampledGraph":
+        nodes = srs_node_sample(g, self.n_star, rng)
+        return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
+
+    def inclusion(self, g: Graph) -> InclusionModel:
+        """pi and k-node joints are falling-factorial ratios, 0 when n_star < k."""
+        n = g.node_count
+        pi = self.n_star * (self.n_star - 1) / (n * (n - 1)) if n > 1 else 0.0
+        by_span = np.zeros(5)
+        for k in range(5):
+            denom = _falling(n, k)
+            by_span[k] = _falling(self.n_star, k) / denom if denom > 0 else 0.0
+        return InclusionModel(source="analytic:srs", pi=np.full(g.edge_count, pi),
+                              edge_i=g.edge_i, edge_j=g.edge_j, joint_by_span=by_span)
 
 
 @dataclass(frozen=True)
@@ -71,6 +106,40 @@ class TracerouteDesign:
 
     def params(self) -> dict:
         return {"n_sources": self.n_sources, "n_targets": self.n_targets}
+
+    def realize(self, g: Graph, rng) -> "SampledGraph":
+        """Union of one random shortest path per source-target pair.
+
+        Sampled nodes are exactly the endpoints of sampled edges; unreachable
+        pairs are skipped and counted in ``meta``.
+        """
+        sources = srs_node_sample(g, self.n_sources, rng)
+        targets = srs_node_sample(g, self.n_targets, rng)
+        seen = np.zeros(g.edge_count, dtype=bool)
+        paths = []
+        skipped = 0
+        for s in sources:
+            dag = path_dag(g, int(s))
+            for t in targets:
+                if s == t:
+                    continue
+                res = sample_path(dag, int(t), rng)
+                if res is None:
+                    skipped += 1
+                    continue
+                nodes, eids = res
+                seen[eids] = True
+                paths.append(tuple(nodes))
+        ids = np.nonzero(seen)[0]
+        nodes = np.unique(np.concatenate([g.edge_i[ids], g.edge_j[ids]])) if len(ids) else np.empty(0, dtype=np.int64)
+        return SampledGraph(self, g, nodes, ids, paths=tuple(paths),
+                            meta={"skipped_pairs": skipped,
+                                  "pair_rule": "sources and targets drawn by independent SRS; s=t pairs skipped"})
+
+    def inclusion(self, g: Graph) -> InclusionModel:
+        """Betweenness approximation of pi; no joint probabilities."""
+        pi = approx_pi_traceroute(edge_betweenness(g), self.n_sources, self.n_targets, g.node_count)
+        return InclusionModel(source="traceroute-approx", pi=pi, edge_i=g.edge_i, edge_j=g.edge_j)
 
 
 SampleDesign = Union[BernoulliDesign, SrsDesign, TracerouteDesign]
@@ -103,19 +172,17 @@ def with_seed(design: SampleDesign, seed: int) -> SampleDesign:
 class SampledGraph:
     """Observed subgraph with provenance.
 
-    ``edge_index`` holds parent edge ids so per-edge values and inclusion
-    probabilities can be looked up on the parent graph's edge arrays.
-    ``pi`` is filled by :meth:`with_inclusion` once a model is chosen.
-    ``design`` is None for subgraphs built directly from a node set.
+    ``edge_index`` holds the ids of the sampled edges in ``parent``, so
+    endpoints, weights, per-edge values and inclusion probabilities are
+    all read from the parent graph's edge arrays. ``pi`` is filled by
+    :meth:`with_inclusion` once a model is chosen. ``design`` is None for
+    subgraphs built directly from a node set.
     """
 
     design: SampleDesign | None
-    parent_node_count: int
+    parent: Graph
     nodes: np.ndarray
     edge_index: np.ndarray
-    edge_i: np.ndarray
-    edge_j: np.ndarray
-    edge_w: np.ndarray
     pi: np.ndarray | None = None
     paths: tuple | None = None
     meta: dict | None = None
@@ -133,15 +200,16 @@ class SampledGraph:
         return replace(self, pi=np.asarray(pi, dtype=np.float64))
 
     def to_json_dict(self) -> dict:
+        g, ids = self.parent, self.edge_index
         pi = self.pi if self.pi is not None else [None] * self.edge_count
         out = {
             "design": design_to_dict(self.design) if self.design is not None else None,
             "seed": self.design.seed if self.design is not None else None,
-            "parent_node_count": self.parent_node_count,
+            "parent_node_count": g.node_count,
             "nodes": [int(v) for v in self.nodes],
             "edges": [
                 {"i": int(i), "j": int(j), "w": float(w), "pi": (float(p) if p is not None else None)}
-                for i, j, w, p in zip(self.edge_i, self.edge_j, self.edge_w, pi)
+                for i, j, w, p in zip(g.edge_i[ids], g.edge_j[ids], g.edge_w[ids], pi)
             ],
         }
         if self.paths is not None:
@@ -153,15 +221,11 @@ class SampledGraph:
 
 def bernoulli_node_sample(g: Graph, p: float, rng) -> np.ndarray:
     """Each node retained independently with probability p, in node order."""
-    if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
     return np.nonzero(rng.random(g.node_count) < p)[0]
 
 
 def srs_node_sample(g: Graph, n_star: int, rng) -> np.ndarray:
     """Uniform size-n_star node subset without replacement, sorted."""
-    if not 1 <= n_star <= g.node_count:
-        raise ValueError(f"n_star must be in [1, {g.node_count}], got {n_star}")
     return np.sort(rng.choice(g.node_count, size=n_star, replace=False))
 
 
@@ -177,100 +241,10 @@ def induced_subgraph(g: Graph, nodes, design: SampleDesign | None = None) -> Sam
     nodes = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= g.node_count):
         raise ValueError(f"node id out of range [0, {g.node_count})")
-    ids = induced_edge_ids(g, nodes)
-    return SampledGraph(
-        design=design,
-        parent_node_count=g.node_count,
-        nodes=nodes,
-        edge_index=ids,
-        edge_i=g.edge_i[ids],
-        edge_j=g.edge_j[ids],
-        edge_w=g.edge_w[ids],
-    )
-
-
-def random_shortest_path(g: Graph, s: int, t: int, rng) -> list[int] | None:
-    """One path of minimal hop length, uniform over all shortest s-t paths.
-
-    Returns None when t is unreachable from s.
-    """
-    if s == t:
-        raise ValueError("source and target must differ")
-    res = sample_path(path_dag(g, s), t, rng)
-    return None if res is None else res[0]
-
-
-def _traceroute_realize(g: Graph, n_sources: int, n_targets: int, rng, keep_paths: bool):
-    """Shared traceroute mechanics: returns (edge ids, paths, skipped pairs)."""
-    sources = srs_node_sample(g, n_sources, rng)
-    targets = srs_node_sample(g, n_targets, rng)
-    seen = np.zeros(g.edge_count, dtype=bool)
-    paths = [] if keep_paths else None
-    skipped = 0
-    for s in sources:
-        dag = path_dag(g, int(s))
-        for t in targets:
-            if s == t:
-                continue
-            res = sample_path(dag, int(t), rng)
-            if res is None:
-                skipped += 1
-                continue
-            nodes, eids = res
-            seen[eids] = True
-            if keep_paths:
-                paths.append(tuple(nodes))
-    return np.nonzero(seen)[0], (tuple(paths) if keep_paths else None), skipped
-
-
-def traceroute_sample(g: Graph, n_sources: int, n_targets: int, rng,
-                      design: SampleDesign | None = None, keep_paths: bool = True) -> SampledGraph:
-    """Union of one random shortest path per source-target pair.
-
-    Sampled nodes are exactly the endpoints of sampled edges; unreachable
-    pairs are skipped and counted in ``meta``.
-    """
-    for name, value in (("n_sources", n_sources), ("n_targets", n_targets)):
-        if not 1 <= value <= g.node_count:
-            raise ValueError(f"{name} must be in [1, {g.node_count}], got {value}")
-    ids, paths, skipped = _traceroute_realize(g, n_sources, n_targets, rng, keep_paths)
-    nodes = np.unique(np.concatenate([g.edge_i[ids], g.edge_j[ids]])) if len(ids) else np.empty(0, dtype=np.int64)
-    return SampledGraph(
-        design=design,
-        parent_node_count=g.node_count,
-        nodes=nodes,
-        edge_index=ids,
-        edge_i=g.edge_i[ids],
-        edge_j=g.edge_j[ids],
-        edge_w=g.edge_w[ids],
-        paths=paths,
-        meta={"skipped_pairs": skipped,
-              "pair_rule": "sources and targets drawn by independent SRS; s=t pairs skipped"},
-    )
-
-
-def realize_edge_ids(g: Graph, design: SampleDesign, rng) -> np.ndarray:
-    """One design realization reduced to its sampled parent edge ids.
-
-    Same mechanics (and rng consumption for induced designs) as
-    :func:`draw_sample`; used by the Monte Carlo inclusion oracle where
-    only edge membership matters.
-    """
-    design.validate(g.node_count)
-    if isinstance(design, BernoulliDesign):
-        return induced_edge_ids(g, bernoulli_node_sample(g, design.p, rng))
-    if isinstance(design, SrsDesign):
-        return induced_edge_ids(g, srs_node_sample(g, design.n_star, rng))
-    ids, _, _ = _traceroute_realize(g, design.n_sources, design.n_targets, rng, keep_paths=False)
-    return ids
+    return SampledGraph(design, g, nodes, induced_edge_ids(g, nodes))
 
 
 def draw_sample(g: Graph, design: SampleDesign) -> SampledGraph:
     """Realize a design on a graph; deterministic in (graph, design, seed)."""
     design.validate(g.node_count)
-    rng = make_rng(design.seed)
-    if isinstance(design, BernoulliDesign):
-        return induced_subgraph(g, bernoulli_node_sample(g, design.p, rng), design)
-    if isinstance(design, SrsDesign):
-        return induced_subgraph(g, srs_node_sample(g, design.n_star, rng), design)
-    return traceroute_sample(g, design.n_sources, design.n_targets, rng, design)
+    return design.realize(g, make_rng(design.seed))

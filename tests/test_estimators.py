@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,8 +130,9 @@ def test_hajek_reductions(triangle):
     assert hajek_ratio(sample, ones, ones, incl) == 1.0
     # uniform pi: ratio equals the unweighted sample ratio
     vals = values[sample.edge_index]
-    assert hajek_ratio(sample, vals, 2 * sample.edge_w, incl) == pytest.approx(
-        vals.sum() / (2 * sample.edge_w.sum()))
+    edge_w = g.edge_w[sample.edge_index]
+    assert hajek_ratio(sample, vals, 2 * edge_w, incl) == pytest.approx(
+        vals.sum() / (2 * edge_w.sum()))
     with pytest.raises(DegenerateSampleError, match="denominator"):
         empty = induced_subgraph(g, [], design)
         hajek_ratio(empty, np.array([]), np.array([]), incl)
@@ -202,9 +205,7 @@ def test_ht_rejects_missing_pi(karate):
     sample = draw_sample(g, design)
     incl = inclusion_for(g, design)
     values = edge_variation_values(g, s)[sample.edge_index]
-    bad = type(incl)(source=incl.source, pi=np.zeros(g.edge_count),
-                     edge_i=incl.edge_i, edge_j=incl.edge_j,
-                     node_count=incl.node_count)
+    bad = dataclasses.replace(incl, pi=np.zeros(g.edge_count))
     with pytest.raises(ValueError, match="below the floor"):
         ht_total(sample, values, bad)
 
@@ -215,8 +216,7 @@ def test_estimate_metric_modes_and_validation(karate):
     incl = inclusion_for(g, design)
     sample = draw_sample(g, design)
 
-    r = estimate_metric(sample, s, "dirichlet_normalized", KNOWN_DENOMINATOR,
-                        incl=incl, parent=g)
+    r = estimate_metric(sample, s, "dirichlet_normalized", KNOWN_DENOMINATOR, incl=incl)
     assert 0 <= r.point and r.variance is not None and r.variance_status == VARIANCE_EXACT
     r2 = estimate_metric(sample, s, "dirichlet_normalized", HAJEK_RATIO, incl=incl)
     assert r2.variance_status == VARIANCE_UNSUPPORTED
@@ -229,8 +229,12 @@ def test_estimate_metric_modes_and_validation(karate):
         estimate_metric(sample, s, "node_homophily", HAJEK_RATIO, incl=incl)
     with pytest.raises(ValueError, match="inclusion model"):
         estimate_metric(sample, s, "dirichlet_total", HT_TOTAL)
+    # the sample carries its parent; an edgeless parent has no known denominator
+    edgeless = Graph.from_edges(3, [])
+    empty = induced_subgraph(edgeless, [0, 1], SrsDesign(n_star=2))
     with pytest.raises(ValueError, match="parent graph"):
-        estimate_metric(sample, s, "edge_homophily", KNOWN_DENOMINATOR, incl=incl)
+        estimate_metric(empty, GraphSignal.from_labels([0, 0, 1], 2), "edge_homophily",
+                        KNOWN_DENOMINATOR, incl=inclusion_for(edgeless, SrsDesign(n_star=2)))
     with pytest.raises(ValueError, match="unknown metric"):
         estimate_metric(sample, s, "assortativity", PLUG_IN)
 
@@ -247,7 +251,7 @@ def test_estimate_metric_census_recovers_exact(karate):
              ("node_homophily", PLUG_IN, node_homophily(g, s)),
              ("dirichlet_total", HT_TOTAL, dirichlet_energy(g, s))]
     for kind, mode, exact in pairs:
-        r = estimate_metric(sample, s, kind, mode, incl=incl, parent=g)
+        r = estimate_metric(sample, s, kind, mode, incl=incl)
         assert r.point == pytest.approx(exact, rel=1e-12)
 
 

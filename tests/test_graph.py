@@ -9,6 +9,7 @@ from homsample import (
     GraphSignal,
     dump_edge_list,
     karate_manifest_path,
+    load_dataset,
     load_edge_list,
     load_labels,
     total_edge_weight,
@@ -149,3 +150,15 @@ def test_manifest_round(tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"name": "x"}')
         DatasetManifest.load(p)
+
+
+def test_dataset_keeps_isolated_highest_node(tmp_path):
+    # the edge list alone cannot say that node 4 exists; the label file does
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    (tmp_path / "e.txt").write_text(dump_edge_list(g))
+    (tmp_path / "l.txt").write_text("".join(f"{v} {v % 2}\n" for v in range(5)))
+    (tmp_path / "m.json").write_text(
+        '{"name": "iso", "edge_file": "e.txt", "label_file": "l.txt", "class_count": 2}')
+    g2, s2, name = load_dataset(tmp_path / "m.json")
+    assert g2 == g and name == "iso"
+    assert s2.labels.tolist() == [0, 1, 0, 1, 0]

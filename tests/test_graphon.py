@@ -26,16 +26,16 @@ def test_step_pair_transcription():
     w, x = to_step_pair(g, s)
     assert w.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert x.rows.tolist() == s.rows.tolist()
-    # evaluation at (u, v) inside block (i, j) returns the edge weight
-    assert w.value_at(0.2, 0.8) == 1.0
-    assert w.value_at(0.2, 0.3) == 0.0
-    assert x.value_at(0.9).tolist() == [0.0, 1.0]
+    # block (i, j), which holds (u, v) = ((i + 0.5) / n, (j + 0.5) / n), holds the edge weight
+    assert w.values[0, 1] == 1.0
+    assert w.values[0, 0] == 0.0
+    assert x.rows[1].tolist() == [0.0, 1.0]
 
 
 def test_step_pair_weighted():
     g = Graph.from_edges(2, [(0, 1, 3.0)])
     w, _ = to_step_pair(g, GraphSignal.from_labels([0, 1], 2))
-    assert w.value_at(0.0, 0.99) == 3.0
+    assert w.values[0, 1] == 3.0
 
 
 def test_phi_step_identity_on_triangle(triangle):

@@ -1,10 +1,12 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from homsample import karate_manifest_path
+from homsample import SrsDesign, karate_manifest_path
 from homsample.harness import (
+    _replicate,
     ExperimentConfig,
     histogram,
     run_experiment,
@@ -146,3 +148,27 @@ def test_all_replications_reported_in_order():
     assert [r["rep"] for r in rec.sweeps[0].replications] == list(range(12))
     seeds = [r["seed"] for r in rec.sweeps[0].replications]
     assert len(set(seeds)) == 12
+
+
+def test_unobserved_edges_are_invalid_replications_not_aborts():
+    # a 200-realization oracle misses edges that some of the 300 samples
+    # contain; those replications are recorded invalid with the reason
+    cfg = _karate_cfg(design={"kind": "traceroute", "n_sources": 1, "n_targets": 1},
+                      metrics=(("dirichlet_total", "ht_total"),), replications=300,
+                      base_seed=271828, pi_source="empirical", pi_replications=200)
+    rec = run_experiment(cfg, threads=1)
+    s = rec.sweeps[0].summaries["dirichlet_total:ht_total"]
+    assert s.invalid > 0 and s.valid + s.invalid == 300
+    reasons = {r["estimates"]["dirichlet_total:ht_total"].get("invalid")
+               for r in rec.sweeps[0].replications} - {None}
+    assert all("inclusion probability 0" in m for m in reasons)
+
+
+def test_zero_joint_probability_is_an_invalid_replication(karate):
+    # a joint table that never saw two edges together contradicts any sample holding both
+    g, s = karate
+    design = SrsDesign(n_star=20, seed=5)
+    incl = design.inclusion(g)
+    incl = dataclasses.replace(incl, joint_freq=np.diag(incl.pi))
+    rep = _replicate(g, s, design, incl, (("dirichlet_total", "ht_total"),), 0, 5)
+    assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]

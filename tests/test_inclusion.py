@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -8,8 +9,6 @@ from homsample import (
     Graph,
     SrsDesign,
     TracerouteDesign,
-    analytic_joint,
-    analytic_pi,
     approx_pi_traceroute,
     edge_betweenness,
     empirical_pi,
@@ -23,38 +22,51 @@ def k_n(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def joint(model, e, f):
+    """Joint inclusion probability of edges e and f (pi_e when e == f)."""
+    ids = np.array([e, f]) if e != f else np.array([e])
+    return float(model.joint_matrix(ids)[0, -1])
+
+
+def edge_joint(g, design, e, f):
+    """Analytic joint inclusion probability of two edges given by endpoints."""
+    return joint(inclusion_for(g, design), g.edge_id(*e), g.edge_id(*f))
+
+
 def test_analytic_pi_bernoulli():
     g = k_n(4)
-    pi = analytic_pi(BernoulliDesign(p=0.3), g)
+    pi = BernoulliDesign(p=0.3).inclusion(g).pi
     assert np.allclose(pi, 0.09) and len(pi) == g.edge_count
 
 
 def test_analytic_pi_srs():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert np.allclose(analytic_pi(SrsDesign(n_star=2), g), 1 / 3)
-    assert np.allclose(analytic_pi(SrsDesign(n_star=3), g), 1.0)  # census
-
-
-def test_analytic_pi_rejects_traceroute():
-    with pytest.raises(ValueError, match="traceroute"):
-        analytic_pi(TracerouteDesign(1, 1), k_n(3))
+    assert np.allclose(SrsDesign(n_star=2).inclusion(g).pi, 1 / 3)
+    assert np.allclose(SrsDesign(n_star=3).inclusion(g).pi, 1.0)  # census
 
 
 def test_analytic_joint_bernoulli():
     g = k_n(5)
     d = BernoulliDesign(p=0.5)
-    assert analytic_joint(d, g, (0, 1), (0, 1)) == 0.25      # same edge
-    assert analytic_joint(d, g, (0, 1), (1, 2)) == 0.125     # share one node
-    assert analytic_joint(d, g, (0, 1), (2, 3)) == 0.0625    # disjoint
+    assert edge_joint(g, d, (0, 1), (0, 1)) == 0.25      # same edge
+    assert edge_joint(g, d, (0, 1), (1, 2)) == 0.125     # share one node
+    assert edge_joint(g, d, (0, 1), (2, 3)) == 0.0625    # disjoint
 
 
 def test_analytic_joint_srs():
     g = k_n(4)
     d = SrsDesign(n_star=3)
-    assert analytic_joint(d, g, (0, 1), (1, 2)) == pytest.approx(1 / 4)
-    assert analytic_joint(d, g, (0, 1), (2, 3)) == 0.0       # needs 4 sampled nodes
+    assert edge_joint(g, d, (0, 1), (1, 2)) == pytest.approx(1 / 4)
+    assert edge_joint(g, d, (0, 1), (2, 3)) == 0.0       # needs 4 sampled nodes
     with pytest.raises(ValueError, match="traceroute"):
-        analytic_joint(TracerouteDesign(1, 1), g, (0, 1), (1, 2))
+        edge_joint(g, TracerouteDesign(1, 1), (0, 1), (1, 2))
+
+
+def test_joint_by_span_matches_power_table():
+    # the Bernoulli table is numpy's array power, entry for entry
+    for p in np.random.default_rng(61).random(200):
+        table = BernoulliDesign(p=float(p)).inclusion(k_n(3)).joint_by_span
+        assert np.array_equal(table, float(p) ** np.arange(5.0))
 
 
 def test_joint_diag_equals_pi():
@@ -62,7 +74,7 @@ def test_joint_diag_equals_pi():
     for design in (BernoulliDesign(0.4), SrsDesign(3)):
         model = inclusion_for(g, design)
         for e in range(g.edge_count):
-            assert model.joint(e, e) == pytest.approx(model.pi[e], rel=1e-15)
+            assert joint(model, e, e) == pytest.approx(model.pi[e], rel=1e-15)
 
 
 def test_bernoulli_independence_structure():
@@ -71,8 +83,8 @@ def test_bernoulli_independence_structure():
     disjoint = (g.edge_id(0, 1), g.edge_id(2, 3))
     shared = (g.edge_id(0, 1), g.edge_id(1, 2))
     # node-disjoint edges are independent; shared-node pairs positively associated
-    assert model.joint(*disjoint) == pytest.approx(model.pi[disjoint[0]] * model.pi[disjoint[1]], rel=1e-15)
-    assert model.joint(*shared) >= model.pi[shared[0]] * model.pi[shared[1]]
+    assert joint(model, *disjoint) == pytest.approx(model.pi[disjoint[0]] * model.pi[disjoint[1]], rel=1e-15)
+    assert joint(model, *shared) >= model.pi[shared[0]] * model.pi[shared[1]]
 
 
 def test_srs_association_structure():
@@ -89,12 +101,12 @@ def test_srs_association_structure():
                 endpoints = {int(g.edge_i[e]), int(g.edge_j[e]),
                              int(g.edge_i[f]), int(g.edge_j[f])}
                 if len(endpoints) == 4:
-                    assert model.joint(e, f) < model.pi[e] * model.pi[f]
+                    assert joint(model, e, f) < model.pi[e] * model.pi[f]
     shared = inclusion_for(k_n(6), SrsDesign(4))
-    assert shared.joint(0, 1) == pytest.approx(0.2)          # edges (0,1), (0,2)
-    assert shared.joint(0, 1) > shared.pi[0] * shared.pi[1]  # positive association
+    assert joint(shared, 0, 1) == pytest.approx(0.2)          # edges (0,1), (0,2)
+    assert joint(shared, 0, 1) > shared.pi[0] * shared.pi[1]  # positive association
     borderline = inclusion_for(k_n(4), SrsDesign(3))
-    assert borderline.joint(0, 1) == pytest.approx(borderline.pi[0] * borderline.pi[1])
+    assert joint(borderline, 0, 1) == pytest.approx(borderline.pi[0] * borderline.pi[1])
 
 
 def test_edge_betweenness_hand_cases():
@@ -167,7 +179,7 @@ def test_empirical_pi_matches_analytic_srs():
     R = 100_000
     design = SrsDesign(n_star=4, seed=5)
     model = empirical_pi(g, design, replications=R)
-    target = analytic_pi(design, g)[0]
+    target = design.inclusion(g).pi[0]
     assert np.abs(model.pi - target).max() <= 4 * np.sqrt(target * (1 - target) / R)
 
 
@@ -184,7 +196,7 @@ def test_empirical_joint_diag_and_flags():
     model = empirical_pi(g, SrsDesign(n_star=2, seed=9), replications=2000, want_joint=True)
     assert np.allclose(np.diag(model.joint_freq), model.pi)
     # SRS with n*=2 can never catch both disjoint edges at once
-    assert model.joint(0, 1) == 0.0
+    assert joint(model, 0, 1) == 0.0
     never = empirical_pi(g, BernoulliDesign(p=1e-9, seed=9), replications=50)
     assert not never.sampleable.any()
 
@@ -192,9 +204,7 @@ def test_empirical_joint_diag_and_flags():
 def test_require_positive_directs_to_oracle():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     model = inclusion_for(g, TracerouteDesign(1, 1))
-    zeroed = type(model)(source=model.source, pi=np.array([0.5, 0.0]),
-                         edge_i=model.edge_i, edge_j=model.edge_j,
-                         node_count=model.node_count)
+    zeroed = dataclasses.replace(model, pi=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="empirical"):
         zeroed.require_positive(np.array([0, 1]), floor=1e-12)
 

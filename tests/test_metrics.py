@@ -6,26 +6,26 @@ from homsample import (
     GraphSignal,
     dirichlet_energy,
     edge_homophily,
-    edge_variation,
     edge_variation_values,
     exact_metric,
     homophily_profile,
     node_homophily,
     normalized_dirichlet,
 )
-from homsample.metrics import iter_edge_variations
+from homsample.metrics import METRIC_KINDS, same_label_weight_values
 from oracles import dense_laplacian_tv, random_graph, random_onehot_signal
 
 
 def test_edge_variation_cases():
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 3.0)])
     s = GraphSignal.from_labels([0, 0, 1], 2)
-    assert edge_variation(g, s, (0, 1)) == 0.0          # equal one-hots
-    assert edge_variation(g, s, (2, 1)) == 6.0          # w=3, ||e_a - e_b||^2 = 2
+    values = edge_variation_values(g, s)
+    assert values[g.edge_id(0, 1)] == 0.0               # equal one-hots
+    assert values[g.edge_id(2, 1)] == 6.0               # w=3, ||e_a - e_b||^2 = 2
     with pytest.raises(KeyError):
-        edge_variation(g, s, (0, 2))
-    values = {ev.edge: ev.value for ev in iter_edge_variations(g, s)}
-    assert values == {(0, 1): 0.0, (1, 2): 6.0}
+        g.edge_id(0, 2)
+    edges = zip(g.edge_i.tolist(), g.edge_j.tolist())
+    assert dict(zip(edges, values.tolist())) == {(0, 1): 0.0, (1, 2): 6.0}
 
 
 def test_dirichlet_energy_hand_cases(triangle, star):
@@ -140,7 +140,8 @@ def test_arbitrary_real_features_allowed_for_energy_only():
 
 def test_profile_and_exact_metric(karate):
     g, s = karate
-    profile = {hv.kind: hv.value for hv in homophily_profile(g, s)}
+    profile = homophily_profile(g, s)
+    assert tuple(profile) == METRIC_KINDS
     assert profile["dirichlet_total"] == 50.0
     assert exact_metric(g, s, "edge_homophily") == profile["edge_homophily"]
     with pytest.raises(ValueError, match="unknown metric"):
@@ -153,3 +154,20 @@ def test_edge_variation_values_nonnegative_random():
     s = GraphSignal(rng.normal(size=(15, 4)))
     v = edge_variation_values(g, s)
     assert np.all(v >= 0)
+
+
+def test_kernels_on_edge_subsets_match_subgraphs():
+    # the subset form equals the full-graph values indexed, and node homophily
+    # on a subset equals node homophily of the subgraph those edges form
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        g = random_graph(rng, n, p=0.4, weighted=True)
+        s = random_onehot_signal(rng, n, 3)
+        ids = np.nonzero(rng.random(g.edge_count) < 0.5)[0]
+        assert np.array_equal(edge_variation_values(g, s, ids), edge_variation_values(g, s)[ids])
+        assert np.array_equal(same_label_weight_values(g, s, ids),
+                              same_label_weight_values(g, s)[ids])
+        if len(ids):
+            sub = Graph.from_arrays(n, g.edge_i[ids], g.edge_j[ids], g.edge_w[ids])
+            assert node_homophily(g, s, ids) == node_homophily(sub, s)

@@ -10,12 +10,17 @@ from homsample import (
     draw_sample,
     induced_subgraph,
     make_rng,
-    random_shortest_path,
     srs_node_sample,
-    traceroute_sample,
 )
 from homsample.sampling import design_from_dict, design_to_dict, with_seed
+from homsample.shortest_paths import path_dag, sample_path
 from oracles import all_shortest_paths, random_graph
+
+
+def _shortest_path(g, s, t, rng):
+    """Node list of one uniform shortest s-t path, or None when t is unreachable."""
+    res = sample_path(path_dag(g, s), t, rng)
+    return None if res is None else res[0]
 
 
 def test_bernoulli_p1_keeps_everything():
@@ -49,7 +54,7 @@ def test_srs_size_and_range():
     assert len(sub) == 3 and len(set(sub.tolist())) == 3
     for bad in (0, 7):
         with pytest.raises(ValueError):
-            srs_node_sample(g, bad, make_rng(1))
+            draw_sample(g, SrsDesign(n_star=bad, seed=1))
 
 
 def test_srs_uniform_over_subsets():
@@ -69,7 +74,7 @@ def test_induced_subgraph_cases(triangle):
     assert full.edge_count == g.edge_count
     # nodes {0, 2} of the (a, a, b) triangle leave the single cross edge
     sub = induced_subgraph(g, [0, 2])
-    assert list(zip(sub.edge_i, sub.edge_j)) == [(0, 2)]
+    assert list(zip(g.edge_i[sub.edge_index], g.edge_j[sub.edge_index])) == [(0, 2)]
     assert induced_subgraph(g, []).edge_count == 0
     with pytest.raises(ValueError, match="out of range"):
         induced_subgraph(g, [0, 5])
@@ -84,7 +89,7 @@ def test_induced_closure_property():
         sample = induced_subgraph(g, nodes)
         chosen = set(nodes.tolist())
         # no sampled edge leaves V*; no parent edge inside V* is missing
-        for i, j in zip(sample.edge_i, sample.edge_j):
+        for i, j in zip(g.edge_i[sample.edge_index], g.edge_j[sample.edge_index]):
             assert i in chosen and j in chosen
         expected = sum(1 for i, j in zip(g.edge_i, g.edge_j) if i in chosen and j in chosen)
         assert sample.edge_count == expected
@@ -92,20 +97,20 @@ def test_induced_closure_property():
 
 def test_random_shortest_path_unique_cases():
     g = Graph.from_edges(2, [(0, 1)])
-    assert random_shortest_path(g, 0, 1, make_rng(0)) == [0, 1]
+    assert _shortest_path(g, 0, 1, make_rng(0)) == [0, 1]
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert random_shortest_path(path, 0, 3, make_rng(0)) == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="differ"):
-        random_shortest_path(g, 1, 1, make_rng(0))
+    assert _shortest_path(path, 0, 3, make_rng(0)) == [0, 1, 2, 3]
+    # s = t is the trivial path with no edges; the traceroute design skips such pairs
+    assert sample_path(path_dag(g, 1), 1, make_rng(0)) == ([1], [])
     disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert random_shortest_path(disconnected, 0, 3, make_rng(0)) is None
+    assert _shortest_path(disconnected, 0, 3, make_rng(0)) is None
 
 
 def test_random_shortest_path_uniform_on_cycle():
     # 4-cycle, opposite corners: two shortest paths, each picked half the time
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     rng = make_rng(19)
-    via1 = sum(random_shortest_path(g, 0, 2, rng)[1] == 1 for _ in range(10_000))
+    via1 = sum(_shortest_path(g, 0, 2, rng)[1] == 1 for _ in range(10_000))
     assert abs(via1 / 10_000 - 0.5) <= 0.02
 
 
@@ -116,7 +121,7 @@ def test_random_shortest_path_minimal_and_simple():
         g = random_graph(rng, n, 0.3)
         s, t = rng.choice(n, 2, replace=False)
         oracle = all_shortest_paths(g, int(s), int(t))
-        drawn = random_shortest_path(g, int(s), int(t), make_rng(int(rng.integers(1 << 30))))
+        drawn = _shortest_path(g, int(s), int(t), make_rng(int(rng.integers(1 << 30))))
         if not oracle:
             assert drawn is None
             continue
@@ -128,9 +133,9 @@ def test_random_shortest_path_minimal_and_simple():
 def test_traceroute_star_two_hop():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     # leaf-to-leaf paths must pass through the center
-    path = random_shortest_path(g, 1, 2, make_rng(0))
+    path = _shortest_path(g, 1, 2, make_rng(0))
     assert path == [1, 0, 2]
-    sample = traceroute_sample(g, 4, 4, make_rng(5))
+    sample = TracerouteDesign(4, 4).realize(g, make_rng(5))
     assert sample.edge_count == 3                    # tree: full coverage at n_S = n_T = n
 
 
@@ -140,24 +145,25 @@ def test_traceroute_tree_coverage():
     n = 12
     edges = [(int(rng.integers(0, k)), k) for k in range(1, n)]
     g = Graph.from_edges(n, edges)
-    sample = traceroute_sample(g, n, n, make_rng(2))
+    sample = TracerouteDesign(n, n).realize(g, make_rng(2))
     assert sample.edge_count == g.edge_count         # every tree edge separates some pair
 
 
 def test_traceroute_source_equals_target_skipped():
     g = Graph.from_edges(1, [])
-    sample = traceroute_sample(g, 1, 1, make_rng(0))
+    sample = TracerouteDesign(1, 1).realize(g, make_rng(0))
     assert sample.edge_count == 0 and sample.node_count == 0
 
 
 def test_traceroute_paths_recorded(karate):
     g, _ = karate
-    sample = traceroute_sample(g, 3, 3, make_rng(11))
+    sample = TracerouteDesign(3, 3).realize(g, make_rng(11))
     assert sample.paths is not None and len(sample.paths) >= 1
     dist_ok = all(len(p) == len(set(p)) for p in sample.paths)
     assert dist_ok
     assert sample.meta["skipped_pairs"] == 0
-    assert set(np.concatenate([sample.edge_i, sample.edge_j]).tolist()) == set(sample.nodes.tolist())
+    ids = sample.edge_index
+    assert set(np.concatenate([g.edge_i[ids], g.edge_j[ids]]).tolist()) == set(sample.nodes.tolist())
 
 
 @pytest.mark.parametrize("design", [
