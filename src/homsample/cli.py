@@ -38,8 +38,8 @@ from .metrics import (
     dirichlet_energy,
     homophily_profile,
 )
-from .rng import DEFAULT_SEED
-from .sampling import draw_sample
+from .rng import DEFAULT_SEED, derive_seed
+from .sampling import draw_sample, with_seed
 
 METRIC_ALIASES = {
     "dirichlet": DIRICHLET_NORMALIZED,
@@ -129,6 +129,17 @@ def _single_design(args, n, seed):
     return resolve_design({"kind": args.design, "seed": seed}, values[0], n)
 
 
+def _inclusion(args, g, design):
+    """Inclusion model for ``sample``/``estimate``.
+
+    The empirical oracle runs on the stream the experiment harness gives
+    sweep 0, ``(seed, 2, 0)``; on the design's own seed it would replay
+    the very sample it weights as its first replication.
+    """
+    oracle = with_seed(design, derive_seed(args.seed, 2, 0))
+    return inclusion_for(g, oracle, source=args.pi, replications=args.pi_reps)
+
+
 def _emit_json(obj, out_path):
     text = json.dumps(obj, indent=2) + "\n"
     if out_path:
@@ -171,9 +182,7 @@ def _cmd_homophily(args):
 def _cmd_sample(args):
     g, s, name = _load_from_flags(args, need_labels=False)
     design = _single_design(args, g.node_count, args.seed)
-    sample = draw_sample(g, design)
-    incl = inclusion_for(g, design, source=args.pi, replications=args.pi_reps)
-    sample = sample.with_inclusion(incl)
+    sample = draw_sample(g, design).with_inclusion(_inclusion(args, g, design))
     _emit_json(sample.to_json_dict(), args.out)
     return 0
 
@@ -183,8 +192,7 @@ def _cmd_estimate(args):
     design = _single_design(args, g.node_count, args.seed)
     kind = _metric_kind(args.metric)
     sample = draw_sample(g, design)
-    incl = inclusion_for(g, design, source=args.pi, replications=args.pi_reps)
-    report = estimate_metric(sample, s, kind, args.mode, incl=incl)
+    report = estimate_metric(sample, s, kind, args.mode, incl=_inclusion(args, g, design))
     _emit_json({"dataset": name, **report.to_json_dict()}, args.out)
     return 0
 

@@ -5,7 +5,11 @@ inclusion probability, which is design-unbiased for the population total
 whenever every edge has positive inclusion probability. Its variance is
 estimable from the sample when pairwise joint inclusion probabilities
 exist (induced designs); under traceroute they do not, and variance is
-reported as unsupported rather than approximated.
+reported as unsupported rather than approximated. Closed-form joints
+depend only on how many nodes an edge pair spans, so the variance is a
+few per-edge and per-node sums, linear in the sampled edges up to one
+sort of their endpoints; the dense edge x edge joint matrix serves
+empirical joint tables only.
 
 Normalized metrics are estimated either as a ratio of two HT totals
 ("hajek_ratio", the default: consistent, not exactly unbiased) or by
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphSignal, total_edge_weight
-from .inclusion import DegenerateSampleError, InclusionModel, JointUnavailableError
+from .inclusion import DegenerateSampleError, InclusionModel
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
@@ -118,16 +122,39 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     estimator is the design-unbiased one; pass ``clamp_negative=False`` to
     get it). Designs without joint probabilities yield
     ``(None, "unsupported")``.
+
+    Under a closed-form model the joint of two distinct edges depends only
+    on the number k of nodes they span (``joint_by_span[k]``, k = 3 or 4;
+    two edges of a simple graph share at most one node), so the double sum
+    collapses to span sums over the m_s sampled edges, in O(m_s) memory and
+    the time of one sort of their endpoints:
+
+        Q = sum V^2,  A = sum_v S_v^2 - 2Q,  D = (sum V)^2 - Q - A,
+        est = Q (1/pi^2 - 1/pi) + A (1/pi^2 - 1/j_3) + D (1/pi^2 - 1/j_4),
+
+    where S_v sums V over the sampled edges at node v, and A and D are the
+    sums of ``V_e V_f`` over ordered pairs spanning 3 and 4 nodes. A span
+    class with no pair in the sample contributes nothing. An empirical
+    ``joint_freq`` table takes precedence and is summed densely, in
+    O(m_s^2).
     """
     values = _sampled_values(sample, values)
-    if sample.edge_count == 0:
-        if not incl.has_joint:
-            return None, VARIANCE_UNSUPPORTED
-        return 0.0, VARIANCE_EXACT
-    try:
-        joint = incl.joint_matrix(sample.edge_index)
-    except JointUnavailableError:
+    if not incl.has_joint:
         return None, VARIANCE_UNSUPPORTED
+    if sample.edge_count == 0:
+        return 0.0, VARIANCE_EXACT
+    if incl.joint_freq is not None:
+        est = _dense_variance(sample, values, incl, pi_floor)
+    else:
+        est = _span_sum_variance(sample, values, incl, pi_floor)
+    if est < 0 and clamp_negative:
+        return 0.0, VARIANCE_CLAMPED
+    return est, VARIANCE_EXACT
+
+
+def _dense_variance(sample: SampledGraph, values: np.ndarray, incl: InclusionModel,
+                    pi_floor: float) -> float:
+    joint = incl.joint_matrix(sample.edge_index)
     if np.any(joint <= 0):
         a, b = np.argwhere(joint <= 0)[0]
         raise DegenerateSampleError(
@@ -136,10 +163,39 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
             "this realization")
     pi = incl.require_positive(sample.edge_index, pi_floor)
     weighted = values / pi
-    est = float(np.outer(weighted, weighted).sum() - (np.outer(values, values) / joint).sum())
-    if est < 0 and clamp_negative:
-        return 0.0, VARIANCE_CLAMPED
-    return est, VARIANCE_EXACT
+    return float(np.outer(weighted, weighted).sum() - (np.outer(values, values) / joint).sum())
+
+
+def _span_sum_variance(sample: SampledGraph, values: np.ndarray, incl: InclusionModel,
+                       pi_floor: float) -> float:
+    ids = sample.edge_index
+    m = len(ids)
+    # only endpoints of sampled edges carry sums; inverse ids compact them
+    _, node = np.unique(np.concatenate([incl.edge_i[ids], incl.edge_j[ids]]),
+                        return_inverse=True)
+    node_sums = np.bincount(node, weights=np.concatenate([values, values]))
+    degrees = np.bincount(node)
+    q = float(values @ values)
+    a = float(node_sums @ node_sums) - 2.0 * q
+    d = float(values.sum()) ** 2 - q - a
+    pairs3 = int(degrees @ degrees) - 2 * m
+    pairs4 = m * m - m - pairs3
+    joint = incl.joint_by_span
+    for span, pairs in ((3, pairs3), (4, pairs4)):
+        if pairs and joint[span] <= 0:
+            raise DegenerateSampleError(
+                f"{pairs} observed ordered edge pairs spanning {span} nodes have joint "
+                f"inclusion probability 0 under the {incl.source} model, which "
+                "contradicts this realization")
+    # a closed-form model gives every edge the same pi
+    pi = float(incl.require_positive(ids, pi_floor)[0])
+    inv_sq = 1.0 / pi ** 2
+    est = q * (inv_sq - 1.0 / pi)
+    if pairs3:
+        est += a * (inv_sq - 1.0 / joint[3])
+    if pairs4:
+        est += d * (inv_sq - 1.0 / joint[4])
+    return float(est)
 
 
 def hajek_ratio(sample: SampledGraph, numerator_values, denominator_values,

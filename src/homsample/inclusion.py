@@ -5,7 +5,10 @@ Each design builds its own analytic model with ``design.inclusion(g)``
 (see :mod:`homsample.sampling`). Induced designs admit exact closed forms:
 Bernoulli node retention gives ``pi = p^2`` per edge and ``p^k`` for an
 edge pair spanning k distinct nodes; SRS gives falling-factorial ratios.
-Both are stored as a per-k table (``joint_by_span``). Traceroute inclusion
+Both are stored as a per-k table (``joint_by_span``), from which the HT
+variance is computed in O(sampled edges) without any edge-pair array; the
+dense edge x edge joint (``joint_matrix``) serves empirical joint tables,
+which are capped at ``_JOINT_EDGE_LIMIT`` edges. Traceroute inclusion
 is approximated through ordered-pair edge betweenness,
 ``pi ~= 1 - exp(-b * n_S * n_T / n^2)``; no joint probabilities are
 available there, so variance estimation is unsupported under traceroute.
@@ -29,7 +32,8 @@ from .shortest_paths import path_dag
 if TYPE_CHECKING:
     from .sampling import SampleDesign
 
-# empirical joint tables are dense edge x edge; refuse silly sizes
+# dense edge x edge joint tables (empirical, or the joint_matrix accessor)
+# refuse more edges than this
 _JOINT_EDGE_LIMIT = 4000
 
 
@@ -64,8 +68,9 @@ class InclusionModel:
     mark edges the design can never sample. Joints come from one of two
     sources: ``joint_by_span[k]`` is the closed-form joint probability of
     an edge pair spanning k distinct nodes (k = 2..4), and ``joint_freq``
-    is an empirical edge x edge co-occurrence table. With neither, joints
-    are unavailable.
+    is an empirical edge x edge co-occurrence table, which takes
+    precedence. With neither, joints are unavailable. A closed-form model
+    gives every edge the same ``pi``.
     """
 
     source: str
@@ -100,8 +105,12 @@ class InclusionModel:
         """Pairwise joint inclusion probabilities for the given edges.
 
         The diagonal equals ``pi``. Raises JointUnavailableError when the
-        design has no joint model.
+        design has no joint model, and ValueError for more than
+        ``_JOINT_EDGE_LIMIT`` edges, before allocating the dense table.
         """
+        if len(edge_ids) > _JOINT_EDGE_LIMIT:
+            raise ValueError(f"a dense joint matrix over {len(edge_ids)} edges needs "
+                             f"{len(edge_ids)}^2 entries; limit is {_JOINT_EDGE_LIMIT} edges")
         if self.joint_freq is not None:
             return self.joint_freq[np.ix_(edge_ids, edge_ids)]
         if self.joint_by_span is None:

@@ -6,6 +6,7 @@ paths it checks.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -100,6 +101,35 @@ def riemann_phi(grid_values: np.ndarray, signal_grid: np.ndarray, refine: int = 
     sq = (x * x).sum(axis=1)
     total = (w * (sq[:, None] + sq[None, :] - 2.0 * (x @ x.T))).sum()
     return float(total) / (2.0 * k * k)
+
+
+def dense_ht_variance(values, pi, joint) -> float:
+    """HT variance double sum over an explicit edge x edge joint matrix.
+
+    ``sum_e sum_f V_e V_f (1/(pi_e pi_f) - 1/joint_ef)``, unclamped; the
+    diagonal of ``joint`` must hold ``pi``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    weighted = values / pi
+    return float(np.outer(weighted, weighted).sum() - (np.outer(values, values) / joint).sum())
+
+
+def exact_ht_variance(g: Graph, edge_ids, values, pi: float, joint_by_span) -> Fraction:
+    """The same double sum in exact rational arithmetic on the float inputs.
+
+    Each pair's joint is ``pi`` for an edge with itself and otherwise
+    ``joint_by_span[k]`` for the k distinct endpoints of the pair, counted
+    from the endpoints directly.
+    """
+    ends = [{int(g.edge_i[e]), int(g.edge_j[e])} for e in edge_ids]
+    vals = [Fraction(float(v)) for v in values]
+    pi = Fraction(float(pi))
+    total = Fraction(0)
+    for a, (ea, va) in enumerate(zip(ends, vals)):
+        for b, (eb, vb) in enumerate(zip(ends, vals)):
+            joint = pi if a == b else Fraction(float(joint_by_span[len(ea | eb)]))
+            total += va * vb * (1 / (pi * pi) - 1 / joint)
+    return total
 
 
 def random_graph(rng, n: int, p: float = 0.5, weighted: bool = False) -> Graph:

@@ -101,6 +101,17 @@ def test_estimate_traceroute_approx_pi(tmp_path):
     assert data["point"] > 0
 
 
+def test_empirical_oracle_does_not_replay_the_sample():
+    # an oracle run on the sample's own stream would see that very sample as
+    # its one replication and give every sampled edge pi = 1
+    for seed in ("1", "2", "3"):
+        res = run_cli("sample", "--manifest", MANIFEST, "--design", "traceroute",
+                      "--sources", "3", "--targets", "3", "--pi", "empirical",
+                      "--pi-reps", "1", "--seed", seed)
+        assert res.returncode == 0, res.stderr
+        assert any(e["pi"] != 1.0 for e in json.loads(res.stdout)["edges"])
+
+
 def test_experiment_outputs_and_thread_invariance(tmp_path):
     outs = {}
     for tag, threads in (("a", "1"), ("b", "3")):

@@ -1,7 +1,10 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsample import (
     BernoulliDesign,
@@ -30,7 +33,14 @@ from homsample.estimators import (
     VARIANCE_UNSUPPORTED,
 )
 from homsample.metrics import dirichlet_energy, node_homophily
-from oracles import random_graph, random_onehot_signal, srs_expectation, srs_subsets
+from oracles import (
+    dense_ht_variance,
+    exact_ht_variance,
+    random_graph,
+    random_onehot_signal,
+    srs_expectation,
+    srs_subsets,
+)
 
 
 def _srs_enumeration(g, s, n_star, clamp=True):
@@ -59,7 +69,11 @@ def test_census_is_exact(karate):
     assert ht_total(sample, values, incl) == dirichlet_energy(g, s)
     assert plug_in_total(sample, values) == dirichlet_energy(g, s)
     var, status = ht_variance(sample, values, incl)
-    assert var == pytest.approx(0.0, abs=1e-9) and status in (VARIANCE_EXACT, VARIANCE_CLAMPED)
+    assert var == 0.0 and status == VARIANCE_EXACT
+    census = BernoulliDesign(p=1.0, seed=4)
+    sample = draw_sample(g, census)
+    values = edge_variation_values(g, s)[sample.edge_index]
+    assert ht_variance(sample, values, inclusion_for(g, census)) == (0.0, VARIANCE_EXACT)
 
 
 def test_k3_srs_worked_example(triangle):
@@ -120,6 +134,127 @@ def test_bernoulli_disjoint_pair_cross_term_is_zero():
     assert status == VARIANCE_EXACT
 
 
+def test_star_variance_has_only_three_span_pairs(star):
+    g, s = star
+    design = BernoulliDesign(p=0.6)
+    values = edge_variation_values(g, s)
+    sample = induced_subgraph(g, [0, 1, 2, 3], design)
+    var, status = ht_variance(sample, values, inclusion_for(g, design))
+    # every pair of distinct edges shares the center: joint p^3
+    q, pi = (values ** 2).sum(), 0.6 ** 2
+    expected = q * (1 / pi ** 2 - 1 / pi) + (values.sum() ** 2 - q) * (1 / pi ** 2 - 1 / 0.6 ** 3)
+    assert var == pytest.approx(expected, rel=1e-12)
+    assert status == VARIANCE_EXACT
+
+
+def test_span_class_with_zero_joint_is_degenerate():
+    # SRS with n* = 3 never holds two disjoint edges; a sample that does contradicts it
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    design = SrsDesign(n_star=3)
+    sample = induced_subgraph(g, [0, 1, 2, 3], design)
+    with pytest.raises(DegenerateSampleError, match="spanning 4 nodes have joint inclusion probability 0"):
+        ht_variance(sample, np.ones(2), inclusion_for(g, design))
+
+
+def test_variance_of_empty_sample(karate):
+    g, _ = karate
+    for design, expected in ((SrsDesign(n_star=1), (0.0, VARIANCE_EXACT)),
+                             (BernoulliDesign(p=0.5), (0.0, VARIANCE_EXACT)),
+                             (TracerouteDesign(1, 1), (None, VARIANCE_UNSUPPORTED))):
+        empty = induced_subgraph(g, [], design)
+        assert ht_variance(empty, np.array([]), inclusion_for(g, design)) == expected
+
+
+def _assert_variance_matches_references(g, design, sample, values):
+    """Span-sum variance against the dense double sum and the exact rational one."""
+    incl = design.inclusion(g)
+    got, status = ht_variance(sample, values, incl, clamp_negative=False)
+    assert status == VARIANCE_EXACT
+    if sample.edge_count == 0:
+        assert got == 0.0
+        return
+    ids, pi = sample.edge_index, incl.pi[0]
+    tol = 1e-12 * (np.abs(values).sum() / pi) ** 2
+    assert abs(got - dense_ht_variance(values, incl.pi[ids], incl.joint_matrix(ids))) <= tol
+    assert abs(Fraction(got) - exact_ht_variance(g, ids, values, pi, incl.joint_by_span)) <= tol
+
+
+_VALUE = st.one_of(st.just(0.0), st.floats(1e-3, 100.0), st.floats(-100.0, -1e-3))
+
+
+@st.composite
+def _induced_variance_cases(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
+    seed = draw(st.integers(0, 2 ** 32))
+    if draw(st.booleans()):
+        design = BernoulliDesign(p=draw(st.floats(0.05, 1.0)), seed=seed)
+    else:
+        design = SrsDesign(n_star=draw(st.integers(1, n)), seed=seed)
+    sample = draw_sample(g, design)
+    count = sample.edge_count
+    values = np.array(draw(st.lists(_VALUE, min_size=count, max_size=count)), dtype=np.float64)
+    return g, design, sample, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_induced_variance_cases())
+def test_span_sum_variance_matches_dense_and_exact(case):
+    _assert_variance_matches_references(*case)
+
+
+def test_span_sum_variance_on_karate(karate):
+    g, s = karate
+    values = edge_variation_values(g, s)
+    designs = ([BernoulliDesign(p, seed=k) for p in (0.2, 0.5, 0.9) for k in range(10)]
+               + [SrsDesign(n, seed=k) for n in (4, 10, 20, 33) for k in range(10)])
+    for design in designs:
+        sample = draw_sample(g, design)
+        _assert_variance_matches_references(g, design, sample, values[sample.edge_index])
+
+
+@pytest.mark.parametrize("n_star", [1, 2, 3])
+def test_span_sum_variance_small_srs(n_star):
+    # on K5 an SRS of n_star nodes holds every edge among them: no 4-span pair, j4 = 0
+    g = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    rng = np.random.default_rng(n_star)
+    for seed in range(20):
+        design = SrsDesign(n_star=n_star, seed=seed)
+        sample = draw_sample(g, design)
+        assert sample.edge_count == n_star * (n_star - 1) // 2
+        _assert_variance_matches_references(g, design, sample, rng.normal(size=sample.edge_count))
+
+
+def test_span_sum_variance_has_no_edge_limit():
+    # 4465 sampled edges: more than a dense joint matrix may hold
+    g = Graph.from_edges(100, [(i, j) for i in range(100) for j in range(i + 1, 100)])
+    design = SrsDesign(n_star=95, seed=1)
+    sample = draw_sample(g, design)
+    values = np.arange(sample.edge_count, dtype=np.float64) % 3
+    var, status = ht_variance(sample, values, design.inclusion(g), clamp_negative=False)
+    assert sample.edge_count == 4465 and np.isfinite(var) and status == VARIANCE_EXACT
+
+
+def test_empirical_joint_table_takes_precedence(karate):
+    g, _ = karate
+    design = SrsDesign(n_star=12, seed=3)
+    sample = draw_sample(g, design)
+    ids = sample.edge_index
+    values = g.edge_w[ids]
+    closed = design.inclusion(g)
+    independent = np.outer(closed.pi, closed.pi)
+    np.fill_diagonal(independent, closed.pi)
+    table = dataclasses.replace(closed, joint_freq=independent)
+    got, _ = ht_variance(sample, values, table, clamp_negative=False)
+    assert got == dense_ht_variance(values, closed.pi[ids], independent[np.ix_(ids, ids)])
+    # independence leaves only the diagonal terms
+    pi = closed.pi[0]
+    assert got == pytest.approx((values ** 2).sum() * (1 / pi ** 2 - 1 / pi), rel=1e-12)
+    assert got != ht_variance(sample, values, closed, clamp_negative=False)[0]
+
+
 def test_hajek_reductions(triangle):
     g, s = triangle
     design = SrsDesign(n_star=2)
@@ -178,6 +313,8 @@ def test_variance_negative_clamp_flagged():
     values = edge_variation_values(g, s)
     sample = induced_subgraph(g, [0, 1, 2, 3], design)   # two disjoint edges
     raw, _ = ht_variance(sample, values[sample.edge_index], incl, clamp_negative=False)
+    # V = (2, 2), only 4-span pairs: pi = 2/5, j4 = 1/15, sum V^2 = 8 = sum over both orders
+    assert raw == pytest.approx(8 * (1 / 0.4 ** 2 - 1 / 0.4) + 8 * (1 / 0.4 ** 2 - 15), rel=1e-12)
     assert raw < 0
     clamped, status = ht_variance(sample, values[sample.edge_index], incl)
     assert clamped == 0.0 and status == VARIANCE_CLAMPED

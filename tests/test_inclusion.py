@@ -62,6 +62,13 @@ def test_analytic_joint_srs():
         edge_joint(g, TracerouteDesign(1, 1), (0, 1), (1, 2))
 
 
+def test_joint_matrix_refuses_more_edges_than_the_limit():
+    model = SrsDesign(n_star=3).inclusion(k_n(4))
+    with pytest.raises(ValueError, match="4001 edges.*limit is 4000 edges"):
+        model.joint_matrix(np.zeros(4001, dtype=np.int64))
+    assert model.joint_matrix(np.zeros(4000, dtype=np.int64)).shape == (4000, 4000)
+
+
 def test_joint_by_span_matches_power_table():
     # the Bernoulli table is numpy's array power, entry for entry
     for p in np.random.default_rng(61).random(200):
