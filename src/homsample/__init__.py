@@ -44,7 +44,6 @@ from .sampling import (
     srs_node_sample,
 )
 from .inclusion import (
-    BetweennessTable,
     InclusionModel,
     approx_pi_traceroute,
     edge_betweenness,

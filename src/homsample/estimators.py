@@ -5,11 +5,11 @@ inclusion probability, which is design-unbiased for the population total
 whenever every edge has positive inclusion probability. Its variance is
 estimable from the sample when pairwise joint inclusion probabilities
 exist (induced designs); under traceroute they do not, and variance is
-reported as unsupported rather than approximated. Closed-form joints
-depend only on how many nodes an edge pair spans, so the variance is a
-few per-edge and per-node sums, linear in the sampled edges up to one
-sort of their endpoints; the dense edge x edge joint matrix serves
-empirical joint tables only.
+reported as unsupported rather than approximated, as it is for the
+empirical oracle, which estimates no joints. Closed-form joints depend
+only on how many nodes an edge pair spans, so the variance is a few
+per-edge and per-node sums, linear in the sampled edges up to one sort of
+their endpoints; a zero joint can only be a whole span class.
 
 Normalized metrics are estimated either as a ratio of two HT totals
 ("hajek_ratio", the default: consistent, not exactly unbiased) or by
@@ -41,7 +41,7 @@ from .metrics import (
 )
 from .sampling import SampledGraph, design_to_dict
 
-# estimators refuse inclusion probabilities below this unless overridden
+# estimators refuse inclusion probabilities below this
 PI_FLOOR = 1e-12
 
 HT_TOTAL = "ht_total"
@@ -97,13 +97,12 @@ def _sampled_values(sample: SampledGraph, values) -> np.ndarray:
     return values
 
 
-def ht_total(sample: SampledGraph, values, incl: InclusionModel,
-             pi_floor: float = PI_FLOOR) -> float:
+def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
     """Sum of observed values weighted by reciprocal inclusion probabilities."""
     values = _sampled_values(sample, values)
     if sample.edge_count == 0:
         return 0.0
-    pi = incl.require_positive(sample.edge_index, pi_floor)
+    pi = incl.require_positive(sample.edge_index, PI_FLOOR)
     return float((values / pi).sum())
 
 
@@ -113,7 +112,7 @@ def plug_in_total(sample: SampledGraph, values) -> float:
 
 
 def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
-                pi_floor: float = PI_FLOOR, clamp_negative: bool = True) -> tuple[float | None, str]:
+                clamp_negative: bool = True) -> tuple[float | None, str]:
     """Design variance estimate of the HT total, from the sample alone.
 
     Returns ``(value, status)``: the double sum over sampled edge pairs of
@@ -134,40 +133,14 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
 
     where S_v sums V over the sampled edges at node v, and A and D are the
     sums of ``V_e V_f`` over ordered pairs spanning 3 and 4 nodes. A span
-    class with no pair in the sample contributes nothing. An empirical
-    ``joint_freq`` table takes precedence and is summed densely, in
-    O(m_s^2).
+    class with no pair in the sample contributes nothing; a sampled pair
+    in a class of joint probability 0 raises DegenerateSampleError.
     """
     values = _sampled_values(sample, values)
     if not incl.has_joint:
         return None, VARIANCE_UNSUPPORTED
     if sample.edge_count == 0:
         return 0.0, VARIANCE_EXACT
-    if incl.joint_freq is not None:
-        est = _dense_variance(sample, values, incl, pi_floor)
-    else:
-        est = _span_sum_variance(sample, values, incl, pi_floor)
-    if est < 0 and clamp_negative:
-        return 0.0, VARIANCE_CLAMPED
-    return est, VARIANCE_EXACT
-
-
-def _dense_variance(sample: SampledGraph, values: np.ndarray, incl: InclusionModel,
-                    pi_floor: float) -> float:
-    joint = incl.joint_matrix(sample.edge_index)
-    if np.any(joint <= 0):
-        a, b = np.argwhere(joint <= 0)[0]
-        raise DegenerateSampleError(
-            f"observed edge pair (ids {sample.edge_index[a]}, {sample.edge_index[b]}) "
-            "has joint inclusion probability 0; the inclusion model contradicts "
-            "this realization")
-    pi = incl.require_positive(sample.edge_index, pi_floor)
-    weighted = values / pi
-    return float(np.outer(weighted, weighted).sum() - (np.outer(values, values) / joint).sum())
-
-
-def _span_sum_variance(sample: SampledGraph, values: np.ndarray, incl: InclusionModel,
-                       pi_floor: float) -> float:
     ids = sample.edge_index
     m = len(ids)
     # only endpoints of sampled edges carry sums; inverse ids compact them
@@ -188,28 +161,30 @@ def _span_sum_variance(sample: SampledGraph, values: np.ndarray, incl: Inclusion
                 f"inclusion probability 0 under the {incl.source} model, which "
                 "contradicts this realization")
     # a closed-form model gives every edge the same pi
-    pi = float(incl.require_positive(ids, pi_floor)[0])
+    pi = float(incl.require_positive(ids, PI_FLOOR)[0])
     inv_sq = 1.0 / pi ** 2
     est = q * (inv_sq - 1.0 / pi)
     if pairs3:
         est += a * (inv_sq - 1.0 / joint[3])
     if pairs4:
         est += d * (inv_sq - 1.0 / joint[4])
-    return float(est)
+    est = float(est)
+    if est < 0 and clamp_negative:
+        return 0.0, VARIANCE_CLAMPED
+    return est, VARIANCE_EXACT
 
 
 def hajek_ratio(sample: SampledGraph, numerator_values, denominator_values,
-                incl: InclusionModel, pi_floor: float = PI_FLOOR) -> float:
+                incl: InclusionModel) -> float:
     """Ratio of two HT totals; under uniform pi this is the plain sample ratio."""
-    den = ht_total(sample, denominator_values, incl, pi_floor)
+    den = ht_total(sample, denominator_values, incl)
     if den == 0.0:
         raise DegenerateSampleError("zero HT denominator (empty or degenerate sample)")
-    return ht_total(sample, numerator_values, incl, pi_floor) / den
+    return ht_total(sample, numerator_values, incl) / den
 
 
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
-                    incl: InclusionModel | None = None,
-                    pi_floor: float = PI_FLOOR) -> EstimateReport:
+                    incl: InclusionModel | None = None) -> EstimateReport:
     """Estimate one homophily metric from a sampled graph.
 
     ``incl`` is required for HT-weighted modes. "known_denominator" treats
@@ -239,8 +214,8 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
         if mode == PLUG_IN:
             point = plug_in_total(sample, values)
         else:
-            point = ht_total(sample, values, incl, pi_floor)
-            variance, variance_status = ht_variance(sample, values, incl, pi_floor)
+            point = ht_total(sample, values, incl)
+            variance, variance_status = ht_variance(sample, values, incl)
     else:
         if kind == DIRICHLET_NORMALIZED:
             numerator = edge_variation_values(g, signal, ids)
@@ -254,13 +229,13 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
                 raise DegenerateSampleError("empty sample; plug-in ratio undefined")
             point = plug_in_total(sample, numerator) / den
         elif mode == HAJEK_RATIO:
-            point = hajek_ratio(sample, numerator, den_scale * g.edge_w[ids], incl, pi_floor)
+            point = hajek_ratio(sample, numerator, den_scale * g.edge_w[ids], incl)
         else:  # known_denominator
             den = den_scale * total_edge_weight(g)
             if den <= 0:
                 raise ValueError("parent graph has no edge weight")
-            point = ht_total(sample, numerator, incl, pi_floor) / den
-            var, variance_status = ht_variance(sample, numerator, incl, pi_floor)
+            point = ht_total(sample, numerator, incl) / den
+            var, variance_status = ht_variance(sample, numerator, incl)
             variance = var / den ** 2 if var is not None else None
 
     if not np.isfinite(point):

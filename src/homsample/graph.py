@@ -2,15 +2,17 @@
 
 Graphs are undirected and weighted, over dense 0-based node ids. Each
 unordered edge is stored exactly once with ``i < j``; weights are strictly
-positive (a zero-weight pair is a non-edge). A CSR adjacency over both
-directions supports O(deg) traversal. Instances never mutate after
-construction and are safe to share across threads.
+positive and finite (a zero-weight pair is a non-edge). A CSR adjacency
+over both directions supports O(deg) traversal. The edge and adjacency
+arrays are frozen at construction; the only state that changes later is
+the per-instance shortest-path cache (``_sp_cache``).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,7 +71,7 @@ class Graph:
 
         Reversed duplicates merge by summing weights; pairs whose merged
         weight is zero are dropped. Raises on self-loops, out-of-range ids
-        and negative weights.
+        and negative or non-finite weights.
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
@@ -81,6 +83,8 @@ class Graph:
             raise ValueError(f"node id out of range [0, {n})")
         if np.any(i == j):
             raise ValueError("self-loops are not allowed")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite edge weight")
         if np.any(w < 0):
             raise ValueError("negative edge weight")
         lo = np.minimum(i, j)
@@ -260,6 +264,8 @@ def load_edge_list(source, n_hint: int | None = None) -> Graph:
             raise EdgeListError(f"line {lineno}: negative node id")
         if i == j:
             raise EdgeListError(f"line {lineno}: self-loop at node {i}")
+        if not math.isfinite(w):
+            raise EdgeListError(f"line {lineno}: non-finite weight {w}")
         if w < 0:
             raise EdgeListError(f"line {lineno}: negative weight {w}")
         ii.append(i)

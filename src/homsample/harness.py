@@ -159,12 +159,15 @@ class RunRecord:
 
 
 def resolve_design(template: dict, overrides: dict, n: int):
-    """Design from a template dict plus overrides; an SRS "frac" becomes
-    ``n_star = max(1, round(frac * n))`` unless n_star is given."""
+    """Design from a template dict plus overrides; an SRS "frac" in (0, 1]
+    becomes ``n_star = max(1, round(frac * n))`` unless n_star is given."""
     merged = {**template, **overrides}
     frac = merged.pop("frac", None)
     if frac is not None and "n_star" not in merged:
-        merged["n_star"] = max(1, round(float(frac) * n))
+        frac = float(frac)
+        if not 0.0 < frac <= 1.0:
+            raise ValueError(f"SRS frac must be in (0, 1], got {frac!r}")
+        merged["n_star"] = max(1, round(frac * n))
     return design_from_dict(merged)
 
 

@@ -2,7 +2,7 @@
 
 All randomness in this package flows through counter-based Philox
 generators created here, so that a (graph, design, seed) triple pins a
-sample exactly, on any platform and under any thread count.
+sample exactly, on any platform.
 """
 
 import numpy as np
@@ -29,7 +29,8 @@ def derive_seed(base_seed: int, *path: int) -> int:
     and keep one 64-bit word. The experiment harness seeds replication ``r``
     of sweep ``s`` with ``derive_seed(base, 1, s, r)`` and auxiliary draws
     (e.g. the empirical inclusion oracle) with ``derive_seed(base, 2, s)``,
-    so serial and parallel runs see identical, non-overlapping streams.
+    so the streams do not overlap and any one replication can be replayed
+    alone from its seed.
     """
     seq = np.random.SeedSequence([int(base_seed)] + [int(p) for p in path])
     lo, hi = seq.generate_state(2)

@@ -1,9 +1,16 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+# make oracles importable, and the package under test importable here and in
+# the CLI subprocesses the tests start, without an install or PYTHONPATH
+_TESTS = Path(__file__).parent
+_SRC = str(_TESTS.parent / "src")
+sys.path.insert(0, str(_TESTS))
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 from homsample import Graph, GraphSignal, karate_manifest_path, load_dataset
 

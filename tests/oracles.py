@@ -103,6 +103,22 @@ def riemann_phi(grid_values: np.ndarray, signal_grid: np.ndarray, refine: int = 
     return float(total) / (2.0 * k * k)
 
 
+def dense_joint(g: Graph, edge_ids, pi, joint_by_span) -> np.ndarray:
+    """Edge x edge joint inclusion matrix of a closed-form model.
+
+    Entry (a, b) is ``joint_by_span[k]`` for the k distinct endpoints of
+    edges ``edge_ids[a]`` and ``edge_ids[b]``, counted from endpoint sets;
+    the diagonal is ``pi[edge_ids]`` (``pi`` is aligned with g's edges).
+    """
+    ends = [{int(g.edge_i[e]), int(g.edge_j[e])} for e in edge_ids]
+    joint = np.empty((len(ends), len(ends)))
+    for a, ea in enumerate(ends):
+        for b, eb in enumerate(ends):
+            joint[a, b] = joint_by_span[len(ea | eb)]
+    np.fill_diagonal(joint, np.asarray(pi)[np.asarray(edge_ids, dtype=np.int64)])
+    return joint
+
+
 def dense_ht_variance(values, pi, joint) -> float:
     """HT variance double sum over an explicit edge x edge joint matrix.
 

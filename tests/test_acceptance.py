@@ -28,7 +28,7 @@ from homsample.estimators import ht_total, ht_variance
 from homsample.graphon import signal_at_latents
 from homsample.harness import ExperimentConfig, run_experiment
 from homsample.rng import derive_seed
-from oracles import random_graph, random_onehot_signal
+from oracles import dense_joint, random_graph, random_onehot_signal
 
 SEED = 20250810
 MANIFEST = str(hs.karate_manifest_path())
@@ -80,7 +80,7 @@ def test_criterion_2_randomized_exhaustive_unbiasedness():
         tv = hs.dirichlet_energy(g, s)
         for n_star in range(2, n + 1):
             incl = hs.inclusion_for(g, SrsDesign(n_star))
-            joint = incl.joint_matrix(np.arange(g.edge_count))
+            joint = dense_joint(g, np.arange(g.edge_count), incl.pi, incl.joint_by_span)
             hts, var_ests = _enumerate_srs(g, s, n_star)
             worst_ht = max(worst_ht, abs(float(np.mean(hts)) - tv))
             if np.all(joint > 0):

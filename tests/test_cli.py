@@ -159,9 +159,11 @@ def test_graphon_convergence(tmp_path):
     assert lines[0] == "n,mean,deviation" and len(lines) == 3
 
 
-# sha256 of each output as written before designs took over their own
-# realization and inclusion mechanics; recorded with numpy 2.4.6. A changed
-# hash is a changed output: it must be justified in CHANGES.md.
+# sha256 of each output, recorded with numpy 2.4.6: the first four as
+# written before designs took over their own realization and inclusion
+# mechanics, the last three (which carry a variance) as written by the span-sum
+# HT variance. A changed hash is a changed output: it must be justified in
+# CHANGES.md.
 PINNED_OUTPUTS = {
     "estimate-srs": (
         ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet", "--seed", "7"),
@@ -176,6 +178,18 @@ PINNED_OUTPUTS = {
     "sample-bernoulli": (
         ("sample", "--design", "bernoulli", "--p", "0.3", "--seed", "7"),
         "a0cad77609525911682866d32e06b1a65768433e018b31c985b8c4f9f0564e78"),
+    "estimate-srs-edge-known-denominator": (
+        ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "edge",
+         "--mode", "known_denominator", "--seed", "7"),
+        "2bdf9d7678793cd4222c0a976965c5c7c5fc1dac8373c081015e73b07c722ef4"),
+    "estimate-srs-dirichlet-total": (
+        ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet_total",
+         "--mode", "ht_total", "--seed", "7"),
+        "fa0748b6fb6fa78e9d7c769e6c3423cf3541702f8706c8d1a1e9f40307456fe0"),
+    "estimate-bernoulli-dirichlet-known-denominator": (
+        ("estimate", "--design", "bernoulli", "--p", "0.3", "--metric", "dirichlet",
+         "--mode", "known_denominator", "--seed", "7"),
+        "88690b1f808cb29d32f1ec223b5dc934e48c94b66634896c67b71622a2b55de5"),
 }
 
 

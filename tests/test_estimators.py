@@ -35,6 +35,7 @@ from homsample.estimators import (
 from homsample.metrics import dirichlet_energy, node_homophily
 from oracles import (
     dense_ht_variance,
+    dense_joint,
     exact_ht_variance,
     random_graph,
     random_onehot_signal,
@@ -175,7 +176,8 @@ def _assert_variance_matches_references(g, design, sample, values):
         return
     ids, pi = sample.edge_index, incl.pi[0]
     tol = 1e-12 * (np.abs(values).sum() / pi) ** 2
-    assert abs(got - dense_ht_variance(values, incl.pi[ids], incl.joint_matrix(ids))) <= tol
+    joint = dense_joint(g, ids, incl.pi, incl.joint_by_span)
+    assert abs(got - dense_ht_variance(values, incl.pi[ids], joint)) <= tol
     assert abs(Fraction(got) - exact_ht_variance(g, ids, values, pi, incl.joint_by_span)) <= tol
 
 
@@ -235,24 +237,6 @@ def test_span_sum_variance_has_no_edge_limit():
     values = np.arange(sample.edge_count, dtype=np.float64) % 3
     var, status = ht_variance(sample, values, design.inclusion(g), clamp_negative=False)
     assert sample.edge_count == 4465 and np.isfinite(var) and status == VARIANCE_EXACT
-
-
-def test_empirical_joint_table_takes_precedence(karate):
-    g, _ = karate
-    design = SrsDesign(n_star=12, seed=3)
-    sample = draw_sample(g, design)
-    ids = sample.edge_index
-    values = g.edge_w[ids]
-    closed = design.inclusion(g)
-    independent = np.outer(closed.pi, closed.pi)
-    np.fill_diagonal(independent, closed.pi)
-    table = dataclasses.replace(closed, joint_freq=independent)
-    got, _ = ht_variance(sample, values, table, clamp_negative=False)
-    assert got == dense_ht_variance(values, closed.pi[ids], independent[np.ix_(ids, ids)])
-    # independence leaves only the diagonal terms
-    pi = closed.pi[0]
-    assert got == pytest.approx((values ** 2).sum() * (1 / pi ** 2 - 1 / pi), rel=1e-12)
-    assert got != ht_variance(sample, values, closed, clamp_negative=False)[0]
 
 
 def test_hajek_reductions(triangle):

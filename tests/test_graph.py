@@ -47,10 +47,18 @@ def test_load_comments_blank_lines_and_n_hint():
     ("0 1\n2 2\n", "self-loop"),
     ("0 1 -2\n", "negative weight"),
     ("-1 2\n", "negative node id"),
+    ("0 1\n1 2\n0 1 nan\n", "line 3: non-finite weight"),
+    ("0 1\n2 3 inf\n", "line 2: non-finite weight"),
 ])
 def test_load_errors(text, fragment):
     with pytest.raises(EdgeListError, match=fragment):
         load_edge_list(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_arrays_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="non-finite edge weight"):
+        Graph.from_arrays(3, [0, 1], [1, 2], [1.0, bad])
 
 
 def test_zero_weight_pairs_are_non_edges():

@@ -9,6 +9,7 @@ from homsample.harness import (
     _replicate,
     ExperimentConfig,
     histogram,
+    resolve_design,
     run_experiment,
     summarize,
     write_estimates_csv,
@@ -72,6 +73,13 @@ def test_sweep_and_frac_resolution():
     # 30% of 34 nodes rounds to 10
     assert all(r["sampled_nodes"] == 10 for r in rec.sweeps[0].replications)
     assert all(r["sampled_nodes"] == 20 for r in rec.sweeps[1].replications)
+
+
+@pytest.mark.parametrize("frac", [-2.0, 0.0, float("nan"), 1.5])
+def test_frac_outside_unit_interval_is_rejected(frac):
+    with pytest.raises(ValueError, match=f"SRS frac must be in \\(0, 1\\], got {frac!r}"):
+        resolve_design({"kind": "srs"}, {"frac": frac}, 34)
+    assert resolve_design({"kind": "srs"}, {"frac": 1.0}, 34).n_star == 34
 
 
 def test_ground_truth_cached_once():
@@ -165,10 +173,12 @@ def test_unobserved_edges_are_invalid_replications_not_aborts():
 
 
 def test_zero_joint_probability_is_an_invalid_replication(karate):
-    # a joint table that never saw two edges together contradicts any sample holding both
+    # a zero joint for disjoint edge pairs contradicts any sample holding two of them
     g, s = karate
     design = SrsDesign(n_star=20, seed=5)
     incl = design.inclusion(g)
-    incl = dataclasses.replace(incl, joint_freq=np.diag(incl.pi))
+    table = incl.joint_by_span.copy()
+    table[4] = 0.0
+    incl = dataclasses.replace(incl, joint_by_span=table)
     rep = _replicate(g, s, design, incl, (("dirichlet_total", "ht_total"),), 0, 5)
     assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]

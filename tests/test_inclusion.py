@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -14,23 +13,22 @@ from homsample import (
     empirical_pi,
     inclusion_for,
 )
-from homsample.inclusion import BetweennessTable, JointUnavailableError
-from oracles import brute_edge_betweenness, random_graph
+from oracles import brute_edge_betweenness, dense_joint, random_graph
 
 
 def k_n(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def joint(model, e, f):
-    """Joint inclusion probability of edges e and f (pi_e when e == f)."""
-    ids = np.array([e, f]) if e != f else np.array([e])
-    return float(model.joint_matrix(ids)[0, -1])
+def joint(g, model, e, f):
+    """Joint inclusion probability of edges e and f of g (pi_e when e == f)."""
+    ids = [e, f] if e != f else [e]
+    return float(dense_joint(g, ids, model.pi, model.joint_by_span)[0, -1])
 
 
 def edge_joint(g, design, e, f):
     """Analytic joint inclusion probability of two edges given by endpoints."""
-    return joint(inclusion_for(g, design), g.edge_id(*e), g.edge_id(*f))
+    return joint(g, inclusion_for(g, design), g.edge_id(*e), g.edge_id(*f))
 
 
 def test_analytic_pi_bernoulli():
@@ -58,15 +56,6 @@ def test_analytic_joint_srs():
     d = SrsDesign(n_star=3)
     assert edge_joint(g, d, (0, 1), (1, 2)) == pytest.approx(1 / 4)
     assert edge_joint(g, d, (0, 1), (2, 3)) == 0.0       # needs 4 sampled nodes
-    with pytest.raises(ValueError, match="traceroute"):
-        edge_joint(g, TracerouteDesign(1, 1), (0, 1), (1, 2))
-
-
-def test_joint_matrix_refuses_more_edges_than_the_limit():
-    model = SrsDesign(n_star=3).inclusion(k_n(4))
-    with pytest.raises(ValueError, match="4001 edges.*limit is 4000 edges"):
-        model.joint_matrix(np.zeros(4001, dtype=np.int64))
-    assert model.joint_matrix(np.zeros(4000, dtype=np.int64)).shape == (4000, 4000)
 
 
 def test_joint_by_span_matches_power_table():
@@ -81,7 +70,7 @@ def test_joint_diag_equals_pi():
     for design in (BernoulliDesign(0.4), SrsDesign(3)):
         model = inclusion_for(g, design)
         for e in range(g.edge_count):
-            assert joint(model, e, e) == pytest.approx(model.pi[e], rel=1e-15)
+            assert joint(g, model, e, e) == pytest.approx(model.pi[e], rel=1e-15)
 
 
 def test_bernoulli_independence_structure():
@@ -90,8 +79,8 @@ def test_bernoulli_independence_structure():
     disjoint = (g.edge_id(0, 1), g.edge_id(2, 3))
     shared = (g.edge_id(0, 1), g.edge_id(1, 2))
     # node-disjoint edges are independent; shared-node pairs positively associated
-    assert joint(model, *disjoint) == pytest.approx(model.pi[disjoint[0]] * model.pi[disjoint[1]], rel=1e-15)
-    assert joint(model, *shared) >= model.pi[shared[0]] * model.pi[shared[1]]
+    assert joint(g, model, *disjoint) == pytest.approx(model.pi[disjoint[0]] * model.pi[disjoint[1]], rel=1e-15)
+    assert joint(g, model, *shared) >= model.pi[shared[0]] * model.pi[shared[1]]
 
 
 def test_srs_association_structure():
@@ -108,18 +97,19 @@ def test_srs_association_structure():
                 endpoints = {int(g.edge_i[e]), int(g.edge_j[e]),
                              int(g.edge_i[f]), int(g.edge_j[f])}
                 if len(endpoints) == 4:
-                    assert joint(model, e, f) < model.pi[e] * model.pi[f]
-    shared = inclusion_for(k_n(6), SrsDesign(4))
-    assert joint(shared, 0, 1) == pytest.approx(0.2)          # edges (0,1), (0,2)
-    assert joint(shared, 0, 1) > shared.pi[0] * shared.pi[1]  # positive association
-    borderline = inclusion_for(k_n(4), SrsDesign(3))
-    assert joint(borderline, 0, 1) == pytest.approx(borderline.pi[0] * borderline.pi[1])
+                    assert joint(g, model, e, f) < model.pi[e] * model.pi[f]
+    k6, k4 = k_n(6), k_n(4)
+    shared = inclusion_for(k6, SrsDesign(4))
+    assert joint(k6, shared, 0, 1) == pytest.approx(0.2)          # edges (0,1), (0,2)
+    assert joint(k6, shared, 0, 1) > shared.pi[0] * shared.pi[1]  # positive association
+    borderline = inclusion_for(k4, SrsDesign(3))
+    assert joint(k4, borderline, 0, 1) == pytest.approx(borderline.pi[0] * borderline.pi[1])
 
 
 def test_edge_betweenness_hand_cases():
-    assert edge_betweenness(Graph.from_edges(2, [(0, 1)])).values.tolist() == [2.0]
-    assert edge_betweenness(Graph.from_edges(3, [(0, 1), (1, 2)])).values.tolist() == [4.0, 4.0]
-    assert np.allclose(edge_betweenness(k_n(4)).values, 2.0)
+    assert edge_betweenness(Graph.from_edges(2, [(0, 1)])).tolist() == [2.0]
+    assert edge_betweenness(Graph.from_edges(3, [(0, 1), (1, 2)])).tolist() == [4.0, 4.0]
+    assert np.allclose(edge_betweenness(k_n(4)), 2.0)
 
 
 def test_edge_betweenness_matches_enumeration_oracle():
@@ -129,7 +119,7 @@ def test_edge_betweenness_matches_enumeration_oracle():
         g = random_graph(rng, n, 0.45)
         if g.edge_count == 0:
             continue
-        assert np.allclose(edge_betweenness(g).values, brute_edge_betweenness(g), rtol=1e-9)
+        assert np.allclose(edge_betweenness(g), brute_edge_betweenness(g), rtol=1e-9)
 
 
 def test_betweenness_total_equals_distance_sum(karate):
@@ -145,21 +135,11 @@ def test_betweenness_total_equals_distance_sum(karate):
                 paths = all_shortest_paths(g, s, t)
                 if paths:
                     total += len(paths[0]) - 1
-    assert b.values.sum() == pytest.approx(total, rel=1e-9)
-
-
-def test_betweenness_csv(karate):
-    g, _ = karate
-    buf = io.StringIO()
-    edge_betweenness(g).write_csv(g, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "i,j,b"
-    assert len(lines) == g.edge_count + 1
+    assert b.sum() == pytest.approx(total, rel=1e-9)
 
 
 def test_approx_pi_traceroute_formula():
-    table = BetweennessTable(np.array([0.0, 2.0, 1e9]))
-    pi = approx_pi_traceroute(table, 5, 5, 5)  # n_S = n_T = n
+    pi = approx_pi_traceroute(np.array([0.0, 2.0, 1e9]), 5, 5, 5)  # n_S = n_T = n
     assert pi[0] == 0.0                          # unsampleable flag
     assert pi[1] == pytest.approx(1 - np.exp(-2.0), rel=1e-12)
     assert pi[2] == pytest.approx(1.0)           # saturation
@@ -200,12 +180,10 @@ def test_empirical_pi_is_deterministic():
 
 def test_empirical_joint_diag_and_flags():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    model = empirical_pi(g, SrsDesign(n_star=2, seed=9), replications=2000, want_joint=True)
-    assert np.allclose(np.diag(model.joint_freq), model.pi)
-    # SRS with n*=2 can never catch both disjoint edges at once
-    assert joint(model, 0, 1) == 0.0
+    model = empirical_pi(g, SrsDesign(n_star=2, seed=9), replications=2000)
+    assert not model.has_joint  # the oracle estimates pi only
     never = empirical_pi(g, BernoulliDesign(p=1e-9, seed=9), replications=50)
-    assert not never.sampleable.any()
+    assert np.all(never.pi == 0)
 
 
 def test_require_positive_directs_to_oracle():
@@ -220,8 +198,5 @@ def test_inclusion_for_traceroute_has_no_joint(karate):
     g, _ = karate
     model = inclusion_for(g, TracerouteDesign(3, 3))
     assert not model.has_joint
-    with pytest.raises(JointUnavailableError):
-        model.joint_matrix(np.array([0, 1]))
     assert np.all(model.pi > 0)  # every karate edge lies on its endpoints' path
-    d = model.to_json_dict()
-    assert d["source"] == "traceroute-approx" and len(d["pi"]) == g.edge_count
+    assert model.source == "traceroute-approx" and len(model.pi) == g.edge_count
