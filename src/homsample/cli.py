@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import estimate_metric
-from .graph import load_edge_list, load_labels, load_dataset, total_edge_weight
+from .graph import count_labelled, load_edge_list, load_labels, load_dataset, total_edge_weight
 from .graphon import convergence_experiment, phi_step, to_step_pair, two_block_graphon
 from .harness import (
     DEFAULT_MODE_FOR_KIND,
@@ -74,7 +74,7 @@ def _load_from_flags(args, need_labels=True):
         return g, s, name
     if not args.edges:
         raise ValueError("provide --manifest or --edges")
-    g = load_edge_list(args.edges)
+    g = load_edge_list(args.edges, labelled=count_labelled(args.labels) if args.labels else None)
     s = None
     if args.labels:
         if args.classes is None:

@@ -5,7 +5,9 @@ unordered edge is stored exactly once with ``i < j``; weights are strictly
 positive and finite (a zero-weight pair is a non-edge). A CSR adjacency
 over both directions supports O(deg) traversal. The edge and adjacency
 arrays are frozen at construction; the only state that changes later is
-the per-instance shortest-path cache (``_sp_cache``).
+the per-instance shortest-path cache (``_sp_cache``, source -> DAG), with
+the bytes its DAGs hold (``_sp_cache_bytes``), which
+:mod:`homsample.shortest_paths` keeps within a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ class EdgeListError(ValueError):
 
 class LabelError(ValueError):
     """Malformed or incomplete label input."""
+
+
+class UnlabelledNodeError(EdgeListError):
+    """An edge endpoint at or above the number of labelled nodes."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -51,7 +57,7 @@ class Graph:
 
     __slots__ = (
         "node_count", "edge_i", "edge_j", "edge_w",
-        "_indptr", "_nbr", "_nbr_w", "_nbr_eid", "_edge_key", "_sp_cache",
+        "_indptr", "_nbr", "_nbr_w", "_nbr_eid", "_edge_key", "_sp_cache", "_sp_cache_bytes",
     )
 
     def __init__(self, node_count, edge_i, edge_j, edge_w):
@@ -64,6 +70,7 @@ class Graph:
         self._edge_key = _freeze(self.edge_i * self.node_count + self.edge_j)
         self._build_adjacency()
         self._sp_cache = {}
+        self._sp_cache_bytes = 0
 
     @classmethod
     def from_arrays(cls, node_count, i, j, w=None) -> "Graph":
@@ -240,11 +247,14 @@ def _as_lines(source):
         yield from enumerate(source, start=1)
 
 
-def load_edge_list(source, n_hint: int | None = None) -> Graph:
+def load_edge_list(source, n_hint: int | None = None, labelled: int | None = None) -> Graph:
     """Parse an edge-list text stream or path into a canonical Graph.
 
     Duplicate ``(i, j)`` / ``(j, i)`` lines merge by summing weights.
-    ``node_count`` is ``max id + 1``, or ``n_hint`` if larger.
+    ``node_count`` is ``max id + 1``, or ``n_hint`` if larger. With
+    ``labelled``, the number of nodes a label file names, an endpoint at
+    or above it raises UnlabelledNodeError before any array sized by the
+    node count is built.
     """
     ii, jj, ww = [], [], []
     max_id = -1
@@ -272,6 +282,9 @@ def load_edge_list(source, n_hint: int | None = None) -> Graph:
         jj.append(j)
         ww.append(w)
         max_id = max(max_id, i, j)
+    if labelled is not None and max_id >= labelled:
+        raise UnlabelledNodeError(
+            f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
     n = max(max_id + 1, n_hint or 0)
     return Graph.from_arrays(n, ii, jj, ww)
 
@@ -287,6 +300,11 @@ def dump_edge_list(g: Graph) -> str:
     for i, j, w in zip(g.edge_i, g.edge_j, g.edge_w):
         buf.write(f"{i} {j} {float(w)!r}\n")
     return buf.getvalue()
+
+
+def count_labelled(source) -> int:
+    """Number of nodes a label file names: its lines that are not blank or comments."""
+    return sum(1 for _, raw in _as_lines(source) if raw.split("#", 1)[0].strip())
 
 
 def load_labels(source, class_count: int, n: int) -> GraphSignal:
@@ -348,10 +366,11 @@ class DatasetManifest:
         """Load the graph and its labels.
 
         The label file names every node once, so its line count sizes the
-        graph; isolated nodes absent from the edge list are kept.
+        graph; isolated nodes absent from the edge list are kept, and an
+        edge endpoint beyond the labelled nodes raises UnlabelledNodeError.
         """
-        labelled = sum(1 for _, raw in _as_lines(self.label_file) if raw.split("#", 1)[0].strip())
-        g = load_edge_list(self.edge_file, n_hint=labelled)
+        labelled = count_labelled(self.label_file)
+        g = load_edge_list(self.edge_file, n_hint=labelled, labelled=labelled)
         s = load_labels(self.label_file, self.class_count, g.node_count)
         return g, s
 

@@ -83,19 +83,25 @@ def edge_betweenness(g: Graph) -> np.ndarray:
 
     Entry e sums sigma_st(e) / sigma_st over all ordered pairs (s, t),
     s != t, by per-source dependency accumulation; for undirected graphs
-    this is twice the per-unordered-pair accumulation.
+    this is twice the per-unordered-pair accumulation. Each source's
+    dependencies are accumulated one BFS level at a time, deepest first;
+    walking a level's predecessor slice backwards adds every term to
+    ``b`` and ``delta`` in the order of a node-at-a-time Brandes loop
+    over the nodes in reverse BFS order, so the sums are bitwise its sums.
     """
     b = np.zeros(g.edge_count)
     for s in range(g.node_count):
         dag = path_dag(g, s)
-        sigma = dag.sigma
+        sigma, order, levels = dag.sigma, dag.order, dag.levels
         delta = np.zeros(g.node_count)
-        for w in dag.order[::-1]:
-            coef = (1.0 + delta[w]) / sigma[w]
-            for v, eid in zip(dag.preds[w], dag.pred_eids[w]):
-                c = sigma[v] * coef
-                b[eid] += c
-                delta[v] += c
+        for d in range(len(levels) - 2, 0, -1):
+            w = order[levels[d]:levels[d + 1]][::-1]
+            lo, hi = dag.pred_lo[w[-1]], dag.pred_hi[w[0]]
+            v = dag.pred[lo:hi][::-1]
+            coef = np.repeat((1.0 + delta[w]) / sigma[w], dag.pred_hi[w] - dag.pred_lo[w])
+            c = sigma[v] * coef
+            b[dag.pred_eid[lo:hi][::-1]] += c
+            np.add.at(delta, v, c)
     return b
 
 

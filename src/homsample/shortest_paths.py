@@ -2,41 +2,60 @@
 edge betweenness: single-source BFS DAGs with path counts, and uniform
 random draws from the set of shortest paths.
 
+A DAG is built by a level-synchronous BFS over the graph's CSR arrays:
+each frontier is expanded at once, new nodes are numbered in the order
+the node-at-a-time BFS would discover them, and path counts are summed
+in that BFS's order, so every count is bitwise the one it computes. The
+DAG is a handful of flat arrays, with no per-node Python objects.
+
 Path counts are kept as floats; only their ratios are ever used. DAGs are
-rng-free, so they are cached on the graph (bounded) and reused across
-replications without affecting reproducibility.
+rng-free, so they are cached on the graph and reused across replications
+without affecting reproducibility. The cache is bounded in bytes: past
+the budget, new DAGs are computed and not stored.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graph import Graph
 
-# per-graph cache bound; beyond it DAGs are recomputed on demand
-_CACHE_LIMIT = 8192
+# per-graph budget for cached DAGs, counted by the bytes of their arrays
+_CACHE_BYTES = 128 << 20
 
 
+@dataclass(eq=False, slots=True)
 class PathDag:
-    """BFS shortest-path DAG from one source.
+    """BFS shortest-path DAG from one source, as flat arrays.
 
-    ``preds[v]`` lists the predecessors of ``v`` on shortest paths,
-    ``pred_eids[v]`` the matching edge ids, and ``pred_cum[v]`` the
-    cumulative path counts used for proportional backtracking.
+    ``order`` lists the reached nodes in BFS order and
+    ``order[levels[d]:levels[d + 1]]`` are those at distance d. The
+    predecessors of node v on shortest paths are
+    ``pred[pred_lo[v]:pred_hi[v]]``, in BFS order, with the matching edge
+    ids in ``pred_eid`` and the running sums of their path counts in
+    ``pred_cum``, which proportional backtracking searches. The groups
+    are laid out in BFS order of v, so each level's predecessors are one
+    contiguous slice.
     """
 
-    __slots__ = ("source", "dist", "sigma", "order", "preds", "pred_eids", "pred_cum")
+    source: int
+    dist: np.ndarray
+    sigma: np.ndarray
+    order: np.ndarray
+    levels: np.ndarray
+    pred_lo: np.ndarray
+    pred_hi: np.ndarray
+    pred: np.ndarray
+    pred_eid: np.ndarray
+    pred_cum: np.ndarray
 
-    def __init__(self, source, dist, sigma, order, preds, pred_eids, pred_cum):
-        self.source = source
-        self.dist = dist
-        self.sigma = sigma
-        self.order = order
-        self.preds = preds
-        self.pred_eids = pred_eids
-        self.pred_cum = pred_cum
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the DAG's arrays, which the cache budget counts."""
+        return sum(getattr(self, f.name).nbytes for f in fields(self)[1:])
 
 
 def path_dag(g: Graph, source: int) -> PathDag:
@@ -44,35 +63,88 @@ def path_dag(g: Graph, source: int) -> PathDag:
     cached = g._sp_cache.get(source)
     if cached is not None:
         return cached
+    dag = _bfs_dag(g, source)
+    size = dag.nbytes
+    if g._sp_cache_bytes + size <= _CACHE_BYTES:
+        g._sp_cache[source] = dag
+        g._sp_cache_bytes += size
+    return dag
+
+
+def _bfs_dag(g: Graph, source: int) -> PathDag:
     n = g.node_count
+    indptr, nbr, nbr_eid = g._indptr, g._nbr, g._nbr_eid
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
-    preds = [() for _ in range(n)]
-    pred_eids = [() for _ in range(n)]
+    pred_lo = np.zeros(n, dtype=np.int64)
+    pred_hi = np.zeros(n, dtype=np.int64)
     dist[source] = 0
     sigma[source] = 1.0
-    order = [source]
-    queue = deque([source])
-    indptr, nbr, nbr_eid = g._indptr, g._nbr, g._nbr_eid
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        sv = sigma[v]
-        for k in range(indptr[v], indptr[v + 1]):
-            w = nbr[k]
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-                order.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sv
-                preds[w] = preds[w] + (v,)
-                pred_eids[w] = pred_eids[w] + (int(nbr_eid[k]),)
-    pred_cum = [np.cumsum(sigma[list(p)]) if len(p) > 1 else None for p in preds]
-    dag = PathDag(source, dist, sigma, np.array(order, dtype=np.int64), preds, pred_eids, pred_cum)
-    if len(g._sp_cache) < _CACHE_LIMIT:
-        g._sp_cache[source] = dag
-    return dag
+    degree = g.degrees()
+    frontier = np.array([source], dtype=np.int64)
+    # first[w]: position, among its level's arcs, of the first arc that reaches w
+    first = np.full(n, len(nbr), dtype=np.int64)
+    order, preds, eids = [frontier], [], []
+    depth, stored = 0, 0
+    while True:
+        # every arc out of the frontier, in the order the node-at-a-time BFS scans them
+        deg = degree[frontier]
+        end = deg.cumsum()
+        arc = np.arange(end[-1]) + (indptr[frontier] - end + deg).repeat(deg)
+        w = nbr[arc]
+        fresh = (dist[w] < 0).nonzero()[0]
+        if not len(fresh):
+            break
+        v, w, arc = frontier.repeat(deg)[fresh], w[fresh], arc[fresh]
+        # group the arcs by target in first-discovery order; a stable sort keeps
+        # each group's predecessors in BFS order
+        np.minimum.at(first, w, fresh)
+        grouped = first[w].argsort(kind="stable")
+        v, w, e = v[grouped], w[grouped], nbr_eid[arc[grouped]]
+        bound = np.concatenate([[0], (w[1:] != w[:-1]).nonzero()[0] + 1, [len(w)]])
+        frontier = w[bound[:-1]]
+        depth += 1
+        dist[frontier] = depth
+        np.add.at(sigma, w, sigma[v])
+        pred_lo[frontier] = stored + bound[:-1]
+        pred_hi[frontier] = stored + bound[1:]
+        order.append(frontier)
+        preds.append(v)
+        eids.append(e)
+        stored += len(w)
+    levels = np.cumsum([0] + [len(level) for level in order])
+    order = np.concatenate(order)
+    pred = np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
+    pred_eid = np.concatenate(eids) if eids else np.empty(0, dtype=np.int64)
+    return PathDag(source, dist, sigma, order, levels, pred_lo, pred_hi, pred, pred_eid,
+                   _segment_cumsum(sigma[pred], pred_lo[order], pred_hi[order]))
+
+
+def _segment_cumsum(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Running sums within each segment ``values[lo[k]:hi[k]]``, added left to right.
+
+    Each sum is built one addition at a time, as ``np.cumsum`` of the
+    segment alone builds it, so the results are bitwise equal to it. The
+    entries are laid out column by column, column j holding entry j of
+    every segment longer than j, longest segments first; then column j
+    is column j - 1's prefix plus its own values, one slice addition.
+    """
+    if not len(values):
+        return values.copy()
+    length = hi - lo
+    lo = lo[np.argsort(-length, kind="stable")]
+    size = len(lo) - np.cumsum(np.bincount(length))[:-1]
+    start = np.cumsum(size) - size
+    col = np.repeat(np.arange(len(size)), size)
+    at = lo[np.arange(len(values)) - start[col]] + col
+    cum = values[at]
+    start, size = start.tolist(), size.tolist()
+    for j in range(1, len(size)):
+        s, k, prev = start[j], size[j], start[j - 1]
+        cum[s:s + k] += cum[prev:prev + k]
+    out = np.empty_like(values)
+    out[at] = cum
+    return out
 
 
 def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None:
@@ -81,7 +153,8 @@ def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None
     Returns ``(nodes, edge_ids)`` with nodes ordered source -> t, or None
     when t is unreachable. Backtracking picks each predecessor with
     probability proportional to its path count, which makes every complete
-    shortest path equally likely.
+    shortest path equally likely. One ``rng.random()`` is drawn at each
+    node with more than one predecessor, from t back to the source.
     """
     t = int(t)
     if dag.dist[t] < 0:
@@ -89,18 +162,17 @@ def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None
     nodes = [t]
     eids = []
     v = t
-    preds, pred_eids, pred_cum = dag.preds, dag.pred_eids, dag.pred_cum
+    pred_lo, pred_hi, pred, pred_eid, cum = dag.pred_lo, dag.pred_hi, dag.pred, dag.pred_eid, dag.pred_cum
     while v != dag.source:
-        p = preds[v]
-        if len(p) == 1:
-            k = 0
+        lo, hi = pred_lo.item(v), pred_hi.item(v)
+        if hi - lo == 1:
+            k = lo
         else:
-            cum = pred_cum[v]
-            k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            if k == len(p):  # guard against r landing exactly on the total
-                k = len(p) - 1
-        eids.append(pred_eids[v][k])
-        v = int(p[k])
+            k = bisect_right(cum, rng.random() * cum[hi - 1], lo, hi)
+            if k == hi:  # guard against r landing exactly on the total
+                k = hi - 1
+        eids.append(pred_eid.item(k))
+        v = pred.item(k)
         nodes.append(v)
     nodes.reverse()
     eids.reverse()

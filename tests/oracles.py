@@ -6,7 +6,9 @@ paths it checks.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,6 +84,85 @@ def brute_edge_betweenness(g: Graph) -> np.ndarray:
             for path in paths:
                 for u, v in zip(path, path[1:]):
                     b[g.edge_id(u, v)] += share
+    return b
+
+
+def reference_path_dag(g: Graph, source: int) -> SimpleNamespace:
+    """Node-at-a-time BFS shortest-path DAG with per-node predecessor tuples.
+
+    ``preds[v]`` lists the predecessors of ``v`` in BFS order,
+    ``pred_eids[v]`` the matching edge ids, and ``pred_cum[v]`` their
+    cumulative path counts (None for fewer than two predecessors).
+    Uncached: it never touches the graph's DAG cache.
+    """
+    n = g.node_count
+    dist = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n)
+    preds = [() for _ in range(n)]
+    pred_eids = [() for _ in range(n)]
+    dist[source] = 0
+    sigma[source] = 1.0
+    order = [source]
+    queue = deque([source])
+    indptr, nbr, nbr_eid = g._indptr, g._nbr, g._nbr_eid
+    while queue:
+        v = queue.popleft()
+        dv = dist[v]
+        sv = sigma[v]
+        for k in range(indptr[v], indptr[v + 1]):
+            w = nbr[k]
+            if dist[w] < 0:
+                dist[w] = dv + 1
+                queue.append(w)
+                order.append(w)
+            if dist[w] == dv + 1:
+                sigma[w] += sv
+                preds[w] = preds[w] + (v,)
+                pred_eids[w] = pred_eids[w] + (int(nbr_eid[k]),)
+    pred_cum = [np.cumsum(sigma[list(p)]) if len(p) > 1 else None for p in preds]
+    return SimpleNamespace(source=source, dist=dist, sigma=sigma, order=np.array(order, dtype=np.int64),
+                           preds=preds, pred_eids=pred_eids, pred_cum=pred_cum)
+
+
+def reference_sample_path(dag, t: int, rng):
+    """Proportional backtracking over a :func:`reference_path_dag` DAG."""
+    t = int(t)
+    if dag.dist[t] < 0:
+        return None
+    nodes = [t]
+    eids = []
+    v = t
+    preds, pred_eids, pred_cum = dag.preds, dag.pred_eids, dag.pred_cum
+    while v != dag.source:
+        p = preds[v]
+        if len(p) == 1:
+            k = 0
+        else:
+            cum = pred_cum[v]
+            k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            if k == len(p):  # guard against r landing exactly on the total
+                k = len(p) - 1
+        eids.append(pred_eids[v][k])
+        v = int(p[k])
+        nodes.append(v)
+    nodes.reverse()
+    eids.reverse()
+    return nodes, eids
+
+
+def reference_edge_betweenness(g: Graph) -> np.ndarray:
+    """Node-at-a-time Brandes accumulation over :func:`reference_path_dag` DAGs."""
+    b = np.zeros(g.edge_count)
+    for s in range(g.node_count):
+        dag = reference_path_dag(g, s)
+        sigma = dag.sigma
+        delta = np.zeros(g.node_count)
+        for w in dag.order[::-1]:
+            coef = (1.0 + delta[w]) / sigma[w]
+            for v, eid in zip(dag.preds[w], dag.pred_eids[w]):
+                c = sigma[v] * coef
+                b[eid] += c
+                delta[v] += c
     return b
 
 

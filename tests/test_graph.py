@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from homsample import (
     load_labels,
     total_edge_weight,
 )
-from homsample.graph import EdgeListError, LabelError
+from homsample import cli
+from homsample.graph import EdgeListError, LabelError, UnlabelledNodeError
 
 
 def test_load_basic():
@@ -170,3 +172,29 @@ def test_dataset_keeps_isolated_highest_node(tmp_path):
     g2, s2, name = load_dataset(tmp_path / "m.json")
     assert g2 == g and name == "iso"
     assert s2.labels.tolist() == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("via", ["manifest", "cli"])
+def test_unlabelled_endpoint_is_rejected_before_allocating(tmp_path, capsys, via):
+    # node 5,000,000 would size the graph's node arrays at about 80 MB before the
+    # missing label was noticed
+    (tmp_path / "e.txt").write_text("0 1\n0 5000000\n")
+    (tmp_path / "l.txt").write_text("0 0\n1 1\n")
+    (tmp_path / "m.json").write_text(
+        '{"name": "far", "edge_file": "e.txt", "label_file": "l.txt", "class_count": 2}')
+    message = "node 5000000 has no label: the label file names 2 nodes"
+    tracemalloc.start()
+    try:
+        if via == "manifest":
+            with pytest.raises(UnlabelledNodeError, match=message):
+                load_dataset(tmp_path / "m.json")
+        else:
+            assert cli.main(["homophily", "--edges", str(tmp_path / "e.txt"),
+                             "--labels", str(tmp_path / "l.txt"), "--classes", "2"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    if via == "cli":
+        assert message in capsys.readouterr().err
+    assert issubclass(UnlabelledNodeError, ValueError)

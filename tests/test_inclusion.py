@@ -122,6 +122,22 @@ def test_edge_betweenness_matches_enumeration_oracle():
         assert np.allclose(edge_betweenness(g), brute_edge_betweenness(g), rtol=1e-9)
 
 
+def test_edge_betweenness_matches_networkx(karate):
+    nx = pytest.importorskip("networkx")
+    from homsample.graphon import sample_w_random_graph, two_block_graphon
+
+    w, _ = two_block_graphon(0.13, 0.05)
+    wrandom, _ = sample_w_random_graph(w, 200, np.random.default_rng([5, 0]))
+    for g in (karate[0], wrandom):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.node_count))
+        nxg.add_edges_from(zip(g.edge_i.tolist(), g.edge_j.tolist()))
+        want = np.zeros(g.edge_count)
+        for (u, v), value in nx.edge_betweenness_centrality(nxg, normalized=False).items():
+            want[g.edge_id(u, v)] = 2 * value   # networkx counts each unordered pair once
+        np.testing.assert_allclose(edge_betweenness(g), want, rtol=1e-12)
+
+
 def test_betweenness_total_equals_distance_sum(karate):
     g, _ = karate
     b = edge_betweenness(g)
