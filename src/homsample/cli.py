@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import estimate_metric
-from .graph import count_labelled, load_edge_list, load_labels, load_dataset, total_edge_weight
+from .graph import _label_signal, _named_nodes, _read_labels, load_dataset, load_edge_list, total_edge_weight
 from .graphon import convergence_experiment, phi_step, to_step_pair, two_block_graphon
 from .harness import (
     DEFAULT_MODE_FOR_KIND,
@@ -74,12 +74,13 @@ def _load_from_flags(args, need_labels=True):
         return g, s, name
     if not args.edges:
         raise ValueError("provide --manifest or --edges")
-    g = load_edge_list(args.edges, labelled=count_labelled(args.labels) if args.labels else None)
+    labels = _read_labels(args.labels) if args.labels else None
+    g = load_edge_list(args.edges, labelled=_named_nodes(*labels) if labels else None)
     s = None
-    if args.labels:
+    if labels:
         if args.classes is None:
             raise ValueError("--labels requires --classes")
-        s = load_labels(args.labels, args.classes, g.node_count)
+        s = _label_signal(*labels, args.classes, g.node_count)
     if need_labels and s is None:
         raise ValueError("this command needs labels (--manifest or --labels/--classes)")
     return g, s, args.edges

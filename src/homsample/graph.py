@@ -5,16 +5,21 @@ unordered edge is stored exactly once with ``i < j``; weights are strictly
 positive and finite (a zero-weight pair is a non-edge). A CSR adjacency
 over both directions supports O(deg) traversal. The edge and adjacency
 arrays are frozen at construction; the only state that changes later is
-the per-instance shortest-path cache (``_sp_cache``, source -> DAG), with
-the bytes its DAGs hold (``_sp_cache_bytes``), which
-:mod:`homsample.shortest_paths` keeps within a fixed byte budget.
-"""
+the per-instance shortest-path cache, which :mod:`homsample.shortest_paths`
+and :mod:`homsample.inclusion` keep within a fixed byte budget: source ->
+DAG (``_sp_cache``), the edge betweenness (``_betweenness``) and the bytes
+both hold (``_sp_cache_bytes``).
+
+Edge lists and label files are read once and parsed in bulk with numpy;
+a text the bulk pass cannot vouch for goes to a per-line parser, which
+gives the same graph or names the first bad line (see "text formats"
+below)."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +62,7 @@ class Graph:
 
     __slots__ = (
         "node_count", "edge_i", "edge_j", "edge_w",
-        "_indptr", "_nbr", "_nbr_w", "_nbr_eid", "_edge_key", "_sp_cache", "_sp_cache_bytes",
+        "_indptr", "_nbr", "_nbr_w", "_nbr_eid", "_sp_cache", "_sp_cache_bytes", "_betweenness",
     )
 
     def __init__(self, node_count, edge_i, edge_j, edge_w):
@@ -66,11 +71,10 @@ class Graph:
         self.edge_i = _freeze(np.array(edge_i, dtype=np.int64))
         self.edge_j = _freeze(np.array(edge_j, dtype=np.int64))
         self.edge_w = _freeze(np.array(edge_w, dtype=np.float64))
-        # lookup key for edge_id(); edges are sorted so the key is too
-        self._edge_key = _freeze(self.edge_i * self.node_count + self.edge_j)
         self._build_adjacency()
         self._sp_cache = {}
         self._sp_cache_bytes = 0
+        self._betweenness = None
 
     @classmethod
     def from_arrays(cls, node_count, i, j, w=None) -> "Graph":
@@ -141,35 +145,6 @@ class Graph:
         """Unweighted degree of every node."""
         return np.diff(self._indptr)
 
-    def edge_id(self, u: int, v: int) -> int:
-        """Index of the stored edge {u, v}; raises KeyError if absent."""
-        ids = self.edge_ids_for([u], [v])
-        return int(ids[0])
-
-    def edge_ids_for(self, us, vs) -> np.ndarray:
-        """Vectorized edge lookup for endpoint arrays."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if len(self._edge_key) == 0:
-            if len(us):
-                raise KeyError(f"no such edge ({us[0]}, {vs[0]})")
-            return np.empty(0, dtype=np.int64)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        key = lo * self.node_count + hi
-        pos = np.searchsorted(self._edge_key, key)
-        ok = (pos < len(self._edge_key)) & (self._edge_key[np.minimum(pos, len(self._edge_key) - 1)] == key)
-        if not np.all(ok):
-            bad = np.argmin(ok)
-            raise KeyError(f"no such edge ({us[bad]}, {vs[bad]})")
-        return pos
-
-    def has_edge(self, u: int, v: int) -> bool:
-        lo, hi = (u, v) if u < v else (v, u)
-        key = lo * self.node_count + hi
-        pos = np.searchsorted(self._edge_key, key)
-        return bool(pos < len(self._edge_key) and self._edge_key[pos] == key)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -237,28 +212,149 @@ class GraphSignal:
 #
 # Edge list: UTF-8, whitespace-separated "i j" or "i j w", '#' comments.
 # Labels:    one "node_id class_id" per line, every node exactly once.
+#
+# A text is read once and parsed in bulk. Comments are cut, and numpy
+# finds every field's bytes and counts the fields of each line. When all
+# non-blank lines hold the same number of fields, id columns are read
+# from their digits, weights by float() on the column alone, and the
+# checks run on whole arrays. Where the bulk pass cannot vouch for a text
+# (non-ASCII characters outside comments, lines of differing field
+# counts, an id that is not plain digits, a weight float() refuses, a
+# failed check), the per-line parser reads the same lines and gives its
+# result or names the first bad line. So the bulk pass accepts only what
+# the per-line parser accepts, with the same numbers.
+
+_COMMENT = re.compile("#[^\n]*")
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
 
 
-def _as_lines(source):
+def _file_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from fh
+
+
+def _read(source):
+    """Read a path or an iterable of lines once.
+
+    Returns the text, whose ``"\\n"``-separated pieces are the source's
+    lines, or else the lines themselves: for a file that is not UTF-8
+    (the per-line parser then meets the decoding error where it always
+    did) and for line items that are not strings each ending in their
+    only newline.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
-    else:
-        yield from enumerate(source, start=1)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except UnicodeDecodeError:
+            return _file_lines(source)
+    lines = list(source)
+    try:
+        text = "".join(lines)
+    except TypeError:
+        return lines
+    if (all(line[-1:] == "\n" for line in lines[:-1])
+            and text.count("\n") == len(lines) - 1 + text.endswith("\n")):
+        return text
+    return lines
 
 
-def load_edge_list(source, n_hint: int | None = None, labelled: int | None = None) -> Graph:
-    """Parse an edge-list text stream or path into a canonical Graph.
+def _lines(text):
+    """The lines of what :func:`_read` returned."""
+    return text.split("\n") if isinstance(text, str) else text
 
-    Duplicate ``(i, j)`` / ``(j, i)`` lines merge by summing weights.
-    ``node_count`` is ``max id + 1``, or ``n_hint`` if larger. With
-    ``labelled``, the number of nodes a label file names, an endpoint at
-    or above it raises UnlabelledNodeError before any array sized by the
-    node count is built.
+
+@dataclass(frozen=True, eq=False)
+class _FieldTable:
+    """The fields of a text whose non-blank lines all hold k of them.
+
+    ``b`` is the text without comments as ASCII bytes, with one byte of
+    whitespace appended; field f spans ``b[first[f]:end[f]]``, fields in
+    text order, so column c holds fields c, c + k, c + 2k, ...
+    """
+
+    b: np.ndarray
+    first: np.ndarray
+    end: np.ndarray
+    k: int
+
+    def ints(self, c: int) -> np.ndarray | None:
+        """Column c as int64 if every field in it is 1 to 18 ASCII digits,
+        which int() reads alike and int64 holds; else None."""
+        first = self.first[c::self.k]
+        width = self.end[c::self.k] - first
+        if width.max() > 18:
+            return None
+        value = np.zeros(len(first), dtype=np.int64)
+        for d in range(int(width.max())):
+            live = width > d
+            digit = self.b[np.where(live, first + d, 0)] - np.uint8(48)
+            if np.any(live & (digit > 9)):
+                return None
+            value = np.where(live, value * 10 + digit, value)
+        return value
+
+    def floats(self, c: int) -> np.ndarray:
+        """Column c read by float(); raises ValueError where float() does."""
+        first = self.first[c::self.k]
+        width = self.end[c::self.k] - first + 1   # each field and the byte after it
+        at = np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum())
+        tokens = self.b[at].tobytes().decode("ascii").split()
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+
+
+def _field_table(text) -> _FieldTable | None:
+    """Field table of a text, or None for non-ASCII text outside comments,
+    text with no fields, lines of differing field counts, or input that
+    is not a text at all."""
+    if not isinstance(text, str):
+        return None
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if not text.isascii():
+        return None
+    b = np.frombuffer((text + " ").encode("ascii"), dtype=np.uint8)
+    space = _ASCII_SPACE.take(b)
+    first = np.flatnonzero(~space[1:] & space[:-1]) + 1
+    if not space[0]:
+        first = np.concatenate(([0], first))
+    if not len(first):
+        return None
+    fields_before = np.searchsorted(first, np.flatnonzero(b == 10))   # at each line end
+    per_line = np.diff(fields_before, prepend=0, append=len(first))
+    k = int(per_line.max())
+    if np.any((per_line != k) & (per_line != 0)):
+        return None
+    end = np.flatnonzero(~space[:-1] & space[1:]) + 1
+    return _FieldTable(b, first, end, k)
+
+
+def _edge_columns(text):
+    """Bulk parse of an edge list: ``(i, j, w, max_id)`` arrays, or None
+    where the per-line parser must judge the text."""
+    table = _field_table(text)
+    if table is None or table.k not in (2, 3):
+        return None
+    i, j = table.ints(0), table.ints(1)
+    if i is None or j is None:
+        return None
+    try:
+        w = table.floats(2) if table.k == 3 else np.ones(len(i))
+    except ValueError:
+        return None
+    if np.any(i == j) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        return None
+    return i, j, w, int(max(i.max(), j.max()))
+
+
+def _edge_rows(lines):
+    """Per-line parse of an edge list: ``(i, j, w, max_id)`` lists.
+
+    Raises EdgeListError naming the first bad line.
     """
     ii, jj, ww = [], [], []
     max_id = -1
-    for lineno, raw in _as_lines(source):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -282,11 +378,27 @@ def load_edge_list(source, n_hint: int | None = None, labelled: int | None = Non
         jj.append(j)
         ww.append(w)
         max_id = max(max_id, i, j)
+    return ii, jj, ww, max_id
+
+
+def load_edge_list(source, n_hint: int | None = None, labelled: int | None = None) -> Graph:
+    """Parse an edge-list text stream or path into a canonical Graph.
+
+    Duplicate ``(i, j)`` / ``(j, i)`` lines merge by summing weights.
+    ``node_count`` is ``max id + 1``, or ``n_hint`` if larger. With
+    ``labelled``, the number of nodes a label file names, an endpoint at
+    or above it raises UnlabelledNodeError before any array sized by the
+    node count is built. A malformed line raises EdgeListError naming
+    the first bad line.
+    """
+    text = _read(source)
+    columns = _edge_columns(text)
+    i, j, w, max_id = columns if columns is not None else _edge_rows(_lines(text))
     if labelled is not None and max_id >= labelled:
         raise UnlabelledNodeError(
             f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
     n = max(max_id + 1, n_hint or 0)
-    return Graph.from_arrays(n, ii, jj, ww)
+    return Graph.from_arrays(n, i, j, w)
 
 
 def dump_edge_list(g: Graph) -> str:
@@ -296,24 +408,51 @@ def dump_edge_list(g: Graph) -> str:
     Graph. The text itself does not record the node count, so without
     ``n_hint`` isolated nodes above the largest endpoint id are lost.
     """
-    buf = io.StringIO()
-    for i, j, w in zip(g.edge_i, g.edge_j, g.edge_w):
-        buf.write(f"{i} {j} {float(w)!r}\n")
-    return buf.getvalue()
+    return "".join(f"{i} {j} {w!r}\n" for i, j, w in
+                   zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()))
 
 
-def count_labelled(source) -> int:
-    """Number of nodes a label file names: its lines that are not blank or comments."""
-    return sum(1 for _, raw in _as_lines(source) if raw.split("#", 1)[0].strip())
+def _read_labels(source):
+    """Read and split a label file once: ``(text, table)`` for
+    :func:`_named_nodes` and :func:`_label_signal`."""
+    text = _read(source)
+    return text, _field_table(text)
 
 
-def load_labels(source, class_count: int, n: int) -> GraphSignal:
-    """Parse "node_id class_id" lines into a one-hot GraphSignal.
+def _named_nodes(text, table) -> int:
+    """Number of nodes a label file names: its lines that are not blank or
+    comments. A file that is not UTF-8 raises here."""
+    if table is not None:
+        return len(table.first) // table.k
+    return sum(1 for raw in _lines(text) if raw.split("#", 1)[0].strip())
 
-    Every node in ``[0, n)`` must appear exactly once.
-    """
+
+def _label_signal(text, table, class_count: int, n: int) -> GraphSignal:
+    """The one-hot GraphSignal of a label file read by :func:`_read_labels`."""
+    labels = _label_columns(table, class_count, n)
+    if labels is None:
+        labels = _label_rows(_lines(text), class_count, n)
+    return GraphSignal.from_labels(labels, class_count)
+
+
+def _label_columns(table, class_count: int, n: int):
+    """Bulk parse of a complete label file: the label array, or None where
+    the per-line parser must judge the text."""
+    if table is None or table.k != 2:
+        return None
+    node, cls = table.ints(0), table.ints(1)
+    if (node is None or cls is None or len(node) != n
+            or node.max() >= n or cls.max() >= class_count):
+        return None
     labels = np.full(n, -1, dtype=np.int64)
-    for lineno, raw in _as_lines(source):
+    labels[node] = cls
+    return None if np.any(labels < 0) else labels   # n rows, so a gap means a duplicate
+
+
+def _label_rows(lines, class_count: int, n: int) -> np.ndarray:
+    """Per-line parse of a label file; raises LabelError naming the first bad line."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -334,7 +473,16 @@ def load_labels(source, class_count: int, n: int) -> GraphSignal:
     missing = np.nonzero(labels == -1)[0]
     if len(missing):
         raise LabelError(f"missing label for node {missing[0]}")
-    return GraphSignal.from_labels(labels, class_count)
+    return labels
+
+
+def load_labels(source, class_count: int, n: int) -> GraphSignal:
+    """Parse "node_id class_id" lines into a one-hot GraphSignal.
+
+    Every node in ``[0, n)`` must appear exactly once; a malformed line
+    raises LabelError naming the first bad line.
+    """
+    return _label_signal(*_read_labels(source), class_count, n)
 
 
 @dataclass(frozen=True)
@@ -369,9 +517,10 @@ class DatasetManifest:
         graph; isolated nodes absent from the edge list are kept, and an
         edge endpoint beyond the labelled nodes raises UnlabelledNodeError.
         """
-        labelled = count_labelled(self.label_file)
+        labels = _read_labels(self.label_file)
+        labelled = _named_nodes(*labels)
         g = load_edge_list(self.edge_file, n_hint=labelled, labelled=labelled)
-        s = load_labels(self.label_file, self.class_count, g.node_count)
+        s = _label_signal(*labels, self.class_count, g.node_count)
         return g, s
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .graph import Graph
 from .rng import child_rng
-from .shortest_paths import path_dag
+from .shortest_paths import path_dag, reserve_cache
 
 if TYPE_CHECKING:
     from .sampling import SampleDesign
@@ -88,7 +88,17 @@ def edge_betweenness(g: Graph) -> np.ndarray:
     walking a level's predecessor slice backwards adds every term to
     ``b`` and ``delta`` in the order of a node-at-a-time Brandes loop
     over the nodes in reverse BFS order, so the sums are bitwise its sums.
+
+    The result is read-only and, when its 8*m bytes fit the graph's
+    shortest-path cache budget, kept on the graph: betweenness does not
+    depend on a traceroute design's source and target counts, so a sweep
+    over them computes it once. Its bytes are reserved before the DAGs
+    it builds, so DAGs that overflow the budget do not crowd it out.
     """
+    if g._betweenness is not None:
+        return g._betweenness
+    # reserved before the source loop, whose DAGs would otherwise fill the budget first
+    keep = reserve_cache(g, 8 * g.edge_count)
     b = np.zeros(g.edge_count)
     for s in range(g.node_count):
         dag = path_dag(g, s)
@@ -102,6 +112,9 @@ def edge_betweenness(g: Graph) -> np.ndarray:
             c = sigma[v] * coef
             b[dag.pred_eid[lo:hi][::-1]] += c
             np.add.at(delta, v, c)
+    b.flags.writeable = False
+    if keep:
+        g._betweenness = b
     return b
 
 

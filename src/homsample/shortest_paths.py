@@ -10,8 +10,9 @@ DAG is a handful of flat arrays, with no per-node Python objects.
 
 Path counts are kept as floats; only their ratios are ever used. DAGs are
 rng-free, so they are cached on the graph and reused across replications
-without affecting reproducibility. The cache is bounded in bytes: past
-the budget, new DAGs are computed and not stored.
+without affecting reproducibility. The cache is bounded in bytes, a
+budget the graph's edge betweenness (:mod:`homsample.inclusion`) also
+draws on: past the budget, new DAGs are computed and not stored.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .graph import Graph
 
-# per-graph budget for cached DAGs, counted by the bytes of their arrays
+# per-graph budget for cached DAGs and betweenness, counted by the bytes of their arrays
 _CACHE_BYTES = 128 << 20
 
 
@@ -58,16 +59,27 @@ class PathDag:
         return sum(getattr(self, f.name).nbytes for f in fields(self)[1:])
 
 
+def reserve_cache(g: Graph, nbytes: int) -> bool:
+    """Count ``nbytes`` against the graph's cache budget if they fit.
+
+    The DAGs and the edge betweenness share the budget; a False answer
+    means the caller computes its value again next time instead of
+    storing it.
+    """
+    if g._sp_cache_bytes + nbytes > _CACHE_BYTES:
+        return False
+    g._sp_cache_bytes += nbytes
+    return True
+
+
 def path_dag(g: Graph, source: int) -> PathDag:
     """Shortest-path DAG from ``source``, cached on the graph."""
     cached = g._sp_cache.get(source)
     if cached is not None:
         return cached
     dag = _bfs_dag(g, source)
-    size = dag.nbytes
-    if g._sp_cache_bytes + size <= _CACHE_BYTES:
+    if reserve_cache(g, dag.nbytes):
         g._sp_cache[source] = dag
-        g._sp_cache_bytes += size
     return dag
 
 

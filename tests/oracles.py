@@ -5,14 +5,27 @@ enumeration, recursive path listing) and shares no code with the library
 paths it checks.
 """
 
+import io
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from homsample import Graph, GraphSignal
+from homsample.graph import EdgeListError, LabelError, UnlabelledNodeError
+
+
+def edge_id(g: Graph, u: int, v: int) -> int:
+    """Index of the stored edge {u, v}, by a scan of the edge arrays; KeyError if absent."""
+    lo, hi = min(u, v), max(u, v)
+    hits = np.flatnonzero((g.edge_i == lo) & (g.edge_j == hi))
+    if not len(hits):
+        raise KeyError(f"no such edge ({u}, {v})")
+    return int(hits[0])
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -83,7 +96,7 @@ def brute_edge_betweenness(g: Graph) -> np.ndarray:
             share = 1.0 / len(paths)
             for path in paths:
                 for u, v in zip(path, path[1:]):
-                    b[g.edge_id(u, v)] += share
+                    b[edge_id(g, u, v)] += share
     return b
 
 
@@ -238,3 +251,93 @@ def random_graph(rng, n: int, p: float = 0.5, weighted: bool = False) -> Graph:
 
 def random_onehot_signal(rng, n: int, classes: int = 2) -> GraphSignal:
     return GraphSignal.from_labels(rng.integers(0, classes, size=n), classes)
+
+
+# -- per-line text parsers and formatter, the references for the bulk ones ----
+
+def reference_dump_edge_list(g: Graph) -> str:
+    """Edge-list text formatted one numpy scalar at a time."""
+    buf = io.StringIO()
+    for i, j, w in zip(g.edge_i, g.edge_j, g.edge_w):
+        buf.write(f"{i} {j} {float(w)!r}\n")
+    return buf.getvalue()
+
+
+def _as_lines(source):
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    else:
+        yield from enumerate(source, start=1)
+
+
+def reference_load_edge_list(source, n_hint: int | None = None, labelled: int | None = None) -> Graph:
+    """Parse an edge-list text stream or path into a canonical Graph.
+
+    Duplicate ``(i, j)`` / ``(j, i)`` lines merge by summing weights.
+    ``node_count`` is ``max id + 1``, or ``n_hint`` if larger. With
+    ``labelled``, the number of nodes a label file names, an endpoint at
+    or above it raises UnlabelledNodeError before any array sized by the
+    node count is built.
+    """
+    ii, jj, ww = [], [], []
+    max_id = -1
+    for lineno, raw in _as_lines(source):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise EdgeListError(f"line {lineno}: expected 'i j' or 'i j w', got {raw.strip()!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise EdgeListError(f"line {lineno}: not numeric: {raw.strip()!r}") from None
+        if i < 0 or j < 0:
+            raise EdgeListError(f"line {lineno}: negative node id")
+        if i == j:
+            raise EdgeListError(f"line {lineno}: self-loop at node {i}")
+        if not math.isfinite(w):
+            raise EdgeListError(f"line {lineno}: non-finite weight {w}")
+        if w < 0:
+            raise EdgeListError(f"line {lineno}: negative weight {w}")
+        ii.append(i)
+        jj.append(j)
+        ww.append(w)
+        max_id = max(max_id, i, j)
+    if labelled is not None and max_id >= labelled:
+        raise UnlabelledNodeError(
+            f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
+    n = max(max_id + 1, n_hint or 0)
+    return Graph.from_arrays(n, ii, jj, ww)
+
+
+def reference_load_labels(source, class_count: int, n: int) -> GraphSignal:
+    """Parse "node_id class_id" lines into a one-hot GraphSignal.
+
+    Every node in ``[0, n)`` must appear exactly once.
+    """
+    labels = np.full(n, -1, dtype=np.int64)
+    for lineno, raw in _as_lines(source):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise LabelError(f"line {lineno}: expected 'node_id class_id'")
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise LabelError(f"line {lineno}: not numeric: {raw.strip()!r}") from None
+        if not 0 <= node < n:
+            raise LabelError(f"line {lineno}: node {node} out of range [0, {n})")
+        if not 0 <= cls < class_count:
+            raise LabelError(f"line {lineno}: class {cls} out of range [0, {class_count})")
+        if labels[node] != -1:
+            raise LabelError(f"line {lineno}: duplicate node {node}")
+        labels[node] = cls
+    missing = np.nonzero(labels == -1)[0]
+    if len(missing):
+        raise LabelError(f"missing label for node {missing[0]}")
+    return GraphSignal.from_labels(labels, class_count)

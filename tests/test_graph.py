@@ -1,8 +1,10 @@
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homsample import (
     DatasetManifest,
@@ -15,8 +17,16 @@ from homsample import (
     load_labels,
     total_edge_weight,
 )
-from homsample import cli
+from homsample import cli, graph
 from homsample.graph import EdgeListError, LabelError, UnlabelledNodeError
+from homsample.graphon import sample_w_random_graph, two_block_graphon
+from oracles import (
+    edge_id,
+    random_graph,
+    reference_dump_edge_list,
+    reference_load_edge_list,
+    reference_load_labels,
+)
 
 
 def test_load_basic():
@@ -71,8 +81,6 @@ def test_zero_weight_pairs_are_non_edges():
 
 def test_roundtrip_identity():
     rng = np.random.default_rng(3)
-    from oracles import random_graph
-
     for _ in range(20):
         g = random_graph(rng, n=int(rng.integers(2, 12)), p=0.4, weighted=True)
         assert load_edge_list(io.StringIO(dump_edge_list(g)), n_hint=g.node_count) == g
@@ -99,10 +107,10 @@ def test_adjacency_queries():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
     assert sorted(g.neighbors(0).tolist()) == [1, 2]
     assert g.degrees().tolist() == [2, 1, 2, 1]
-    assert g.edge_id(2, 0) == g.edge_id(0, 2)
-    assert g.has_edge(3, 2) and not g.has_edge(0, 3)
+    assert edge_id(g, 2, 0) == edge_id(g, 0, 2) == 1
+    assert edge_id(g, 3, 2) == 2
     with pytest.raises(KeyError):
-        g.edge_id(0, 3)
+        edge_id(g, 0, 3)
 
 
 def test_labels_one_hot():
@@ -198,3 +206,167 @@ def test_unlabelled_endpoint_is_rejected_before_allocating(tmp_path, capsys, via
     if via == "cli":
         assert message in capsys.readouterr().err
     assert issubclass(UnlabelledNodeError, ValueError)
+
+
+# -- the bulk loaders against the per-line references in oracles.py --------
+
+SEPARATORS = ["\t", "\r", "\r\n", "\x0b", "\x0c", "\xa0", "\x85", " "]
+ODD_TOKENS = ["+1", "-0", "1_0", "０", "1.0", "1e3", "0x10", "nan", "inf", "-1",
+              "99999999999999999999"]
+
+
+def outcome(load):
+    try:
+        return load()
+    except Exception as exc:   # the loaders must fail alike, whatever the failure
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    elif isinstance(want, Graph):
+        assert isinstance(got, Graph) and got == want
+        assert got.edge_w.tobytes() == want.edge_w.tobytes()
+    else:
+        assert isinstance(got, GraphSignal)
+        assert np.array_equal(got.labels, want.labels) and np.array_equal(got.rows, want.rows)
+
+
+PLAIN_IDS = ["0", "1", "2", "3", "17"]
+PLAIN_WEIGHTS = ["1", "0.5", "2.25", "0", "1e3", "0.1"]
+
+
+@st.composite
+def edge_rows(draw):
+    """Rows of a well-formed edge list: 2 or 3 fields, no self-loops."""
+    k = draw(st.sampled_from([2, 3]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.sampled_from(PLAIN_IDS))
+        j = draw(st.sampled_from([t for t in PLAIN_IDS if t != i]))
+        rows.append([i, j, draw(st.sampled_from(PLAIN_WEIGHTS))][:k])
+    return rows
+
+
+@st.composite
+def label_rows(draw):
+    """Rows of a well-formed label file for nodes 0..k-1 and classes 0..1."""
+    nodes = draw(st.permutations(range(draw(st.integers(0, 4)))))
+    return [[str(v), draw(st.sampled_from(["0", "1"]))] for v in nodes]
+
+
+@st.composite
+def texts(draw, rows):
+    """Well-formed rows between blank and comment lines, with at most one
+    kind of flaw: odd tokens, every separator, rows that share a line, or
+    repeated rows."""
+    flaw = draw(st.sampled_from([None, "tokens", "separators", "joins", "repeats"]))
+    rows = draw(rows)
+    plain = sorted({t for row in rows for t in row}) or ["0"]
+    lines = []
+    for n, row in enumerate(rows):
+        filler = draw(st.sampled_from([None] * 4 + ["", " ", "\t", "#", "# 0 1", "# é"]))
+        if filler is not None:
+            lines.append(filler)
+        if flaw == "tokens" and draw(st.booleans()):
+            row = draw(st.lists(st.sampled_from(plain + ODD_TOKENS), min_size=1, max_size=4))
+        elif flaw == "repeats" and n and draw(st.booleans()):
+            row = rows[draw(st.integers(0, n - 1))]
+        sep = draw(st.sampled_from(SEPARATORS if flaw == "separators" else [" ", "\t", "  "]))
+        pad = draw(st.sampled_from(["{}", " {}", "{} # x", "\t{} "]))
+        lines.append(pad.format(sep.join(row)))
+    # after "\r", "\x85" or " " a stream's line goes on; a file's ends at "\r"
+    ends = ["\n", "\r\n", "\r", "\x85", " "] if flaw == "joins" else ["\n"]
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    return text[:-1] if lines and draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def text_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("texts") / "input.txt"
+
+
+def sources(text, path):
+    """The text as a stream, as a file holding its exact bytes and as a
+    list of lines without line ends."""
+    path.write_bytes(text.encode("utf-8"))
+    return (lambda: io.StringIO(text)), (lambda: path), (lambda: text.split("\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts(edge_rows()), n_hint=st.sampled_from([None, 10]),
+       labelled=st.sampled_from([None, 4, 100]))
+def test_bulk_edge_list_matches_per_line_reference(text_file, text, n_hint, labelled):
+    for source in sources(text, text_file):
+        want = outcome(lambda: reference_load_edge_list(source(), n_hint=n_hint, labelled=labelled))
+        got = outcome(lambda: load_edge_list(source(), n_hint=n_hint, labelled=labelled))
+        assert_same_outcome(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts(label_rows()), class_count=st.sampled_from([2, 3]),
+       n=st.sampled_from([3, 4]))
+def test_bulk_labels_match_per_line_reference(text_file, text, class_count, n):
+    for source in sources(text, text_file):
+        want = outcome(lambda: reference_load_labels(source(), class_count, n))
+        got = outcome(lambda: load_labels(source(), class_count, n))
+        assert_same_outcome(got, want)
+    # read once for sizing and parsing, as load_dataset does
+    labels = graph._read_labels(text_file)
+    with open(text_file, encoding="utf-8") as fh:
+        assert graph._named_nodes(*labels) == sum(1 for raw in fh if raw.split("#", 1)[0].strip())
+    assert_same_outcome(outcome(lambda: graph._label_signal(*labels, class_count, n)),
+                        outcome(lambda: reference_load_labels(text_file, class_count, n)))
+
+
+def test_bulk_load_of_a_44k_edge_w_random_dump(tmp_path):
+    w, _ = two_block_graphon(0.008, 0.003)
+    g, _ = sample_w_random_graph(w, 4000, np.random.default_rng([1, 0]))
+    assert g.edge_count > 40_000
+    text = dump_edge_list(g)
+    path = tmp_path / "edges.txt"
+    path.write_text(text, encoding="utf-8")
+    want = reference_load_edge_list(path, n_hint=g.node_count)
+    assert want == g
+    for source in (path, io.StringIO(text)):
+        got = load_edge_list(source, n_hint=g.node_count)
+        assert got == want and got.edge_w.tobytes() == want.edge_w.tobytes()
+
+
+def test_plain_files_take_the_bulk_pass():
+    # the per-line parser would give the same graphs, only slower
+    m = DatasetManifest.load(karate_manifest_path())
+    assert "#" in m.edge_file.read_text() and "#" in m.label_file.read_text()
+    assert graph._edge_columns(graph._read(m.edge_file)) is not None
+    assert graph._label_columns(graph._field_table(graph._read(m.label_file)), m.class_count, 34) is not None
+    assert graph._edge_columns("0 1\n1 2\n") is not None
+    assert graph._edge_columns("0 1\n1 2 1.0\n") is None   # mixed field counts
+
+
+def test_dump_matches_scalar_formatting():
+    weights = [0.1, 1 / 3, 5e-324, 1e300, 2.0, 1e16, 123456.789, 7e-10]
+    n = 100_000
+    g = Graph.from_edges(n, [(v, n - 1 - v, w) for v, w in enumerate(weights)])
+    text = dump_edge_list(g)
+    assert text == reference_dump_edge_list(g)
+    assert text.splitlines()[0] == "0 99999 0.1"
+    assert load_edge_list(io.StringIO(text)).edge_w.tobytes() == g.edge_w.tobytes()
+
+
+def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    (tmp_path / "e.txt").write_text(dump_edge_list(g))
+    (tmp_path / "l.txt").write_text("".join(f"{v} {v % 2}\n" for v in range(5)))
+    (tmp_path / "m.json").write_text(
+        '{"name": "once", "edge_file": "e.txt", "label_file": "l.txt", "class_count": 2}')
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "open", counting_open, raising=False)
+    g2, s2, _ = load_dataset(tmp_path / "m.json")
+    assert g2 == g and s2.labels.tolist() == [0, 1, 0, 1, 0]
+    assert sorted(opened) == ["e.txt", "l.txt", "m.json"]

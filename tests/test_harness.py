@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from homsample import SrsDesign, karate_manifest_path
+from homsample import Graph, SrsDesign, harness, inclusion, karate_manifest_path, shortest_paths
 from homsample.harness import (
     _replicate,
     ExperimentConfig,
@@ -182,3 +182,38 @@ def test_zero_joint_probability_is_an_invalid_replication(karate):
     incl = dataclasses.replace(incl, joint_by_span=table)
     rep = _replicate(g, s, design, incl, (("dirichlet_total", "ht_total"),), 0, 5)
     assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]
+
+
+def test_traceroute_sweep_computes_betweenness_once(monkeypatch, karate):
+    kg, signal = karate
+    cfg = _karate_cfg(design={"kind": "traceroute", "n_sources": 2, "n_targets": 2},
+                      metrics=(("dirichlet_total", "ht_total"),), replications=20,
+                      sweep=({"n_sources": 1}, {"n_sources": 3}))
+    path_dag, inclusion_for = inclusion.path_dag, harness.inclusion_for
+
+    def run():
+        g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
+        brandes_sources, models = [], []
+        monkeypatch.setattr(inclusion, "path_dag",
+                            lambda g, s: brandes_sources.append(s) or path_dag(g, s))
+        monkeypatch.setattr(harness, "inclusion_for",
+                            lambda *a, **kw: models.append(inclusion_for(*a, **kw)) or models[-1])
+        record = run_experiment(cfg, dataset=(g, signal))
+        return g, len(brandes_sources), [m.pi.tobytes() for m in models], record.to_json()
+
+    g, brandes, pis, record = run()
+    assert brandes == g.node_count and len(pis) == 2 and pis[0] != pis[1]
+    assert g._betweenness is not None and not g._betweenness.flags.writeable
+    assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) + 8 * g.edge_count
+    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", 0)
+    g0, brandes0, pis0, record0 = run()
+    assert brandes0 == 2 * g0.node_count and g0._betweenness is None
+    assert pis0 == pis and record0 == record
+    # DAGs that overflow the budget, and alone would leave less than the
+    # betweenness's 8*m bytes, leave it stored
+    budget = sum(g._sp_cache[v].nbytes for v in range(3)) + 4 * g.edge_count
+    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", budget)
+    g1, brandes1, pis1, record1 = run()
+    assert 0 < len(g1._sp_cache) < g1.node_count
+    assert brandes1 == g1.node_count and g1._betweenness is not None
+    assert pis1 == pis and record1 == record

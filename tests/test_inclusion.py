@@ -13,7 +13,7 @@ from homsample import (
     empirical_pi,
     inclusion_for,
 )
-from oracles import brute_edge_betweenness, dense_joint, random_graph
+from oracles import brute_edge_betweenness, dense_joint, edge_id, random_graph
 
 
 def k_n(n):
@@ -28,7 +28,7 @@ def joint(g, model, e, f):
 
 def edge_joint(g, design, e, f):
     """Analytic joint inclusion probability of two edges given by endpoints."""
-    return joint(g, inclusion_for(g, design), g.edge_id(*e), g.edge_id(*f))
+    return joint(g, inclusion_for(g, design), edge_id(g, *e), edge_id(g, *f))
 
 
 def test_analytic_pi_bernoulli():
@@ -76,8 +76,8 @@ def test_joint_diag_equals_pi():
 def test_bernoulli_independence_structure():
     g = k_n(5)
     model = inclusion_for(g, BernoulliDesign(p=0.37))
-    disjoint = (g.edge_id(0, 1), g.edge_id(2, 3))
-    shared = (g.edge_id(0, 1), g.edge_id(1, 2))
+    disjoint = (edge_id(g, 0, 1), edge_id(g, 2, 3))
+    shared = (edge_id(g, 0, 1), edge_id(g, 1, 2))
     # node-disjoint edges are independent; shared-node pairs positively associated
     assert joint(g, model, *disjoint) == pytest.approx(model.pi[disjoint[0]] * model.pi[disjoint[1]], rel=1e-15)
     assert joint(g, model, *shared) >= model.pi[shared[0]] * model.pi[shared[1]]
@@ -134,7 +134,7 @@ def test_edge_betweenness_matches_networkx(karate):
         nxg.add_edges_from(zip(g.edge_i.tolist(), g.edge_j.tolist()))
         want = np.zeros(g.edge_count)
         for (u, v), value in nx.edge_betweenness_centrality(nxg, normalized=False).items():
-            want[g.edge_id(u, v)] = 2 * value   # networkx counts each unordered pair once
+            want[edge_id(g, u, v)] = 2 * value   # networkx counts each unordered pair once
         np.testing.assert_allclose(edge_betweenness(g), want, rtol=1e-12)
 
 

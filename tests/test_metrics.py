@@ -13,17 +13,17 @@ from homsample import (
     normalized_dirichlet,
 )
 from homsample.metrics import METRIC_KINDS, same_label_weight_values
-from oracles import dense_laplacian_tv, random_graph, random_onehot_signal
+from oracles import dense_laplacian_tv, edge_id, random_graph, random_onehot_signal
 
 
 def test_edge_variation_cases():
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 3.0)])
     s = GraphSignal.from_labels([0, 0, 1], 2)
     values = edge_variation_values(g, s)
-    assert values[g.edge_id(0, 1)] == 0.0               # equal one-hots
-    assert values[g.edge_id(2, 1)] == 6.0               # w=3, ||e_a - e_b||^2 = 2
+    assert values[edge_id(g, 0, 1)] == 0.0               # equal one-hots
+    assert values[edge_id(g, 2, 1)] == 6.0               # w=3, ||e_a - e_b||^2 = 2
     with pytest.raises(KeyError):
-        g.edge_id(0, 2)
+        edge_id(g, 0, 2)
     edges = zip(g.edge_i.tolist(), g.edge_j.tolist())
     assert dict(zip(edges, values.tolist())) == {(0, 1): 0.0, (1, 2): 6.0}
 

@@ -100,4 +100,6 @@ def test_cache_is_bounded_in_bytes(monkeypatch, karate):
         assert np.array_equal(got.edge_index, want.edge_index)
         assert got.paths == want.paths and got.meta == want.meta
     assert 0 < len(g._sp_cache) < g.node_count
-    assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) <= budget
+    assert g._betweenness is not None and edge_betweenness(g) is g._betweenness
+    assert (g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) + g._betweenness.nbytes
+            <= budget)
