@@ -61,13 +61,10 @@ from .estimators import (
 )
 from .graphon import (
     GridGraphon,
-    StepGraphon,
-    StepSignal,
     convergence_experiment,
     phi_grid,
     phi_step,
     sample_w_random_graph,
-    to_step_pair,
     two_block_graphon,
 )
 from .harness import ExperimentConfig, RunRecord, histogram, run_experiment, summarize

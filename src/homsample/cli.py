@@ -17,19 +17,19 @@ import numpy as np
 
 from . import __version__
 from .estimators import estimate_metric
-from .graph import _label_signal, _named_nodes, _read_labels, load_dataset, load_edge_list, total_edge_weight
-from .graphon import convergence_experiment, phi_step, to_step_pair, two_block_graphon
+from .graph import load_dataset, load_edge_list, load_labelled, total_edge_weight
+from .graphon import convergence_experiment, phi_step, two_block_graphon
 from .harness import (
     DEFAULT_MODE_FOR_KIND,
     ExperimentConfig,
     resolve_design,
     run_experiment,
     summarize,
+    sweep_inclusion,
     write_estimates_csv,
     write_histogram_csv,
     write_summary_csv,
 )
-from .inclusion import inclusion_for
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
@@ -38,8 +38,8 @@ from .metrics import (
     dirichlet_energy,
     homophily_profile,
 )
-from .rng import DEFAULT_SEED, derive_seed
-from .sampling import draw_sample, with_seed
+from .rng import DEFAULT_SEED
+from .sampling import draw_sample
 
 METRIC_ALIASES = {
     "dirichlet": DIRICHLET_NORMALIZED,
@@ -74,13 +74,12 @@ def _load_from_flags(args, need_labels=True):
         return g, s, name
     if not args.edges:
         raise ValueError("provide --manifest or --edges")
-    labels = _read_labels(args.labels) if args.labels else None
-    g = load_edge_list(args.edges, labelled=_named_nodes(*labels) if labels else None)
-    s = None
-    if labels:
+    if args.labels:
         if args.classes is None:
             raise ValueError("--labels requires --classes")
-        s = _label_signal(*labels, args.classes, g.node_count)
+        g, s = load_labelled(args.edges, args.labels, args.classes)
+    else:
+        g, s = load_edge_list(args.edges), None
     if need_labels and s is None:
         raise ValueError("this command needs labels (--manifest or --labels/--classes)")
     return g, s, args.edges
@@ -130,17 +129,6 @@ def _single_design(args, n, seed):
     return resolve_design({"kind": args.design, "seed": seed}, values[0], n)
 
 
-def _inclusion(args, g, design):
-    """Inclusion model for ``sample``/``estimate``.
-
-    The empirical oracle runs on the stream the experiment harness gives
-    sweep 0, ``(seed, 2, 0)``; on the design's own seed it would replay
-    the very sample it weights as its first replication.
-    """
-    oracle = with_seed(design, derive_seed(args.seed, 2, 0))
-    return inclusion_for(g, oracle, source=args.pi, replications=args.pi_reps)
-
-
 def _emit_json(obj, out_path):
     text = json.dumps(obj, indent=2) + "\n"
     if out_path:
@@ -183,8 +171,9 @@ def _cmd_homophily(args):
 def _cmd_sample(args):
     g, s, name = _load_from_flags(args, need_labels=False)
     design = _single_design(args, g.node_count, args.seed)
-    sample = draw_sample(g, design).with_inclusion(_inclusion(args, g, design))
-    _emit_json(sample.to_json_dict(), args.out)
+    sample = draw_sample(g, design)
+    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
+    _emit_json(sample.to_json_dict(incl), args.out)
     return 0
 
 
@@ -193,7 +182,8 @@ def _cmd_estimate(args):
     design = _single_design(args, g.node_count, args.seed)
     kind = _metric_kind(args.metric)
     sample = draw_sample(g, design)
-    report = estimate_metric(sample, s, kind, args.mode, incl=_inclusion(args, g, design))
+    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
+    report = estimate_metric(sample, s, kind, args.mode, incl=incl)
     _emit_json({"dataset": name, **report.to_json_dict()}, args.out)
     return 0
 
@@ -218,7 +208,7 @@ def _cmd_experiment(args):
         pi_source=args.pi,
         pi_replications=args.pi_reps,
     )
-    record = run_experiment(cfg, dataset=(g, s), threads=args.threads)
+    record = run_experiment(cfg, dataset=(g, s))
     for row in summarize(record):
         print(f"{row['dataset']} {row['kind']}[{row['mode']}] {row['param']}: "
               f"gt={row['ground_truth']:.4f} mean={row['mean']:.4f} "
@@ -241,9 +231,8 @@ def _cmd_experiment(args):
 def _cmd_graphon(args):
     if args.check_identity:
         g, s, name = _load_from_flags(args)
-        w, x = to_step_pair(g, s)
         tv = dirichlet_energy(g, s)
-        phi = phi_step(w, x)
+        phi = phi_step(g, s)
         scaled = phi * g.node_count ** 2
         residual = abs(scaled - tv) / max(abs(tv), 1.0)
         print(f"{name}: tv={tv:g} phi*n^2={scaled:g} relative_residual={residual:.3e}")

@@ -485,6 +485,21 @@ def load_labels(source, class_count: int, n: int) -> GraphSignal:
     return _label_signal(*_read_labels(source), class_count, n)
 
 
+def load_labelled(edge_source, label_source, class_count: int) -> tuple[Graph, GraphSignal]:
+    """Load an edge list and the label file that names its nodes.
+
+    The label file names every node once, so its line count sizes the
+    graph; isolated nodes absent from the edge list are kept, and an
+    edge endpoint beyond the labelled nodes raises UnlabelledNodeError
+    before any array sized by the node count is built. The label file is
+    read and parsed once.
+    """
+    labels = _read_labels(label_source)
+    labelled = _named_nodes(*labels)
+    g = load_edge_list(edge_source, n_hint=labelled, labelled=labelled)
+    return g, _label_signal(*labels, class_count, g.node_count)
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Pointer to an on-disk dataset: edge file, label file, class count."""
@@ -511,17 +526,8 @@ class DatasetManifest:
         )
 
     def load_dataset(self) -> tuple[Graph, GraphSignal]:
-        """Load the graph and its labels.
-
-        The label file names every node once, so its line count sizes the
-        graph; isolated nodes absent from the edge list are kept, and an
-        edge endpoint beyond the labelled nodes raises UnlabelledNodeError.
-        """
-        labels = _read_labels(self.label_file)
-        labelled = _named_nodes(*labels)
-        g = load_edge_list(self.edge_file, n_hint=labelled, labelled=labelled)
-        s = _label_signal(*labels, self.class_count, g.node_count)
-        return g, s
+        """Load the graph and its labels (see :func:`load_labelled`)."""
+        return load_labelled(self.edge_file, self.label_file, self.class_count)
 
 
 def karate_manifest_path() -> Path:

@@ -2,14 +2,16 @@
 
 A finite graph-signal pair embeds into function space as a step graphon
 (the adjacency, constant on n x n blocks of [0,1]^2) and a step signal
-(feature rows, constant on n blocks of [0,1]).
+(feature rows, constant on n blocks of [0,1]). ``phi_step`` evaluates the
+functional of that embedding from the edge list, without building the
+n x n blocks.
 
 Summation convention, fixed here once: graphs store each unordered edge
 once, while the double integral over [0,1]^2 visits ordered pairs, so the
 raw integral double-counts. All functionals in this module carry a factor
 1/2 against the ordered double sum, which makes
 
-    phi_step(to_step_pair(g, s)) * n**2 == dirichlet_energy(g, s)
+    phi_step(g, s) * n**2 == dirichlet_energy(g, s)
 
 hold exactly, and makes W-random graphs satisfy TV / n^2 -> phi of the
 generating graphon. Every other module relies on this identity rather
@@ -27,55 +29,6 @@ from .metrics import dirichlet_energy
 from .rng import child_rng
 
 
-@dataclass(frozen=True, eq=False)
-class StepGraphon:
-    """Symmetric nonnegative block matrix; block (i, j) holds the edge weight."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("block matrix must be square")
-        if not np.array_equal(v, v.T):
-            raise ValueError("block matrix must be symmetric")
-        if np.any(v < 0):
-            raise ValueError("block values must be nonnegative")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def block_count(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class StepSignal:
-    """Per-block feature rows of a step signal."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        r = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if r.ndim != 2:
-            raise ValueError("rows must be 2-d")
-        object.__setattr__(self, "rows", r)
-
-    @property
-    def block_count(self) -> int:
-        return self.rows.shape[0]
-
-
-def to_step_pair(g: Graph, s: GraphSignal) -> tuple[StepGraphon, StepSignal]:
-    """Embed a graph-signal pair as (dense adjacency blocks, feature rows)."""
-    if s.node_count != g.node_count:
-        raise ValueError("signal does not match graph")
-    n = g.node_count
-    a = np.zeros((n, n))
-    a[g.edge_i, g.edge_j] = g.edge_w
-    a[g.edge_j, g.edge_i] = g.edge_w
-    return StepGraphon(a), StepSignal(np.array(s.rows))
-
-
 def _half_ordered_sum(w: np.ndarray, x: np.ndarray) -> float:
     # sum_ab w_ab ||x_a - x_b||^2 expanded bilinearly, halved (see module note)
     sq = np.einsum("af,af->a", x, x)
@@ -84,12 +37,22 @@ def _half_ordered_sum(w: np.ndarray, x: np.ndarray) -> float:
     return float(rowsum @ sq) - cross
 
 
-def phi_step(w: StepGraphon, x: StepSignal) -> float:
-    """Smoothness functional of a step pair; equals TV / n^2 of the source graph."""
-    if w.block_count != x.block_count:
-        raise ValueError(f"block counts differ: {w.block_count} vs {x.block_count}")
-    n = w.block_count
-    return _half_ordered_sum(w.values, x.rows) / float(n * n)
+def phi_step(g: Graph, s: GraphSignal) -> float:
+    """Smoothness functional of the step pair that embeds (g, s); equals TV / n^2.
+
+    The half-ordered double sum over the n x n blocks, expanded as
+    ``sum_v d_v ||x_v||^2 - 2 sum_e w_e x_i . x_j`` with weighted degrees
+    ``d_v``, is evaluated from the edge list in O(n + m) memory.
+    """
+    if s.node_count != g.node_count:
+        raise ValueError(f"signal has {s.node_count} rows for {g.node_count} nodes")
+    n = g.node_count
+    x = s.rows
+    sq = np.einsum("af,af->a", x, x)
+    degree = (np.bincount(g.edge_i, g.edge_w, minlength=n)
+              + np.bincount(g.edge_j, g.edge_w, minlength=n))
+    cross = float(g.edge_w @ np.einsum("ef,ef->e", x[g.edge_i], x[g.edge_j]))
+    return (float(degree @ sq) - 2.0 * cross) / float(n * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +79,6 @@ class GridGraphon:
         """Grid cell containing each latent position in [0, 1]."""
         m = self.resolution
         return np.minimum((np.asarray(u) * m).astype(np.int64), m - 1)
-
-    def to_json_dict(self) -> dict:
-        return {"resolution": self.resolution,
-                "values": [float(v) for v in self.values.ravel()]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridGraphon":
-        m = int(d["resolution"])
-        return cls(np.asarray(d["values"], dtype=np.float64).reshape(m, m))
 
 
 def phi_grid(w: GridGraphon, signal_grid: np.ndarray) -> float:

@@ -73,20 +73,6 @@ class ExperimentConfig:
             "pi_replications": self.pi_replications,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            dataset=d["dataset"],
-            design=dict(d["design"]),
-            metrics=tuple((k, m) for k, m in d["metrics"]),
-            replications=int(d["replications"]),
-            base_seed=int(d.get("base_seed", DEFAULT_SEED)),
-            sweep=tuple(dict(s) for s in d.get("sweep", [])),
-            bins=int(d.get("bins", 20)),
-            pi_source=d.get("pi_source", "analytic"),
-            pi_replications=int(d.get("pi_replications", 100_000)),
-        )
-
 
 def histogram(points, bins: int):
     """Equal-width bins spanning [min, max]; a degenerate range gives one bin."""
@@ -171,6 +157,19 @@ def resolve_design(template: dict, overrides: dict, n: int):
     return design_from_dict(merged)
 
 
+def sweep_inclusion(g: Graph, design, base_seed: int, sweep_idx: int,
+                    source: str, replications: int):
+    """Inclusion model for sweep value ``sweep_idx`` of an experiment.
+
+    The empirical oracle runs on the auxiliary stream
+    ``(base_seed, 2, sweep_idx)``; on the design's own seed it would
+    replay the very sample it weights as its first replication. Analytic
+    models do not depend on the seed.
+    """
+    oracle = with_seed(design, derive_seed(base_seed, 2, sweep_idx))
+    return inclusion_for(g, oracle, source=source, replications=replications)
+
+
 def _replicate(g, signal, design, incl, metric_pairs, rep, seed):
     sample = draw_sample(g, with_seed(design, seed))
     estimates = {}
@@ -185,14 +184,13 @@ def _replicate(g, signal, design, incl, metric_pairs, rep, seed):
             "sampled_edges": sample.edge_count, "estimates": estimates}
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: tuple[Graph, GraphSignal] | None = None,
-                   threads: int | None = None) -> RunRecord:
+def run_experiment(cfg: ExperimentConfig,
+                   dataset: tuple[Graph, GraphSignal] | None = None) -> RunRecord:
     """Run all replications of an experiment and aggregate summaries.
 
     ``dataset`` may pass a preloaded (graph, signal) pair; otherwise
-    ``cfg.dataset`` is treated as a manifest path. ``threads`` is accepted
-    for compatibility and ignored: replications run serially, because
-    they are Python-bound and a thread pool only added overhead.
+    ``cfg.dataset`` is treated as a manifest path. Replications run
+    serially, in order.
     """
     if dataset is not None:
         g, signal = dataset
@@ -208,13 +206,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: tuple[Graph, GraphSignal] | N
 
     for sweep_idx, overrides in enumerate(sweep_list):
         design = resolve_design(cfg.design, overrides, g.node_count)
-        design.validate(g.node_count)
-        if cfg.pi_source == "empirical":
-            oracle_design = with_seed(design, derive_seed(cfg.base_seed, 2, sweep_idx))
-            incl = inclusion_for(g, oracle_design, source="empirical",
-                                 replications=cfg.pi_replications)
-        else:
-            incl = inclusion_for(g, design, source="analytic")
+        incl = sweep_inclusion(g, design, cfg.base_seed, sweep_idx,
+                               cfg.pi_source, cfg.pi_replications)
 
         reps = [_replicate(g, signal, design, incl, cfg.metrics, r,
                            derive_seed(cfg.base_seed, 1, sweep_idx, r))

@@ -136,9 +136,9 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> Inclusion
     Replication r draws from a fresh stream seeded by (design.seed, r).
     Edges never observed keep pi = 0, which marks them unsampleable.
     """
+    design.validate(g.node_count)
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    design.validate(g.node_count)
     counts = np.zeros(g.edge_count, dtype=np.int64)
     base = int(design.seed)
     for r in range(replications):

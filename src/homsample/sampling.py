@@ -173,17 +173,16 @@ class SampledGraph:
     """Observed subgraph with provenance.
 
     ``edge_index`` holds the ids of the sampled edges in ``parent``, so
-    endpoints, weights, per-edge values and inclusion probabilities are
-    all read from the parent graph's edge arrays. ``pi`` is filled by
-    :meth:`with_inclusion` once a model is chosen. ``design`` is None for
-    subgraphs built directly from a node set.
+    endpoints, weights and per-edge values are read from the parent
+    graph's edge arrays, and inclusion probabilities from a model's
+    ``pi``, which is aligned with them. ``design`` is None for subgraphs
+    built directly from a node set.
     """
 
     design: SampleDesign | None
     parent: Graph
     nodes: np.ndarray
     edge_index: np.ndarray
-    pi: np.ndarray | None = None
     paths: tuple | None = None
     meta: dict | None = None
 
@@ -195,20 +194,17 @@ class SampledGraph:
     def edge_count(self) -> int:
         return len(self.edge_index)
 
-    def with_inclusion(self, model) -> "SampledGraph":
-        pi = model.pi[self.edge_index]
-        return replace(self, pi=np.asarray(pi, dtype=np.float64))
-
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, incl: InclusionModel | None = None) -> dict:
+        """JSON form; each edge's ``pi`` is read from ``incl``, or null without it."""
         g, ids = self.parent, self.edge_index
-        pi = self.pi if self.pi is not None else [None] * self.edge_count
+        pi = incl.pi[ids].tolist() if incl is not None else [None] * self.edge_count
         out = {
             "design": design_to_dict(self.design) if self.design is not None else None,
             "seed": self.design.seed if self.design is not None else None,
             "parent_node_count": g.node_count,
             "nodes": [int(v) for v in self.nodes],
             "edges": [
-                {"i": int(i), "j": int(j), "w": float(w), "pi": (float(p) if p is not None else None)}
+                {"i": int(i), "j": int(j), "w": float(w), "pi": p}
                 for i, j, w, p in zip(g.edge_i[ids], g.edge_j[ids], g.edge_w[ids], pi)
             ],
         }

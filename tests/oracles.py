@@ -9,6 +9,7 @@ import io
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -195,6 +196,71 @@ def riemann_phi(grid_values: np.ndarray, signal_grid: np.ndarray, refine: int = 
     sq = (x * x).sum(axis=1)
     total = (w * (sq[:, None] + sq[None, :] - 2.0 * (x @ x.T))).sum()
     return float(total) / (2.0 * k * k)
+
+
+@dataclass(frozen=True, eq=False)
+class StepGraphon:
+    """Symmetric nonnegative block matrix; block (i, j) holds the edge weight."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError("block matrix must be square")
+        if not np.array_equal(v, v.T):
+            raise ValueError("block matrix must be symmetric")
+        if np.any(v < 0):
+            raise ValueError("block values must be nonnegative")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def block_count(self) -> int:
+        return self.values.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class StepSignal:
+    """Per-block feature rows of a step signal."""
+
+    rows: np.ndarray
+
+    def __post_init__(self):
+        r = np.ascontiguousarray(self.rows, dtype=np.float64)
+        if r.ndim != 2:
+            raise ValueError("rows must be 2-d")
+        object.__setattr__(self, "rows", r)
+
+    @property
+    def block_count(self) -> int:
+        return self.rows.shape[0]
+
+
+def to_step_pair(g: Graph, s: GraphSignal) -> tuple[StepGraphon, StepSignal]:
+    """Embed a graph-signal pair as (dense adjacency blocks, feature rows)."""
+    if s.node_count != g.node_count:
+        raise ValueError("signal does not match graph")
+    n = g.node_count
+    a = np.zeros((n, n))
+    a[g.edge_i, g.edge_j] = g.edge_w
+    a[g.edge_j, g.edge_i] = g.edge_w
+    return StepGraphon(a), StepSignal(np.array(s.rows))
+
+
+def _half_ordered_sum(w: np.ndarray, x: np.ndarray) -> float:
+    # sum_ab w_ab ||x_a - x_b||^2 expanded bilinearly, halved
+    sq = np.einsum("af,af->a", x, x)
+    rowsum = w.sum(axis=1)
+    cross = float(np.einsum("ab,ab->", w, x @ x.T))
+    return float(rowsum @ sq) - cross
+
+
+def dense_phi_step(w: StepGraphon, x: StepSignal) -> float:
+    """Smoothness functional of a step pair over its dense n x n blocks."""
+    if w.block_count != x.block_count:
+        raise ValueError(f"block counts differ: {w.block_count} vs {x.block_count}")
+    n = w.block_count
+    return _half_ordered_sum(w.values, x.rows) / float(n * n)
 
 
 def dense_joint(g: Graph, edge_ids, pi, joint_by_span) -> np.ndarray:

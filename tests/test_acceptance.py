@@ -102,7 +102,7 @@ def test_criterion_3_step_functional_identity():
     worst = 0.0
     for gg, ss in cases:
         tv = hs.dirichlet_energy(gg, ss)
-        scaled = hs.phi_step(*hs.to_step_pair(gg, ss)) * gg.node_count ** 2
+        scaled = hs.phi_step(gg, ss) * gg.node_count ** 2
         worst = max(worst, abs(scaled - tv) / max(abs(tv), 1e-30) if tv else abs(scaled))
     ok = worst <= 1e-9
     report(3, ok, f"phi*n^2 vs Dirichlet energy on karate + 100 random graphs: "

@@ -161,9 +161,9 @@ def test_graphon_convergence(tmp_path):
 
 # sha256 of each output, recorded with numpy 2.4.6: the first four as
 # written before designs took over their own realization and inclusion
-# mechanics, the last three (which carry a variance) as written by the span-sum
-# HT variance. A changed hash is a changed output: it must be justified in
-# CHANGES.md.
+# mechanics, the next three (which carry a variance) as written by the span-sum
+# HT variance, and the identity check as written from the dense n x n step pair.
+# A changed hash is a changed output: it must be justified in CHANGES.md.
 PINNED_OUTPUTS = {
     "estimate-srs": (
         ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet", "--seed", "7"),
@@ -190,6 +190,9 @@ PINNED_OUTPUTS = {
         ("estimate", "--design", "bernoulli", "--p", "0.3", "--metric", "dirichlet",
          "--mode", "known_denominator", "--seed", "7"),
         "88690b1f808cb29d32f1ec223b5dc934e48c94b66634896c67b71622a2b55de5"),
+    "graphon-check-identity": (
+        ("graphon", "--check-identity"),
+        "b2a59b394a4c6d2a5044463acd7618b59864195a06646260ff3289b24ca396ec"),
 }
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -180,6 +181,32 @@ def test_dataset_keeps_isolated_highest_node(tmp_path):
     g2, s2, name = load_dataset(tmp_path / "m.json")
     assert g2 == g and name == "iso"
     assert s2.labels.tolist() == [0, 1, 0, 1, 0]
+
+
+def test_edges_and_labels_flags_load_what_the_manifest_loads(tmp_path, capsys):
+    # the label file sizes the graph on both paths, so labelled isolated nodes 3 and 4 stay
+    edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
+    edges.write_text("0 1\n1 2\n")
+    labels.write_text("".join(f"{v} {v % 2}\n" for v in range(5)))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"name": str(edges), "edge_file": "e.txt",
+                                    "label_file": "l.txt", "class_count": 2}))
+    flags = ["--edges", str(edges), "--labels", str(labels), "--classes", "2"]
+    g, s, _ = cli._load_from_flags(cli.build_parser().parse_args(["homophily", *flags]))
+    g2, s2, _ = load_dataset(manifest)
+    assert g == g2 and g.node_count == 5
+    assert np.array_equal(s.labels, s2.labels) and np.array_equal(s.rows, s2.rows)
+    capsys.readouterr()
+    assert cli.main(["homophily", *flags]) == 0
+    via_flags = capsys.readouterr().out
+    assert cli.main(["homophily", "--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == via_flags
+
+
+def test_labels_without_classes_fails_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "absent.txt")
+    assert cli.main(["homophily", "--edges", missing, "--labels", missing]) == 2
+    assert "--labels requires --classes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("via", ["manifest", "cli"])

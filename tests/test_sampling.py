@@ -207,3 +207,7 @@ def test_sample_json_shape(karate):
     assert d["design"]["kind"] == "srs" and d["seed"] == 3
     assert len(d["edges"]) == sample.edge_count
     assert all(e["pi"] is None for e in d["edges"])
+    incl = sample.design.inclusion(g)
+    filled = sample.to_json_dict(incl)
+    assert [e["pi"] for e in filled["edges"]] == incl.pi[sample.edge_index].tolist()
+    assert {k: v for k, v in filled.items() if k != "edges"} == {k: v for k, v in d.items() if k != "edges"}
