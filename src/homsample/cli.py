@@ -16,11 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import estimate_metric
+from .estimators import MODES_FOR_KIND, estimate_metric
 from .graph import load_dataset, load_edge_list, load_labelled, total_edge_weight
 from .graphon import convergence_experiment, phi_step, two_block_graphon
 from .harness import (
-    DEFAULT_MODE_FOR_KIND,
     ExperimentConfig,
     resolve_design,
     run_experiment,
@@ -183,7 +182,7 @@ def _cmd_estimate(args):
     kind = _metric_kind(args.metric)
     sample = draw_sample(g, design)
     incl = sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
-    report = estimate_metric(sample, s, kind, args.mode, incl=incl)
+    report = estimate_metric(sample, s, kind, args.mode or MODES_FOR_KIND[kind][0], incl=incl)
     _emit_json({"dataset": name, **report.to_json_dict()}, args.out)
     return 0
 
@@ -196,7 +195,7 @@ def _cmd_experiment(args):
         kinds = list(TABLE_METRICS)
     else:
         kinds = [_metric_kind(m) for m in args.metric.split(",")]
-    pairs = tuple((k, args.mode if args.mode else DEFAULT_MODE_FOR_KIND[k]) for k in kinds)
+    pairs = tuple((k, args.mode or MODES_FOR_KIND[k][0]) for k in kinds)
     cfg = ExperimentConfig(
         dataset=name,
         design={"kind": args.design},
@@ -287,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_flags(p)
     p.add_argument("--metric", default="dirichlet",
                    help="dirichlet|dirichlet_total|edge|node (full names accepted)")
-    p.add_argument("--mode", default="hajek_ratio",
-                   help="ht_total|plug_in|hajek_ratio|known_denominator")
+    p.add_argument("--mode", default=None,
+                   help="ht_total|plug_in|hajek_ratio|known_denominator (default: per metric)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
     p.add_argument("--pi-reps", type=int, default=100_000)

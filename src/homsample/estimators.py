@@ -28,16 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphSignal, total_edge_weight
-from .inclusion import DegenerateSampleError, InclusionModel
+from .inclusion import InclusionModel
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
     EDGE_HOMOPHILY,
+    EDGE_METRICS,
     METRIC_KINDS,
     NODE_HOMOPHILY,
-    edge_variation_values,
     node_homophily,
-    same_label_weight_values,
+    node_sums,
 )
 from .sampling import SampledGraph, design_to_dict
 
@@ -49,6 +49,7 @@ PLUG_IN = "plug_in"
 HAJEK_RATIO = "hajek_ratio"
 KNOWN_DENOMINATOR = "known_denominator"
 
+# supported modes per metric kind, the default first
 MODES_FOR_KIND = {
     DIRICHLET_TOTAL: (HT_TOTAL, PLUG_IN),
     DIRICHLET_NORMALIZED: (HAJEK_RATIO, KNOWN_DENOMINATOR, PLUG_IN),
@@ -59,6 +60,17 @@ MODES_FOR_KIND = {
 VARIANCE_EXACT = "exact_design"
 VARIANCE_UNSUPPORTED = "unsupported"
 VARIANCE_CLAMPED = "negative_clamped"
+
+
+class DegenerateSampleError(ValueError):
+    """The realization cannot support the requested estimator.
+
+    Raised for a zero ratio denominator or an empty sample, for a sampled
+    edge that the inclusion model gives probability 0, which an undersized
+    empirical oracle produces, and for sampled edge pairs whose span class
+    has closed-form joint probability 0. The experiment harness records
+    such a replication as invalid.
+    """
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,31 @@ class EstimateReport:
         }
 
 
+def check_mode(kind: str, mode: str):
+    """Raise ValueError unless ``mode`` is a supported mode of metric ``kind``."""
+    if kind not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}")
+    if mode not in MODES_FOR_KIND[kind]:
+        raise ValueError(f"mode {mode!r} not supported for {kind!r} "
+                         f"(supported: {', '.join(MODES_FOR_KIND[kind])})")
+
+
+def _positive_pi(sample: SampledGraph, incl: InclusionModel) -> np.ndarray:
+    """``incl.pi`` of the sampled edges; a value below PI_FLOOR contradicts the realization."""
+    ids = sample.edge_index
+    pi = incl.pi[ids]
+    bad = np.nonzero(pi < PI_FLOOR)[0]
+    if len(bad):
+        g, k = sample.parent, ids[bad[0]]
+        raise DegenerateSampleError(
+            f"sampled edge ({g.edge_i[k]}, {g.edge_j[k]}) has inclusion "
+            f"probability {pi[bad[0]]:g} below the floor {PI_FLOOR:g} under the "
+            f"{incl.source} model, which contradicts this realization; use the "
+            "empirical inclusion oracle (empirical_pi), with more replications "
+            "if it produced this model")
+    return pi
+
+
 def _sampled_values(sample: SampledGraph, values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (sample.edge_count,):
@@ -102,8 +139,7 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
     values = _sampled_values(sample, values)
     if sample.edge_count == 0:
         return 0.0
-    pi = incl.require_positive(sample.edge_index, PI_FLOOR)
-    return float((values / pi).sum())
+    return float((values / _positive_pi(sample, incl)).sum())
 
 
 def plug_in_total(sample: SampledGraph, values) -> float:
@@ -141,15 +177,11 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
         return None, VARIANCE_UNSUPPORTED
     if sample.edge_count == 0:
         return 0.0, VARIANCE_EXACT
-    ids = sample.edge_index
+    g, ids = sample.parent, sample.edge_index
     m = len(ids)
-    # only endpoints of sampled edges carry sums; inverse ids compact them
-    _, node = np.unique(np.concatenate([incl.edge_i[ids], incl.edge_j[ids]]),
-                        return_inverse=True)
-    node_sums = np.bincount(node, weights=np.concatenate([values, values]))
-    degrees = np.bincount(node)
+    sums, degrees = node_sums(g.edge_i[ids], g.edge_j[ids], values)
     q = float(values @ values)
-    a = float(node_sums @ node_sums) - 2.0 * q
+    a = float(sums @ sums) - 2.0 * q
     d = float(values.sum()) ** 2 - q - a
     pairs3 = int(degrees @ degrees) - 2 * m
     pairs4 = m * m - m - pairs3
@@ -161,7 +193,7 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
                 f"inclusion probability 0 under the {incl.source} model, which "
                 "contradicts this realization")
     # a closed-form model gives every edge the same pi
-    pi = float(incl.require_positive(ids, PI_FLOOR)[0])
+    pi = float(_positive_pi(sample, incl)[0])
     inv_sq = 1.0 / pi ** 2
     est = q * (inv_sq - 1.0 / pi)
     if pairs3:
@@ -187,18 +219,15 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
                     incl: InclusionModel | None = None) -> EstimateReport:
     """Estimate one homophily metric from a sampled graph.
 
-    ``incl`` is required for HT-weighted modes. "known_denominator" treats
-    the total edge weight of ``sample.parent`` as known. Degenerate
-    realizations (empty sample under a ratio mode, or an edge the model
-    gives probability 0) raise DegenerateSampleError so callers can flag
-    the replication.
+    Edge metrics take their per-edge kernel and scale from ``EDGE_METRICS``:
+    a total divides by 1, a ratio by the scale times the total edge weight
+    of the sample ("plug_in"), its HT estimate ("hajek_ratio") or the parent
+    graph ("known_denominator"). ``incl`` is required unless "plug_in".
+    Degenerate realizations (an empty sample under a ratio mode, or an edge
+    the model gives probability 0) raise DegenerateSampleError.
     """
-    if kind not in METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    if mode not in MODES_FOR_KIND[kind]:
-        raise ValueError(f"mode {mode!r} not supported for {kind!r} "
-                         f"(supported: {', '.join(MODES_FOR_KIND[kind])})")
-    if mode in (HT_TOTAL, HAJEK_RATIO, KNOWN_DENOMINATOR) and incl is None:
+    check_mode(kind, mode)
+    if mode != PLUG_IN and incl is None:
         raise ValueError(f"mode {mode!r} requires an inclusion model")
 
     g, ids = sample.parent, sample.edge_index
@@ -209,33 +238,22 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
         if sample.edge_count == 0:
             raise DegenerateSampleError("no sampled edges; node homophily undefined")
         point = node_homophily(g, signal, ids)
-    elif kind == DIRICHLET_TOTAL:
-        values = edge_variation_values(g, signal, ids)
-        if mode == PLUG_IN:
-            point = plug_in_total(sample, values)
-        else:
-            point = ht_total(sample, values, incl)
-            variance, variance_status = ht_variance(sample, values, incl)
     else:
-        if kind == DIRICHLET_NORMALIZED:
-            numerator = edge_variation_values(g, signal, ids)
-            den_scale = 2.0
-        else:
-            numerator = same_label_weight_values(g, signal, ids)
-            den_scale = 1.0
+        kernel, scale = EDGE_METRICS[kind]
+        values = kernel(g, signal, ids)
         if mode == PLUG_IN:
-            den = float((den_scale * g.edge_w[ids]).sum())
+            den = 1.0 if scale is None else float((scale * g.edge_w[ids]).sum())
             if den == 0.0:
                 raise DegenerateSampleError("empty sample; plug-in ratio undefined")
-            point = plug_in_total(sample, numerator) / den
+            point = plug_in_total(sample, values) / den
         elif mode == HAJEK_RATIO:
-            point = hajek_ratio(sample, numerator, den_scale * g.edge_w[ids], incl)
-        else:  # known_denominator
-            den = den_scale * total_edge_weight(g)
+            point = hajek_ratio(sample, values, scale * g.edge_w[ids], incl)
+        else:  # ht_total, or known_denominator
+            den = 1.0 if scale is None else scale * total_edge_weight(g)
             if den <= 0:
                 raise ValueError("parent graph has no edge weight")
-            point = ht_total(sample, numerator, incl) / den
-            var, variance_status = ht_variance(sample, numerator, incl)
+            point = ht_total(sample, values, incl) / den
+            var, variance_status = ht_variance(sample, values, incl)
             variance = var / den ** 2 if var is not None else None
 
     if not np.isfinite(point):

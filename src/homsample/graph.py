@@ -62,7 +62,7 @@ class Graph:
 
     __slots__ = (
         "node_count", "edge_i", "edge_j", "edge_w",
-        "_indptr", "_nbr", "_nbr_w", "_nbr_eid", "_sp_cache", "_sp_cache_bytes", "_betweenness",
+        "_indptr", "_nbr", "_nbr_eid", "_sp_cache", "_sp_cache_bytes", "_betweenness",
     )
 
     def __init__(self, node_count, edge_i, edge_j, edge_w):
@@ -123,13 +123,11 @@ class Graph:
         n, m = self.node_count, len(self.edge_i)
         src = np.concatenate([self.edge_i, self.edge_j])
         dst = np.concatenate([self.edge_j, self.edge_i])
-        wgt = np.concatenate([self.edge_w, self.edge_w])
         eid = np.concatenate([np.arange(m), np.arange(m)])
         order = np.argsort(src, kind="stable")
         self._indptr = _freeze(np.concatenate(
             [[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.int64))
         self._nbr = _freeze(dst[order])
-        self._nbr_w = _freeze(wgt[order])
         self._nbr_eid = _freeze(eid[order])
 
     # -- basic queries -----------------------------------------------------

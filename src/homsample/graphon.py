@@ -47,6 +47,8 @@ def phi_step(g: Graph, s: GraphSignal) -> float:
     if s.node_count != g.node_count:
         raise ValueError(f"signal has {s.node_count} rows for {g.node_count} nodes")
     n = g.node_count
+    if n == 0:
+        raise ValueError("graph has no nodes")
     x = s.rows
     sq = np.einsum("af,af->a", x, x)
     degree = (np.bincount(g.edge_i, g.edge_w, minlength=n)
@@ -138,16 +140,19 @@ def convergence_experiment(w: GridGraphon, signal_grid: np.ndarray, sizes, reps:
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    sizes = [int(n) for n in sizes]
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"sizes must be >= 1, got {min(sizes)}")
     phi = phi_grid(w, signal_grid)
     series = []
     for k, n in enumerate(sizes):
         ratios = np.empty(reps)
         for r in range(reps):
             rng = child_rng(base_seed, k, r)
-            g, u = sample_w_random_graph(w, int(n), rng)
+            g, u = sample_w_random_graph(w, n, rng)
             ratios[r] = dirichlet_energy(g, signal_at_latents(signal_grid, w, u)) / float(n * n)
         series.append({
-            "n": int(n),
+            "n": n,
             "mean": float(ratios.mean()),
             "deviation": float(np.abs(ratios - phi).mean()),
         })

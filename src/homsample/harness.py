@@ -22,19 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimators, metrics
-from .estimators import DegenerateSampleError, estimate_metric
+from . import metrics
+from .estimators import DegenerateSampleError, check_mode, estimate_metric
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
 from .rng import DEFAULT_SEED, derive_seed
 from .sampling import design_from_dict, draw_sample, with_seed
-
-DEFAULT_MODE_FOR_KIND = {
-    metrics.DIRICHLET_TOTAL: estimators.HT_TOTAL,
-    metrics.DIRICHLET_NORMALIZED: estimators.HAJEK_RATIO,
-    metrics.EDGE_HOMOPHILY: estimators.HAJEK_RATIO,
-    metrics.NODE_HOMOPHILY: estimators.PLUG_IN,
-}
 
 
 @dataclass(frozen=True)
@@ -55,10 +48,9 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for kind, mode in self.metrics:
-            if kind not in metrics.METRIC_KINDS:
-                raise ValueError(f"unknown metric kind {kind!r}")
-            if mode not in estimators.MODES_FOR_KIND[kind]:
-                raise ValueError(f"mode {mode!r} invalid for {kind!r}")
+            check_mode(kind, mode)
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
 
     def to_json_dict(self) -> dict:
         return {

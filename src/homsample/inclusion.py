@@ -14,7 +14,8 @@ available there, so variance estimation is unsupported under traceroute.
 A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies by
 replaying any design's ``realize`` and is the fallback authority when the
 approximation is in doubt; it estimates ``pi`` only, so its models carry
-no joints.
+no joints. A model is only its source, ``pi`` and span table; the
+estimators check a realization against it.
 """
 
 from __future__ import annotations
@@ -32,20 +33,9 @@ if TYPE_CHECKING:
     from .sampling import SampleDesign
 
 
-class DegenerateSampleError(ValueError):
-    """The realization cannot support the requested estimator.
-
-    Raised for a zero ratio denominator or an empty sample, for a sampled
-    edge that the inclusion model gives probability 0, which an undersized
-    empirical oracle produces, and for sampled edge pairs whose span class
-    has closed-form joint probability 0. The experiment harness records
-    such a replication as invalid.
-    """
-
-
 @dataclass(frozen=True, eq=False)
 class InclusionModel:
-    """Per-edge inclusion probabilities plus (when defined) pairwise joints.
+    """Per-edge inclusion probabilities plus (when defined) pairwise joints; data only.
 
     ``pi`` is aligned with the parent graph's edge arrays; entries of 0
     mark edges the design can never sample. ``joint_by_span[k]`` is the
@@ -56,26 +46,11 @@ class InclusionModel:
 
     source: str
     pi: np.ndarray
-    edge_i: np.ndarray
-    edge_j: np.ndarray
     joint_by_span: np.ndarray | None = None
 
     @property
     def has_joint(self) -> bool:
         return self.joint_by_span is not None
-
-    def require_positive(self, edge_ids: np.ndarray, floor: float) -> np.ndarray:
-        pi = self.pi[edge_ids]
-        bad = np.nonzero(pi < floor)[0]
-        if len(bad):
-            k = edge_ids[bad[0]]
-            raise DegenerateSampleError(
-                f"sampled edge ({self.edge_i[k]}, {self.edge_j[k]}) has inclusion "
-                f"probability {pi[bad[0]]:g} below the floor {floor:g} under the "
-                f"{self.source} model, which contradicts this realization; use the "
-                "empirical inclusion oracle (empirical_pi), with more replications "
-                "if it produced this model")
-        return pi
 
 
 def edge_betweenness(g: Graph) -> np.ndarray:
@@ -146,8 +121,6 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> Inclusion
     return InclusionModel(
         source=f"empirical:{design.kind}",
         pi=counts / replications,
-        edge_i=g.edge_i,
-        edge_j=g.edge_j,
     )
 
 

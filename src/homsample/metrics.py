@@ -64,27 +64,45 @@ def same_label_weight_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndar
     return w * (labels[i] == labels[j])
 
 
+def node_sums(i: np.ndarray, j: np.ndarray, values: np.ndarray):
+    """Per-endpoint sums of ``values`` and edge counts over the edges (i, j), in node order."""
+    _, node = np.unique(np.concatenate([i, j]), return_inverse=True)
+    return np.bincount(node, weights=np.concatenate([values, values])), np.bincount(node)
+
+
+# An edge metric is a total of per-edge values, which a ratio divides by a multiple
+# of the total edge weight: kind -> (per-edge kernel, scale), scale None for a
+# plain total. The exact metrics and the estimators both read this table.
+EDGE_METRICS = {
+    DIRICHLET_TOTAL: (edge_variation_values, None),
+    DIRICHLET_NORMALIZED: (edge_variation_values, 2.0),
+    EDGE_HOMOPHILY: (same_label_weight_values, 1.0),
+}
+
+
+def _edge_metric(g: Graph, s: GraphSignal, kind: str) -> float:
+    kernel, scale = EDGE_METRICS[kind]
+    den = 1.0 if scale is None else scale * total_edge_weight(g)
+    if den <= 0:
+        raise ValueError("graph has no edges")
+    return float(kernel(g, s).sum()) / den
+
+
 def dirichlet_energy(g: Graph, s: GraphSignal) -> float:
     """Total squared variation over edges (each unordered edge once)."""
-    return float(edge_variation_values(g, s).sum())
+    return _edge_metric(g, s, DIRICHLET_TOTAL)
 
 
 def normalized_dirichlet(g: Graph, s: GraphSignal) -> float:
     """Dirichlet energy divided by twice the total edge weight; in [0, 1] for one-hot signals."""
     if s.labels is None:
         raise ValueError("normalized energy is defined for one-hot signals")
-    w = total_edge_weight(g)
-    if w <= 0:
-        raise ValueError("graph has no edges")
-    return dirichlet_energy(g, s) / (2.0 * w)
+    return _edge_metric(g, s, DIRICHLET_NORMALIZED)
 
 
 def edge_homophily(g: Graph, s: GraphSignal) -> float:
     """Fraction of edge weight joining same-label endpoints."""
-    w = total_edge_weight(g)
-    if w <= 0:
-        raise ValueError("graph has no edges")
-    return float(same_label_weight_values(g, s).sum() / w)
+    return _edge_metric(g, s, EDGE_HOMOPHILY)
 
 
 def node_homophily(g: Graph, s: GraphSignal, edge_ids=None) -> float:
@@ -98,11 +116,9 @@ def node_homophily(g: Graph, s: GraphSignal, edge_ids=None) -> float:
     i, j, _ = _edges(g, edge_ids)
     if not len(i):
         raise ValueError("graph has no edges")
-    match = (labels[i] == labels[j]).astype(np.float64)
-    # only endpoints of the given edges have degree >= 1; inverse ids keep node order
-    _, node = np.unique(np.concatenate([i, j]), return_inverse=True)
-    same = np.bincount(node, weights=np.concatenate([match, match]))
-    return float(np.mean(same / np.bincount(node)))
+    # only endpoints of the given edges have degree >= 1
+    same, degree = node_sums(i, j, (labels[i] == labels[j]).astype(np.float64))
+    return float(np.mean(same / degree))
 
 
 _EXACT = {

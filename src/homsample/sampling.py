@@ -51,7 +51,6 @@ class BernoulliDesign:
     def inclusion(self, g: Graph) -> InclusionModel:
         """pi = p^2 per edge; an edge pair spanning k nodes is joint with p^k."""
         return InclusionModel(source="analytic:bernoulli", pi=np.full(g.edge_count, self.p ** 2),
-                              edge_i=g.edge_i, edge_j=g.edge_j,
                               joint_by_span=self.p ** np.arange(5.0))
 
 
@@ -83,7 +82,7 @@ class SrsDesign:
             denom = _falling(n, k)
             by_span[k] = _falling(self.n_star, k) / denom if denom > 0 else 0.0
         return InclusionModel(source="analytic:srs", pi=np.full(g.edge_count, pi),
-                              edge_i=g.edge_i, edge_j=g.edge_j, joint_by_span=by_span)
+                              joint_by_span=by_span)
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class TracerouteDesign:
     def inclusion(self, g: Graph) -> InclusionModel:
         """Betweenness approximation of pi; no joint probabilities."""
         pi = approx_pi_traceroute(edge_betweenness(g), self.n_sources, self.n_targets, g.node_count)
-        return InclusionModel(source="traceroute-approx", pi=pi, edge_i=g.edge_i, edge_j=g.edge_j)
+        return InclusionModel(source="traceroute-approx", pi=pi)
 
 
 SampleDesign = Union[BernoulliDesign, SrsDesign, TracerouteDesign]

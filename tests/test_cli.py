@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from homsample import karate_manifest_path
+from homsample.estimators import MODES_FOR_KIND
 
 MANIFEST = str(karate_manifest_path())
 
@@ -162,7 +163,8 @@ def test_graphon_convergence(tmp_path):
 # sha256 of each output, recorded with numpy 2.4.6: the first four as
 # written before designs took over their own realization and inclusion
 # mechanics, the next three (which carry a variance) as written by the span-sum
-# HT variance, and the identity check as written from the dense n x n step pair.
+# HT variance, the identity check as written from the dense n x n step pair, and
+# the last five as written before the estimators read one metric table.
 # A changed hash is a changed output: it must be justified in CHANGES.md.
 PINNED_OUTPUTS = {
     "estimate-srs": (
@@ -193,6 +195,26 @@ PINNED_OUTPUTS = {
     "graphon-check-identity": (
         ("graphon", "--check-identity"),
         "b2a59b394a4c6d2a5044463acd7618b59864195a06646260ff3289b24ca396ec"),
+    "estimate-srs-dirichlet-total-plug-in": (
+        ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet_total",
+         "--mode", "plug_in", "--seed", "7"),
+        "4f152300e3076f719f2ed7ec8c7116f57d2547fefbd852ca4319ec3cfd436678"),
+    "estimate-srs-dirichlet-plug-in": (
+        ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet",
+         "--mode", "plug_in", "--seed", "7"),
+        "cb7688ff4ca04ceae172a05622973d2f34346537bd49c987280315b91221314d"),
+    "estimate-bernoulli-edge-hajek-ratio": (
+        ("estimate", "--design", "bernoulli", "--p", "0.3", "--metric", "edge",
+         "--mode", "hajek_ratio", "--seed", "7"),
+        "963ffde0e99e451b852d75b2a0cad06dffdcd8d9e28c12077f47493cfbf98c57"),
+    "estimate-srs-node-plug-in": (
+        ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "node",
+         "--mode", "plug_in", "--seed", "7"),
+        "6b480a46eb165cc6ea4be312c90719397209aff770fa7fef421b6bb060cd3af1"),
+    "experiment-srs-plug-in": (
+        ("experiment", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet_total,edge",
+         "--mode", "plug_in", "--reps", "20", "--seed", "7", "--threads", "1"),
+        "0f1b69a5eb785c4c64131db59cf04d8dcf521adb9515a8d90db15167dfa37b73"),
 }
 
 
@@ -203,3 +225,32 @@ def test_output_bytes_pinned(tmp_path, name):
     res = run_cli(args[0], "--manifest", MANIFEST, *args[1:], "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["dirichlet_total", "dirichlet_normalized",
+                                  "edge_homophily", "node_homophily"])
+def test_estimate_defaults_to_the_metrics_first_mode(tmp_path, kind):
+    args = ("estimate", "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3",
+            "--metric", kind, "--seed", "7")
+    implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+    res = run_cli(*args, "--out", str(implicit))
+    assert res.returncode == 0, res.stderr
+    run_cli(*args, "--mode", MODES_FOR_KIND[kind][0], "--out", str(explicit))
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def test_graphon_on_an_empty_graph_is_an_input_error(tmp_path):
+    edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
+    edges.write_text("")
+    labels.write_text("")
+    res = run_cli("graphon", "--check-identity", "--edges", str(edges),
+                  "--labels", str(labels), "--classes", "2")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("sizes", ["0,10", "-5"])
+def test_graphon_rejects_sizes_below_one(sizes):
+    res = run_cli("graphon", f"--sizes={sizes}", "--reps", "1")
+    assert res.returncode == 2
+    assert res.stderr == "error: sizes must be >= 1, got " + sizes.split(",")[0] + "\n"

@@ -16,6 +16,7 @@ from homsample import (
     sample_w_random_graph,
     two_block_graphon,
 )
+from homsample import graphon
 from homsample.graphon import signal_at_latents
 from oracles import dense_phi_step, random_graph, random_onehot_signal, riemann_phi, to_step_pair
 
@@ -190,3 +191,19 @@ def test_signal_at_latents_matches_blocks():
     u = np.array([0.1, 0.6, 0.49, 0.99])
     s = signal_at_latents(sig, w, u)
     assert s.rows.tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
+
+
+def test_phi_step_rejects_a_graph_without_nodes():
+    with pytest.raises(ValueError, match="no nodes"):
+        phi_step(Graph.from_edges(0, []), GraphSignal(np.zeros((0, 2))))
+
+
+@pytest.mark.parametrize("sizes", [(10, 0), (-5,)])
+def test_convergence_rejects_sizes_below_one_before_any_work(monkeypatch, sizes):
+    def no_work(*args):
+        raise AssertionError("a graph was generated before the sizes were checked")
+
+    monkeypatch.setattr(graphon, "sample_w_random_graph", no_work)
+    w, sig = two_block_graphon(0.5, 0.2)
+    with pytest.raises(ValueError, match="sizes must be >= 1"):
+        convergence_experiment(w, sig, sizes=sizes, reps=2, base_seed=0)

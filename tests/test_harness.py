@@ -137,8 +137,14 @@ def test_config_validation():
         _karate_cfg(replications=0)
     with pytest.raises(ValueError, match="unknown metric"):
         _karate_cfg(metrics=(("degree", "plug_in"),))
-    with pytest.raises(ValueError, match="invalid for"):
+    with pytest.raises(ValueError, match="not supported for 'node_homophily'"):
         _karate_cfg(metrics=(("node_homophily", "ht_total"),))
+
+
+def test_config_rejects_bins_below_one():
+    # at construction, before any replication runs
+    with pytest.raises(ValueError, match="bins must be >= 1"):
+        _karate_cfg(bins=0)
 
 
 def test_all_replications_reported_in_order():

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import homsample
@@ -27,3 +29,25 @@ def test_no_module_imports_a_siblings_private_name():
     assert len(modules) > 5
     offenders = {p.name: hits for p in modules if (hits := _private_sibling_imports(p))}
     assert offenders == {}
+
+
+# targets the benchmark tracer lists for code that no longer exists
+TRACER_ABSENT = {"inclusion.InclusionModel.joint_matrix", "sampling.realize_edge_ids"}
+
+
+def test_benchmark_tracer_targets_resolve():
+    # a renamed traced function would silently read 0 in every per-layer metric
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = set()
+    for name in tracer.TARGETS:
+        module, *attrs = name.split(".")
+        try:
+            owner = importlib.import_module(f"homsample.{module}")
+            for attr in attrs:
+                owner = getattr(owner, attr)
+        except (ImportError, AttributeError):
+            unresolved.add(name)
+    assert unresolved <= TRACER_ABSENT

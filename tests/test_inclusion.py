@@ -11,6 +11,8 @@ from homsample import (
     approx_pi_traceroute,
     edge_betweenness,
     empirical_pi,
+    ht_total,
+    induced_subgraph,
     inclusion_for,
 )
 from oracles import brute_edge_betweenness, dense_joint, edge_id, random_graph
@@ -202,12 +204,12 @@ def test_empirical_joint_diag_and_flags():
     assert np.all(never.pi == 0)
 
 
-def test_require_positive_directs_to_oracle():
+def test_zero_pi_directs_to_oracle():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     model = inclusion_for(g, TracerouteDesign(1, 1))
     zeroed = dataclasses.replace(model, pi=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="empirical"):
-        zeroed.require_positive(np.array([0, 1]), floor=1e-12)
+        ht_total(induced_subgraph(g, [0, 1, 2]), np.ones(2), zeroed)
 
 
 def test_inclusion_for_traceroute_has_no_joint(karate):
