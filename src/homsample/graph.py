@@ -10,15 +10,13 @@ and :mod:`homsample.inclusion` keep within a fixed byte budget: source ->
 DAG (``_sp_cache``), the edge betweenness (``_betweenness``) and the bytes
 both hold (``_sp_cache_bytes``).
 
-Edge lists and label files are read once and parsed in bulk with numpy;
-a text the bulk pass cannot vouch for goes to a per-line parser, which
-gives the same graph or names the first bad line (see "text formats"
-below)."""
+Edge lists and label files are read once and parsed in one pass over
+numpy arrays, which also names the first bad line of a malformed text
+(see "text formats" below)."""
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,172 +209,151 @@ class GraphSignal:
 # Edge list: UTF-8, whitespace-separated "i j" or "i j w", '#' comments.
 # Labels:    one "node_id class_id" per line, every node exactly once.
 #
-# A text is read once and parsed in bulk. Comments are cut, and numpy
-# finds every field's bytes and counts the fields of each line. When all
-# non-blank lines hold the same number of fields, id columns are read
-# from their digits, weights by float() on the column alone, and the
-# checks run on whole arrays. Where the bulk pass cannot vouch for a text
-# (non-ASCII characters outside comments, lines of differing field
-# counts, an id that is not plain digits, a weight float() refuses, a
-# failed check), the per-line parser reads the same lines and gives its
-# result or names the first bad line. So the bulk pass accepts only what
-# the per-line parser accepts, with the same numbers.
+# Line k of a text is its k-th "\n"-separated piece, and whitespace is
+# what str.isspace() says, as for str.split(). A text is read once and
+# parsed in one pass over arrays. Comments are cut, and numpy finds the
+# bytes of every field and the fields of each row, a line that holds
+# any. Ids of 1 to 18 ASCII digits are read from their bytes; every
+# other id goes through int() and every weight through float(), so the
+# accepted syntax is Python's. Each check a line must pass is a mask
+# over the rows, and an error names the first row that fails one.
 
 _COMMENT = re.compile("#[^\n]*")
-_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+_SPACE_BUT_NEWLINE = re.compile(r"[^\S\n]")   # for str patterns \s is str.isspace()
+_SPACE = np.array([c < 128 and chr(c).isspace() for c in range(256)])   # by UTF-8 byte
 
 
-def _file_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from fh
-
-
-def _read(source):
-    """Read a path or an iterable of lines once.
-
-    Returns the text, whose ``"\\n"``-separated pieces are the source's
-    lines, or else the lines themselves: for a file that is not UTF-8
-    (the per-line parser then meets the decoding error where it always
-    did) and for line items that are not strings each ending in their
-    only newline.
-    """
+def _read(source) -> str:
+    """The text of a path, or of an iterable of lines, each given its
+    ``"\\n"``. A file that is not UTF-8 raises UnicodeDecodeError at the
+    byte offset of its first bad byte."""
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except UnicodeDecodeError:
-            return _file_lines(source)
-    lines = list(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return "".join(line if line.endswith("\n") else line + "\n" for line in source)
+
+
+def _convert(convert, tokens: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``convert`` of each token, and a mask of the tokens it reads; a
+    token it refuses reads as 0. Tokens are read one at a time only
+    after the batch meets one."""
+    ok = np.ones(len(tokens), dtype=bool)
     try:
-        text = "".join(lines)
-    except TypeError:
-        return lines
-    if (all(line[-1:] == "\n" for line in lines[:-1])
-            and text.count("\n") == len(lines) - 1 + text.endswith("\n")):
-        return text
-    return lines
-
-
-def _lines(text):
-    """The lines of what :func:`_read` returned."""
-    return text.split("\n") if isinstance(text, str) else text
+        return np.fromiter(map(convert, tokens), dtype, len(tokens)), ok
+    except ValueError:
+        values = np.zeros(len(tokens), dtype=dtype)
+    for k, token in enumerate(tokens):
+        try:
+            values[k] = convert(token)
+        except ValueError:
+            ok[k] = False
+    return values, ok
 
 
 @dataclass(frozen=True, eq=False)
 class _FieldTable:
-    """The fields of a text whose non-blank lines all hold k of them.
+    """The fields of a text, by row.
 
-    ``b`` is the text without comments as ASCII bytes, with one byte of
-    whitespace appended; field f spans ``b[first[f]:end[f]]``, fields in
-    text order, so column c holds fields c, c + k, c + 2k, ...
+    ``b`` is the text without comments as UTF-8 bytes, each whitespace
+    character but ``"\\n"`` made an ASCII space, with one space appended;
+    field f spans ``b[first[f]:end[f]]``, fields in text order. Row r is
+    line ``line[r]`` (0-based) of ``text`` and holds ``count[r]`` fields
+    from field ``start[r]`` on.
     """
 
+    text: str
     b: np.ndarray
     first: np.ndarray
     end: np.ndarray
-    k: int
+    line: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
 
-    def ints(self, c: int) -> np.ndarray | None:
-        """Column c as int64 if every field in it is 1 to 18 ASCII digits,
-        which int() reads alike and int64 holds; else None."""
-        first = self.first[c::self.k]
-        width = self.end[c::self.k] - first
-        if width.max() > 18:
-            return None
-        value = np.zeros(len(first), dtype=np.int64)
-        for d in range(int(width.max())):
-            live = width > d
-            digit = self.b[np.where(live, first + d, 0)] - np.uint8(48)
-            if np.any(live & (digit > 9)):
-                return None
-            value = np.where(live, value * 10 + digit, value)
-        return value
+    def field(self, c: int) -> np.ndarray:
+        """Field c of every row; a row with fewer fields, which fails its
+        field-count check, gives its last."""
+        return self.start + np.minimum(c, self.count - 1)
 
-    def floats(self, c: int) -> np.ndarray:
-        """Column c read by float(); raises ValueError where float() does."""
-        first = self.first[c::self.k]
-        width = self.end[c::self.k] - first + 1   # each field and the byte after it
+    def tokens(self, f: np.ndarray) -> list[str]:
+        """The text of fields f."""
+        first = self.first[f]
+        width = self.end[f] - first + 1   # each field and the space after it
         at = np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum())
-        tokens = self.b[at].tobytes().decode("ascii").split()
-        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+        return self.b[at].tobytes().decode("utf-8", "surrogatepass").split()
+
+    def ints(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int() of fields f, and a mask of the fields it reads.
+
+        Fields of 1 to 18 ASCII digits, which int() reads alike and int64
+        holds, are read from their bytes. The array is int64, or of Python
+        ints when a value does not fit.
+        """
+        first = self.first[f]
+        width = self.end[f] - first
+        plain = width <= 18
+        value = np.zeros(len(f), dtype=np.int64)
+        for d in range(min(int(width.max(initial=0)), 18)):
+            live = plain & (width > d)
+            digit = self.b[np.where(live, first + d, 0)] - np.uint8(48)
+            plain &= ~live | (digit <= 9)
+            value = np.where(live, value * 10 + digit, value)
+        odd = np.flatnonzero(~plain)
+        ok = np.ones(len(f), dtype=bool)
+        if len(odd):
+            read, ok[odd] = _convert(int, self.tokens(f[odd]), object)
+            try:
+                value[odd] = read
+            except OverflowError:
+                value = value.astype(object)
+                value[odd] = read
+        return value, ok
+
+    def raw(self, r: int) -> str:
+        """Row r's line as the text holds it, comment included, stripped."""
+        k = int(self.line[r])
+        return self.text.split("\n", k + 1)[k].strip()
+
+    def raise_first(self, error, checks) -> None:
+        """Raise ``error`` at the first row failing one of ``checks``,
+        ``(mask over rows, message(r))`` pairs in the order a line is
+        checked, with the message of the first check that row fails."""
+        failing = np.logical_or.reduce([mask for mask, _ in checks])
+        if failing.any():
+            r = int(failing.argmax())
+            message = next(message for mask, message in checks if mask[r])
+            raise error(f"line {self.line[r] + 1}: {message(r)}")
 
 
-def _field_table(text) -> _FieldTable | None:
-    """Field table of a text, or None for non-ASCII text outside comments,
-    text with no fields, lines of differing field counts, or input that
-    is not a text at all."""
-    if not isinstance(text, str):
-        return None
-    if "#" in text:
-        text = _COMMENT.sub("", text)
-    if not text.isascii():
-        return None
-    b = np.frombuffer((text + " ").encode("ascii"), dtype=np.uint8)
-    space = _ASCII_SPACE.take(b)
-    first = np.flatnonzero(~space[1:] & space[:-1]) + 1
-    if not space[0]:
-        first = np.concatenate(([0], first))
-    if not len(first):
-        return None
-    fields_before = np.searchsorted(first, np.flatnonzero(b == 10))   # at each line end
-    per_line = np.diff(fields_before, prepend=0, append=len(first))
-    k = int(per_line.max())
-    if np.any((per_line != k) & (per_line != 0)):
-        return None
-    end = np.flatnonzero(~space[:-1] & space[1:]) + 1
-    return _FieldTable(b, first, end, k)
+def _field_table(text: str) -> _FieldTable:
+    bare = _COMMENT.sub("", text) if "#" in text else text
+    if not bare.isascii():
+        bare = _SPACE_BUT_NEWLINE.sub(" ", bare)
+    b = np.frombuffer((bare + " ").encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    bounds = np.flatnonzero(np.diff(_SPACE.take(b), prepend=True))   # b ends in a space
+    first, end = bounds[0::2], bounds[1::2]
+    per_line = np.diff(np.searchsorted(first, np.flatnonzero(b == 10)), prepend=0, append=len(first))
+    line = np.flatnonzero(per_line)
+    count = per_line[line]
+    return _FieldTable(text, b, first, end, line, np.cumsum(count) - count, count)
 
 
-def _edge_columns(text):
-    """Bulk parse of an edge list: ``(i, j, w, max_id)`` arrays, or None
-    where the per-line parser must judge the text."""
-    table = _field_table(text)
-    if table is None or table.k not in (2, 3):
-        return None
-    i, j = table.ints(0), table.ints(1)
-    if i is None or j is None:
-        return None
-    try:
-        w = table.floats(2) if table.k == 3 else np.ones(len(i))
-    except ValueError:
-        return None
-    if np.any(i == j) or not np.all(np.isfinite(w)) or np.any(w < 0):
-        return None
-    return i, j, w, int(max(i.max(), j.max()))
-
-
-def _edge_rows(lines):
-    """Per-line parse of an edge list: ``(i, j, w, max_id)`` lists.
-
-    Raises EdgeListError naming the first bad line.
-    """
-    ii, jj, ww = [], [], []
-    max_id = -1
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise EdgeListError(f"line {lineno}: expected 'i j' or 'i j w', got {raw.strip()!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: not numeric: {raw.strip()!r}") from None
-        if i < 0 or j < 0:
-            raise EdgeListError(f"line {lineno}: negative node id")
-        if i == j:
-            raise EdgeListError(f"line {lineno}: self-loop at node {i}")
-        if not math.isfinite(w):
-            raise EdgeListError(f"line {lineno}: non-finite weight {w}")
-        if w < 0:
-            raise EdgeListError(f"line {lineno}: negative weight {w}")
-        ii.append(i)
-        jj.append(j)
-        ww.append(w)
-        max_id = max(max_id, i, j)
-    return ii, jj, ww, max_id
+def _edge_columns(t: _FieldTable):
+    """``(i, j, w, max_id)`` of an edge list; raises EdgeListError naming
+    the first bad line."""
+    i, i_ok = t.ints(t.field(0))
+    j, j_ok = t.ints(t.field(1))
+    w, w_ok = np.ones(len(i)), np.ones(len(i), dtype=bool)
+    weighted = np.flatnonzero(t.count == 3)
+    w[weighted], w_ok[weighted] = _convert(float, t.tokens(t.start[weighted] + 2), np.float64)
+    t.raise_first(EdgeListError, [
+        ((t.count < 2) | (t.count > 3), lambda r: f"expected 'i j' or 'i j w', got {t.raw(r)!r}"),
+        (~(i_ok & j_ok & w_ok), lambda r: f"not numeric: {t.raw(r)!r}"),
+        ((i < 0) | (j < 0), lambda r: "negative node id"),
+        (i == j, lambda r: f"self-loop at node {i[r]}"),
+        (~np.isfinite(w), lambda r: f"non-finite weight {float(w[r])}"),
+        (w < 0, lambda r: f"negative weight {float(w[r])}"),
+    ])
+    return i, j, w, int(max(i.max(), j.max())) if len(i) else -1
 
 
 def load_edge_list(source, n_hint: int | None = None, labelled: int | None = None) -> Graph:
@@ -389,9 +366,7 @@ def load_edge_list(source, n_hint: int | None = None, labelled: int | None = Non
     node count is built. A malformed line raises EdgeListError naming
     the first bad line.
     """
-    text = _read(source)
-    columns = _edge_columns(text)
-    i, j, w, max_id = columns if columns is not None else _edge_rows(_lines(text))
+    i, j, w, max_id = _edge_columns(_field_table(_read(source)))
     if labelled is not None and max_id >= labelled:
         raise UnlabelledNodeError(
             f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
@@ -410,68 +385,31 @@ def dump_edge_list(g: Graph) -> str:
                    zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()))
 
 
-def _read_labels(source):
-    """Read and split a label file once: ``(text, table)`` for
-    :func:`_named_nodes` and :func:`_label_signal`."""
-    text = _read(source)
-    return text, _field_table(text)
-
-
-def _named_nodes(text, table) -> int:
-    """Number of nodes a label file names: its lines that are not blank or
-    comments. A file that is not UTF-8 raises here."""
-    if table is not None:
-        return len(table.first) // table.k
-    return sum(1 for raw in _lines(text) if raw.split("#", 1)[0].strip())
-
-
-def _label_signal(text, table, class_count: int, n: int) -> GraphSignal:
-    """The one-hot GraphSignal of a label file read by :func:`_read_labels`."""
-    labels = _label_columns(table, class_count, n)
-    if labels is None:
-        labels = _label_rows(_lines(text), class_count, n)
-    return GraphSignal.from_labels(labels, class_count)
-
-
-def _label_columns(table, class_count: int, n: int):
-    """Bulk parse of a complete label file: the label array, or None where
-    the per-line parser must judge the text."""
-    if table is None or table.k != 2:
-        return None
-    node, cls = table.ints(0), table.ints(1)
-    if (node is None or cls is None or len(node) != n
-            or node.max() >= n or cls.max() >= class_count):
-        return None
+def _label_signal(t: _FieldTable, class_count: int, n: int) -> GraphSignal:
+    """The one-hot GraphSignal of a label file's field table; raises
+    LabelError naming the first bad line, or the first unlabelled node."""
     labels = np.full(n, -1, dtype=np.int64)
-    labels[node] = cls
-    return None if np.any(labels < 0) else labels   # n rows, so a gap means a duplicate
-
-
-def _label_rows(lines, class_count: int, n: int) -> np.ndarray:
-    """Per-line parse of a label file; raises LabelError naming the first bad line."""
-    labels = np.full(n, -1, dtype=np.int64)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise LabelError(f"line {lineno}: expected 'node_id class_id'")
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise LabelError(f"line {lineno}: not numeric: {raw.strip()!r}") from None
-        if not 0 <= node < n:
-            raise LabelError(f"line {lineno}: node {node} out of range [0, {n})")
-        if not 0 <= cls < class_count:
-            raise LabelError(f"line {lineno}: class {cls} out of range [0, {class_count})")
-        if labels[node] != -1:
-            raise LabelError(f"line {lineno}: duplicate node {node}")
-        labels[node] = cls
-    missing = np.nonzero(labels == -1)[0]
+    node, node_ok = t.ints(t.field(0))
+    cls, cls_ok = t.ints(t.field(1))
+    numeric = node_ok & cls_ok
+    node_in = (node >= 0) & (node < n)
+    cls_in = (cls >= 0) & (cls < class_count)
+    valid = np.flatnonzero((t.count == 2) & numeric & node_in & cls_in)
+    order = valid[np.argsort(node[valid], kind="stable")]
+    repeat = np.zeros(len(node), dtype=bool)   # a node named by an earlier valid row
+    repeat[order[1:][node[order[1:]] == node[order[:-1]]]] = True
+    t.raise_first(LabelError, [
+        (t.count != 2, lambda r: "expected 'node_id class_id'"),
+        (~numeric, lambda r: f"not numeric: {t.raw(r)!r}"),
+        (~node_in, lambda r: f"node {node[r]} out of range [0, {n})"),
+        (~cls_in, lambda r: f"class {cls[r]} out of range [0, {class_count})"),
+        (repeat, lambda r: f"duplicate node {node[r]}"),
+    ])
+    labels[np.asarray(node, dtype=np.int64)] = cls
+    missing = np.flatnonzero(labels < 0)
     if len(missing):
         raise LabelError(f"missing label for node {missing[0]}")
-    return labels
+    return GraphSignal.from_labels(labels, class_count)
 
 
 def load_labels(source, class_count: int, n: int) -> GraphSignal:
@@ -480,22 +418,22 @@ def load_labels(source, class_count: int, n: int) -> GraphSignal:
     Every node in ``[0, n)`` must appear exactly once; a malformed line
     raises LabelError naming the first bad line.
     """
-    return _label_signal(*_read_labels(source), class_count, n)
+    return _label_signal(_field_table(_read(source)), class_count, n)
 
 
 def load_labelled(edge_source, label_source, class_count: int) -> tuple[Graph, GraphSignal]:
     """Load an edge list and the label file that names its nodes.
 
-    The label file names every node once, so its line count sizes the
+    The label file names every node once, so its row count sizes the
     graph; isolated nodes absent from the edge list are kept, and an
     edge endpoint beyond the labelled nodes raises UnlabelledNodeError
     before any array sized by the node count is built. The label file is
     read and parsed once.
     """
-    labels = _read_labels(label_source)
-    labelled = _named_nodes(*labels)
+    labels = _field_table(_read(label_source))
+    labelled = len(labels.line)
     g = load_edge_list(edge_source, n_hint=labelled, labelled=labelled)
-    return g, _label_signal(*labels, class_count, g.node_count)
+    return g, _label_signal(labels, class_count, g.node_count)
 
 
 @dataclass(frozen=True)
@@ -512,15 +450,23 @@ class DatasetManifest:
         path = Path(path)
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"manifest {str(path)!r} is not a JSON object")
         for field in ("name", "edge_file", "label_file", "class_count"):
             if field not in raw:
                 raise ValueError(f"manifest missing field {field!r}")
+        for field in ("edge_file", "label_file"):
+            if not isinstance(raw[field], str):
+                raise ValueError(f"manifest field {field!r} is not a string: {raw[field]!r}")
+        count = raw["class_count"]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"manifest field 'class_count' is not an integer >= 1: {count!r}")
         base = path.parent
         return cls(
             name=str(raw["name"]),
             edge_file=base / raw["edge_file"],
             label_file=base / raw["label_file"],
-            class_count=int(raw["class_count"]),
+            class_count=count,
         )
 
     def load_dataset(self) -> tuple[Graph, GraphSignal]:

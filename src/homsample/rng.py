@@ -3,6 +3,14 @@
 All randomness in this package flows through counter-based Philox
 generators created here, so that a (graph, design, seed) triple pins a
 sample exactly, on any platform.
+
+Pitfall: ``SeedSequence`` pads its entropy with zeros, so paths that
+differ only by trailing zeros name one stream. ``make_rng(s)``,
+``child_rng(s, 0)`` and ``child_rng(s, 0, 0)`` draw the same numbers,
+and ``derive_seed(s, 1, 0, 0) == derive_seed(s, 1)``. Streams that are
+used together must differ somewhere other than in trailing zeros, as
+the harness's ``(base, 1, s, r)`` replication paths and the oracle's
+``child_rng(derive_seed(base, 2, s), r)`` do.
 """
 
 import numpy as np

@@ -158,6 +158,10 @@ def test_karate_fixture(karate):
     assert total_edge_weight(g) == 231.0
     assert s.dim == 2
     assert np.bincount(s.labels).tolist() == [17, 17]
+    # the fixture's comment lines and all, as the per-line references read it
+    m = DatasetManifest.load(karate_manifest_path())
+    assert g == reference_load_edge_list(m.edge_file, n_hint=34)
+    assert np.array_equal(s.labels, reference_load_labels(m.label_file, 2, 34).labels)
 
 
 def test_manifest_round(tmp_path):
@@ -169,6 +173,53 @@ def test_manifest_round(tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"name": "x"}')
         DatasetManifest.load(p)
+
+
+@pytest.mark.parametrize("content,fragment", [
+    ("5", "is not a JSON object"),
+    ('["e.txt", "l.txt"]', "is not a JSON object"),
+    ('{"name": "x", "edge_file": 5, "label_file": "l.txt", "class_count": 2}', "'edge_file' is not a string"),
+    ('{"name": "x", "edge_file": "e.txt", "label_file": null, "class_count": 2}', "'label_file' is not a string"),
+    ('{"name": "x", "edge_file": "e.txt", "label_file": "l.txt", "class_count": 1.9}', "'class_count'"),
+    ('{"name": "x", "edge_file": "e.txt", "label_file": "l.txt", "class_count": true}', "'class_count'"),
+    ('{"name": "x", "edge_file": "e.txt", "label_file": "l.txt", "class_count": "2"}', "'class_count'"),
+    ('{"name": "x", "edge_file": "e.txt", "label_file": "l.txt", "class_count": 0}', "'class_count'"),
+])
+def test_malformed_manifest_is_an_error(tmp_path, capsys, content, fragment):
+    (tmp_path / "e.txt").write_text("0 1\n")
+    (tmp_path / "l.txt").write_text("0 0\n1 1\n")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(content)
+    with pytest.raises(ValueError, match=fragment):
+        DatasetManifest.load(manifest)
+    assert cli.main(["info", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("bad", ["edges", "labels"])
+def test_decode_error_names_the_byte_offset_in_the_file(tmp_path, capsys, bad):
+    # past the first 8 KiB, so a chunked read would report an offset into its chunk
+    n = 3000
+    files = {"edges": "".join(f"{v} {v + 1}\n" for v in range(n - 1)).encode(),
+             "labels": "".join(f"{v} {v % 2}\n" for v in range(n)).encode()}
+    offset = len(files[bad]) - 5 * 1000
+    assert offset > 8192
+    files[bad] = files[bad][:offset] + b"\xff" + files[bad][offset + 1:]
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        if bad == "edges":
+            load_edge_list(paths["edges"])
+        else:
+            load_labels(paths["labels"], class_count=2, n=n)
+    assert exc.value.start == offset
+    assert cli.main(["homophily", "--edges", str(paths["edges"]), "--labels", str(paths["labels"]),
+                     "--classes", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"position {offset}" in err
 
 
 def test_dataset_keeps_isolated_highest_node(tmp_path):
@@ -266,13 +317,12 @@ PLAIN_WEIGHTS = ["1", "0.5", "2.25", "0", "1e3", "0.1"]
 
 @st.composite
 def edge_rows(draw):
-    """Rows of a well-formed edge list: 2 or 3 fields, no self-loops."""
-    k = draw(st.sampled_from([2, 3]))
+    """Rows of a well-formed edge list: 2 or 3 fields each, no self-loops."""
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         i = draw(st.sampled_from(PLAIN_IDS))
         j = draw(st.sampled_from([t for t in PLAIN_IDS if t != i]))
-        rows.append([i, j, draw(st.sampled_from(PLAIN_WEIGHTS))][:k])
+        rows.append([i, j, draw(st.sampled_from(PLAIN_WEIGHTS))][:draw(st.sampled_from([2, 3]))])
     return rows
 
 
@@ -340,10 +390,10 @@ def test_bulk_labels_match_per_line_reference(text_file, text, class_count, n):
         got = outcome(lambda: load_labels(source(), class_count, n))
         assert_same_outcome(got, want)
     # read once for sizing and parsing, as load_dataset does
-    labels = graph._read_labels(text_file)
+    labels = graph._field_table(graph._read(text_file))
     with open(text_file, encoding="utf-8") as fh:
-        assert graph._named_nodes(*labels) == sum(1 for raw in fh if raw.split("#", 1)[0].strip())
-    assert_same_outcome(outcome(lambda: graph._label_signal(*labels, class_count, n)),
+        assert len(labels.line) == sum(1 for raw in fh if raw.split("#", 1)[0].strip())
+    assert_same_outcome(outcome(lambda: graph._label_signal(labels, class_count, n)),
                         outcome(lambda: reference_load_labels(text_file, class_count, n)))
 
 
@@ -351,24 +401,22 @@ def test_bulk_load_of_a_44k_edge_w_random_dump(tmp_path):
     w, _ = two_block_graphon(0.008, 0.003)
     g, _ = sample_w_random_graph(w, 4000, np.random.default_rng([1, 0]))
     assert g.edge_count > 40_000
-    text = dump_edge_list(g)
-    path = tmp_path / "edges.txt"
-    path.write_text(text, encoding="utf-8")
-    want = reference_load_edge_list(path, n_hint=g.node_count)
-    assert want == g
-    for source in (path, io.StringIO(text)):
-        got = load_edge_list(source, n_hint=g.node_count)
-        assert got == want and got.edge_w.tobytes() == want.edge_w.tobytes()
-
-
-def test_plain_files_take_the_bulk_pass():
-    # the per-line parser would give the same graphs, only slower
-    m = DatasetManifest.load(karate_manifest_path())
-    assert "#" in m.edge_file.read_text() and "#" in m.label_file.read_text()
-    assert graph._edge_columns(graph._read(m.edge_file)) is not None
-    assert graph._label_columns(graph._field_table(graph._read(m.label_file)), m.class_count, 34) is not None
-    assert graph._edge_columns("0 1\n1 2\n") is not None
-    assert graph._edge_columns("0 1\n1 2 1.0\n") is None   # mixed field counts
+    lines = dump_edge_list(g).splitlines(keepends=True)
+    variants = {
+        "plain": lines,
+        "every other weight dropped": [line.rsplit(" ", 1)[0] + "\n" if k % 2 else line
+                                       for k, line in enumerate(lines)],
+        "signed first ids": ["+" + line for line in lines],
+    }
+    for name, variant in variants.items():
+        text = "".join(variant)
+        path = tmp_path / "edges.txt"
+        path.write_text(text, encoding="utf-8")
+        want = reference_load_edge_list(path, n_hint=g.node_count)
+        assert want == g, name
+        for source in (path, io.StringIO(text)):
+            got = load_edge_list(source, n_hint=g.node_count)
+            assert got == want and got.edge_w.tobytes() == want.edge_w.tobytes(), name
 
 
 def test_dump_matches_scalar_formatting():

@@ -16,7 +16,7 @@ from homsample.harness import (
     write_histogram_csv,
     write_summary_csv,
 )
-from homsample.rng import derive_seed
+from homsample.rng import child_rng, derive_seed, make_rng
 
 
 def _karate_cfg(**overrides):
@@ -167,6 +167,20 @@ def test_empirical_oracle_runs_on_each_sweeps_auxiliary_stream(monkeypatch):
                       pi_source="empirical", pi_replications=50)
     run_experiment(cfg)
     assert seen == [("empirical", derive_seed(101, 2, s), 50) for s in (0, 1)]
+
+
+def test_replication_and_oracle_streams_never_alias():
+    # SeedSequence pads entropy with zeros, so unequal paths can name one stream;
+    # the paths an experiment draws from together must not
+    streams = {}
+    for base in (0, 1, 101, 271828):
+        for s in range(3):
+            oracle_seed = derive_seed(base, 2, s)
+            for r in range(50):
+                streams[("rep", base, s, r)] = make_rng(derive_seed(base, 1, s, r))
+                streams[("oracle", base, s, r)] = child_rng(oracle_seed, r)
+    keys = {path: tuple(rng.bit_generator.random_raw(2).tolist()) for path, rng in streams.items()}
+    assert len(set(keys.values())) == len(keys)
 
 
 def test_unobserved_edges_are_invalid_replications_not_aborts():
