@@ -9,10 +9,8 @@ and a reproducible Monte Carlo experiment harness.
 __version__ = "0.1.0"
 
 from .graph import (
-    DatasetManifest,
     Graph,
     GraphSignal,
-    dump_edge_list,
     karate_manifest_path,
     load_dataset,
     load_edge_list,
@@ -20,16 +18,10 @@ from .graph import (
     total_edge_weight,
 )
 from .metrics import (
-    DIRICHLET_NORMALIZED,
-    DIRICHLET_TOTAL,
-    EDGE_HOMOPHILY,
-    METRIC_KINDS,
-    NODE_HOMOPHILY,
     dirichlet_energy,
     edge_homophily,
     edge_variation_values,
     exact_metric,
-    homophily_profile,
     node_homophily,
     normalized_dirichlet,
 )
@@ -38,10 +30,8 @@ from .sampling import (
     SampledGraph,
     SrsDesign,
     TracerouteDesign,
-    bernoulli_node_sample,
     draw_sample,
     induced_subgraph,
-    srs_node_sample,
 )
 from .inclusion import (
     InclusionModel,
@@ -57,7 +47,6 @@ from .estimators import (
     hajek_ratio,
     ht_total,
     ht_variance,
-    plug_in_total,
 )
 from .graphon import (
     GridGraphon,
@@ -67,5 +56,5 @@ from .graphon import (
     sample_w_random_graph,
     two_block_graphon,
 )
-from .harness import ExperimentConfig, RunRecord, histogram, run_experiment, summarize
-from .rng import DEFAULT_SEED, derive_seed, make_rng
+from .harness import ExperimentConfig, RunRecord, run_experiment
+from .rng import make_rng

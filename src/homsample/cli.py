@@ -38,7 +38,7 @@ from .metrics import (
     homophily_profile,
 )
 from .rng import DEFAULT_SEED
-from .sampling import draw_sample
+from .sampling import design_params, draw_sample
 
 METRIC_ALIASES = {
     "dirichlet": DIRICHLET_NORMALIZED,
@@ -129,7 +129,7 @@ def _single_design(args, n, seed):
 
 
 def _emit_json(obj, out_path):
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -183,13 +183,13 @@ def _cmd_estimate(args):
     sample = draw_sample(g, design)
     incl = sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
     report = estimate_metric(sample, s, kind, args.mode or MODES_FOR_KIND[kind][0], incl=incl)
-    _emit_json({"dataset": name, **report.to_json_dict()}, args.out)
+    _emit_json({"dataset": name, **vars(report)}, args.out)
     return 0
 
 
 def _cmd_experiment(args):
     g, s, name = _load_from_flags(args)
-    sweep = [resolve_design({"kind": args.design}, v, g.node_count).params()
+    sweep = [design_params(resolve_design({"kind": args.design}, v, g.node_count))
              for v in _design_values(args)]
     if args.metric == "all":
         kinds = list(TABLE_METRICS)
@@ -209,9 +209,10 @@ def _cmd_experiment(args):
     )
     record = run_experiment(cfg, dataset=(g, s))
     for row in summarize(record):
+        mean, bias, std = (np.nan if row[c] is None else row[c] for c in ("mean", "bias", "std"))
         print(f"{row['dataset']} {row['kind']}[{row['mode']}] {row['param']}: "
-              f"gt={row['ground_truth']:.4f} mean={row['mean']:.4f} "
-              f"bias={row['bias']:+.4f} std={row['std']:.4f} invalid={row['invalid']}")
+              f"gt={row['ground_truth']:.4f} mean={mean:.4f} "
+              f"bias={bias:+.4f} std={std:.4f} invalid={row['invalid']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(record.to_json())

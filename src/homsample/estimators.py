@@ -87,19 +87,6 @@ class EstimateReport:
     design: dict | None
     seed: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "point": self.point,
-            "variance": self.variance,
-            "variance_status": self.variance_status,
-            "sampled_nodes": self.sampled_nodes,
-            "sampled_edges": self.sampled_edges,
-            "design": self.design,
-            "seed": self.seed,
-        }
-
 
 def check_mode(kind: str, mode: str):
     """Raise ValueError unless ``mode`` is a supported mode of metric ``kind``."""

@@ -11,7 +11,10 @@ full graph; summaries report mean, bias, standard deviation,
 invalid-replication counts and histogram bins per sweep value. A
 replication whose sample cannot support an estimator (an empty ratio
 denominator, or an edge the inclusion model never saw) is recorded as
-invalid with the reason, and the experiment goes on.
+invalid with the reason, and the experiment goes on; a summary with no
+valid replication has mean, bias and std None. A record's JSON is its
+dataclass fields in declaration order, nested records likewise, so a new
+field is one line and serializes itself.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .estimators import DegenerateSampleError, check_mode, estimate_metric
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
 from .rng import DEFAULT_SEED, derive_seed
-from .sampling import design_from_dict, draw_sample, with_seed
+from .sampling import design_from_dict, design_params, draw_sample, with_seed
 
 
 @dataclass(frozen=True)
@@ -47,23 +50,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not self.metrics:
+            raise ValueError("metrics must name at least one (kind, mode) pair")
         for kind, mode in self.metrics:
             check_mode(kind, mode)
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "design": self.design,
-            "metrics": [list(m) for m in self.metrics],
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "sweep": [dict(s) for s in self.sweep],
-            "bins": self.bins,
-            "pi_source": self.pi_source,
-            "pi_replications": self.pi_replications,
-        }
 
 
 def histogram(points, bins: int):
@@ -85,22 +77,12 @@ class SummaryStats:
     kind: str
     mode: str
     ground_truth: float
-    mean: float
-    bias: float
-    std: float
+    mean: float | None                # None when no replication is valid
+    bias: float | None
+    std: float | None
     valid: int
     invalid: int
-    hist_edges: list
-    hist_counts: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind, "mode": self.mode,
-            "ground_truth": self.ground_truth, "mean": self.mean,
-            "bias": self.bias, "std": self.std,
-            "valid": self.valid, "invalid": self.invalid,
-            "histogram": {"edges": self.hist_edges, "counts": self.hist_counts},
-        }
+    histogram: dict                   # {"edges": [...], "counts": [...]}
 
 
 @dataclass
@@ -109,31 +91,20 @@ class SweepResult:
     replications: list
     summaries: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "replications": self.replications,
-            "summaries": {k: s.to_json_dict() for k, s in self.summaries.items()},
-        }
-
 
 @dataclass
 class RunRecord:
     dataset: str
-    config: dict
+    config: ExperimentConfig
     ground_truth: dict
     sweeps: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "config": self.config,
-            "ground_truth": self.ground_truth,
-            "sweeps": [s.to_json_dict() for s in self.sweeps],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """Every record's fields in declaration order; a non-finite number is an error."""
+        d = {**vars(self), "config": vars(self.config),
+             "sweeps": [{**vars(s), "summaries": {k: vars(v) for k, v in s.summaries.items()}}
+                        for s in self.sweeps]}
+        return json.dumps(d, indent=2, allow_nan=False) + "\n"
 
 
 def resolve_design(template: dict, overrides: dict, n: int):
@@ -169,7 +140,7 @@ def _replicate(g, signal, design, incl, metric_pairs, rep, seed):
         key = f"{kind}:{mode}"
         try:
             report = estimate_metric(sample, signal, kind, mode, incl=incl)
-            estimates[key] = report.to_json_dict()
+            estimates[key] = vars(report)
         except DegenerateSampleError as exc:
             estimates[key] = {"invalid": str(exc)}
     return {"rep": rep, "seed": seed, "sampled_nodes": sample.node_count,
@@ -193,7 +164,7 @@ def run_experiment(cfg: ExperimentConfig,
     needed_kinds = sorted({kind for kind, _ in cfg.metrics})
     ground_truth = {kind: metrics.exact_metric(g, signal, kind) for kind in needed_kinds}
 
-    record = RunRecord(dataset=name, config=cfg.to_json_dict(), ground_truth=ground_truth)
+    record = RunRecord(dataset=name, config=cfg, ground_truth=ground_truth)
     sweep_list = cfg.sweep if cfg.sweep else ({},)
 
     for sweep_idx, overrides in enumerate(sweep_list):
@@ -214,18 +185,17 @@ def run_experiment(cfg: ExperimentConfig,
             if points:
                 edges, counts = histogram(points, cfg.bins)
                 mean = float(np.mean(points))
+                bias = mean - ground_truth[kind]
                 std = float(np.std(points, ddof=1)) if len(points) > 1 else 0.0
             else:
-                edges, counts, mean, std = np.array([]), np.array([]), float("nan"), float("nan")
+                edges, counts, mean, bias, std = [], [], None, None, None
             summaries[key] = SummaryStats(
                 kind=kind, mode=mode, ground_truth=ground_truth[kind],
-                mean=mean, bias=mean - ground_truth[kind], std=std,
-                valid=len(points), invalid=invalid,
-                hist_edges=[float(e) for e in edges],
-                hist_counts=[int(c) for c in counts],
+                mean=mean, bias=bias, std=std, valid=len(points), invalid=invalid,
+                histogram={"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]},
             )
         record.sweeps.append(SweepResult(
-            params=dict(overrides) if overrides else dict(design.params()),
+            params=dict(overrides) if overrides else design_params(design),
             replications=reps, summaries=summaries))
     return record
 
@@ -242,7 +212,7 @@ def summarize(record: RunRecord) -> list[dict]:
                 "dataset": record.dataset,
                 "kind": s.kind,
                 "mode": s.mode,
-                "design": record.config["design"].get("kind"),
+                "design": record.config.design.get("kind"),
                 "param": json.dumps(sweep.params, sort_keys=True),
                 "ground_truth": s.ground_truth,
                 "mean": s.mean,
@@ -269,9 +239,10 @@ def write_histogram_csv(record: RunRecord, stream):
         param = json.dumps(sweep.params, sort_keys=True)
         for key in sorted(sweep.summaries):
             s = sweep.summaries[key]
-            for k, count in enumerate(s.hist_counts):
+            edges = s.histogram["edges"]
+            for k, count in enumerate(s.histogram["counts"]):
                 writer.writerow([record.dataset, s.kind, s.mode, param,
-                                 repr(s.hist_edges[k]), repr(s.hist_edges[k + 1]), count])
+                                 repr(edges[k]), repr(edges[k + 1]), count])
 
 
 def write_estimates_csv(record: RunRecord, stream):
@@ -279,7 +250,7 @@ def write_estimates_csv(record: RunRecord, stream):
     writer = csv.writer(stream)
     writer.writerow(["dataset", "kind", "mode", "design", "param", "seed",
                      "point", "variance", "status"])
-    design_kind = record.config["design"].get("kind")
+    design_kind = record.config.design.get("kind")
     for sweep in record.sweeps:
         param = json.dumps(sweep.params, sort_keys=True)
         for rep in sweep.replications:

@@ -41,9 +41,6 @@ class BernoulliDesign:
         if not 0 < self.p <= 1:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
 
-    def params(self) -> dict:
-        return {"p": self.p}
-
     def realize(self, g: Graph, rng) -> "SampledGraph":
         nodes = bernoulli_node_sample(g, self.p, rng)
         return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
@@ -65,9 +62,6 @@ class SrsDesign:
     def validate(self, n: int):
         if not 1 <= self.n_star <= n:
             raise ValueError(f"n_star must be in [1, {n}], got {self.n_star}")
-
-    def params(self) -> dict:
-        return {"n_star": self.n_star}
 
     def realize(self, g: Graph, rng) -> "SampledGraph":
         nodes = srs_node_sample(g, self.n_star, rng)
@@ -102,9 +96,6 @@ class TracerouteDesign:
         for name, value in (("n_sources", self.n_sources), ("n_targets", self.n_targets)):
             if not 1 <= value <= n:
                 raise ValueError(f"{name} must be in [1, {n}], got {value}")
-
-    def params(self) -> dict:
-        return {"n_sources": self.n_sources, "n_targets": self.n_targets}
 
     def realize(self, g: Graph, rng) -> "SampledGraph":
         """Union of one random shortest path per source-target pair.
@@ -146,8 +137,13 @@ SampleDesign = Union[BernoulliDesign, SrsDesign, TracerouteDesign]
 _DESIGN_TYPES = {"bernoulli": BernoulliDesign, "srs": SrsDesign, "traceroute": TracerouteDesign}
 
 
+def design_params(design: SampleDesign) -> dict:
+    """A design's parameters in field order, without its seed."""
+    return {k: v for k, v in vars(design).items() if k != "seed"}
+
+
 def design_to_dict(design: SampleDesign) -> dict:
-    return {"kind": design.kind, "seed": design.seed, **design.params()}
+    return {"kind": design.kind, "seed": design.seed, **design_params(design)}
 
 
 def design_from_dict(d: dict) -> SampleDesign:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -142,6 +144,27 @@ def test_experiment_sweep_stdout():
     assert res.stdout.count("gt=0.1082") == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summary_without_valid_replications_is_null_not_nan(tmp_path):
+    # at p = 0.02 no karate sample of seed 1 keeps an edge, so hajek has no valid point
+    out, scsv = tmp_path / "run.json", tmp_path / "sum.csv"
+    res = run_cli("experiment", "--manifest", MANIFEST, "--design", "bernoulli",
+                  "--p", "0.02", "--metric", "edge,dirichlet_total", "--reps", "5",
+                  "--seed", "1", "--out", str(out), "--summary-csv", str(scsv))
+    assert res.returncode == 0, res.stderr
+    assert "mean=nan bias=+nan std=nan invalid=5" in res.stdout
+    record = json.loads(out.read_text(), parse_constant=_reject_constant)
+    empty = record["sweeps"][0]["summaries"]["edge_homophily:hajek_ratio"]
+    assert (empty["valid"], empty["mean"], empty["bias"], empty["std"]) == (0, None, None, None)
+    assert empty["histogram"] == {"edges": [], "counts": []}
+    rows = {r["kind"]: r for r in csv.DictReader(io.StringIO(scsv.read_text()))}
+    assert [rows["edge_homophily"][c] for c in ("mean", "bias", "std")] == ["", "", ""]
+    assert rows["dirichlet_total"]["mean"] == "0.0"
+
+
 def test_graphon_identity_check():
     res = run_cli("graphon", "--check-identity", "--manifest", MANIFEST)
     assert res.returncode == 0
@@ -164,8 +187,9 @@ def test_graphon_convergence(tmp_path):
 # written before designs took over their own realization and inclusion
 # mechanics, the next three (which carry a variance) as written by the span-sum
 # HT variance, the identity check as written from the dense n x n step pair, and
-# the last five as written before the estimators read one metric table.
-# A changed hash is a changed output: it must be justified in CHANGES.md.
+# the next five as written before the estimators read one metric table, and
+# the two-field traceroute sweep as written before records serialized their own
+# fields. A changed hash is a changed output: it must be justified in CHANGES.md.
 PINNED_OUTPUTS = {
     "estimate-srs": (
         ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet", "--seed", "7"),
@@ -215,6 +239,18 @@ PINNED_OUTPUTS = {
         ("experiment", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet_total,edge",
          "--mode", "plug_in", "--reps", "20", "--seed", "7", "--threads", "1"),
         "0f1b69a5eb785c4c64131db59cf04d8dcf521adb9515a8d90db15167dfa37b73"),
+    "experiment-traceroute-sweep": (
+        ("experiment", "--design", "traceroute", "--sources", "1,2", "--targets", "1,2",
+         "--metric", "dirichlet_total", "--reps", "10", "--seed", "7"),
+        "3b50054889fa4aaefa5efe1c0b6acca93fb0c136d4bd13a707f43134e76aa757"),
+}
+
+# sha256 of the CSV files of the pinned experiment-bernoulli command, recorded
+# before records serialized their own fields
+PINNED_CSVS = {
+    "--summary-csv": "67f0dcd364dc39c04d70bc8829259d257c9abbc206b5a556e7133fdd11994946",
+    "--hist-csv": "ef332dd5e2a9171e478d0f15188339751f90b0b3ae3971db0826af05b33e8ff5",
+    "--estimates-csv": "ecd3fda6773c4c6b77aaab60a03fe9eae980e734dc51b15dc2f81de3a271c40f",
 }
 
 
@@ -225,6 +261,16 @@ def test_output_bytes_pinned(tmp_path, name):
     res = run_cli(args[0], "--manifest", MANIFEST, *args[1:], "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_experiment_csv_bytes_pinned(tmp_path):
+    args = PINNED_OUTPUTS["experiment-bernoulli"][0]
+    paths = {flag: tmp_path / f"{flag[2:]}.csv" for flag in PINNED_CSVS}
+    flags = [str(x) for item in paths.items() for x in item]
+    res = run_cli(args[0], "--manifest", MANIFEST, *args[1:], *flags)
+    assert res.returncode == 0, res.stderr
+    digests = {flag: hashlib.sha256(path.read_bytes()).hexdigest() for flag, path in paths.items()}
+    assert digests == PINNED_CSVS
 
 
 @pytest.mark.parametrize("kind", ["dirichlet_total", "dirichlet_normalized",

@@ -21,8 +21,8 @@ from homsample import (
     ht_variance,
     inclusion_for,
     induced_subgraph,
-    plug_in_total,
 )
+from homsample.estimators import plug_in_total
 from homsample.estimators import (
     HAJEK_RATIO,
     HT_TOTAL,
@@ -391,7 +391,7 @@ def test_report_provenance(karate):
     incl = inclusion_for(g, design)
     sample = draw_sample(g, design)
     r = estimate_metric(sample, s, "dirichlet_total", HT_TOTAL, incl=incl)
-    d = r.to_json_dict()
+    d = vars(r)
     assert d["design"]["kind"] == "bernoulli" and d["seed"] == 55
     assert d["sampled_nodes"] == sample.node_count
     assert d["sampled_edges"] == sample.edge_count

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homsample import (
-    DatasetManifest,
     Graph,
     GraphSignal,
-    dump_edge_list,
     karate_manifest_path,
     load_dataset,
     load_edge_list,
@@ -19,7 +17,13 @@ from homsample import (
     total_edge_weight,
 )
 from homsample import cli, graph
-from homsample.graph import EdgeListError, LabelError, UnlabelledNodeError
+from homsample.graph import (
+    DatasetManifest,
+    EdgeListError,
+    LabelError,
+    UnlabelledNodeError,
+    dump_edge_list,
+)
 from homsample.graphon import sample_w_random_graph, two_block_graphon
 from oracles import (
     edge_id,

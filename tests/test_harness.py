@@ -31,6 +31,12 @@ def _karate_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+def test_config_without_metrics_is_rejected():
+    # nothing to estimate: every sample would be drawn and every summary output be empty
+    with pytest.raises(ValueError, match="metrics"):
+        _karate_cfg(metrics=())
+
+
 def test_histogram_basics():
     edges, counts = histogram([3.0] * 7, bins=5)
     assert len(counts) == 1 and counts[0] == 7          # degenerate range
@@ -99,7 +105,7 @@ def test_invalid_replications_counted_not_hidden():
     s = rec.sweeps[0].summaries["dirichlet_normalized:hajek_ratio"]
     assert s.invalid > 0
     assert s.valid + s.invalid == 60
-    assert sum(s.hist_counts) == s.valid
+    assert sum(s.histogram["counts"]) == s.valid
 
 
 def test_zero_invalids_for_total_mode_at_p03():

@@ -8,11 +8,10 @@ from homsample import (
     edge_homophily,
     edge_variation_values,
     exact_metric,
-    homophily_profile,
     node_homophily,
     normalized_dirichlet,
 )
-from homsample.metrics import METRIC_KINDS, same_label_weight_values
+from homsample.metrics import METRIC_KINDS, homophily_profile, same_label_weight_values
 from oracles import dense_laplacian_tv, edge_id, random_graph, random_onehot_signal
 
 

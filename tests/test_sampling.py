@@ -6,13 +6,17 @@ from homsample import (
     Graph,
     SrsDesign,
     TracerouteDesign,
-    bernoulli_node_sample,
     draw_sample,
     induced_subgraph,
     make_rng,
-    srs_node_sample,
 )
-from homsample.sampling import design_from_dict, design_to_dict, with_seed
+from homsample.sampling import (
+    bernoulli_node_sample,
+    design_from_dict,
+    design_to_dict,
+    srs_node_sample,
+    with_seed,
+)
 from homsample.shortest_paths import path_dag, sample_path
 from oracles import all_shortest_paths, random_graph
 
