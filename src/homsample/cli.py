@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import MODES_FOR_KIND, estimate_metric
+from .estimators import MODES_FOR_KIND, PLUG_IN, estimate_metric
 from .graph import load_dataset, load_edge_list, load_labelled, total_edge_weight
 from .graphon import convergence_experiment, phi_step, two_block_graphon
 from .harness import (
@@ -180,9 +180,11 @@ def _cmd_estimate(args):
     g, s, name = _load_from_flags(args)
     design = _single_design(args, g.node_count, args.seed)
     kind = _metric_kind(args.metric)
+    mode = args.mode or MODES_FOR_KIND[kind][0]
     sample = draw_sample(g, design)
-    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
-    report = estimate_metric(sample, s, kind, args.mode or MODES_FOR_KIND[kind][0], incl=incl)
+    # plug-in estimates never read pi
+    incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
+    report = estimate_metric(sample, s, kind, mode, incl=incl)
     _emit_json({"dataset": name, **vars(report)}, args.out)
     return 0
 
@@ -240,7 +242,7 @@ def _cmd_graphon(args):
                     "phi_times_n_squared": scaled, "relative_residual": residual}, args.out)
         return 0 if residual < 1e-9 else 1
     # convergence study on a two-block graphon
-    w, sig = two_block_graphon(args.p_in, args.p_out, args.resolution)
+    w, sig = two_block_graphon(args.p_in, args.p_out)
     result = convergence_experiment(w, sig, _ints(args.sizes), args.reps, args.seed)
     for row in result["series"]:
         print(f"n={row['n']}: mean={row['mean']:.4f} deviation={row['deviation']:.4f} "
@@ -321,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify phi*n^2 equals the Dirichlet energy on a dataset")
     p.add_argument("--p-in", type=float, default=0.5)
     p.add_argument("--p-out", type=float, default=0.2)
-    p.add_argument("--resolution", type=int, default=2)
     p.add_argument("--sizes", default="50,100,200,400")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

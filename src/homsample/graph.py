@@ -5,10 +5,11 @@ unordered edge is stored exactly once with ``i < j``; weights are strictly
 positive and finite (a zero-weight pair is a non-edge). A CSR adjacency
 over both directions supports O(deg) traversal. The edge and adjacency
 arrays are frozen at construction; the only state that changes later is
-the per-instance shortest-path cache, which :mod:`homsample.shortest_paths`
-and :mod:`homsample.inclusion` keep within a fixed byte budget: source ->
-DAG (``_sp_cache``), the edge betweenness (``_betweenness``) and the bytes
-both hold (``_sp_cache_bytes``).
+the per-instance shortest-path state: the source -> DAG cache
+(``_sp_cache``), which :mod:`homsample.shortest_paths` keeps within a
+fixed byte budget by counting the bytes it holds (``_sp_cache_bytes``),
+and the edge betweenness (``_betweenness``), which
+:mod:`homsample.inclusion` keeps once computed.
 
 Edge lists and label files are read once and parsed in one pass over
 numpy arrays, which also names the first bad line of a malformed text

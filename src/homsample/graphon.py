@@ -96,22 +96,12 @@ def phi_grid(w: GridGraphon, signal_grid: np.ndarray) -> float:
     return _half_ordered_sum(w.values, x) / float(m * m)
 
 
-def two_block_graphon(p_in: float, p_out: float, resolution: int = 2):
+def two_block_graphon(p_in: float, p_out: float):
     """Equal two-block stochastic-block graphon and its block one-hot signal.
 
-    Returns ``(GridGraphon, signal_grid)``; resolution must be even so the
-    blocks are exactly representable.
+    Returns ``(GridGraphon, signal_grid)`` on the 2 x 2 grid, one cell per block.
     """
-    if resolution < 2 or resolution % 2:
-        raise ValueError("resolution must be even and >= 2")
-    half = resolution // 2
-    v = np.full((resolution, resolution), p_out)
-    v[:half, :half] = p_in
-    v[half:, half:] = p_in
-    sig = np.zeros((resolution, 2))
-    sig[:half, 0] = 1.0
-    sig[half:, 1] = 1.0
-    return GridGraphon(v), sig
+    return GridGraphon(np.array([[p_in, p_out], [p_out, p_in]])), np.eye(2)
 
 
 def sample_w_random_graph(w: GridGraphon, n: int, rng) -> tuple[Graph, np.ndarray]:

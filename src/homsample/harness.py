@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .estimators import DegenerateSampleError, check_mode, estimate_metric
+from .estimators import PLUG_IN, DegenerateSampleError, check_mode, estimate_metric
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
 from .rng import DEFAULT_SEED, derive_seed
@@ -52,8 +52,12 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if not self.metrics:
             raise ValueError("metrics must name at least one (kind, mode) pair")
+        seen = set()
         for kind, mode in self.metrics:
             check_mode(kind, mode)
+            if (kind, mode) in seen:
+                raise ValueError(f"metric pair {kind}:{mode} is listed more than once")
+            seen.add((kind, mode))
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
 
@@ -166,11 +170,13 @@ def run_experiment(cfg: ExperimentConfig,
 
     record = RunRecord(dataset=name, config=cfg, ground_truth=ground_truth)
     sweep_list = cfg.sweep if cfg.sweep else ({},)
+    # plug-in estimates never read pi
+    needs_pi = any(mode != PLUG_IN for _, mode in cfg.metrics)
 
     for sweep_idx, overrides in enumerate(sweep_list):
         design = resolve_design(cfg.design, overrides, g.node_count)
         incl = sweep_inclusion(g, design, cfg.base_seed, sweep_idx,
-                               cfg.pi_source, cfg.pi_replications)
+                               cfg.pi_source, cfg.pi_replications) if needs_pi else None
 
         reps = [_replicate(g, signal, design, incl, cfg.metrics, r,
                            derive_seed(cfg.base_seed, 1, sweep_idx, r))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .graph import Graph
 from .rng import child_rng
-from .shortest_paths import path_dag, reserve_cache
+from .shortest_paths import path_dag
 
 if TYPE_CHECKING:
     from .sampling import SampleDesign
@@ -64,16 +64,13 @@ def edge_betweenness(g: Graph) -> np.ndarray:
     ``b`` and ``delta`` in the order of a node-at-a-time Brandes loop
     over the nodes in reverse BFS order, so the sums are bitwise its sums.
 
-    The result is read-only and, when its 8*m bytes fit the graph's
-    shortest-path cache budget, kept on the graph: betweenness does not
-    depend on a traceroute design's source and target counts, so a sweep
-    over them computes it once. Its bytes are reserved before the DAGs
-    it builds, so DAGs that overflow the budget do not crowd it out.
+    The result is read-only and kept on the graph, as its CSR arrays are:
+    betweenness does not depend on a traceroute design's source and target
+    counts, so a sweep over them computes it once. Its 8*m bytes are a
+    fixed per-graph array, so only the DAGs count against the cache budget.
     """
     if g._betweenness is not None:
         return g._betweenness
-    # reserved before the source loop, whose DAGs would otherwise fill the budget first
-    keep = reserve_cache(g, 8 * g.edge_count)
     b = np.zeros(g.edge_count)
     for s in range(g.node_count):
         dag = path_dag(g, s)
@@ -88,8 +85,7 @@ def edge_betweenness(g: Graph) -> np.ndarray:
             b[dag.pred_eid[lo:hi][::-1]] += c
             np.add.at(delta, v, c)
     b.flags.writeable = False
-    if keep:
-        g._betweenness = b
+    g._betweenness = b
     return b
 
 
@@ -101,8 +97,7 @@ def approx_pi_traceroute(b: np.ndarray, n_sources: int, n_targets: int, n: int) 
     this only occurs for degenerate inputs.
     """
     rate = b * (n_sources * n_targets) / float(n * n)
-    pi = -np.expm1(-rate)
-    return np.where(b > 0, np.minimum(pi, 1.0), 0.0)
+    return np.where(b > 0, -np.expm1(-rate), 0.0)
 
 
 def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> InclusionModel:

@@ -10,21 +10,19 @@ DAG is a handful of flat arrays, with no per-node Python objects.
 
 Path counts are kept as floats; only their ratios are ever used. DAGs are
 rng-free, so they are cached on the graph and reused across replications
-without affecting reproducibility. The cache is bounded in bytes, a
-budget the graph's edge betweenness (:mod:`homsample.inclusion`) also
-draws on: past the budget, new DAGs are computed and not stored.
+without affecting reproducibility. The cache is bounded in bytes: past
+the budget, new DAGs are computed and not stored.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graph import Graph
 
-# per-graph budget for cached DAGs and betweenness, counted by the bytes of their arrays
+# per-graph budget for cached DAGs, counted by the bytes of their arrays
 _CACHE_BYTES = 128 << 20
 
 
@@ -36,10 +34,8 @@ class PathDag:
     ``order[levels[d]:levels[d + 1]]`` are those at distance d. The
     predecessors of node v on shortest paths are
     ``pred[pred_lo[v]:pred_hi[v]]``, in BFS order, with the matching edge
-    ids in ``pred_eid`` and the running sums of their path counts in
-    ``pred_cum``, which proportional backtracking searches. The groups
-    are laid out in BFS order of v, so each level's predecessors are one
-    contiguous slice.
+    ids in ``pred_eid``. The groups are laid out in BFS order of v, so
+    each level's predecessors are one contiguous slice.
     """
 
     source: int
@@ -51,25 +47,11 @@ class PathDag:
     pred_hi: np.ndarray
     pred: np.ndarray
     pred_eid: np.ndarray
-    pred_cum: np.ndarray
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the DAG's arrays, which the cache budget counts."""
         return sum(getattr(self, f.name).nbytes for f in fields(self)[1:])
-
-
-def reserve_cache(g: Graph, nbytes: int) -> bool:
-    """Count ``nbytes`` against the graph's cache budget if they fit.
-
-    The DAGs and the edge betweenness share the budget; a False answer
-    means the caller computes its value again next time instead of
-    storing it.
-    """
-    if g._sp_cache_bytes + nbytes > _CACHE_BYTES:
-        return False
-    g._sp_cache_bytes += nbytes
-    return True
 
 
 def path_dag(g: Graph, source: int) -> PathDag:
@@ -78,7 +60,8 @@ def path_dag(g: Graph, source: int) -> PathDag:
     if cached is not None:
         return cached
     dag = _bfs_dag(g, source)
-    if reserve_cache(g, dag.nbytes):
+    if g._sp_cache_bytes + dag.nbytes <= _CACHE_BYTES:
+        g._sp_cache_bytes += dag.nbytes
         g._sp_cache[source] = dag
     return dag
 
@@ -128,35 +111,7 @@ def _bfs_dag(g: Graph, source: int) -> PathDag:
     order = np.concatenate(order)
     pred = np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
     pred_eid = np.concatenate(eids) if eids else np.empty(0, dtype=np.int64)
-    return PathDag(source, dist, sigma, order, levels, pred_lo, pred_hi, pred, pred_eid,
-                   _segment_cumsum(sigma[pred], pred_lo[order], pred_hi[order]))
-
-
-def _segment_cumsum(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Running sums within each segment ``values[lo[k]:hi[k]]``, added left to right.
-
-    Each sum is built one addition at a time, as ``np.cumsum`` of the
-    segment alone builds it, so the results are bitwise equal to it. The
-    entries are laid out column by column, column j holding entry j of
-    every segment longer than j, longest segments first; then column j
-    is column j - 1's prefix plus its own values, one slice addition.
-    """
-    if not len(values):
-        return values.copy()
-    length = hi - lo
-    lo = lo[np.argsort(-length, kind="stable")]
-    size = len(lo) - np.cumsum(np.bincount(length))[:-1]
-    start = np.cumsum(size) - size
-    col = np.repeat(np.arange(len(size)), size)
-    at = lo[np.arange(len(values)) - start[col]] + col
-    cum = values[at]
-    start, size = start.tolist(), size.tolist()
-    for j in range(1, len(size)):
-        s, k, prev = start[j], size[j], start[j - 1]
-        cum[s:s + k] += cum[prev:prev + k]
-    out = np.empty_like(values)
-    out[at] = cum
-    return out
+    return PathDag(source, dist, sigma, order, levels, pred_lo, pred_hi, pred, pred_eid)
 
 
 def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None:
@@ -174,15 +129,17 @@ def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None
     nodes = [t]
     eids = []
     v = t
-    pred_lo, pred_hi, pred, pred_eid, cum = dag.pred_lo, dag.pred_hi, dag.pred, dag.pred_eid, dag.pred_cum
+    sigma, pred_lo, pred_hi, pred, pred_eid = dag.sigma, dag.pred_lo, dag.pred_hi, dag.pred, dag.pred_eid
     while v != dag.source:
-        lo, hi = pred_lo.item(v), pred_hi.item(v)
-        if hi - lo == 1:
-            k = lo
-        else:
-            k = bisect_right(cum, rng.random() * cum[hi - 1], lo, hi)
-            if k == hi:  # guard against r landing exactly on the total
-                k = hi - 1
+        k, last = pred_lo.item(v), pred_hi.item(v) - 1
+        if k < last:
+            # sigma[v] is the left-to-right sum of its predecessors' counts, so
+            # the first running sum above r * sigma[v] picks in proportion
+            r = rng.random() * sigma.item(v)
+            total = sigma.item(pred.item(k))
+            while total <= r and k < last:
+                k += 1
+                total += sigma.item(pred.item(k))
         eids.append(pred_eid.item(k))
         v = pred.item(k)
         nodes.append(v)

@@ -115,6 +115,13 @@ def test_empirical_oracle_does_not_replay_the_sample():
         assert any(e["pi"] != 1.0 for e in json.loads(res.stdout)["edges"])
 
 
+def test_experiment_rejects_a_metric_named_twice():
+    res = run_cli("experiment", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+                  "--metric", "edge,edge_homophily", "--reps", "3")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "edge_homophily:hajek_ratio" in res.stderr
+
+
 def test_experiment_outputs_and_thread_invariance(tmp_path):
     outs = {}
     for tag, threads in (("a", "1"), ("b", "3")):

@@ -37,6 +37,13 @@ def test_config_without_metrics_is_rejected():
         _karate_cfg(metrics=())
 
 
+def test_config_with_a_repeated_metric_pair_is_rejected():
+    # both estimates would land under one key, the second overwriting the first
+    pair = ("edge_homophily", "hajek_ratio")
+    with pytest.raises(ValueError, match="edge_homophily:hajek_ratio"):
+        _karate_cfg(metrics=(pair, ("node_homophily", "plug_in"), pair))
+
+
 def test_histogram_basics():
     edges, counts = histogram([3.0] * 7, bins=5)
     assert len(counts) == 1 and counts[0] == 7          # degenerate range
@@ -175,6 +182,19 @@ def test_empirical_oracle_runs_on_each_sweeps_auxiliary_stream(monkeypatch):
     assert seen == [("empirical", derive_seed(101, 2, s), 50) for s in (0, 1)]
 
 
+def test_plug_in_only_runs_build_no_inclusion_model(monkeypatch):
+    # plug-in estimates never read pi, so not even the empirical oracle runs
+    def fail(*args, **kwargs):
+        raise AssertionError("inclusion model built for a plug-in-only run")
+
+    monkeypatch.setattr(harness, "inclusion_for", fail)
+    cfg = _karate_cfg(design={"kind": "traceroute", "n_sources": 3, "n_targets": 3},
+                      metrics=(("node_homophily", "plug_in"),), replications=5,
+                      pi_source="empirical")
+    record = run_experiment(cfg)
+    assert record.sweeps[0].summaries["node_homophily:plug_in"].valid == 5
+
+
 def test_replication_and_oracle_streams_never_alias():
     # SeedSequence pads entropy with zeros, so unequal paths can name one stream;
     # the paths an experiment draws from together must not
@@ -235,13 +255,14 @@ def test_traceroute_sweep_computes_betweenness_once(monkeypatch, karate):
     g, brandes, pis, record = run()
     assert brandes == g.node_count and len(pis) == 2 and pis[0] != pis[1]
     assert g._betweenness is not None and not g._betweenness.flags.writeable
-    assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) + 8 * g.edge_count
+    assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values())
     monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", 0)
     g0, brandes0, pis0, record0 = run()
-    assert brandes0 == 2 * g0.node_count and g0._betweenness is None
+    assert g0._sp_cache == {} and g0._sp_cache_bytes == 0
+    assert brandes0 == g0.node_count and g0._betweenness is not None
     assert pis0 == pis and record0 == record
-    # DAGs that overflow the budget, and alone would leave less than the
-    # betweenness's 8*m bytes, leave it stored
+    # a budget that holds a few DAGs caches those and no more; the
+    # betweenness is kept on the graph whatever the budget
     budget = sum(g._sp_cache[v].nbytes for v in range(3)) + 4 * g.edge_count
     monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", budget)
     g1, brandes1, pis1, record1 = run()
