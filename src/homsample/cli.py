@@ -69,8 +69,7 @@ def _add_dataset_flags(p):
 
 def _load_from_flags(args, need_labels=True):
     if args.manifest:
-        g, s, name = load_dataset(args.manifest)
-        return g, s, name
+        return load_dataset(args.manifest)
     if not args.edges:
         raise ValueError("provide --manifest or --edges")
     if args.labels:

@@ -13,7 +13,8 @@ and the edge betweenness (``_betweenness``), which
 
 Edge lists and label files are read once and parsed in one pass over
 numpy arrays, which also names the first bad line of a malformed text
-(see "text formats" below)."""
+(see "text formats" below). A graph has one node per label, or without
+labels ``max id + 1`` nodes, at most ``UNLABELLED_NODE_LIMIT``."""
 
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ class LabelError(ValueError):
 
 class UnlabelledNodeError(EdgeListError):
     """An edge endpoint at or above the number of labelled nodes."""
+
+
+UNLABELLED_NODE_LIMIT = 1 << 24   # node arrays of 8 B per node stay within 128 MiB
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -79,9 +83,10 @@ class Graph:
     def from_arrays(cls, node_count, i, j, w=None) -> "Graph":
         """Canonicalize raw endpoint arrays into a Graph.
 
-        Reversed duplicates merge by summing weights; pairs whose merged
-        weight is zero are dropped. Raises on self-loops, out-of-range ids
-        and negative or non-finite weights.
+        Reversed duplicates merge by summing weights in input order; pairs
+        whose merged weight is zero are dropped. Raises on self-loops,
+        out-of-range ids, negative or non-finite weights and a node count
+        whose square overflows int64.
         """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
@@ -97,14 +102,11 @@ class Graph:
             raise ValueError("non-finite edge weight")
         if np.any(w < 0):
             raise ValueError("negative edge weight")
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        key = lo * n + hi
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        w = w[order]
-        uniq, start = np.unique(key, return_index=True)
-        wsum = np.add.reduceat(w, start) if len(w) else w
+        if n * n > np.iinfo(np.int64).max:
+            raise ValueError(f"node count {n} is too large: pair keys n * n overflow int64")
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        uniq, inverse = np.unique(key, return_inverse=True)
+        wsum = np.bincount(inverse, weights=w, minlength=len(uniq))
         keep = wsum > 0
         uniq, wsum = uniq[keep], wsum[keep]
         return cls(n, uniq // n, uniq % n, wsum)
@@ -339,8 +341,8 @@ def _field_table(text: str) -> _FieldTable:
 
 
 def _edge_columns(t: _FieldTable):
-    """``(i, j, w, max_id)`` of an edge list; raises EdgeListError naming
-    the first bad line."""
+    """``(i, j, w, max_id, line)`` of an edge list, ``line`` the first to hold
+    ``max_id`` (1-based); raises EdgeListError naming the first bad line."""
     i, i_ok = t.ints(t.field(0))
     j, j_ok = t.ints(t.field(1))
     w, w_ok = np.ones(len(i)), np.ones(len(i), dtype=bool)
@@ -354,33 +356,42 @@ def _edge_columns(t: _FieldTable):
         (~np.isfinite(w), lambda r: f"non-finite weight {float(w[r])}"),
         (w < 0, lambda r: f"negative weight {float(w[r])}"),
     ])
-    return i, j, w, int(max(i.max(), j.max())) if len(i) else -1
+    if not len(i):
+        return i, j, w, -1, 0
+    ends = np.maximum(i, j)
+    top = int(ends.argmax())
+    return i, j, w, int(ends[top]), int(t.line[top]) + 1
 
 
-def load_edge_list(source, n_hint: int | None = None, labelled: int | None = None) -> Graph:
+def load_edge_list(source, labelled: int | None = None) -> Graph:
     """Parse an edge-list text stream or path into a canonical Graph.
 
     Duplicate ``(i, j)`` / ``(j, i)`` lines merge by summing weights.
-    ``node_count`` is ``max id + 1``, or ``n_hint`` if larger. With
-    ``labelled``, the number of nodes a label file names, an endpoint at
-    or above it raises UnlabelledNodeError before any array sized by the
-    node count is built. A malformed line raises EdgeListError naming
-    the first bad line.
+    The graph has ``labelled`` nodes, the number a label file names, and
+    an endpoint at or above it raises UnlabelledNodeError; without it,
+    ``max id + 1`` nodes, and a largest id of UNLABELLED_NODE_LIMIT or
+    more raises EdgeListError naming the first line that holds it. Both
+    come before any array sized by the node count. A malformed line
+    raises EdgeListError naming the first bad line.
     """
-    i, j, w, max_id = _edge_columns(_field_table(_read(source)))
+    i, j, w, max_id, line = _edge_columns(_field_table(_read(source)))
     if labelled is not None and max_id >= labelled:
         raise UnlabelledNodeError(
             f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
-    n = max(max_id + 1, n_hint or 0)
-    return Graph.from_arrays(n, i, j, w)
+    if labelled is None and max_id >= UNLABELLED_NODE_LIMIT:
+        raise EdgeListError(
+            f"line {line}: node id {max_id} exceeds {UNLABELLED_NODE_LIMIT - 1}, "
+            "the largest id an edge list may hold without labels; "
+            "give --labels so the label file sets the node count")
+    return Graph.from_arrays(max_id + 1 if labelled is None else labelled, i, j, w)
 
 
 def dump_edge_list(g: Graph) -> str:
     """Edge-list text of g's edges, one ``i j w`` line each.
 
-    ``load_edge_list(text, n_hint=g.node_count)`` reloads an identical
+    ``load_edge_list(text, labelled=g.node_count)`` reloads an identical
     Graph. The text itself does not record the node count, so without
-    ``n_hint`` isolated nodes above the largest endpoint id are lost.
+    ``labelled`` isolated nodes above the largest endpoint id are lost.
     """
     return "".join(f"{i} {j} {w!r}\n" for i, j, w in
                    zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()))
@@ -432,47 +443,8 @@ def load_labelled(edge_source, label_source, class_count: int) -> tuple[Graph, G
     read and parsed once.
     """
     labels = _field_table(_read(label_source))
-    labelled = len(labels.line)
-    g = load_edge_list(edge_source, n_hint=labelled, labelled=labelled)
+    g = load_edge_list(edge_source, labelled=len(labels.line))
     return g, _label_signal(labels, class_count, g.node_count)
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Pointer to an on-disk dataset: edge file, label file, class count."""
-
-    name: str
-    edge_file: Path
-    label_file: Path
-    class_count: int
-
-    @classmethod
-    def load(cls, path) -> "DatasetManifest":
-        path = Path(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"manifest {str(path)!r} is not a JSON object")
-        for field in ("name", "edge_file", "label_file", "class_count"):
-            if field not in raw:
-                raise ValueError(f"manifest missing field {field!r}")
-        for field in ("edge_file", "label_file"):
-            if not isinstance(raw[field], str):
-                raise ValueError(f"manifest field {field!r} is not a string: {raw[field]!r}")
-        count = raw["class_count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"manifest field 'class_count' is not an integer >= 1: {count!r}")
-        base = path.parent
-        return cls(
-            name=str(raw["name"]),
-            edge_file=base / raw["edge_file"],
-            label_file=base / raw["label_file"],
-            class_count=count,
-        )
-
-    def load_dataset(self) -> tuple[Graph, GraphSignal]:
-        """Load the graph and its labels (see :func:`load_labelled`)."""
-        return load_labelled(self.edge_file, self.label_file, self.class_count)
 
 
 def karate_manifest_path() -> Path:
@@ -481,6 +453,21 @@ def karate_manifest_path() -> Path:
 
 
 def load_dataset(manifest_path) -> tuple[Graph, GraphSignal, str]:
-    m = DatasetManifest.load(manifest_path)
-    g, s = m.load_dataset()
-    return g, s, m.name
+    """Graph, labels and name of the dataset a manifest JSON names (see README
+    "File formats"); the files load as in :func:`load_labelled`."""
+    path = Path(manifest_path)
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"manifest {str(path)!r} is not a JSON object")
+    for field in ("name", "edge_file", "label_file", "class_count"):
+        if field not in raw:
+            raise ValueError(f"manifest missing field {field!r}")
+    for field in ("edge_file", "label_file"):
+        if not isinstance(raw[field], str):
+            raise ValueError(f"manifest field {field!r} is not a string: {raw[field]!r}")
+    count = raw["class_count"]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"manifest field 'class_count' is not an integer >= 1: {count!r}")
+    g, s = load_labelled(path.parent / raw["edge_file"], path.parent / raw["label_file"], count)
+    return g, s, str(raw["name"])

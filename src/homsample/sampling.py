@@ -12,6 +12,7 @@ union of edges on one random shortest path per source-target pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import perm
 from typing import Union
 
 import numpy as np
@@ -20,13 +21,6 @@ from .graph import Graph
 from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
 from .rng import DEFAULT_SEED, make_rng
 from .shortest_paths import path_dag, sample_path
-
-
-def _falling(a: int, m: int) -> float:
-    out = 1.0
-    for k in range(m):
-        out *= a - k
-    return out
 
 
 @dataclass(frozen=True)
@@ -68,14 +62,11 @@ class SrsDesign:
         return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
 
     def inclusion(self, g: Graph) -> InclusionModel:
-        """pi and k-node joints are falling-factorial ratios, 0 when n_star < k."""
+        """k-node joints are falling-factorial ratios, 0 when n_star < k; pi is the 2-node one."""
         n = g.node_count
-        pi = self.n_star * (self.n_star - 1) / (n * (n - 1)) if n > 1 else 0.0
-        by_span = np.zeros(5)
-        for k in range(5):
-            denom = _falling(n, k)
-            by_span[k] = _falling(self.n_star, k) / denom if denom > 0 else 0.0
-        return InclusionModel(source="analytic:srs", pi=np.full(g.edge_count, pi),
+        by_span = np.array([perm(self.n_star, k) / perm(n, k) if perm(n, k) else 0.0
+                            for k in range(5)])
+        return InclusionModel(source="analytic:srs", pi=np.full(g.edge_count, by_span[2]),
                               joint_by_span=by_span)
 
 

@@ -344,10 +344,11 @@ def reference_load_edge_list(source, n_hint: int | None = None, labelled: int | 
     ``node_count`` is ``max id + 1``, or ``n_hint`` if larger. With
     ``labelled``, the number of nodes a label file names, an endpoint at
     or above it raises UnlabelledNodeError before any array sized by the
-    node count is built.
+    node count is built. Without it, an id of 2**24 or more raises
+    EdgeListError at the first line that holds the largest id.
     """
     ii, jj, ww = [], [], []
-    max_id = -1
+    max_id, max_line = -1, 0
     for lineno, raw in _as_lines(source):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -371,12 +372,29 @@ def reference_load_edge_list(source, n_hint: int | None = None, labelled: int | 
         ii.append(i)
         jj.append(j)
         ww.append(w)
-        max_id = max(max_id, i, j)
+        if max(i, j) > max_id:
+            max_id, max_line = max(i, j), lineno
     if labelled is not None and max_id >= labelled:
         raise UnlabelledNodeError(
             f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
+    if labelled is None and max_id >= 2 ** 24:
+        raise EdgeListError(
+            f"line {max_line}: node id {max_id} exceeds {2 ** 24 - 1}, the largest id an edge "
+            "list may hold without labels; give --labels so the label file sets the node count")
     n = max(max_id + 1, n_hint or 0)
     return Graph.from_arrays(n, ii, jj, ww)
+
+
+def reference_canonical_edges(i, j, w) -> tuple[list, list, list]:
+    """``(edge_i, edge_j, edge_w)`` of raw pair rows, by a dict: each
+    unordered pair's weights summed in input order from 0.0, pairs whose
+    sum is zero dropped, pairs sorted."""
+    sums = {}
+    for a, b, x in zip(i, j, w):
+        key = (min(a, b), max(a, b))
+        sums[key] = sums.get(key, 0.0) + x
+    pairs = sorted(key for key, total in sums.items() if total != 0.0)
+    return [a for a, _ in pairs], [b for _, b in pairs], [sums[key] for key in pairs]
 
 
 def reference_load_labels(source, class_count: int, n: int) -> GraphSignal:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homsample import (
     Graph,
@@ -18,7 +18,6 @@ from homsample import (
 )
 from homsample import cli, graph
 from homsample.graph import (
-    DatasetManifest,
     EdgeListError,
     LabelError,
     UnlabelledNodeError,
@@ -28,6 +27,7 @@ from homsample.graphon import sample_w_random_graph, two_block_graphon
 from oracles import (
     edge_id,
     random_graph,
+    reference_canonical_edges,
     reference_dump_edge_list,
     reference_load_edge_list,
     reference_load_labels,
@@ -49,11 +49,10 @@ def test_load_merges_duplicates_by_summing():
 
 
 def test_load_comments_blank_lines_and_n_hint():
-    g = load_edge_list(io.StringIO("# header\n\n0 1  # trailing\n"), n_hint=5)
+    g = load_edge_list(io.StringIO("# header\n\n0 1  # trailing\n"), labelled=5)
     assert g.node_count == 5
     assert g.edge_count == 1
-    # n_hint smaller than max id + 1 is ignored
-    g = load_edge_list(io.StringIO("0 9\n"), n_hint=3)
+    g = load_edge_list(io.StringIO("0 9\n"))
     assert g.node_count == 10
 
 
@@ -78,6 +77,46 @@ def test_from_arrays_rejects_non_finite_weights(bad):
         Graph.from_arrays(3, [0, 1], [1, 2], [1.0, bad])
 
 
+@st.composite
+def raw_edges(draw):
+    """A node count and pair rows over few nodes, so reversed duplicates,
+    zero weights and isolated nodes are common; no self-loops."""
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.sampled_from([0.1, 1 / 3, 1.0, 2.5]),
+                       st.floats(0.0, 1e6, allow_nan=False))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                         max_size=12))
+    return n, [row for row in rows if row[0] != row[1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=raw_edges())
+# one pair three times: the sum depends on the order it is taken in
+@example(edges=(2, [(0, 1, 72.90151170763095), (1, 0, 0.00092742392862456),
+                    (0, 1, 0.0009679261899246465)]))
+def test_from_arrays_matches_dict_reference(edges):
+    n, rows = edges
+    i, j, w = ([row[k] for row in rows] for k in range(3))
+    g = Graph.from_arrays(n, i, j, w)
+    want_i, want_j, want_w = reference_canonical_edges(i, j, w)
+    assert g.node_count == n
+    assert g.edge_i.tolist() == want_i and g.edge_j.tolist() == want_j
+    assert g.edge_w.tobytes() == np.array(want_w, dtype=np.float64).tobytes()
+
+
+def test_from_arrays_rejects_a_node_count_whose_pair_keys_overflow():
+    # with n = 2**33 the key of (2**31, 2**31 + 1) wraps to that of (0, 2**31 + 1)
+    tracemalloc.start()
+    try:
+        for n in (2 ** 33, 3_037_000_500):   # the least n with n * n > 2**63 - 1
+            with pytest.raises(ValueError, match=f"node count {n} is too large"):
+                Graph.from_arrays(n, [2 ** 31], [2 ** 31 + 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_zero_weight_pairs_are_non_edges():
     g = load_edge_list(io.StringIO("0 1 0.0\n1 2 1.0\n"))
     assert g.edge_count == 1
@@ -88,7 +127,7 @@ def test_roundtrip_identity():
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = random_graph(rng, n=int(rng.integers(2, 12)), p=0.4, weighted=True)
-        assert load_edge_list(io.StringIO(dump_edge_list(g)), n_hint=g.node_count) == g
+        assert load_edge_list(io.StringIO(dump_edge_list(g)), labelled=g.node_count) == g
 
 
 def test_total_edge_weight():
@@ -103,7 +142,7 @@ def test_total_edge_weight_permutation_invariant():
 
 
 def test_isolated_nodes_are_retained():
-    g = load_edge_list(io.StringIO("0 1\n"), n_hint=4)
+    g = load_edge_list(io.StringIO("0 1\n"), labelled=4)
     assert g.node_count == 4
     assert len(g.neighbors(3)) == 0
 
@@ -163,20 +202,21 @@ def test_karate_fixture(karate):
     assert s.dim == 2
     assert np.bincount(s.labels).tolist() == [17, 17]
     # the fixture's comment lines and all, as the per-line references read it
-    m = DatasetManifest.load(karate_manifest_path())
-    assert g == reference_load_edge_list(m.edge_file, n_hint=34)
-    assert np.array_equal(s.labels, reference_load_labels(m.label_file, 2, 34).labels)
+    manifest = karate_manifest_path()
+    spec = json.loads(manifest.read_text(encoding="utf-8"))
+    edge_file, label_file = manifest.parent / spec["edge_file"], manifest.parent / spec["label_file"]
+    assert g == reference_load_edge_list(edge_file, n_hint=34)
+    assert np.array_equal(s.labels, reference_load_labels(label_file, 2, 34).labels)
 
 
 def test_manifest_round(tmp_path):
-    m = DatasetManifest.load(karate_manifest_path())
-    assert m.name == "karate"
-    g, s = m.load_dataset()
+    g, s, name = load_dataset(karate_manifest_path())
+    assert name == "karate"
     assert g.node_count == s.node_count == 34
     with pytest.raises(ValueError, match="missing field"):
         p = tmp_path / "bad.json"
         p.write_text('{"name": "x"}')
-        DatasetManifest.load(p)
+        load_dataset(p)
 
 
 @pytest.mark.parametrize("content,fragment", [
@@ -195,7 +235,7 @@ def test_malformed_manifest_is_an_error(tmp_path, capsys, content, fragment):
     manifest = tmp_path / "m.json"
     manifest.write_text(content)
     with pytest.raises(ValueError, match=fragment):
-        DatasetManifest.load(manifest)
+        load_dataset(manifest)
     assert cli.main(["info", "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
@@ -290,6 +330,22 @@ def test_unlabelled_endpoint_is_rejected_before_allocating(tmp_path, capsys, via
     assert issubclass(UnlabelledNodeError, ValueError)
 
 
+@pytest.mark.parametrize("node", [10 ** 12, 2 ** 31, 2 ** 24])
+def test_edge_list_without_labels_above_the_node_limit_fails_early(tmp_path, capsys, node):
+    (tmp_path / "e.txt").write_text(f"0 1\n# far\n{node} 2\n0 {node}\n")
+    tracemalloc.start()
+    try:
+        assert cli.main(["info", "--edges", str(tmp_path / "e.txt")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 3: node id {node} exceeds 16777215") and "--labels" in err
+    with pytest.raises(EdgeListError, match="line 3"):
+        load_edge_list(tmp_path / "e.txt")
+
+
 # -- the bulk loaders against the per-line references in oracles.py --------
 
 SEPARATORS = ["\t", "\r", "\r\n", "\x0b", "\x0c", "\xa0", "\x85", " "]
@@ -376,12 +432,11 @@ def sources(text, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=texts(edge_rows()), n_hint=st.sampled_from([None, 10]),
-       labelled=st.sampled_from([None, 4, 100]))
-def test_bulk_edge_list_matches_per_line_reference(text_file, text, n_hint, labelled):
+@given(text=texts(edge_rows()), labelled=st.sampled_from([None, 4, 100]))
+def test_bulk_edge_list_matches_per_line_reference(text_file, text, labelled):
     for source in sources(text, text_file):
-        want = outcome(lambda: reference_load_edge_list(source(), n_hint=n_hint, labelled=labelled))
-        got = outcome(lambda: load_edge_list(source(), n_hint=n_hint, labelled=labelled))
+        want = outcome(lambda: reference_load_edge_list(source(), n_hint=labelled, labelled=labelled))
+        got = outcome(lambda: load_edge_list(source(), labelled=labelled))
         assert_same_outcome(got, want)
 
 
@@ -419,7 +474,7 @@ def test_bulk_load_of_a_44k_edge_w_random_dump(tmp_path):
         want = reference_load_edge_list(path, n_hint=g.node_count)
         assert want == g, name
         for source in (path, io.StringIO(text)):
-            got = load_edge_list(source, n_hint=g.node_count)
+            got = load_edge_list(source, labelled=g.node_count)
             assert got == want and got.edge_w.tobytes() == want.edge_w.tobytes(), name
 
 

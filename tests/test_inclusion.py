@@ -1,4 +1,6 @@
 import dataclasses
+from fractions import Fraction
+from math import perm
 
 import numpy as np
 import pytest
@@ -65,6 +67,17 @@ def test_joint_by_span_matches_power_table():
     for p in np.random.default_rng(61).random(200):
         table = BernoulliDesign(p=float(p)).inclusion(k_n(3)).joint_by_span
         assert np.array_equal(table, float(p) ** np.arange(5.0))
+
+
+@pytest.mark.parametrize("n,n_star", [(1, 1), (5, 2), (34, 10), (4000, 1200), (200_000, 100_000)])
+def test_srs_joints_are_correctly_rounded_ratios(n, n_star):
+    # n_star (n_star - 1) ... / n (n - 1) ..., each ratio rounded once
+    g = Graph.from_arrays(n, [0], [1]) if n > 1 else Graph.from_arrays(n, [], [])
+    incl = SrsDesign(n_star=n_star).inclusion(g)
+    want = [float(Fraction(perm(n_star, k), perm(n, k))) if perm(n, k) else 0.0
+            for k in range(5)]
+    assert incl.joint_by_span.tobytes() == np.array(want).tobytes()
+    assert incl.pi.tolist() == want[2:3] * g.edge_count
 
 
 def test_joint_diag_equals_pi():
