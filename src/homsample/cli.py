@@ -60,6 +60,17 @@ def _metric_kind(name: str) -> str:
                          f"(choices: {', '.join(sorted(METRIC_ALIASES))})") from None
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds a stream from a non-negative integer only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_dataset_flags(p):
     p.add_argument("--manifest", help="dataset manifest JSON")
     p.add_argument("--edges", help="edge-list file (alternative to --manifest)")
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw one sampled subgraph")
     _add_dataset_flags(p)
     _add_design_flags(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
     p.add_argument("--pi-reps", type=int, default=100_000,
                    help="replications for the empirical inclusion oracle")
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dirichlet|dirichlet_total|edge|node (full names accepted)")
     p.add_argument("--mode", default=None,
                    help="ht_total|plug_in|hajek_ratio|known_denominator (default: per metric)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
     p.add_argument("--pi-reps", type=int, default=100_000)
     p.add_argument("--out", help="write EstimateReport JSON here (default stdout)")
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None,
                    help="estimation mode for every metric (default: per-metric default)")
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
     p.add_argument("--pi-reps", type=int, default=100_000)
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-out", type=float, default=0.2)
     p.add_argument("--sizes", default="50,100,200,400")
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", help="JSON output path")
     p.add_argument("--csv", help="convergence series CSV path")
     p.set_defaults(func=_cmd_graphon)

@@ -3,9 +3,10 @@
 An experiment fixes a dataset, a design template, metric/mode pairs and a
 replication count, optionally sweeping one set of design parameters (e.g.
 retention probabilities {0.1, 0.3, 0.5}). Replication r of sweep s runs
-on the derived stream (base_seed, 1, s, r) and auxiliary draws (the
-empirical inclusion oracle) on (base_seed, 2, s), so records are byte-
-reproducible and any replication can be rerun alone from its seed.
+on the derived stream (base_seed, 1, s, r), and the empirical inclusion
+oracle draws all of sweep s's realizations from the one stream
+(base_seed, 2, s), so records are byte-reproducible and any replication
+can be rerun alone from its seed.
 Replications run serially, in order. Ground truth is computed once on the
 full graph; summaries report mean, bias, standard deviation,
 invalid-replication counts and histogram bins per sweep value. A
@@ -128,8 +129,8 @@ def sweep_inclusion(g: Graph, design, base_seed: int, sweep_idx: int,
                     source: str, replications: int):
     """Inclusion model for sweep value ``sweep_idx`` of an experiment.
 
-    The empirical oracle runs on the auxiliary stream
-    ``(base_seed, 2, sweep_idx)``; on the design's own seed it would
+    The empirical oracle draws all its realizations from the auxiliary
+    stream ``(base_seed, 2, sweep_idx)``; on the design's own seed it would
     replay the very sample it weights as its first replication. Analytic
     models do not depend on the seed.
     """

@@ -11,11 +11,15 @@ zero joint can only come from a span class of that table. Traceroute
 inclusion is approximated through ordered-pair edge betweenness,
 ``pi ~= 1 - exp(-b * n_S * n_T / n^2)``; no joint probabilities are
 available there, so variance estimation is unsupported under traceroute.
-A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies by
-replaying any design's ``realize`` and is the fallback authority when the
-approximation is in doubt; it estimates ``pi`` only, so its models carry
-no joints. A model is only its source, ``pi`` and span table; the
-estimators check a realization against it.
+A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies
+from a design's realizations, all drawn one after another from the one
+stream of the design's seed through the design's ``edge_counts``: induced
+designs repeat ``realize``, and traceroute backtracks a block of
+realizations, every target of a source at once, with no generator per
+realization. It is the fallback authority when the approximation is in
+doubt; it estimates ``pi`` only, so its models carry no joints. A model
+is only its source, ``pi`` and span table; the estimators check a
+realization against it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import Graph
-from .rng import child_rng
+from .rng import make_rng
 from .shortest_paths import path_dag
 
 if TYPE_CHECKING:
@@ -103,16 +107,16 @@ def approx_pi_traceroute(b: np.ndarray, n_sources: int, n_targets: int, n: int) 
 def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> InclusionModel:
     """Monte Carlo inclusion frequencies over independent design realizations.
 
-    Replication r draws from a fresh stream seeded by (design.seed, r).
-    Edges never observed keep pi = 0, which marks them unsampleable.
+    All replications draw, one after another, from the one stream
+    ``make_rng(design.seed)``, through the design's ``edge_counts``, so the
+    model is a deterministic function of (graph, design, seed,
+    replications). Edges never observed keep pi = 0, which marks them
+    unsampleable.
     """
     design.validate(g.node_count)
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    counts = np.zeros(g.edge_count, dtype=np.int64)
-    base = int(design.seed)
-    for r in range(replications):
-        counts[design.realize(g, child_rng(base, r)).edge_index] += 1
+    counts = design.edge_counts(g, make_rng(design.seed), replications)
     return InclusionModel(
         source=f"empirical:{design.kind}",
         pi=counts / replications,

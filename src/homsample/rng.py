@@ -9,8 +9,9 @@ differ only by trailing zeros name one stream. ``make_rng(s)``,
 ``child_rng(s, 0)`` and ``child_rng(s, 0, 0)`` draw the same numbers,
 and ``derive_seed(s, 1, 0, 0) == derive_seed(s, 1)``. Streams that are
 used together must differ somewhere other than in trailing zeros, as
-the harness's ``(base, 1, s, r)`` replication paths and the oracle's
-``child_rng(derive_seed(base, 2, s), r)`` do.
+the harness's ``make_rng(derive_seed(base, 1, s, r))`` replication
+streams and each sweep's one oracle stream
+``make_rng(derive_seed(base, 2, s))`` do.
 """
 
 import numpy as np
@@ -36,9 +37,10 @@ def derive_seed(base_seed: int, *path: int) -> int:
     The rule is fixed: hash ``[base_seed, *path]`` through ``SeedSequence``
     and keep one 64-bit word. The experiment harness seeds replication ``r``
     of sweep ``s`` with ``derive_seed(base, 1, s, r)`` and auxiliary draws
-    (e.g. the empirical inclusion oracle) with ``derive_seed(base, 2, s)``,
-    so the streams do not overlap and any one replication can be replayed
-    alone from its seed.
+    with ``derive_seed(base, 2, s)``: the empirical inclusion oracle draws
+    all of a sweep's realizations from that one stream. So the streams do
+    not overlap and any one replication can be replayed alone from its
+    seed.
     """
     seq = np.random.SeedSequence([int(base_seed)] + [int(p) for p in path])
     lo, hi = seq.generate_state(2)

@@ -2,7 +2,10 @@
 
 Every design is a frozen dataclass carrying its parameters and a seed, and
 owns its mechanics: ``realize(g, rng)`` draws one sample from a given
-stream, and ``inclusion(g)`` builds its analytic inclusion model.
+stream, ``edge_counts(g, rng, replications)`` counts how often each edge
+is sampled over that many realizations drawn from one stream (the
+empirical inclusion oracle), and ``inclusion(g)`` builds its analytic
+inclusion model.
 ``draw_sample(graph, design)`` realizes a design on the stream of its seed,
 so it is a pure function of that pair. Induced designs observe exactly the
 edges with both endpoints in the sampled node set; traceroute observes the
@@ -20,7 +23,11 @@ import numpy as np
 from .graph import Graph
 from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
 from .rng import DEFAULT_SEED, make_rng
-from .shortest_paths import path_dag, sample_path
+from .shortest_paths import path_dag, sample_path, sample_paths
+
+# byte budget for the per-row arrays of one block of traceroute oracle
+# realizations: an edge mask and the uniform keys of the node draws
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,9 @@ class BernoulliDesign:
     def realize(self, g: Graph, rng) -> "SampledGraph":
         nodes = bernoulli_node_sample(g, self.p, rng)
         return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
+
+    def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
+        return _count_realizations(self, g, rng, replications)
 
     def inclusion(self, g: Graph) -> InclusionModel:
         """pi = p^2 per edge; an edge pair spanning k nodes is joint with p^k."""
@@ -60,6 +70,9 @@ class SrsDesign:
     def realize(self, g: Graph, rng) -> "SampledGraph":
         nodes = srs_node_sample(g, self.n_star, rng)
         return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
+
+    def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
+        return _count_realizations(self, g, rng, replications)
 
     def inclusion(self, g: Graph) -> InclusionModel:
         """k-node joints are falling-factorial ratios, 0 when n_star < k; pi is the 2-node one."""
@@ -116,6 +129,36 @@ class TracerouteDesign:
         return SampledGraph(self, g, nodes, ids, paths=tuple(paths),
                             meta={"skipped_pairs": skipped,
                                   "pair_rule": "sources and targets drawn by independent SRS; s=t pairs skipped"})
+
+    def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
+        """Times each edge is seen over ``replications`` realizations from one stream.
+
+        Realizations are drawn in blocks of rows; a block's size comes from
+        ``_BLOCK_BYTES``. Each row's sources and targets are uniform SRS
+        subsets, drawn for the whole block at once. The pairs are grouped
+        by source, and every (row, target) of a source is
+        backtracked at once by :func:`sample_paths`, sources in increasing
+        order. Each row counts the union of its edges once; s = t and
+        unreachable pairs add no edge, as in ``realize``.
+        """
+        n, m = g.node_count, g.edge_count
+        counts = np.zeros(m, dtype=np.int64)
+        block = max(1, _BLOCK_BYTES // (m + 16 * n))
+        for start in range(0, replications, block):
+            rows = min(block, replications - start)
+            sources = _srs_rows(rng, rows, n, self.n_sources)
+            targets = _srs_rows(rng, rows, n, self.n_targets)
+            seen = np.zeros((rows, m), dtype=bool)
+            flat = sources.ravel()
+            by_source = flat.argsort(kind="stable")
+            for group in np.split(by_source, np.flatnonzero(np.diff(flat[by_source])) + 1):
+                # the rows holding this source, in row order
+                held = group // self.n_sources
+                dag = path_dag(g, int(flat[group[0]]))
+                walker, eids = sample_paths(dag, targets[held].ravel(), rng)
+                seen[held[walker // self.n_targets], eids] = True
+            counts += seen.sum(axis=0)
+        return counts
 
     def inclusion(self, g: Graph) -> InclusionModel:
         """Betweenness approximation of pi; no joint probabilities."""
@@ -209,6 +252,22 @@ def bernoulli_node_sample(g: Graph, p: float, rng) -> np.ndarray:
 def srs_node_sample(g: Graph, n_star: int, rng) -> np.ndarray:
     """Uniform size-n_star node subset without replacement, sorted."""
     return np.sort(rng.choice(g.node_count, size=n_star, replace=False))
+
+
+def _srs_rows(rng, rows: int, n: int, k: int) -> np.ndarray:
+    """``rows`` independent uniform size-k subsets of range(n), each sorted:
+    the k smallest of n uniform keys per row."""
+    keys = rng.random((rows, n))
+    return np.sort(keys.argpartition(k - 1, axis=1)[:, :k], axis=1)
+
+
+def _count_realizations(design: SampleDesign, g: Graph, rng, replications: int) -> np.ndarray:
+    """Times each edge is sampled over ``replications`` successive ``realize``
+    calls on one stream."""
+    counts = np.zeros(g.edge_count, dtype=np.int64)
+    for _ in range(replications):
+        counts[design.realize(g, rng).edge_index] += 1
+    return counts
 
 
 def induced_edge_ids(g: Graph, nodes: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Hop-count shortest-path machinery shared by traceroute sampling and
 edge betweenness: single-source BFS DAGs with path counts, and uniform
-random draws from the set of shortest paths.
+random draws from the set of shortest paths, one target at a time
+(``sample_path``) or every target of a source at once (``sample_paths``).
 
 A DAG is built by a level-synchronous BFS over the graph's CSR arrays:
 each frontier is expanded at once, new nodes are numbered in the order
@@ -146,3 +147,61 @@ def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None
     nodes.reverse()
     eids.reverse()
     return nodes, eids
+
+
+def _running_sums(dag: PathDag) -> np.ndarray:
+    """Running sums of ``sigma[pred]`` within each predecessor group, aligned
+    with ``dag.pred``.
+
+    Entry k of a group adds its own count to entry k - 1's sum, one term at
+    a time from the left as :func:`sample_path` adds them, so every sum is
+    bitwise its running total. One pass per position in a group.
+    """
+    cum = dag.sigma[dag.pred]
+    nodes = dag.order[1:]
+    size = dag.pred_hi[nodes] - dag.pred_lo[nodes]
+    pos = np.arange(len(cum)) - dag.pred_lo[nodes].repeat(size)
+    by_pos = pos.argsort(kind="stable")
+    bounds = np.bincount(pos).cumsum()
+    for k in range(1, len(bounds)):
+        at = by_pos[bounds[k - 1]:bounds[k]]
+        cum[at] += cum[at - 1]
+    return cum
+
+
+def sample_paths(dag: PathDag, targets: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform shortest path from the source to each target, all at once.
+
+    Returns ``(walker, edge_ids)``: entry k says that path ``walker[k]``
+    (an index into ``targets``) runs over edge ``edge_ids[k]``. A target
+    that is the source or is unreachable takes no step. The paths are walked
+    back one BFS level at a time, deepest first. At each level, the walkers
+    standing on a node with more than one predecessor draw one uniform
+    each, in the order of ``targets``, and pick a predecessor by the same
+    running sum over its path counts that :func:`sample_path` scans, so a
+    given uniform gives the same pick.
+    """
+    sigma, pred, pred_lo, pred_hi, pred_eid = dag.sigma, dag.pred, dag.pred_lo, dag.pred_hi, dag.pred_eid
+    cur = np.array(targets, dtype=np.int64)
+    depth = dag.dist[cur]
+    cum = _running_sums(dag)
+    none = np.empty(0, dtype=np.int64)
+    walkers, eids = [none], [none]
+    for d in range(int(depth.max(initial=0)), 0, -1):
+        at = (depth >= d).nonzero()[0]
+        v = cur[at]
+        k = pred_lo[v]
+        count = pred_hi[v] - k
+        multi = (count > 1).nonzero()[0]
+        if len(multi):
+            # pick the first running sum above r, or the last predecessor:
+            # count the sums at or below r among all but the last
+            r = rng.random(len(multi)) * sigma[v[multi]]
+            span = count[multi] - 1
+            start = span.cumsum() - span
+            scan = np.arange(span.sum()) + (k[multi] - start).repeat(span)
+            k[multi] += np.add.reduceat(cum[scan] <= r.repeat(span), start, dtype=np.int64)
+        walkers.append(at)
+        eids.append(pred_eid[k])
+        cur[at] = pred[k]
+    return np.concatenate(walkers), np.concatenate(eids)

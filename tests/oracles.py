@@ -18,6 +18,8 @@ import numpy as np
 
 from homsample import Graph, GraphSignal
 from homsample.graph import EdgeListError, LabelError, UnlabelledNodeError
+from homsample.inclusion import InclusionModel
+from homsample.rng import child_rng
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -162,6 +164,48 @@ def reference_sample_path(dag, t: int, rng):
     nodes.reverse()
     eids.reverse()
     return nodes, eids
+
+
+def reference_backtrack(dag, targets, rng) -> tuple[list[int], list[int]]:
+    """Every target's path walked back together over a :func:`reference_path_dag` DAG.
+
+    Uniforms are drawn one at a time in the order the batched kernel
+    draws them: deepest level first and, within a level, in target order,
+    one per walker standing on a node with more than one predecessor.
+    Returns the (walker, edge id) steps in the order they are taken.
+    """
+    cur = [int(t) for t in targets]
+    depth = [int(dag.dist[t]) for t in cur]
+    walkers, eids = [], []
+    for d in range(max(depth, default=0), 0, -1):
+        for w, v in enumerate(cur):
+            if depth[w] < d:
+                continue
+            p = dag.preds[v]
+            k = 0
+            if len(p) > 1:
+                cum = dag.pred_cum[v]
+                k = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(p) - 1)
+            walkers.append(w)
+            eids.append(dag.pred_eids[v][k])
+            cur[w] = int(p[k])
+    return walkers, eids
+
+
+def reference_empirical_pi(g: Graph, design, replications: int) -> InclusionModel:
+    """Monte Carlo inclusion frequencies, one fresh stream per replication:
+    replication r realizes the design on ``child_rng(design.seed, r)``."""
+    design.validate(g.node_count)
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    counts = np.zeros(g.edge_count, dtype=np.int64)
+    base = int(design.seed)
+    for r in range(replications):
+        counts[design.realize(g, child_rng(base, r)).edge_index] += 1
+    return InclusionModel(
+        source=f"empirical:{design.kind}",
+        pi=counts / replications,
+    )
 
 
 def reference_edge_betweenness(g: Graph) -> np.ndarray:

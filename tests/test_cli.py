@@ -115,6 +115,19 @@ def test_empirical_oracle_does_not_replay_the_sample():
         assert any(e["pi"] != 1.0 for e in json.loads(res.stdout)["edges"])
 
 
+@pytest.mark.parametrize("command", [
+    ("sample", "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3"),
+    ("estimate", "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3"),
+    ("experiment", "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3", "--reps", "2"),
+    ("graphon", "--sizes", "10", "--reps", "2"),
+], ids=["sample", "estimate", "experiment", "graphon"])
+def test_negative_seed_is_rejected_naming_the_flag(command):
+    res = run_cli(*command, "--seed", "-3")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines()[-1].endswith(
+        "error: argument --seed: must be a non-negative integer, got -3")
+
+
 def test_experiment_rejects_a_metric_named_twice():
     res = run_cli("experiment", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
                   "--metric", "edge,edge_homophily", "--reps", "3")

@@ -16,7 +16,7 @@ from homsample.harness import (
     write_histogram_csv,
     write_summary_csv,
 )
-from homsample.rng import child_rng, derive_seed, make_rng
+from homsample.rng import derive_seed, make_rng
 
 
 def _karate_cfg(**overrides):
@@ -198,13 +198,13 @@ def test_plug_in_only_runs_build_no_inclusion_model(monkeypatch):
 def test_replication_and_oracle_streams_never_alias():
     # SeedSequence pads entropy with zeros, so unequal paths can name one stream;
     # the paths an experiment draws from together must not
+    # (a sweep's oracle draws all its realizations from one stream)
     streams = {}
     for base in (0, 1, 101, 271828):
         for s in range(3):
-            oracle_seed = derive_seed(base, 2, s)
+            streams[("oracle", base, s)] = make_rng(derive_seed(base, 2, s))
             for r in range(50):
                 streams[("rep", base, s, r)] = make_rng(derive_seed(base, 1, s, r))
-                streams[("oracle", base, s, r)] = child_rng(oracle_seed, r)
     keys = {path: tuple(rng.bit_generator.random_raw(2).tolist()) for path, rng in streams.items()}
     assert len(set(keys.values())) == len(keys)
 

@@ -17,7 +17,14 @@ from homsample import (
     induced_subgraph,
     inclusion_for,
 )
-from oracles import brute_edge_betweenness, dense_joint, edge_id, random_graph
+from homsample import shortest_paths
+from homsample.rng import make_rng
+from oracles import brute_edge_betweenness, dense_joint, edge_id, random_graph, reference_empirical_pi
+
+# max |z| over the edges of a graph, the oracle against the per-replication
+# reference: P(|Z| > 4.5) is 6.8e-6, so about 5e-4 family-wise over 78 edges
+# when both estimate the same pi
+ORACLE_Z_BOUND = 4.5
 
 
 def k_n(n):
@@ -215,6 +222,63 @@ def test_empirical_joint_diag_and_flags():
     assert not model.has_joint  # the oracle estimates pi only
     never = empirical_pi(g, BernoulliDesign(p=1e-9, seed=9), replications=50)
     assert np.all(never.pi == 0)
+
+
+def oracle_z(fast, slow, r_fast, r_slow):
+    """Per-edge two-sample z of two inclusion frequency vectors."""
+    pooled = (fast * r_fast + slow * r_slow) / (r_fast + r_slow)
+    se = np.sqrt(pooled * (1 - pooled) * (1 / r_fast + 1 / r_slow))
+    assert np.all((se > 0) | (fast == slow))
+    return np.abs(fast - slow) / np.where(se > 0, se, 1.0)
+
+
+@pytest.mark.parametrize("n_s, n_t", [(1, 1), (3, 3)])
+def test_traceroute_oracle_agrees_with_per_replication_reference(karate, n_s, n_t):
+    g, _ = karate
+    R = 20_000
+    fast = empirical_pi(g, TracerouteDesign(n_s, n_t, seed=11), R).pi
+    slow = reference_empirical_pi(g, TracerouteDesign(n_s, n_t, seed=12), R).pi
+    assert oracle_z(fast, slow, R, R).max() <= ORACLE_Z_BOUND
+
+
+def test_traceroute_oracle_agrees_with_reference_across_components():
+    # a 5-cycle with a chord and a 4-node path: cross pairs are unreachable
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3),
+                             (5, 6), (6, 7), (7, 8)])
+    R = 20_000
+    for n_s, n_t in ((1, 1), (2, 3)):
+        fast = empirical_pi(g, TracerouteDesign(n_s, n_t, seed=21), R).pi
+        slow = reference_empirical_pi(g, TracerouteDesign(n_s, n_t, seed=22), R).pi
+        assert np.all(fast > 0)
+        assert oracle_z(fast, slow, R, R).max() <= ORACLE_Z_BOUND
+
+
+def test_traceroute_oracle_does_not_depend_on_the_dag_cache(monkeypatch, karate):
+    kg, _ = karate
+    design = TracerouteDesign(3, 2, seed=8)
+    want = empirical_pi(Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w), design, 3000)
+    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", 0)
+    g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
+    got = empirical_pi(g, design, 3000)
+    assert g._sp_cache == {} and got.pi.tobytes() == want.pi.tobytes()
+
+
+@pytest.mark.parametrize("design", [BernoulliDesign(p=0.4, seed=3), SrsDesign(n_star=12, seed=4)])
+def test_induced_oracle_counts_successive_realizations_on_one_stream(karate, design):
+    g, _ = karate
+    rng = make_rng(design.seed)
+    counts = np.zeros(g.edge_count)
+    for _ in range(300):
+        counts[design.realize(g, rng).edge_index] += 1
+    assert empirical_pi(g, design, 300).pi.tobytes() == (counts / 300).tobytes()
+
+
+@pytest.mark.parametrize("design", [BernoulliDesign(p=0.5), SrsDesign(n_star=2),
+                                    TracerouteDesign(2, 2)])
+def test_oracle_on_a_graph_without_edges_is_empty(design):
+    g = Graph.from_edges(4, [])
+    model = empirical_pi(g, design, 50)
+    assert model.pi.shape == (0,) and model.source == f"empirical:{design.kind}"
 
 
 def test_zero_pi_directs_to_oracle():

@@ -1,7 +1,8 @@
 """The array-native BFS DAGs, backtracking and Brandes accumulation against
 the node-at-a-time references in ``oracles``: equal distances, orders and
 predecessor groups, bitwise-equal path counts and betweenness, the same
-sampled paths from the same generator draws, and the byte-bounded cache."""
+sampled paths from the same generator draws (one target at a time and
+every target of a source at once), and the byte-bounded cache."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from homsample import Graph, TracerouteDesign, edge_betweenness, make_rng
 from homsample import shortest_paths
-from homsample.shortest_paths import path_dag, sample_path
+from homsample.shortest_paths import path_dag, sample_path, sample_paths
 from oracles import (
     random_graph,
+    reference_backtrack,
     reference_edge_betweenness,
     reference_path_dag,
     reference_sample_path,
@@ -83,6 +85,82 @@ def test_betweenness_bitwise_with_counts_beyond_float_precision(karate):
     assert edge_betweenness(g).tobytes() == reference_edge_betweenness(g).tobytes()
     kg, _ = karate
     assert edge_betweenness(kg).tobytes() == reference_edge_betweenness(kg).tobytes()
+
+
+def assert_same_backtrack(g, s, seed, repeat=2):
+    """The batched kernel's steps and generator use equal the scalar reference's,
+    over every node as a target, each listed ``repeat`` times."""
+    dag, ref = path_dag(g, s), reference_path_dag(g, s)
+    targets = np.tile(np.arange(g.node_count), repeat)
+    # the kernel's running sums are the reference's left-to-right cumsums
+    cum = shortest_paths._running_sums(dag)
+    for v in range(g.node_count):
+        if ref.pred_cum[v] is not None:
+            assert cum[dag.pred_lo[v]:dag.pred_hi[v]].tobytes() == ref.pred_cum[v].tobytes()
+    fast, slow = make_rng(seed), make_rng(seed)
+    walker, eids = sample_paths(dag, targets, fast)
+    assert (walker.tolist(), eids.tolist()) == reference_backtrack(ref, targets, slow)
+    assert same_state(fast, slow)
+    # each walker's steps are a shortest path from its target back to s;
+    # s itself and unreachable targets take none
+    for w, t in enumerate(targets):
+        steps = eids[walker == w]
+        assert len(steps) == max(dag.dist[t], 0)
+        if not len(steps):
+            continue
+        ends = {int(t)}
+        for e in steps:
+            i, j = int(g.edge_i[e]), int(g.edge_j[e])
+            assert ends & {i, j}
+            ends = {i, j} - ends
+        assert ends == {s}
+    # one target draws its uniforms from the target back, as sample_path does
+    for t in (dag.dist > 0).nonzero()[0][:5]:
+        one, scalar = make_rng(seed), make_rng(seed)
+        walker, eids = sample_paths(dag, [t], one)
+        assert eids.tolist() == sample_path(dag, t, scalar)[1][::-1]
+        assert same_state(one, scalar)
+
+
+def test_batched_backtrack_matches_reference(karate):
+    kg, _ = karate
+    for s in range(kg.node_count):
+        assert_same_backtrack(kg, s, 1000 + s)
+    g = layered(3, 36)
+    assert path_dag(g, 0).sigma.max() > 2.0 ** 53
+    for s in (0, 1, 55, 110):
+        assert_same_backtrack(g, s, s)
+
+
+class Constant:
+    """A stand-in generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def test_batched_backtrack_breaks_ties_as_sample_path_does():
+    # path counts are powers of two, so these uniforms land exactly on running sums
+    g = layered(2, 4)
+    dag = path_dag(g, 0)
+    for u in (0.0, 0.25, 0.5, 0.75):
+        for t in range(1, g.node_count):
+            walker, eids = sample_paths(dag, [t], Constant(u))
+            assert eids.tolist() == sample_path(dag, t, Constant(u))[1][::-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), p=st.floats(0.1, 0.7), seed=st.integers(0, 2**32 - 1))
+def test_batched_backtrack_matches_reference_on_two_components(n, p, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_graph(rng, n, p), random_graph(rng, n, p)
+    g = Graph.from_arrays(2 * n + 1, np.concatenate([a.edge_i, b.edge_i + n]),
+                          np.concatenate([a.edge_j, b.edge_j + n]))
+    for s in range(g.node_count):
+        assert_same_backtrack(g, s, seed + s, repeat=3)
 
 
 def test_cache_is_bounded_in_bytes(monkeypatch, karate):
