@@ -10,7 +10,6 @@ byte-identical unless --seed is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,6 +28,7 @@ from .harness import (
     write_histogram_csv,
     write_summary_csv,
 )
+from .jsonout import dumps_indented
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
@@ -139,7 +139,7 @@ def _single_design(args, n, seed):
 
 
 def _emit_json(obj, out_path):
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    text = dumps_indented(obj) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -126,8 +126,9 @@ class Graph:
         dst = np.concatenate([self.edge_j, self.edge_i])
         eid = np.concatenate([np.arange(m), np.arange(m)])
         order = np.argsort(src, kind="stable")
-        self._indptr = _freeze(np.concatenate(
-            [[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.int64))
+        # entry v + 1 counts v's edges; summed in place, the one node-sized array is indptr
+        indptr = np.bincount(src + 1, minlength=n + 1).astype(np.int64, copy=False)
+        self._indptr = _freeze(np.cumsum(indptr, out=indptr))
         self._nbr = _freeze(dst[order])
         self._nbr_eid = _freeze(eid[order])
 

@@ -65,9 +65,31 @@ def same_label_weight_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndar
 
 
 def node_sums(i: np.ndarray, j: np.ndarray, values: np.ndarray):
-    """Per-endpoint sums of ``values`` and edge counts over the edges (i, j), in node order."""
-    _, node = np.unique(np.concatenate([i, j]), return_inverse=True)
-    return np.bincount(node, weights=np.concatenate([values, values])), np.bincount(node)
+    """Per-endpoint sums of ``values`` and edge counts over the edges (i, j), in node order.
+
+    One entry per node that ends at least one of the edges. A bincount over
+    the endpoint ids adds each node's values in input order, so no sort is
+    needed; its arrays span ids up to the largest endpoint.
+    """
+    ends = np.concatenate([i, j])
+    counts = np.bincount(ends)
+    keep = counts > 0
+    return np.bincount(ends, weights=np.concatenate([values, values]))[keep], counts[keep]
+
+
+def node_mean_ratio(i: np.ndarray, j: np.ndarray, values: np.ndarray) -> float:
+    """Mean over the endpoints of the edges (i, j) of their value sum per edge count."""
+    sums, counts = node_sums(i, j, values)
+    return float(np.mean(sums / counts))
+
+
+def same_label_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray:
+    """Per-edge ``1.0`` where the endpoints share a label, else ``0.0``, over g's
+    edges or ``edge_ids``; requires labels."""
+    _check_dims(g, s)
+    labels = _labels(s)
+    i, j, _ = _edges(g, edge_ids)
+    return (labels[i] == labels[j]).astype(np.float64)
 
 
 # An edge metric is a total of per-edge values, which a ratio divides by a multiple
@@ -111,14 +133,12 @@ def node_homophily(g: Graph, s: GraphSignal, edge_ids=None) -> float:
     With ``edge_ids`` the neighbors and degrees are those of the subgraph
     formed by that edge subset.
     """
-    _check_dims(g, s)
-    labels = _labels(s)
+    same = same_label_values(g, s, edge_ids)
     i, j, _ = _edges(g, edge_ids)
     if not len(i):
         raise ValueError("graph has no edges")
     # only endpoints of the given edges have degree >= 1
-    same, degree = node_sums(i, j, (labels[i] == labels[j]).astype(np.float64))
-    return float(np.mean(same / degree))
+    return node_mean_ratio(i, j, same)
 
 
 _EXACT = {

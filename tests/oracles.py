@@ -363,6 +363,22 @@ def random_onehot_signal(rng, n: int, classes: int = 2) -> GraphSignal:
     return GraphSignal.from_labels(rng.integers(0, classes, size=n), classes)
 
 
+def reference_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, nbr, nbr_eid)`` of g by concatenation and a stable argsort of both directions."""
+    n, m = g.node_count, g.edge_count
+    src = np.concatenate([g.edge_i, g.edge_j])
+    order = np.argsort(src, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.int64)
+    return (indptr, np.concatenate([g.edge_j, g.edge_i])[order],
+            np.concatenate([np.arange(m), np.arange(m)])[order])
+
+
+def reference_node_sums(i, j, values) -> tuple[np.ndarray, np.ndarray]:
+    """Per-endpoint sums and edge counts in node order, through a sort of the endpoints."""
+    _, node = np.unique(np.concatenate([i, j]), return_inverse=True)
+    return np.bincount(node, weights=np.concatenate([values, values])), np.bincount(node)
+
+
 # -- per-line text parsers and formatter, the references for the bulk ones ----
 
 def reference_dump_edge_list(g: Graph) -> str:

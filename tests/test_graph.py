@@ -28,6 +28,7 @@ from oracles import (
     edge_id,
     random_graph,
     reference_canonical_edges,
+    reference_csr,
     reference_dump_edge_list,
     reference_load_edge_list,
     reference_load_labels,
@@ -155,6 +156,31 @@ def test_adjacency_queries():
     assert edge_id(g, 3, 2) == 2
     with pytest.raises(KeyError):
         edge_id(g, 0, 3)
+
+
+def test_adjacency_arrays_match_the_concatenating_build():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 13):
+        g = random_graph(rng, n=n, p=0.5, weighted=True)
+        indptr, nbr, nbr_eid = reference_csr(g)
+        for got, want in ((g._indptr, indptr), (g._nbr, nbr), (g._nbr_eid, nbr_eid)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+
+
+def test_adjacency_build_holds_one_node_sized_array():
+    # indptr is the only node-sized array the build allocates; a bincount,
+    # cumsum and concatenation each of n entries held two at once
+    n = 16_777_216
+    tracemalloc.start()
+    try:
+        g = Graph(n, [0, 5], [n - 1, n - 1], [1.0, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n
+    assert g._indptr[[0, 1, 5, 6, n - 1, n]].tolist() == [0, 1, 1, 2, 2, 4]
+    assert g.neighbors(n - 1).tolist() == [0, 5]
 
 
 def test_labels_one_hot():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from homsample import Graph, SrsDesign, harness, inclusion, karate_manifest_path, shortest_paths
+from homsample.estimators import DegenerateSampleError, SweepColumns, estimate_metric
 from homsample.harness import (
     _replicate,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from homsample.harness import (
     write_summary_csv,
 )
 from homsample.rng import derive_seed, make_rng
+from homsample.sampling import draw_sample, with_seed
 
 
 def _karate_cfg(**overrides):
@@ -223,6 +225,44 @@ def test_unobserved_edges_are_invalid_replications_not_aborts():
     assert all("inclusion probability 0" in m for m in reasons)
 
 
+ALL_PAIRS = (("dirichlet_total", "ht_total"), ("dirichlet_normalized", "known_denominator"),
+             ("dirichlet_normalized", "hajek_ratio"), ("edge_homophily", "hajek_ratio"),
+             ("edge_homophily", "plug_in"), ("node_homophily", "plug_in"))
+
+
+@pytest.mark.parametrize("design, sweep, pi_source", [
+    ({"kind": "bernoulli", "p": 0.3}, ({"p": 0.2}, {"p": 0.5}), "analytic"),
+    ({"kind": "srs", "n_star": 10}, ({"n_star": 4}, {"frac": 0.5}), "analytic"),
+    ({"kind": "traceroute", "n_sources": 2, "n_targets": 2}, ({"n_sources": 1}, {}), "analytic"),
+    ({"kind": "traceroute", "n_sources": 2, "n_targets": 3}, ({"n_targets": 1}, {}), "empirical"),
+])
+def test_each_replication_reruns_alone_from_its_seed(karate, design, sweep, pi_source):
+    g, s = karate
+    cfg = _karate_cfg(design=design, sweep=sweep, metrics=ALL_PAIRS, replications=25,
+                      pi_source=pi_source, pi_replications=20)
+    rec = run_experiment(cfg, dataset=(g, s))
+    invalid = 0
+    for sweep_idx, (overrides, result) in enumerate(zip(sweep, rec.sweeps)):
+        sweep_design = resolve_design(design, overrides, g.node_count)
+        incl = harness.sweep_inclusion(g, sweep_design, cfg.base_seed, sweep_idx,
+                                       pi_source, cfg.pi_replications)
+        for rep in result.replications:
+            sample = draw_sample(g, with_seed(sweep_design, rep["seed"]))
+            assert (rep["sampled_nodes"], rep["sampled_edges"]) == (sample.node_count,
+                                                                   sample.edge_count)
+            rerun = {}
+            for kind, mode in ALL_PAIRS:
+                try:
+                    rerun[f"{kind}:{mode}"] = vars(estimate_metric(sample, s, kind, mode, incl))
+                except DegenerateSampleError as exc:
+                    rerun[f"{kind}:{mode}"] = {"invalid": str(exc)}
+                    invalid += 1
+            # repr writes each float's shortest round-trip digits: equal reprs, equal bits
+            assert repr(rerun) == repr(rep["estimates"])
+    if pi_source == "empirical":
+        assert invalid > 0     # reasons of the undersized oracle are rerun too
+
+
 def test_zero_joint_probability_is_an_invalid_replication(karate):
     # a zero joint for disjoint edge pairs contradicts any sample holding two of them
     g, s = karate
@@ -231,7 +271,8 @@ def test_zero_joint_probability_is_an_invalid_replication(karate):
     table = incl.joint_by_span.copy()
     table[4] = 0.0
     incl = dataclasses.replace(incl, joint_by_span=table)
-    rep = _replicate(g, s, design, incl, (("dirichlet_total", "ht_total"),), 0, 5)
+    columns = SweepColumns(g, s, incl, ("dirichlet_total",))
+    rep = _replicate(g, design, columns, (("dirichlet_total", "ht_total"),), 0, 5)
     assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homsample import (
     Graph,
@@ -11,8 +12,14 @@ from homsample import (
     node_homophily,
     normalized_dirichlet,
 )
-from homsample.metrics import METRIC_KINDS, homophily_profile, same_label_weight_values
-from oracles import dense_laplacian_tv, edge_id, random_graph, random_onehot_signal
+from homsample.metrics import METRIC_KINDS, homophily_profile, node_sums, same_label_weight_values
+from oracles import (
+    dense_laplacian_tv,
+    edge_id,
+    random_graph,
+    random_onehot_signal,
+    reference_node_sums,
+)
 
 
 def test_edge_variation_cases():
@@ -170,3 +177,18 @@ def test_kernels_on_edge_subsets_match_subgraphs():
         if len(ids):
             sub = Graph.from_arrays(n, g.edge_i[ids], g.edge_j[ids], g.edge_w[ids])
             assert node_homophily(g, s, ids) == node_homophily(sub, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14), data=st.data())
+def test_node_sums_match_the_sorting_reference_bitwise(seed, n, data):
+    g = random_graph(np.random.default_rng(seed), n=n, p=0.5)
+    keep = data.draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    ids = np.flatnonzero(np.array(keep, dtype=bool))
+    values = np.array(data.draw(st.lists(
+        st.floats(-1e9, 1e9, allow_subnormal=False), min_size=len(ids), max_size=len(ids))))
+    for sub in (ids, ids[:0]):
+        args = g.edge_i[sub], g.edge_j[sub], values[:len(sub)].astype(np.float64)
+        for got, want in zip(node_sums(*args), reference_node_sums(*args)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
