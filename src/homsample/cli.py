@@ -111,13 +111,30 @@ def _ints(text):
     return [int(x) for x in text.split(",") if x]
 
 
+# each design's parameter flags, by their argparse names
+_DESIGN_FLAGS = {"bernoulli": ("p",), "srs": ("frac", "n_star"),
+                 "traceroute": ("sources", "targets")}
+
+
+def _flag_name(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _design_values(args):
-    """Per-sweep design parameter dicts as given by the flags."""
+    """Per-sweep design parameter dicts as given by the flags; a flag of
+    another design, or both SRS sizes, is an error that names the flag."""
+    for design, names in _DESIGN_FLAGS.items():
+        for name in names:
+            if design != args.design and getattr(args, name) is not None:
+                raise ValueError(f"{_flag_name(name)} belongs to the {design} design, "
+                                 f"not to {args.design}")
     if args.design == "bernoulli":
         if not args.p:
             raise ValueError("bernoulli design requires --p")
         return [{"p": p} for p in _floats(args.p)]
     if args.design == "srs":
+        if args.n_star is not None and args.frac is not None:
+            raise ValueError("--n-star and --frac both set the SRS sample size; give one")
         if args.n_star:
             return [{"n_star": v} for v in _ints(args.n_star)]
         if args.frac:

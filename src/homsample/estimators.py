@@ -15,20 +15,22 @@ Normalized metrics are estimated either as a ratio of two HT totals
 ("hajek_ratio", the default: consistent, not exactly unbiased) or by
 dividing one HT total by the parent graph's known normalizer
 ("known_denominator": exactly unbiased). A sample carries its parent graph
-and the ids of its edges there. Every estimate reads :class:`SweepColumns`:
-the :mod:`homsample.metrics` kernels evaluated once over all of the
-parent's edges, with the ratio denominators, the parent's total weight and
-one test of ``pi`` against PI_FLOOR. A sample gathers its edge ids from
-them, so an experiment builds them once per sweep value and
-:func:`estimate_metric` once per call. Node homophily is a mean of per-node
-ratios, not an edge total, and is only offered as a plug-in on the sampled
-subgraph.
+and the ids of its edges there. Every estimate runs through
+:meth:`SweepColumns.estimate_block`, which estimates a block of samples
+(:class:`~homsample.sampling.SampleBlock`) at once: the
+:mod:`homsample.metrics` kernels, ``pi`` and the ratio denominators are
+gathered once per block, each row's totals are the pairwise sums of its
+own slice, and each row is checked as one sample is, so a row's estimate
+or invalid reason is bit for bit that of its sample alone.
+:func:`estimate_metric` is the one-row case. Node homophily is a mean of
+per-node ratios, not an edge total, and is only offered as a plug-in on
+the sampled subgraph.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +43,9 @@ from .metrics import (
     EDGE_METRICS,
     METRIC_KINDS,
     NODE_HOMOPHILY,
-    node_mean_ratio,
-    node_sums,
     same_label_values,
 )
-from .sampling import SampledGraph, design_to_dict
+from .sampling import SampleBlock, SampledGraph, row_offsets
 
 # estimators refuse inclusion probabilities below this
 PI_FLOOR = 1e-12
@@ -118,13 +118,32 @@ def _floor_error(g: Graph, edge: int, pi: float, source: str) -> DegenerateSampl
         "if it produced this model")
 
 
+def _block_pi(g: Graph, incl: InclusionModel, ids: np.ndarray, offsets: np.ndarray,
+              invalid: dict) -> np.ndarray:
+    """``incl.pi`` of the edges ``ids``, rows at ``offsets``.
+
+    A value below PI_FLOOR contradicts its row's realization: the row goes
+    into ``invalid`` (unless a check before made it invalid) with its first
+    such edge named, and the value reads 1 so that dividing by it is quiet.
+    """
+    pi = incl.pi[ids]
+    bad = np.flatnonzero(pi < PI_FLOOR)
+    if len(bad):
+        rows, first = np.unique(np.searchsorted(offsets, bad, side="right") - 1,
+                                return_index=True)
+        for row, pos in zip(rows.tolist(), bad[first].tolist()):
+            invalid.setdefault(row, _floor_error(g, ids[pos], pi[pos], incl.source))
+        pi[bad] = 1.0
+    return pi
+
+
 def _positive_pi(sample: SampledGraph, incl: InclusionModel) -> np.ndarray:
     """``incl.pi`` of the sampled edges; a value below PI_FLOOR contradicts the realization."""
-    ids = sample.edge_index
-    pi = incl.pi[ids]
-    bad = np.nonzero(pi < PI_FLOOR)[0]
-    if len(bad):
-        raise _floor_error(sample.parent, ids[bad[0]], pi[bad[0]], incl.source)
+    invalid = {}
+    pi = _block_pi(sample.parent, incl, sample.edge_index, row_offsets([sample.edge_count]),
+                   invalid)
+    if invalid:
+        raise invalid[0]
     return pi
 
 
@@ -134,6 +153,72 @@ def _sampled_values(sample: SampledGraph, values) -> np.ndarray:
         raise ValueError(f"expected one value per sampled edge ({sample.edge_count}), "
                          f"got shape {values.shape}")
     return values
+
+
+class _Rows:
+    """Rows of a flat array, row r at ``offsets[r]:offsets[r + 1]``, grouped by length."""
+
+    def __init__(self, offsets: np.ndarray):
+        self.offsets = offsets
+        self.lengths = np.diff(offsets)
+        order = np.argsort(self.lengths, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(self.lengths[order])) + 1)
+        # each length's rows and the (rows, length) index of their entries
+        self._groups = [(rows, offsets[rows, None] + np.arange(self.lengths[rows[0]]))
+                        for rows in runs if self.lengths[rows[0]]]
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """``x[offsets[r]:offsets[r + 1]].sum()`` for every row r, bit for bit.
+
+        Rows of one length share one 2-D ``.sum(axis=1)``, which adds each row
+        pairwise as the 1-D ``.sum()`` of that row does; an empty row sums to 0.
+        """
+        out = np.zeros(len(self.lengths))
+        for rows, index in self._groups:
+            out[rows] = x[index].sum(axis=1)
+        return out
+
+
+def _quotients(num: np.ndarray, den) -> np.ndarray:
+    """``num / den`` where ``den`` is nonzero, else 0 (those rows are invalid).
+
+    As with the Python floats of one sample, an overflow gives inf and
+    inf / inf gives nan without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.divide(num, den, out=np.zeros(len(num)), where=np.asarray(den) != 0)
+
+
+def _row_node_sums(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarray):
+    """Each row's :func:`~homsample.metrics.node_sums` of its edges ``ids`` and
+    ``values``, concatenated, and their rows.
+
+    One bincount over ``row * n + node`` adds each row's values at a node
+    in the order ``node_sums`` adds them, so every sum has the same bits.
+    """
+    n, count, k = g.node_count, len(rows.lengths), len(ids)
+    base = np.repeat(np.arange(count) * n, rows.lengths)
+    ends = np.empty(2 * k, dtype=np.int64)
+    for half, endpoint in ((ends[:k], g.edge_i), (ends[k:], g.edge_j)):
+        np.take(endpoint, ids, out=half)
+        half += base
+    counts = np.bincount(ends, minlength=count * n)
+    keep = counts > 0
+    sums = np.bincount(ends, weights=np.concatenate([values, values]), minlength=count * n)
+    return sums[keep], counts[keep], _Rows(row_offsets(keep.reshape(count, n).sum(axis=1)))
+
+
+def _weights(g: Graph, ids: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * edge_w`` at the edges ``ids``, computed in the one array."""
+    weights = g.edge_w[ids]
+    weights *= scale
+    return weights
+
+
+def _flag(invalid: dict, rows: np.ndarray, message: str):
+    """Record ``message`` for the flagged rows that no earlier check made invalid."""
+    for row in np.flatnonzero(rows).tolist():
+        invalid.setdefault(row, DegenerateSampleError(message))
 
 
 def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
@@ -149,18 +234,15 @@ def plug_in_total(sample: SampledGraph, values) -> float:
     return float(_sampled_values(sample, values).sum())
 
 
-def _span_variance(g: Graph, ids: np.ndarray, values: np.ndarray, pi: np.ndarray,
+def _span_variance(q: float, ss: float, total: float, m: int, pairs3: int, pi: float,
                    incl: InclusionModel, clamp_negative: bool) -> tuple[float, str]:
-    """The span-sum variance of :func:`ht_variance` over g's sampled edges ``ids``,
-    whose inclusion probabilities ``pi`` a closed-form model makes all equal."""
-    m = len(ids)
+    """:func:`ht_variance` of m sampled edges with values V from their sums:
+    ``q = V @ V``, ``ss = S @ S`` over the node sums S, ``total = V.sum()``,
+    ``pairs3`` ordered pairs spanning 3 nodes and the edges' common ``pi``."""
     if m == 0:
         return 0.0, VARIANCE_EXACT
-    sums, degrees = node_sums(g.edge_i[ids], g.edge_j[ids], values)
-    q = float(values @ values)
-    a = float(sums @ sums) - 2.0 * q
-    d = float(values.sum()) ** 2 - q - a
-    pairs3 = int(degrees @ degrees) - 2 * m
+    a = ss - 2.0 * q
+    d = total ** 2 - q - a
     pairs4 = m * m - m - pairs3
     joint = incl.joint_by_span
     for span, pairs in ((3, pairs3), (4, pairs4)):
@@ -169,7 +251,6 @@ def _span_variance(g: Graph, ids: np.ndarray, values: np.ndarray, pi: np.ndarray
                 f"{pairs} observed ordered edge pairs spanning {span} nodes have joint "
                 f"inclusion probability 0 under the {incl.source} model, which "
                 "contradicts this realization")
-    pi = float(pi[0])
     inv_sq = 1.0 / pi ** 2
     est = q * (inv_sq - 1.0 / pi)
     if pairs3:
@@ -180,6 +261,37 @@ def _span_variance(g: Graph, ids: np.ndarray, values: np.ndarray, pi: np.ndarray
     if est < 0 and clamp_negative:
         return 0.0, VARIANCE_CLAMPED
     return est, VARIANCE_EXACT
+
+
+def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarray,
+                        pi: np.ndarray, incl: InclusionModel, invalid: dict,
+                        clamp_negative: bool) -> list:
+    """:func:`_span_variance` of each row of the edges ``ids`` that is not
+    ``invalid`` ((None, None) for those); a row with a zero joint joins ``invalid``.
+
+    Totals and node sums come for all rows at once; the dot products are
+    one BLAS ``@`` per row, as on that row's sample alone.
+    """
+    sums, degrees, node_rows = _row_node_sums(g, ids, rows, values)
+    degree_sq = row_offsets(degrees * degrees)[node_rows.offsets]
+    pairs3 = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
+    totals = rows.sums(values).tolist()
+    bounds, node_bounds = rows.offsets.tolist(), node_rows.offsets.tolist()
+    out = []
+    for row, m in enumerate(rows.lengths.tolist()):
+        if row in invalid:
+            out.append((None, None))
+            continue
+        v = values[bounds[row]:bounds[row + 1]]
+        s = sums[node_bounds[row]:node_bounds[row + 1]]
+        try:
+            out.append(_span_variance(float(v @ v), float(s @ s), totals[row], m, pairs3[row],
+                                      float(pi[bounds[row]]) if m else 0.0, incl,
+                                      clamp_negative))
+        except DegenerateSampleError as exc:
+            invalid[row] = exc
+            out.append((None, None))
+    return out
 
 
 def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
@@ -210,125 +322,138 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     values = _sampled_values(sample, values)
     if not incl.has_joint:
         return None, VARIANCE_UNSUPPORTED
-    return _span_variance(sample.parent, sample.edge_index, values,
-                          _positive_pi(sample, incl), incl, clamp_negative)
+    pi = _positive_pi(sample, incl)
+    invalid = {}
+    (var,) = _row_span_variances(sample.parent, sample.edge_index,
+                                 _Rows(row_offsets([sample.edge_count])), values, pi, incl,
+                                 invalid, clamp_negative)
+    if invalid:
+        raise invalid[0]
+    return var
 
 
-def _ratio_of_totals(numerator: np.ndarray, denominator: np.ndarray, pi: np.ndarray) -> float:
+def hajek_ratio(sample: SampledGraph, numerator_values, denominator_values,
+                incl: InclusionModel) -> float:
+    """Ratio of two HT totals; under uniform pi this is the plain sample ratio."""
+    numerator = _sampled_values(sample, numerator_values)
+    denominator = _sampled_values(sample, denominator_values)
+    pi = _positive_pi(sample, incl)
     den = float((denominator / pi).sum())
     if den == 0.0:
         raise DegenerateSampleError("zero HT denominator (empty or degenerate sample)")
     return float((numerator / pi).sum()) / den
 
 
-def hajek_ratio(sample: SampledGraph, numerator_values, denominator_values,
-                incl: InclusionModel) -> float:
-    """Ratio of two HT totals; under uniform pi this is the plain sample ratio."""
-    return _ratio_of_totals(_sampled_values(sample, numerator_values),
-                            _sampled_values(sample, denominator_values),
-                            _positive_pi(sample, incl))
-
-
 class SweepColumns:
-    """Per-edge columns of one graph, signal and inclusion model, built once.
+    """Per-edge columns of one graph, signal and inclusion model, estimated a block at a time.
 
-    An experiment builds one per sweep value, and every replication's
-    estimates gather their sampled ids from it:
+    An experiment builds one per sweep value and estimates each block of
+    replications with :meth:`estimate_block`; :meth:`estimate` is its
+    one-row case, so every estimate runs the same code:
 
-    - each needed ``EDGE_METRICS`` kernel over all m edges, one array per
-      kernel, so the two Dirichlet kinds share one;
-    - each ratio kind's ``scale * edge_w`` and the parent's total weight;
-    - node homophily's same-label indicator per edge;
-    - the inclusion model's ``pi`` and one floor test over all edges.
+    - each ``EDGE_METRICS`` kernel, and node homophily's same-label
+      indicator, is gathered at the block's edge ids from its column over
+      all m edges, built the first time a block holds m ids or more, or
+      evaluated on those ids when the block holds fewer;
+    - ``pi``, with its floor test, and each ratio's ``scale * edge_w`` are
+      gathered once per block;
+    - a row's totals are the 1-D pairwise sums of its contiguous slice
+      (``_Rows.sums``), node sums come from one bincount over
+      ``row * n + node``, and the span-variance dot products are one BLAS
+      ``@`` per row.
 
-    A kernel is elementwise in the edges, so a gathered column holds the
-    bits a kernel on the sampled subset would give, and an estimate is the
-    same elementwise division and 1-D sum as on that subset.
+    A kernel is elementwise in the edges, so every gathered value has the
+    bits of a kernel on one row's sample alone, and so has each row's
+    estimate. A row fails the checks in the order one sample does: the pi
+    floor, then a zero denominator or a zero joint, then a non-finite point.
     """
 
-    def __init__(self, g: Graph, signal: GraphSignal, incl: InclusionModel | None, kinds):
+    def __init__(self, g: Graph, signal: GraphSignal, incl: InclusionModel | None):
         self.graph = g
+        self.signal = signal
         self.incl = incl
-        self._values, self._den, self._known = {}, {}, {}
-        by_kernel, weight = {}, total_edge_weight(g)
-        for kind in kinds:
-            if kind == NODE_HOMOPHILY:
-                self._values[kind] = same_label_values(g, signal)
-                continue
-            kernel, scale = EDGE_METRICS[kind]
-            if kernel not in by_kernel:
-                by_kernel[kernel] = kernel(g, signal)
-            self._values[kind] = by_kernel[kernel]
-            self._known[kind] = 1.0 if scale is None else scale * weight
-            if scale is not None:
-                self._den[kind] = scale * g.edge_w
-        low = None if incl is None else incl.pi < PI_FLOOR
-        self._low = low if low is not None and low.any() else None
-        self._design = self._design_dict = None
+        self._columns = {}
+        self._block = self._block_rows = None
 
-    def _pi(self, ids: np.ndarray) -> np.ndarray:
-        """``pi`` of the sampled edges ``ids``; a value below PI_FLOOR contradicts the realization."""
-        pi = self.incl.pi[ids]
-        if self._low is not None:
-            bad = np.flatnonzero(self._low[ids])
-            if len(bad):
-                raise _floor_error(self.graph, ids[bad[0]], pi[bad[0]], self.incl.source)
-        return pi
+    @cached_property
+    def total_weight(self) -> float:
+        return total_edge_weight(self.graph)
 
-    def _report_design(self, design) -> dict | None:
-        # a replication's estimates share one dict
-        if design is not self._design:
-            self._design = design
-            self._design_dict = design_to_dict(design) if design is not None else None
-        return self._design_dict
+    def _gather(self, kernel, ids: np.ndarray) -> np.ndarray:
+        column = self._columns.get(kernel)
+        if column is None:
+            if len(ids) < self.graph.edge_count:
+                return kernel(self.graph, self.signal, ids)
+            column = self._columns[kernel] = kernel(self.graph, self.signal)
+        return column[ids]
 
-    def estimate(self, sample: SampledGraph, kind: str, mode: str) -> EstimateReport:
-        """The :func:`estimate_metric` report of ``sample``, a sample of this graph;
-        ``kind`` must be one the columns were built for."""
+    def _rows(self, block: SampleBlock) -> _Rows:
+        # a block's metrics share its rows
+        if block is not self._block:
+            self._block, self._block_rows = block, _Rows(block.offsets)
+        return self._block_rows
+
+    def estimate_block(self, block: SampleBlock, kind: str, mode: str) -> list:
+        """One entry per row of ``block``, a block of this graph: the row's
+        :func:`estimate_metric` report, or the DegenerateSampleError it raises."""
         _check_request(kind, mode, self.incl)
-        if sample.parent is not self.graph:
+        if block.parent is not self.graph:
             raise ValueError("sample is not drawn from the graph of these columns")
-        g, ids = self.graph, sample.edge_index
-        values = self._values[kind][ids]
-        variance = None
-        variance_status = VARIANCE_UNSUPPORTED
+        g, ids, rows = self.graph, block.edge_index, self._rows(block)
+        invalid = {}   # row -> the error of the first check it fails
+        variances = None
 
         if kind == NODE_HOMOPHILY:
-            if not len(ids):
-                raise DegenerateSampleError("no sampled edges; node homophily undefined")
-            point = node_mean_ratio(g.edge_i[ids], g.edge_j[ids], values)
+            _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
+            sums, counts, node_rows = _row_node_sums(g, ids, rows,
+                                                     self._gather(same_label_values, ids))
+            points = _quotients(node_rows.sums(sums / counts), node_rows.lengths)
         else:
+            kernel, scale = EDGE_METRICS[kind]
+            values = self._gather(kernel, ids)
             if mode == PLUG_IN:
-                den = float(self._den[kind][ids].sum()) if kind in self._den else 1.0
-                if den == 0.0:
-                    raise DegenerateSampleError("empty sample; plug-in ratio undefined")
-                point = float(values.sum()) / den
+                den = np.ones(block.rows) if scale is None else rows.sums(_weights(g, ids, scale))
+                _flag(invalid, den == 0.0, "empty sample; plug-in ratio undefined")
+                points = _quotients(rows.sums(values), den)
             elif mode == HAJEK_RATIO:
-                point = _ratio_of_totals(values, self._den[kind][ids], self._pi(ids))
+                pi = _block_pi(g, self.incl, ids, rows.offsets, invalid)
+                weighted = _weights(g, ids, scale)
+                weighted /= pi
+                den = rows.sums(weighted)
+                _flag(invalid, den == 0.0, "zero HT denominator (empty or degenerate sample)")
+                points = _quotients(rows.sums(np.divide(values, pi, out=weighted)), den)
             else:  # ht_total, or known_denominator
-                den = self._known[kind]
+                den = 1.0 if scale is None else scale * self.total_weight
                 if den <= 0:
                     raise ValueError("parent graph has no edge weight")
-                pi = self._pi(ids)
-                point = float((values / pi).sum()) / den
+                pi = _block_pi(g, self.incl, ids, rows.offsets, invalid)
+                points = _quotients(rows.sums(values / pi), den)
                 if self.incl.has_joint:
-                    var, variance_status = _span_variance(g, ids, values, pi, self.incl, True)
-                    variance = var / den ** 2
+                    variances = _row_span_variances(g, ids, rows, values, pi, self.incl,
+                                                    invalid, True)
 
-        if not math.isfinite(point):
-            raise DegenerateSampleError(f"non-finite estimate for {kind}/{mode}")
-        design = sample.design
-        return EstimateReport(
-            kind=kind,
-            mode=mode,
-            point=point,
-            variance=variance,
-            variance_status=variance_status,
-            sampled_nodes=sample.node_count,
-            sampled_edges=len(ids),
-            design=self._report_design(design),
-            seed=design.seed if design is not None else None,
-        )
+        _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
+        if variances is None:
+            variances = [(None, VARIANCE_UNSUPPORTED)] * block.rows
+        reports = []
+        for row, (point, (variance, status), nodes, edges, design, seed) in enumerate(zip(
+                points.tolist(), variances, block.sampled_nodes.tolist(), rows.lengths.tolist(),
+                block.design_dicts, block.seeds)):
+            if row in invalid:
+                reports.append(invalid[row])
+            else:
+                if variance is not None:
+                    variance /= den ** 2
+                reports.append(EstimateReport(kind, mode, point, variance, status, nodes, edges,
+                                              design, seed))
+        return reports
+
+    def estimate(self, sample: SampledGraph, kind: str, mode: str) -> EstimateReport:
+        """The :func:`estimate_metric` report of ``sample``, a sample of this graph."""
+        (report,) = self.estimate_block(SampleBlock.of(sample), kind, mode)
+        if isinstance(report, DegenerateSampleError):
+            raise report
+        return report
 
 
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
@@ -341,7 +466,7 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     graph ("known_denominator"). ``incl`` is required unless "plug_in".
     Degenerate realizations (an empty sample under a ratio mode, or an edge
     the model gives probability 0) raise DegenerateSampleError. This is
-    :meth:`SweepColumns.estimate` on columns built for the one kind.
+    :meth:`SweepColumns.estimate`, the one-row case of a block estimate,
+    which evaluates the kernels on the sampled edges alone.
     """
-    _check_request(kind, mode, incl)
-    return SweepColumns(sample.parent, signal, incl, (kind,)).estimate(sample, kind, mode)
+    return SweepColumns(sample.parent, signal, incl).estimate(sample, kind, mode)

@@ -9,13 +9,15 @@ oracle draws all of sweep s's realizations from the one stream
 can be rerun alone from its seed: ``draw_sample`` on the sweep's design
 with that seed, then ``estimate_metric`` with the sweep's inclusion model,
 gives the recorded estimates bit for bit.
-Replications run serially, in order. Each sweep value builds its
-:class:`~homsample.estimators.SweepColumns` once: the per-edge kernel
-values, ratio denominators, total weight and pi-floor test that every
-replication's estimates gather their sampled edge ids from, through the
-same code ``estimate_metric`` runs. Ground truth is computed once on the
-full graph; summaries report mean, bias, standard deviation,
-invalid-replication counts and histogram bins per sweep value. A
+Replications run serially, in order, each on its own stream, in blocks:
+as many rows as ``_BLOCK_BYTES`` allows are realized at once by
+``draw_block`` and estimated at once by
+:meth:`~homsample.estimators.SweepColumns.estimate_block`, which each
+sweep value builds once, and which gives every row the estimates (or the
+invalid reason) ``estimate_metric`` gives its sample alone, bit for bit.
+Ground truth is computed once on the full graph; summaries report mean,
+bias, standard deviation, invalid-replication counts and histogram bins
+per sweep value. A
 replication whose sample cannot support an estimator (an empty ratio
 denominator, or an edge the inclusion model never saw) is recorded as
 invalid with the reason, and the experiment goes on; a summary with no
@@ -39,7 +41,10 @@ from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
 from .jsonout import dumps_indented
 from .rng import DEFAULT_SEED, derive_seed
-from .sampling import design_from_dict, design_params, draw_sample, with_seed
+from .sampling import design_from_dict, design_params, draw_block, with_seed
+
+# byte budget for the per-row arrays of one block of replications
+_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -146,17 +151,30 @@ def sweep_inclusion(g: Graph, design, base_seed: int, sweep_idx: int,
     return inclusion_for(g, oracle, source=source, replications=replications)
 
 
-def _replicate(g, design, columns, metric_pairs, rep, seed):
-    sample = draw_sample(g, with_seed(design, seed))
-    estimates = {}
-    for kind, mode in metric_pairs:
-        key = f"{kind}:{mode}"
-        try:
-            estimates[key] = vars(columns.estimate(sample, kind, mode))
-        except DegenerateSampleError as exc:
-            estimates[key] = {"invalid": str(exc)}
-    return {"rep": rep, "seed": seed, "sampled_nodes": sample.node_count,
-            "sampled_edges": sample.edge_count, "estimates": estimates}
+def _block_rows(g: Graph) -> int:
+    """Replications per block: at once, a row's arrays hold at most 96 bytes
+    per node and per edge of ``g`` (masks, edge ids, gathered columns, node
+    sums and their bincount keys); a census row of the ht path holds about 80."""
+    return max(1, _BLOCK_BYTES // (96 * (g.node_count + g.edge_count)))
+
+
+def _replicate_block(g, design, columns, metric_pairs, first_rep, seeds) -> list[dict]:
+    """The replications of ``seeds``, numbered from ``first_rep``: one block
+    realization, then one block estimate per metric pair."""
+    block = draw_block(g, design, seeds)
+    results = {f"{kind}:{mode}": columns.estimate_block(block, kind, mode)
+               for kind, mode in metric_pairs}
+    reps = []
+    for row, (seed, nodes, edges) in enumerate(zip(seeds, block.sampled_nodes.tolist(),
+                                                   block.sampled_edges.tolist())):
+        estimates = {}
+        for key, reports in results.items():
+            report = reports[row]
+            estimates[key] = ({"invalid": str(report)}
+                              if isinstance(report, DegenerateSampleError) else vars(report))
+        reps.append({"rep": first_rep + row, "seed": seed, "sampled_nodes": nodes,
+                     "sampled_edges": edges, "estimates": estimates})
+    return reps
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -165,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig,
 
     ``dataset`` may pass a preloaded (graph, signal) pair; otherwise
     ``cfg.dataset`` is treated as a manifest path. Replications run
-    serially, in order.
+    serially, in order, a block of ``_block_rows`` at a time.
     """
     if dataset is not None:
         g, signal = dataset
@@ -180,16 +198,19 @@ def run_experiment(cfg: ExperimentConfig,
     sweep_list = cfg.sweep if cfg.sweep else ({},)
     # plug-in estimates never read pi
     needs_pi = any(mode != PLUG_IN for _, mode in cfg.metrics)
+    rows = _block_rows(g)
 
     for sweep_idx, overrides in enumerate(sweep_list):
         design = resolve_design(cfg.design, overrides, g.node_count)
         incl = sweep_inclusion(g, design, cfg.base_seed, sweep_idx,
                                cfg.pi_source, cfg.pi_replications) if needs_pi else None
 
-        columns = SweepColumns(g, signal, incl, needed_kinds)
-        reps = [_replicate(g, design, columns, cfg.metrics, r,
-                           derive_seed(cfg.base_seed, 1, sweep_idx, r))
-                for r in range(cfg.replications)]
+        columns = SweepColumns(g, signal, incl)
+        seeds = [derive_seed(cfg.base_seed, 1, sweep_idx, r) for r in range(cfg.replications)]
+        reps = []
+        for start in range(0, len(seeds), rows):
+            reps += _replicate_block(g, design, columns, cfg.metrics, start,
+                                     seeds[start:start + rows])
 
         summaries = {}
         for kind, mode in cfg.metrics:

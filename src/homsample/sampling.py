@@ -2,19 +2,26 @@
 
 Every design is a frozen dataclass carrying its parameters and a seed, and
 owns its mechanics: ``realize(g, rng)`` draws one sample from a given
-stream, ``edge_counts(g, rng, replications)`` counts how often each edge
+stream, ``realize_block(g, seeds)`` draws one sample per seed, each from
+its own stream ``make_rng(seed)``, into a :class:`SampleBlock`,
+``edge_counts(g, rng, replications)`` counts how often each edge
 is sampled over that many realizations drawn from one stream (the
 empirical inclusion oracle), and ``inclusion(g)`` builds its analytic
 inclusion model.
 ``draw_sample(graph, design)`` realizes a design on the stream of its seed,
-so it is a pure function of that pair. Induced designs observe exactly the
-edges with both endpoints in the sampled node set; traceroute observes the
-union of edges on one random shortest path per source-target pair.
+so it is a pure function of that pair, and row r of
+``draw_block(graph, design, seeds)`` is the sample ``draw_sample`` gives
+on ``seeds[r]``. Induced designs observe exactly the edges with both
+endpoints in the sampled node set; they draw a block's node sets row by
+row, with the draw ``realize`` uses, and find every row's edges in one
+vectorized step. Traceroute observes the union of edges on one random
+shortest path per source-target pair, and its blocks repeat ``realize``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import perm
 from typing import Union
 
@@ -30,8 +37,34 @@ from .shortest_paths import path_dag, sample_path, sample_paths
 _BLOCK_BYTES = 1 << 19
 
 
+class _InducedDesign:
+    """Mechanics of the induced designs, which differ only in their ``node_sample``."""
+
+    def realize(self, g: Graph, rng) -> "SampledGraph":
+        nodes = self.node_sample(g, rng)
+        return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
+
+    def realize_block(self, g: Graph, seeds) -> "SampleBlock":
+        """Row r holds the node set ``node_sample`` draws from ``make_rng(seeds[r])``
+        and the edges it induces, found for all rows at once."""
+        nodes = np.zeros((len(seeds), g.node_count), dtype=bool)
+        for row, seed in zip(nodes, seeds):
+            row[self.node_sample(g, make_rng(seed))] = True
+        edges = nodes[:, g.edge_i] & nodes[:, g.edge_j]
+        return SampleBlock(self, g, tuple(seeds), np.nonzero(edges)[1],
+                           row_offsets(edges.sum(axis=1)), nodes.sum(axis=1))
+
+    def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
+        """Times each edge is sampled over ``replications`` successive ``realize``
+        calls on one stream."""
+        counts = np.zeros(g.edge_count, dtype=np.int64)
+        for _ in range(replications):
+            counts[self.realize(g, rng).edge_index] += 1
+        return counts
+
+
 @dataclass(frozen=True)
-class BernoulliDesign:
+class BernoulliDesign(_InducedDesign):
     """Independent node retention with probability p, induced edges."""
 
     p: float
@@ -42,12 +75,8 @@ class BernoulliDesign:
         if not 0 < self.p <= 1:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
 
-    def realize(self, g: Graph, rng) -> "SampledGraph":
-        nodes = bernoulli_node_sample(g, self.p, rng)
-        return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
-
-    def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
-        return _count_realizations(self, g, rng, replications)
+    def node_sample(self, g: Graph, rng) -> np.ndarray:
+        return bernoulli_node_sample(g, self.p, rng)
 
     def inclusion(self, g: Graph) -> InclusionModel:
         """pi = p^2 per edge; an edge pair spanning k nodes is joint with p^k."""
@@ -56,7 +85,7 @@ class BernoulliDesign:
 
 
 @dataclass(frozen=True)
-class SrsDesign:
+class SrsDesign(_InducedDesign):
     """Uniform node subset of fixed size without replacement, induced edges."""
 
     n_star: int
@@ -67,12 +96,8 @@ class SrsDesign:
         if not 1 <= self.n_star <= n:
             raise ValueError(f"n_star must be in [1, {n}], got {self.n_star}")
 
-    def realize(self, g: Graph, rng) -> "SampledGraph":
-        nodes = srs_node_sample(g, self.n_star, rng)
-        return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
-
-    def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
-        return _count_realizations(self, g, rng, replications)
+    def node_sample(self, g: Graph, rng) -> np.ndarray:
+        return srs_node_sample(g, self.n_star, rng)
 
     def inclusion(self, g: Graph) -> InclusionModel:
         """k-node joints are falling-factorial ratios, 0 when n_star < k; pi is the 2-node one."""
@@ -129,6 +154,14 @@ class TracerouteDesign:
         return SampledGraph(self, g, nodes, ids, paths=tuple(paths),
                             meta={"skipped_pairs": skipped,
                                   "pair_rule": "sources and targets drawn by independent SRS; s=t pairs skipped"})
+
+    def realize_block(self, g: Graph, seeds) -> "SampleBlock":
+        """``realize`` on ``make_rng(seed)`` for each seed in turn."""
+        samples = [self.realize(g, make_rng(seed)) for seed in seeds]
+        return SampleBlock(self, g, tuple(seeds),
+                           np.concatenate([s.edge_index for s in samples]),
+                           row_offsets([s.edge_count for s in samples]),
+                           np.array([s.node_count for s in samples]))
 
     def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
         """Times each edge is seen over ``replications`` realizations from one stream.
@@ -244,6 +277,49 @@ class SampledGraph:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBlock:
+    """Samples of one design on one graph, one row per seed.
+
+    Row r is the sample ``draw_sample(parent, with_seed(design, seeds[r]))``:
+    it has ``sampled_nodes[r]`` sampled nodes, and the parent ids of its
+    sampled edges, in increasing order, are
+    ``edge_index[offsets[r]:offsets[r + 1]]``. A block of a sample with no
+    design has the one seed None.
+    """
+
+    design: SampleDesign | None
+    parent: Graph
+    seeds: tuple
+    edge_index: np.ndarray
+    offsets: np.ndarray
+    sampled_nodes: np.ndarray
+
+    @classmethod
+    def of(cls, sample: SampledGraph) -> "SampleBlock":
+        """The one-row block of ``sample``."""
+        design = sample.design
+        return cls(design, sample.parent, (None if design is None else design.seed,),
+                   sample.edge_index, row_offsets([sample.edge_count]),
+                   np.array([sample.node_count]))
+
+    @property
+    def rows(self) -> int:
+        return len(self.seeds)
+
+    @cached_property
+    def sampled_edges(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def design_dicts(self) -> list:
+        """Each row's ``design_to_dict`` of its seeded design, or None without a design."""
+        if self.design is None:
+            return [None] * self.rows
+        kind, params = self.design.kind, design_params(self.design)
+        return [{"kind": kind, "seed": seed, **params} for seed in self.seeds]
+
+
 def bernoulli_node_sample(g: Graph, p: float, rng) -> np.ndarray:
     """Each node retained independently with probability p, in node order."""
     return np.nonzero(rng.random(g.node_count) < p)[0]
@@ -261,13 +337,11 @@ def _srs_rows(rng, rows: int, n: int, k: int) -> np.ndarray:
     return np.sort(keys.argpartition(k - 1, axis=1)[:, :k], axis=1)
 
 
-def _count_realizations(design: SampleDesign, g: Graph, rng, replications: int) -> np.ndarray:
-    """Times each edge is sampled over ``replications`` successive ``realize``
-    calls on one stream."""
-    counts = np.zeros(g.edge_count, dtype=np.int64)
-    for _ in range(replications):
-        counts[design.realize(g, rng).edge_index] += 1
-    return counts
+def row_offsets(counts) -> np.ndarray:
+    """Row offsets into a concatenation of rows of the given lengths."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def induced_edge_ids(g: Graph, nodes: np.ndarray) -> np.ndarray:
@@ -289,3 +363,9 @@ def draw_sample(g: Graph, design: SampleDesign) -> SampledGraph:
     """Realize a design on a graph; deterministic in (graph, design, seed)."""
     design.validate(g.node_count)
     return design.realize(g, make_rng(design.seed))
+
+
+def draw_block(g: Graph, design: SampleDesign, seeds) -> SampleBlock:
+    """Realize a design once per seed; row r is ``draw_sample(g, with_seed(design, seeds[r]))``."""
+    design.validate(g.node_count)
+    return design.realize_block(g, seeds)

@@ -18,8 +18,20 @@ import numpy as np
 
 from homsample import Graph, GraphSignal
 from homsample.graph import EdgeListError, LabelError, UnlabelledNodeError
+from homsample.estimators import (
+    HAJEK_RATIO,
+    PI_FLOOR,
+    PLUG_IN,
+    VARIANCE_CLAMPED,
+    VARIANCE_EXACT,
+    VARIANCE_UNSUPPORTED,
+    DegenerateSampleError,
+    EstimateReport,
+)
 from homsample.inclusion import InclusionModel
+from homsample.metrics import EDGE_METRICS, NODE_HOMOPHILY, same_label_values
 from homsample.rng import child_rng
+from homsample.sampling import design_to_dict, draw_sample, with_seed
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -377,6 +389,138 @@ def reference_node_sums(i, j, values) -> tuple[np.ndarray, np.ndarray]:
     """Per-endpoint sums and edge counts in node order, through a sort of the endpoints."""
     _, node = np.unique(np.concatenate([i, j]), return_inverse=True)
     return np.bincount(node, weights=np.concatenate([values, values])), np.bincount(node)
+
+
+# -- the per-replication experiment loop, the reference for the block engine ----
+
+def _reference_floor_error(g: Graph, edge: int, pi: float, source: str):
+    return DegenerateSampleError(
+        f"sampled edge ({g.edge_i[edge]}, {g.edge_j[edge]}) has inclusion "
+        f"probability {pi:g} below the floor {PI_FLOOR:g} under the "
+        f"{source} model, which contradicts this realization; use the "
+        "empirical inclusion oracle (empirical_pi), with more replications "
+        "if it produced this model")
+
+
+def _reference_span_variance(g, ids, values, pi, incl, clamp_negative):
+    """The span-sum HT variance of one sample's edges ``ids``, computed alone."""
+    m = len(ids)
+    if m == 0:
+        return 0.0, VARIANCE_EXACT
+    sums, degrees = reference_node_sums(g.edge_i[ids], g.edge_j[ids], values)
+    q = float(values @ values)
+    a = float(sums @ sums) - 2.0 * q
+    d = float(values.sum()) ** 2 - q - a
+    pairs3 = int(degrees @ degrees) - 2 * m
+    pairs4 = m * m - m - pairs3
+    joint = incl.joint_by_span
+    for span, pairs in ((3, pairs3), (4, pairs4)):
+        if pairs and joint[span] <= 0:
+            raise DegenerateSampleError(
+                f"{pairs} observed ordered edge pairs spanning {span} nodes have joint "
+                f"inclusion probability 0 under the {incl.source} model, which "
+                "contradicts this realization")
+    pi = float(pi[0])
+    inv_sq = 1.0 / pi ** 2
+    est = q * (inv_sq - 1.0 / pi)
+    if pairs3:
+        est += a * (inv_sq - 1.0 / joint[3])
+    if pairs4:
+        est += d * (inv_sq - 1.0 / joint[4])
+    est = float(est)
+    if est < 0 and clamp_negative:
+        return 0.0, VARIANCE_CLAMPED
+    return est, VARIANCE_EXACT
+
+
+class ReferenceColumns:
+    """One sample at a time: each estimate gathers its sampled ids from
+    per-edge columns over all edges and runs its checks on that sample alone."""
+
+    def __init__(self, g: Graph, signal: GraphSignal, incl: InclusionModel | None, kinds):
+        self.graph = g
+        self.incl = incl
+        self._values, self._den, self._known = {}, {}, {}
+        by_kernel, weight = {}, float(g.edge_w.sum())
+        for kind in kinds:
+            if kind == NODE_HOMOPHILY:
+                self._values[kind] = same_label_values(g, signal)
+                continue
+            kernel, scale = EDGE_METRICS[kind]
+            if kernel not in by_kernel:
+                by_kernel[kernel] = kernel(g, signal)
+            self._values[kind] = by_kernel[kernel]
+            self._known[kind] = 1.0 if scale is None else scale * weight
+            if scale is not None:
+                self._den[kind] = scale * g.edge_w
+        low = None if incl is None else incl.pi < PI_FLOOR
+        self._low = low if low is not None and low.any() else None
+
+    def _pi(self, ids):
+        pi = self.incl.pi[ids]
+        if self._low is not None:
+            bad = np.flatnonzero(self._low[ids])
+            if len(bad):
+                raise _reference_floor_error(self.graph, ids[bad[0]], pi[bad[0]],
+                                             self.incl.source)
+        return pi
+
+    def estimate(self, sample, kind: str, mode: str):
+        g, ids = self.graph, sample.edge_index
+        values = self._values[kind][ids]
+        variance = None
+        variance_status = VARIANCE_UNSUPPORTED
+
+        if kind == NODE_HOMOPHILY:
+            if not len(ids):
+                raise DegenerateSampleError("no sampled edges; node homophily undefined")
+            sums, counts = reference_node_sums(g.edge_i[ids], g.edge_j[ids], values)
+            point = float(np.mean(sums / counts))
+        else:
+            if mode == PLUG_IN:
+                den = float(self._den[kind][ids].sum()) if kind in self._den else 1.0
+                if den == 0.0:
+                    raise DegenerateSampleError("empty sample; plug-in ratio undefined")
+                point = float(values.sum()) / den
+            elif mode == HAJEK_RATIO:
+                pi = self._pi(ids)
+                den = float((self._den[kind][ids] / pi).sum())
+                if den == 0.0:
+                    raise DegenerateSampleError(
+                        "zero HT denominator (empty or degenerate sample)")
+                point = float((values / pi).sum()) / den
+            else:  # ht_total, or known_denominator
+                den = self._known[kind]
+                if den <= 0:
+                    raise ValueError("parent graph has no edge weight")
+                pi = self._pi(ids)
+                point = float((values / pi).sum()) / den
+                if self.incl.has_joint:
+                    var, variance_status = _reference_span_variance(g, ids, values, pi,
+                                                                    self.incl, True)
+                    variance = var / den ** 2
+
+        if not math.isfinite(point):
+            raise DegenerateSampleError(f"non-finite estimate for {kind}/{mode}")
+        design = sample.design
+        return EstimateReport(
+            kind=kind, mode=mode, point=point, variance=variance,
+            variance_status=variance_status, sampled_nodes=sample.node_count,
+            sampled_edges=len(ids), design=design_to_dict(design), seed=design.seed)
+
+
+def reference_replicate(g, design, columns, metric_pairs, rep, seed):
+    """One replication dict of an experiment, drawn and estimated alone."""
+    sample = draw_sample(g, with_seed(design, seed))
+    estimates = {}
+    for kind, mode in metric_pairs:
+        key = f"{kind}:{mode}"
+        try:
+            estimates[key] = vars(columns.estimate(sample, kind, mode))
+        except DegenerateSampleError as exc:
+            estimates[key] = {"invalid": str(exc)}
+    return {"rep": rep, "seed": seed, "sampled_nodes": sample.node_count,
+            "sampled_edges": sample.edge_count, "estimates": estimates}
 
 
 # -- per-line text parsers and formatter, the references for the bulk ones ----

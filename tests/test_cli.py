@@ -12,6 +12,9 @@ from homsample.estimators import MODES_FOR_KIND
 
 MANIFEST = str(karate_manifest_path())
 
+# a warning raised in-process would add bytes to stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "homsample", *args],
@@ -126,6 +129,23 @@ def test_negative_seed_is_rejected_naming_the_flag(command):
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.splitlines()[-1].endswith(
         "error: argument --seed: must be a non-negative integer, got -3")
+
+
+@pytest.mark.parametrize("command, message", [
+    (("estimate", "--design", "srs", "--n-star", "5", "--frac", "0.9"),
+     "error: --n-star and --frac both set the SRS sample size; give one"),
+    (("estimate", "--design", "bernoulli", "--p", "0.3", "--sources", "3"),
+     "error: --sources belongs to the traceroute design, not to bernoulli"),
+    (("sample", "--design", "traceroute", "--sources", "2", "--targets", "2", "--n-star", "4"),
+     "error: --n-star belongs to the srs design, not to traceroute"),
+    (("experiment", "--design", "srs", "--frac", "0.3", "--p", "0.5", "--reps", "2"),
+     "error: --p belongs to the bernoulli design, not to srs"),
+], ids=["srs-size-twice", "bernoulli-sources", "traceroute-n-star", "srs-p"])
+def test_contradicting_design_flags_are_rejected_naming_the_flag(command, message):
+    # each of these used to run, silently ignoring one of the flags
+    res = run_cli(command[0], "--manifest", MANIFEST, *command[1:])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines() == [message]
 
 
 def test_experiment_rejects_a_metric_named_twice():

@@ -1,14 +1,26 @@
 import dataclasses
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
-from homsample import Graph, SrsDesign, harness, inclusion, karate_manifest_path, shortest_paths
+from homsample import (
+    Graph,
+    GraphSignal,
+    SrsDesign,
+    graphon,
+    harness,
+    inclusion,
+    karate_manifest_path,
+    shortest_paths,
+)
 from homsample.estimators import DegenerateSampleError, SweepColumns, estimate_metric
 from homsample.harness import (
-    _replicate,
     ExperimentConfig,
+    _replicate_block,
     histogram,
     resolve_design,
     run_experiment,
@@ -18,7 +30,11 @@ from homsample.harness import (
     write_summary_csv,
 )
 from homsample.rng import derive_seed, make_rng
-from homsample.sampling import draw_sample, with_seed
+from homsample.sampling import design_from_dict, draw_sample, with_seed
+from oracles import ReferenceColumns, random_graph, random_onehot_signal, reference_replicate
+
+# a vectorized division over invalid rows that warned would add bytes to stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _karate_cfg(**overrides):
@@ -271,8 +287,8 @@ def test_zero_joint_probability_is_an_invalid_replication(karate):
     table = incl.joint_by_span.copy()
     table[4] = 0.0
     incl = dataclasses.replace(incl, joint_by_span=table)
-    columns = SweepColumns(g, s, incl, ("dirichlet_total",))
-    rep = _replicate(g, design, columns, (("dirichlet_total", "ht_total"),), 0, 5)
+    columns = SweepColumns(g, s, incl)
+    (rep,) = _replicate_block(g, design, columns, (("dirichlet_total", "ht_total"),), 0, [5])
     assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]
 
 
@@ -310,3 +326,134 @@ def test_traceroute_sweep_computes_betweenness_once(monkeypatch, karate):
     assert 0 < len(g1._sp_cache) < g1.node_count
     assert brandes1 == g1.node_count and g1._betweenness is not None
     assert pis1 == pis and record1 == record
+
+
+DIRICHLET_PAIRS = ALL_PAIRS[:3]
+# a phrase of each check's reason, for the test statistics
+INVALID_CHECKS = ("below the floor", "zero HT denominator", "empty sample", "no sampled edges",
+                  "joint inclusion probability 0", "non-finite")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_block_engine_matches_the_per_replication_reference(karate, seed, data):
+    # every replication of a block, split into blocks of any size, repr-equal
+    # to the one drawn and estimated alone, invalid reasons and their order included
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="karate"):
+        g, s = karate
+    else:
+        n = data.draw(st.integers(2, 14), label="n")
+        g = random_graph(rng, n, data.draw(st.floats(0.2, 0.9), label="density"),
+                         weighted=data.draw(st.booleans(), label="weighted"))
+        s = random_onehot_signal(rng, n, data.draw(st.integers(1, 3), label="classes"))
+        assume(g.edge_count)     # an experiment on an edgeless graph stops at its ground truth
+    pairs = ALL_PAIRS
+    if data.draw(st.booleans(), label="non-finite signal"):
+        # one node's infinite feature makes every estimate touching it non-finite
+        rows = rng.normal(size=(g.node_count, 2))
+        rows[rng.integers(g.node_count), 0] = np.inf
+        s, pairs = GraphSignal(rows), DIRICHLET_PAIRS
+    n = g.node_count
+    design = design_from_dict(data.draw(st.sampled_from([
+        {"kind": "bernoulli", "p": data.draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]), label="p")},
+        {"kind": "srs", "n_star": data.draw(st.integers(1, n), label="n_star")},
+        {"kind": "traceroute", "n_sources": data.draw(st.integers(1, min(3, n)), label="sources"),
+         "n_targets": data.draw(st.integers(1, min(3, n)), label="targets")},
+    ]), label="design"))
+    if data.draw(st.booleans(), label="empirical"):
+        # an undersized oracle leaves sampled edges below the pi floor
+        incl = inclusion.inclusion_for(g, with_seed(design, seed), source="empirical",
+                                       replications=data.draw(st.integers(1, 40), label="pi_reps"))
+    else:
+        incl = design.inclusion(g)
+        if incl.has_joint and data.draw(st.booleans(), label="zero joint"):
+            table = incl.joint_by_span.copy()
+            table[data.draw(st.sampled_from([3, 4]), label="span")] = 0.0
+            incl = dataclasses.replace(incl, joint_by_span=table)
+    reps = data.draw(st.integers(1, 300), label="replications")
+    per_block = data.draw(st.integers(1, reps), label="rows per block")
+    seeds = [derive_seed(seed, 1, 0, r) for r in range(reps)]
+
+    reference = ReferenceColumns(g, s, incl, sorted({kind for kind, _ in pairs}))
+    want = [reference_replicate(g, design, reference, pairs, r, seed)
+            for r, seed in enumerate(seeds)]
+    columns = SweepColumns(g, s, incl)
+    got = []
+    for start in range(0, reps, per_block):
+        got += _replicate_block(g, design, columns, pairs, start,
+                                seeds[start:start + per_block])
+    # repr writes each float's shortest round-trip digits: equal reprs, equal bits
+    assert repr(got) == repr(want)
+    reasons = {e["invalid"] for r in got for e in r["estimates"].values() if "invalid" in e}
+    for check in INVALID_CHECKS:
+        if any(check in reason for reason in reasons):
+            event(f"invalid: {check}")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("below the floor", "non-finite"),
+    ("joint inclusion probability 0", "non-finite"),
+])
+def test_block_engine_keeps_the_order_of_checks(karate, first, second):
+    # rows failing two checks carry the reason of the one a sample alone meets first
+    g, _ = karate
+    rows = np.random.default_rng(5).normal(size=(g.node_count, 2))
+    rows[0, 0] = np.inf                          # node 0 has degree 16
+    s = GraphSignal(rows)
+    design = SrsDesign(n_star=20)
+    if first == "below the floor":
+        incl = inclusion.inclusion_for(g, with_seed(design, 9), source="empirical",
+                                       replications=3)
+    else:
+        incl = design.inclusion(g)
+        table = incl.joint_by_span.copy()
+        table[4] = 0.0
+        incl = dataclasses.replace(incl, joint_by_span=table)
+    seeds = [derive_seed(11, 1, 0, r) for r in range(50)]
+    pair = ("dirichlet_total", "ht_total")
+    got = _replicate_block(g, design, SweepColumns(g, s, incl), (pair,), 0, seeds)
+    reference = ReferenceColumns(g, s, incl, ("dirichlet_total",))
+    assert repr(got) == repr([reference_replicate(g, design, reference, (pair,), r, seed)
+                              for r, seed in enumerate(seeds)])
+    # the rows whose sample holds node 0 fail both checks
+    both = [r["estimates"]["dirichlet_total:ht_total"].get("invalid", "") for r in got
+            if 0 in draw_sample(g, with_seed(design, r["seed"])).nodes]
+    assert both and all(first in reason for reason in both)
+    assert not any(second in reason for reason in both)
+
+
+@pytest.mark.parametrize("design, pi_source", [
+    ({"kind": "bernoulli", "p": 0.3}, "analytic"),
+    ({"kind": "srs", "n_star": 6}, "empirical"),
+    ({"kind": "traceroute", "n_sources": 2, "n_targets": 2}, "empirical"),
+])
+def test_one_row_blocks_write_the_record_of_one_block(karate, design, pi_source):
+    cfg = _karate_cfg(design=design, metrics=ALL_PAIRS, replications=60,
+                      pi_source=pi_source, pi_replications=30)
+    assert harness._block_rows(karate[0]) >= cfg.replications
+    record = run_experiment(cfg, dataset=karate).to_json()
+    with mock.patch.object(harness, "_BLOCK_BYTES", 1):
+        assert harness._block_rows(karate[0]) == 1
+        assert run_experiment(cfg, dataset=karate).to_json() == record
+
+
+def test_one_block_stays_within_the_byte_budget():
+    # the budget bounds what a block allocates, fixed before the run: a
+    # census of a W-random graph through every metric pair, the span-variance path included
+    g, u = graphon.sample_w_random_graph(graphon.two_block_graphon(0.5, 0.2)[0], 200,
+                                         np.random.default_rng(3))
+    s = GraphSignal.from_labels((u >= 0.5).astype(int), 2)
+    design = design_from_dict({"kind": "bernoulli", "p": 1.0})
+    columns = SweepColumns(g, s, design.inclusion(g))
+    rows = harness._block_rows(g)
+    seeds = [derive_seed(7, 1, 0, r) for r in range(2 * rows)]
+    _replicate_block(g, design, columns, ALL_PAIRS, 0, seeds[:rows])   # builds the columns
+    tracemalloc.start()
+    try:
+        _replicate_block(g, design, columns, ALL_PAIRS, rows, seeds[rows:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 5_000 and rows > 1
+    assert peak <= harness._BLOCK_BYTES
