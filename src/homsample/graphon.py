@@ -67,10 +67,10 @@ class GridGraphon:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("grid must be square")
+        if np.any(~((v >= 0) & (v <= 1))):          # written so that NaN fails too
+            raise ValueError("grid values must lie in [0, 1]")
         if not np.array_equal(v, v.T):
             raise ValueError("grid must be symmetric")
-        if np.any((v < 0) | (v > 1)):
-            raise ValueError("grid values must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
     @property
@@ -104,14 +104,67 @@ def two_block_graphon(p_in: float, p_out: float):
     return GridGraphon(np.array([[p_in, p_out], [p_out, p_in]])), np.eye(2)
 
 
+def _bernoulli_positions(total: int, p: float, rng) -> np.ndarray:
+    """Positions in [0, total) kept by independent Bernoulli(p) trials, in order.
+
+    Successive gaps between successes are geometric, so the positions are a
+    cumulative sum of ``rng.geometric(p)`` draws, drawn in blocks sized to the
+    expected remaining count and extended until one passes ``total``.
+    """
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    parts, last = [], -1
+    while True:
+        expected = (total - 1 - last) * p
+        size = int(expected + 4.0 * np.sqrt(expected)) + 16
+        # a gap that passes total ends the scan; clipped there, the sum stays in int64
+        pos = last + np.cumsum(np.minimum(rng.geometric(p, size), total + 1))
+        if pos[-1] >= total:
+            parts.append(pos[:np.searchsorted(pos, total)])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
+
+
+def _unrank_pairs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (x, y), 0 <= x < y, of triangular ranks k = y (y - 1) / 2 + x.
+
+    The float root estimates y to within one (above 2**53 it can overshoot
+    just below a row boundary); integer corrections make it exact for
+    every rank below 2**61.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    y = ((1.0 + np.sqrt(8.0 * k + 1.0)) / 2.0).astype(np.int64)
+    y -= y * (y - 1) // 2 > k
+    y += (y + 1) * y // 2 <= k
+    return k - y * (y - 1) // 2, y
+
+
 def sample_w_random_graph(w: GridGraphon, n: int, rng) -> tuple[Graph, np.ndarray]:
-    """Random graph with edge probabilities w(u_i, u_j) at i.i.d. uniform latents."""
+    """Random graph with edge probabilities w(u_i, u_j) at i.i.d. uniform latents.
+
+    Every node pair is an exact, independent Bernoulli draw. The latents
+    ``u = rng.random(n)`` come first; the nodes are then grouped by grid
+    cell, and each cell pair's successes are found by geometric skipping
+    over its pairs, so time and memory are O(n + m), never O(n^2).
+    """
     u = rng.random(n)
     cells = w.cell_of(u)
-    iu, ju = np.triu_indices(n, k=1)
-    probs = w.values[cells[iu], cells[ju]]
-    keep = rng.random(len(probs)) < probs
-    return Graph.from_arrays(n, iu[keep], ju[keep]), u
+    members = np.argsort(cells, kind="stable")
+    sizes = np.bincount(cells, minlength=w.resolution)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    heads, tails = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for a in range(w.resolution):
+        for b in range(a, w.resolution):
+            p, na, nb = float(w.values[a, b]), int(sizes[a]), int(sizes[b])
+            total = na * (na - 1) // 2 if a == b else na * nb
+            if p == 0.0 or total == 0:
+                continue
+            k = _bernoulli_positions(total, p, rng)
+            x, y = _unrank_pairs(k) if a == b else np.divmod(k, nb)
+            heads.append(members[starts[a] + x])
+            tails.append(members[starts[b] + y])
+    return Graph.from_arrays(n, np.concatenate(heads), np.concatenate(tails)), u
 
 
 def signal_at_latents(signal_grid: np.ndarray, w: GridGraphon, u: np.ndarray) -> GraphSignal:
@@ -125,7 +178,7 @@ def convergence_experiment(w: GridGraphon, signal_grid: np.ndarray, sizes, reps:
     """Monte Carlo check that TV / n^2 approaches the graphon functional.
 
     For each size n, ``reps`` independent W-random graphs are generated on
-    stream (base_seed, size_index, rep); reported per size: the mean of
+    stream (base_seed, 3, size_index, rep); reported per size: the mean of
     TV / n^2 and the mean absolute deviation from the analytic functional.
     """
     if reps < 1:
@@ -138,7 +191,7 @@ def convergence_experiment(w: GridGraphon, signal_grid: np.ndarray, sizes, reps:
     for k, n in enumerate(sizes):
         ratios = np.empty(reps)
         for r in range(reps):
-            rng = child_rng(base_seed, k, r)
+            rng = child_rng(base_seed, 3, k, r)
             g, u = sample_w_random_graph(w, n, rng)
             ratios[r] = dirichlet_energy(g, signal_at_latents(signal_grid, w, u)) / float(n * n)
         series.append({

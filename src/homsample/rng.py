@@ -12,6 +12,12 @@ used together must differ somewhere other than in trailing zeros, as
 the harness's ``make_rng(derive_seed(base, 1, s, r))`` replication
 streams and each sweep's one oracle stream
 ``make_rng(derive_seed(base, 2, s))`` do.
+
+The first entry of a path names its domain: 1 for the harness's
+replications, 2 for its oracle draws and 3 for the W-random graphs of
+``graphon.convergence_experiment``, which draws repetition ``r`` at size
+index ``k`` from ``child_rng(base, 3, k, r)``. So its first graph never
+shares a stream with ``make_rng(base)``.
 """
 
 import numpy as np

@@ -254,6 +254,17 @@ def riemann_phi(grid_values: np.ndarray, signal_grid: np.ndarray, refine: int = 
     return float(total) / (2.0 * k * k)
 
 
+def reference_w_random_graph(w, n: int, rng) -> tuple[Graph, np.ndarray]:
+    """W-random graph by one uniform per node pair, over all n(n-1)/2 pairs of ``triu_indices``."""
+    u = rng.random(n)
+    m = w.values.shape[0]
+    cells = np.minimum((u * m).astype(np.int64), m - 1)
+    iu, ju = np.triu_indices(n, k=1)
+    probs = w.values[cells[iu], cells[ju]]
+    keep = rng.random(len(probs)) < probs
+    return Graph.from_arrays(n, iu[keep], ju[keep]), u
+
+
 @dataclass(frozen=True, eq=False)
 class StepGraphon:
     """Symmetric nonnegative block matrix; block (i, j) holds the edge weight."""

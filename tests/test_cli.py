@@ -335,6 +335,13 @@ def test_graphon_on_an_empty_graph_is_an_input_error(tmp_path):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("flag", ["--p-in", "--p-out"])
+def test_graphon_rejects_a_nan_probability_as_out_of_range(flag):
+    res = run_cli("graphon", flag, "nan", "--sizes", "10", "--reps", "1")
+    assert res.returncode == 2
+    assert res.stderr == "error: grid values must lie in [0, 1]\n"
+
+
 @pytest.mark.parametrize("sizes", ["0,10", "-5"])
 def test_graphon_rejects_sizes_below_one(sizes):
     res = run_cli("graphon", f"--sizes={sizes}", "--reps", "1")

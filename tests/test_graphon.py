@@ -1,4 +1,5 @@
 import tracemalloc
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -17,8 +18,25 @@ from homsample import (
     two_block_graphon,
 )
 from homsample import graphon
+from homsample.graph import UNLABELLED_NODE_LIMIT
 from homsample.graphon import signal_at_latents
-from oracles import dense_phi_step, random_graph, random_onehot_signal, riemann_phi, to_step_pair
+from homsample.rng import child_rng
+from oracles import (
+    dense_phi_step,
+    random_graph,
+    random_onehot_signal,
+    reference_w_random_graph,
+    riemann_phi,
+    to_step_pair,
+)
+
+# Fixed before any run: a fair standardized count exceeds it with probability
+# below 7e-6, so a few hundred statistics pass together with probability > 0.99.
+Z_BOUND = 4.5
+# A 3 x 3 grid with entries 0 and 1 (which must be met exactly) and interior values.
+GRID3 = np.array([[0.0, 1.0, 0.3],
+                  [1.0, 0.5, 0.05],
+                  [0.3, 0.05, 0.9]])
 
 
 def test_step_pair_transcription():
@@ -127,6 +145,13 @@ def test_grid_graphon_validation():
         GridGraphon(np.array([[1.5]]))
 
 
+@pytest.mark.parametrize("values", [[[np.nan]], [[0.5, np.nan], [np.nan, 0.5]],
+                                    [[0.1, np.nan], [0.2, 0.1]]])
+def test_a_nan_grid_value_is_out_of_range_not_asymmetric(values):
+    with pytest.raises(ValueError, match="grid values must lie in \\[0, 1\\]"):
+        GridGraphon(np.array(values))
+
+
 def test_phi_grid_analytic_two_block():
     # equal blocks, cross-block probability q, unit one-hot contrast:
     # phi = q / 2 under the half-ordered-sum convention
@@ -153,6 +178,119 @@ def test_w_random_extremes():
     zeros = GridGraphon(np.zeros((2, 2)))
     g, _ = sample_w_random_graph(zeros, 20, make_rng(1))
     assert g.edge_count == 0                       # empty
+
+
+def test_both_generators_draw_the_same_latents():
+    w = GridGraphon(GRID3)
+    for seed in range(5):
+        _, u = sample_w_random_graph(w, 300, make_rng(seed))
+        _, want = reference_w_random_graph(w, 300, make_rng(seed))
+        assert u.tobytes() == want.tobytes()
+
+
+def _standardized(hits: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per column: the count of hits minus its conditional mean, over its standard deviation.
+
+    Rows are independent runs; ``probs`` holds each hit's probability given that
+    run's latents. A column whose probabilities are all 0 or 1 has no spread and
+    must be met exactly; it reads 0 when it is.
+    """
+    excess = (hits - probs).sum(axis=0)
+    spread = np.sqrt((probs * (1.0 - probs)).sum(axis=0))
+    assert np.all(hits[:, spread == 0] == probs[:, spread == 0])
+    return excess / np.where(spread > 0, spread, 1.0)
+
+
+@pytest.mark.parametrize("generate", [sample_w_random_graph, reference_w_random_graph],
+                         ids=["geometric", "reference"])
+def test_pair_frequencies_and_independence_follow_the_grid(generate):
+    # every node pair is a Bernoulli draw of w[cell_i, cell_j] given the latents,
+    # and two pairs that share a node are independent given them
+    n, reps = 9, 3000
+    w = GridGraphon(GRID3)
+    iu, ju = np.triu_indices(n, k=1)
+    hits = np.zeros((reps, len(iu)))
+    probs = np.zeros((reps, len(iu)))
+    for r in range(reps):
+        g, u = generate(w, n, make_rng(r))
+        adjacency = np.zeros((n, n))
+        adjacency[g.edge_i, g.edge_j] = 1.0
+        hits[r] = adjacency[iu, ju]
+        cells = w.cell_of(u)
+        probs[r] = GRID3[cells[iu], cells[ju]]
+    assert np.abs(_standardized(hits, probs)).max() <= Z_BOUND
+    first, second = zip(*[(a, b) for a in range(len(iu)) for b in range(a + 1, len(iu))
+                          if {iu[a], ju[a]} & {iu[b], ju[b]}])
+    first, second = list(first), list(second)
+    assert len(first) == n * comb(n - 1, 2)
+    joint = _standardized(hits[:, first] * hits[:, second], probs[:, first] * probs[:, second])
+    assert np.abs(joint).max() <= Z_BOUND
+
+
+def test_cell_pair_edge_counts_follow_the_grid():
+    w = GridGraphon(GRID3)
+    for seed in range(3):
+        g, u = sample_w_random_graph(w, 420, make_rng(seed))
+        assert g.edge_count >= 10_000
+        cells = w.cell_of(u)
+        sizes = np.bincount(cells, minlength=3)
+        lo = np.minimum(cells[g.edge_i], cells[g.edge_j])
+        hi = np.maximum(cells[g.edge_i], cells[g.edge_j])
+        counts = np.zeros((3, 3), dtype=np.int64)
+        np.add.at(counts, (lo, hi), 1)
+        for a in range(3):
+            for b in range(a, 3):
+                pairs = comb(int(sizes[a]), 2) if a == b else int(sizes[a] * sizes[b])
+                p = GRID3[a, b]
+                if p in (0.0, 1.0):
+                    assert counts[a, b] == pairs * p
+                else:
+                    z = (counts[a, b] - pairs * p) / np.sqrt(pairs * p * (1 - p))
+                    assert abs(z) <= Z_BOUND, (seed, a, b, z)
+
+
+def _rank(x: int, y: int) -> int:
+    return y * (y - 1) // 2 + x
+
+
+def test_triangular_unrank_is_a_bijection_for_every_cell_size_to_300():
+    for size in range(2, 301):
+        ranks = np.arange(comb(size, 2))
+        x, y = graphon._unrank_pairs(ranks)
+        assert np.all((0 <= x) & (x < y) & (y < size))
+        assert np.array_equal(y * (y - 1) // 2 + x, ranks)
+
+
+@pytest.mark.parametrize("power", [46, 47, 56, 60])
+def test_triangular_unrank_is_exact_near_two_to_the(power):
+    # C(2**24, 2) is just below 2**47: the pair count of one cell holding
+    # UNLABELLED_NODE_LIMIT nodes. From 2**56 on, the float root alone
+    # overshoots by one just below each row boundary.
+    top = isqrt(2 << power)
+    pairs = [(x, y) for y in range(top - 2, top + 3) for x in (0, 1, y // 2, y - 2, y - 1)]
+    ranks = [_rank(x, y) for x, y in pairs]
+    ranks += [(1 << power) + d for d in range(-3, 4)]
+    ranks.append(comb(UNLABELLED_NODE_LIMIT, 2) - 1)
+    x, y = graphon._unrank_pairs(np.array(ranks, dtype=np.int64))
+    got = list(zip(x.tolist(), y.tolist()))
+    assert got[:len(pairs)] == pairs
+    assert all(0 <= a < b and _rank(a, b) == k for (a, b), k in zip(got, ranks))
+    assert got[-1] == (UNLABELLED_NODE_LIMIT - 2, UNLABELLED_NODE_LIMIT - 1)
+
+
+def test_generator_memory_is_linear_in_nodes_and_edges():
+    # an array over all n(n-1)/2 = 2e8 pairs would take 1.6 GB; the bound,
+    # fixed before the run, is 40 words per node and edge (measured: about 24)
+    n = 20_000
+    w, _ = two_block_graphon(0.0008, 0.0003)
+    tracemalloc.start()
+    try:
+        g, _ = sample_w_random_graph(w, n, make_rng(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 100_000
+    assert peak <= 40 * 8 * (n + g.edge_count)
 
 
 def test_w_random_block_densities():
@@ -196,6 +334,21 @@ def test_signal_at_latents_matches_blocks():
 def test_phi_step_rejects_a_graph_without_nodes():
     with pytest.raises(ValueError, match="no nodes"):
         phi_step(Graph.from_edges(0, []), GraphSignal(np.zeros((0, 2))))
+
+
+def test_the_first_convergence_graph_does_not_reuse_the_base_stream(monkeypatch):
+    latents = []
+
+    def recording(w, n, rng):
+        g, u = sample_w_random_graph(w, n, rng)
+        latents.append(u)
+        return g, u
+
+    monkeypatch.setattr(graphon, "sample_w_random_graph", recording)
+    w, sig = two_block_graphon(0.5, 0.2)
+    convergence_experiment(w, sig, sizes=(40,), reps=1, base_seed=5)
+    assert latents[0].tobytes() == child_rng(5, 3, 0, 0).random(40).tobytes()
+    assert latents[0].tobytes() != make_rng(5).random(40).tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(10, 0), (-5,)])
