@@ -44,7 +44,6 @@ from .estimators import (
     DegenerateSampleError,
     EstimateReport,
     estimate_metric,
-    hajek_ratio,
     ht_total,
     ht_variance,
 )

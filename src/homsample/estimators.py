@@ -24,7 +24,10 @@ own slice, and each row is checked as one sample is, so a row's estimate
 or invalid reason is bit for bit that of its sample alone.
 :func:`estimate_metric` is the one-row case. Node homophily is a mean of
 per-node ratios, not an edge total, and is only offered as a plug-in on
-the sampled subgraph.
+the sampled subgraph; its node sums, like the variance's, are
+:func:`~homsample.metrics.node_sums`, which the exact metric uses too.
+:func:`ht_total` and :func:`ht_variance` give the HT total of any
+per-edge values and its variance on one sample.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .metrics import (
     EDGE_METRICS,
     METRIC_KINDS,
     NODE_HOMOPHILY,
+    node_sums,
     same_label_values,
 )
 from .sampling import SampleBlock, SampledGraph, row_offsets
@@ -189,25 +193,6 @@ def _quotients(num: np.ndarray, den) -> np.ndarray:
         return np.divide(num, den, out=np.zeros(len(num)), where=np.asarray(den) != 0)
 
 
-def _row_node_sums(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarray):
-    """Each row's :func:`~homsample.metrics.node_sums` of its edges ``ids`` and
-    ``values``, concatenated, and their rows.
-
-    One bincount over ``row * n + node`` adds each row's values at a node
-    in the order ``node_sums`` adds them, so every sum has the same bits.
-    """
-    n, count, k = g.node_count, len(rows.lengths), len(ids)
-    base = np.repeat(np.arange(count) * n, rows.lengths)
-    ends = np.empty(2 * k, dtype=np.int64)
-    for half, endpoint in ((ends[:k], g.edge_i), (ends[k:], g.edge_j)):
-        np.take(endpoint, ids, out=half)
-        half += base
-    counts = np.bincount(ends, minlength=count * n)
-    keep = counts > 0
-    sums = np.bincount(ends, weights=np.concatenate([values, values]), minlength=count * n)
-    return sums[keep], counts[keep], _Rows(row_offsets(keep.reshape(count, n).sum(axis=1)))
-
-
 def _weights(g: Graph, ids: np.ndarray, scale: float) -> np.ndarray:
     """``scale * edge_w`` at the edges ``ids``, computed in the one array."""
     weights = g.edge_w[ids]
@@ -227,11 +212,6 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
     if sample.edge_count == 0:
         return 0.0
     return float((values / _positive_pi(sample, incl)).sum())
-
-
-def plug_in_total(sample: SampledGraph, values) -> float:
-    """Unweighted total over the sampled edges (biased by pi under any design)."""
-    return float(_sampled_values(sample, values).sum())
 
 
 def _span_variance(q: float, ss: float, total: float, m: int, pairs3: int, pi: float,
@@ -272,7 +252,8 @@ def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarr
     Totals and node sums come for all rows at once; the dot products are
     one BLAS ``@`` per row, as on that row's sample alone.
     """
-    sums, degrees, node_rows = _row_node_sums(g, ids, rows, values)
+    sums, degrees, node_lengths = node_sums(g, ids, rows.lengths, values)
+    node_rows = _Rows(row_offsets(node_lengths))
     degree_sq = row_offsets(degrees * degrees)[node_rows.offsets]
     pairs3 = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
     totals = rows.sums(values).tolist()
@@ -332,24 +313,12 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     return var
 
 
-def hajek_ratio(sample: SampledGraph, numerator_values, denominator_values,
-                incl: InclusionModel) -> float:
-    """Ratio of two HT totals; under uniform pi this is the plain sample ratio."""
-    numerator = _sampled_values(sample, numerator_values)
-    denominator = _sampled_values(sample, denominator_values)
-    pi = _positive_pi(sample, incl)
-    den = float((denominator / pi).sum())
-    if den == 0.0:
-        raise DegenerateSampleError("zero HT denominator (empty or degenerate sample)")
-    return float((numerator / pi).sum()) / den
-
-
 class SweepColumns:
     """Per-edge columns of one graph, signal and inclusion model, estimated a block at a time.
 
     An experiment builds one per sweep value and estimates each block of
-    replications with :meth:`estimate_block`; :meth:`estimate` is its
-    one-row case, so every estimate runs the same code:
+    replications with :meth:`estimate_block`; :func:`estimate_metric` is
+    its one-row case, so every estimate runs the same code:
 
     - each ``EDGE_METRICS`` kernel, and node homophily's same-label
       indicator, is gathered at the block's edge ids from its column over
@@ -359,8 +328,8 @@ class SweepColumns:
       gathered once per block;
     - a row's totals are the 1-D pairwise sums of its contiguous slice
       (``_Rows.sums``), node sums come from one bincount over
-      ``row * n + node``, and the span-variance dot products are one BLAS
-      ``@`` per row.
+      ``row * n + node`` (:func:`~homsample.metrics.node_sums`), and the
+      span-variance dot products are one BLAS ``@`` per row.
 
     A kernel is elementwise in the edges, so every gathered value has the
     bits of a kernel on one row's sample alone, and so has each row's
@@ -405,8 +374,9 @@ class SweepColumns:
 
         if kind == NODE_HOMOPHILY:
             _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
-            sums, counts, node_rows = _row_node_sums(g, ids, rows,
-                                                     self._gather(same_label_values, ids))
+            sums, counts, node_lengths = node_sums(g, ids, rows.lengths,
+                                                   self._gather(same_label_values, ids))
+            node_rows = _Rows(row_offsets(node_lengths))
             points = _quotients(node_rows.sums(sums / counts), node_rows.lengths)
         else:
             kernel, scale = EDGE_METRICS[kind]
@@ -448,13 +418,6 @@ class SweepColumns:
                                               design, seed))
         return reports
 
-    def estimate(self, sample: SampledGraph, kind: str, mode: str) -> EstimateReport:
-        """The :func:`estimate_metric` report of ``sample``, a sample of this graph."""
-        (report,) = self.estimate_block(SampleBlock.of(sample), kind, mode)
-        if isinstance(report, DegenerateSampleError):
-            raise report
-        return report
-
 
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
                     incl: InclusionModel | None = None) -> EstimateReport:
@@ -466,7 +429,11 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     graph ("known_denominator"). ``incl`` is required unless "plug_in".
     Degenerate realizations (an empty sample under a ratio mode, or an edge
     the model gives probability 0) raise DegenerateSampleError. This is
-    :meth:`SweepColumns.estimate`, the one-row case of a block estimate,
-    which evaluates the kernels on the sampled edges alone.
+    the one-row case of :meth:`SweepColumns.estimate_block`, which
+    evaluates the kernels on the sampled edges alone.
     """
-    return SweepColumns(sample.parent, signal, incl).estimate(sample, kind, mode)
+    (report,) = SweepColumns(sample.parent, signal, incl).estimate_block(
+        SampleBlock.of(sample), kind, mode)
+    if isinstance(report, DegenerateSampleError):
+        raise report
+    return report

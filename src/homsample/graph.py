@@ -2,13 +2,14 @@
 
 Graphs are undirected and weighted, over dense 0-based node ids. Each
 unordered edge is stored exactly once with ``i < j``; weights are strictly
-positive and finite (a zero-weight pair is a non-edge). A CSR adjacency
-over both directions supports O(deg) traversal. The edge and adjacency
-arrays are frozen at construction; the only state that changes later is
-the per-instance shortest-path state: the source -> DAG cache
-(``_sp_cache``), which :mod:`homsample.shortest_paths` keeps within a
-fixed byte budget by counting the bytes it holds (``_sp_cache_bytes``),
-and the edge betweenness (``_betweenness``), which
+positive and finite (a zero-weight pair is a non-edge). The edge arrays
+are frozen at construction. A CSR adjacency over both directions supports
+O(deg) traversal; only the shortest-path code reads it, so it is built,
+frozen and kept the first time a traversal asks for it. The other state
+that changes later is the per-instance shortest-path state: the source ->
+DAG cache (``_sp_cache``), which :mod:`homsample.shortest_paths` keeps
+within a fixed byte budget by counting the bytes it holds
+(``_sp_cache_bytes``), and the edge betweenness (``_betweenness``), which
 :mod:`homsample.inclusion` keeps once computed.
 
 Edge lists and label files are read once and parsed in one pass over
@@ -74,7 +75,7 @@ class Graph:
         self.edge_i = _freeze(np.array(edge_i, dtype=np.int64))
         self.edge_j = _freeze(np.array(edge_j, dtype=np.int64))
         self.edge_w = _freeze(np.array(edge_w, dtype=np.float64))
-        self._build_adjacency()
+        self._indptr = self._nbr = self._nbr_eid = None
         self._sp_cache = {}
         self._sp_cache_bytes = 0
         self._betweenness = None
@@ -120,17 +121,21 @@ class Graph:
         i, j, w = zip(*rows)
         return cls.from_arrays(node_count, i, j, w)
 
-    def _build_adjacency(self):
-        n, m = self.node_count, len(self.edge_i)
-        src = np.concatenate([self.edge_i, self.edge_j])
-        dst = np.concatenate([self.edge_j, self.edge_i])
-        eid = np.concatenate([np.arange(m), np.arange(m)])
-        order = np.argsort(src, kind="stable")
-        # entry v + 1 counts v's edges; summed in place, the one node-sized array is indptr
-        indptr = np.bincount(src + 1, minlength=n + 1).astype(np.int64, copy=False)
-        self._indptr = _freeze(np.cumsum(indptr, out=indptr))
-        self._nbr = _freeze(dst[order])
-        self._nbr_eid = _freeze(eid[order])
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, nbr, nbr_eid)``, the CSR adjacency over both directions:
+        built, frozen and kept the first time a traversal asks for it."""
+        if self._indptr is None:
+            n, m = self.node_count, len(self.edge_i)
+            src = np.concatenate([self.edge_i, self.edge_j])
+            dst = np.concatenate([self.edge_j, self.edge_i])
+            eid = np.concatenate([np.arange(m), np.arange(m)])
+            order = np.argsort(src, kind="stable")
+            # entry v + 1 counts v's edges; summed in place, the one node-sized array is indptr
+            indptr = np.bincount(src + 1, minlength=n + 1).astype(np.int64, copy=False)
+            self._nbr = _freeze(dst[order])
+            self._nbr_eid = _freeze(eid[order])
+            self._indptr = _freeze(np.cumsum(indptr, out=indptr))
+        return self._indptr, self._nbr, self._nbr_eid
 
     # -- basic queries -----------------------------------------------------
 
@@ -139,11 +144,12 @@ class Graph:
         return len(self.edge_i)
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._nbr[self._indptr[v]:self._indptr[v + 1]]
+        indptr, nbr, _ = self._adjacency()
+        return nbr[indptr[v]:indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:
         """Unweighted degree of every node."""
-        return np.diff(self._indptr)
+        return np.diff(self._adjacency()[0])
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -13,13 +13,13 @@ inclusion is approximated through ordered-pair edge betweenness,
 available there, so variance estimation is unsupported under traceroute.
 A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies
 from a design's realizations, all drawn one after another from the one
-stream of the design's seed through the design's ``edge_counts``: induced
-designs repeat ``realize``, and traceroute backtracks a block of
-realizations, every target of a source at once, with no generator per
-realization. It is the fallback authority when the approximation is in
-doubt; it estimates ``pi`` only, so its models carry no joints. A model
-is only its source, ``pi`` and span table; the estimators check a
-realization against it.
+stream of the design's seed through the design's ``edge_counts``, a block
+of realizations at a time with no generator per realization: induced
+designs find a block's induced edges in one step, and traceroute
+backtracks every target of a source at once. It is the fallback
+authority when the approximation is in doubt; it estimates ``pi`` only,
+so its models carry no joints. A model is only its source, ``pi`` and
+span table; the estimators check a realization against it.
 """
 
 from __future__ import annotations

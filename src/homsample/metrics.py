@@ -10,7 +10,10 @@ Node homophily follows the usual benchmark convention: the mean, over
 nodes with at least one neighbor, of the fraction of *neighbors* (counts,
 not weights) sharing the node's label. On unweighted graphs this agrees
 with the weighted fraction; on weighted graphs the count convention is
-what published benchmark tables use.
+what published benchmark tables use. Its per-node sums come from
+:func:`node_sums`, which sums rows of edge subsets at once; the exact
+metric is the one row of all edges, and the estimators pass a block of
+samples (their plug-in node homophily and HT variance read it).
 """
 
 from __future__ import annotations
@@ -64,23 +67,26 @@ def same_label_weight_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndar
     return w * (labels[i] == labels[j])
 
 
-def node_sums(i: np.ndarray, j: np.ndarray, values: np.ndarray):
-    """Per-endpoint sums of ``values`` and edge counts over the edges (i, j), in node order.
+def node_sums(g: Graph, edge_ids: np.ndarray, lengths, values: np.ndarray):
+    """Per-endpoint sums of ``values`` and edge counts over rows of g's edges.
 
-    One entry per node that ends at least one of the edges. A bincount over
-    the endpoint ids adds each node's values in input order, so no sort is
-    needed; its arrays span ids up to the largest endpoint.
+    Row r holds the next ``lengths[r]`` of ``edge_ids``, with their
+    ``values``. Returns the sums and counts of every row's endpoints, rows
+    in order and nodes in node order within a row, and each row's number of
+    endpoints. One bincount over ``row * n + node`` adds each row's values
+    at a node in input order, so no sort is needed and a row's sums have
+    the bits they have alone.
     """
-    ends = np.concatenate([i, j])
-    counts = np.bincount(ends)
+    n, rows, k = g.node_count, len(lengths), len(edge_ids)
+    base = np.repeat(np.arange(rows) * n, lengths)
+    ends = np.empty(2 * k, dtype=np.int64)
+    for half, endpoint in ((ends[:k], g.edge_i), (ends[k:], g.edge_j)):
+        np.take(endpoint, edge_ids, out=half)
+        half += base
+    counts = np.bincount(ends, minlength=rows * n)
     keep = counts > 0
-    return np.bincount(ends, weights=np.concatenate([values, values]))[keep], counts[keep]
-
-
-def node_mean_ratio(i: np.ndarray, j: np.ndarray, values: np.ndarray) -> float:
-    """Mean over the endpoints of the edges (i, j) of their value sum per edge count."""
-    sums, counts = node_sums(i, j, values)
-    return float(np.mean(sums / counts))
+    sums = np.bincount(ends, weights=np.concatenate([values, values]), minlength=rows * n)
+    return sums[keep], counts[keep], keep.reshape(rows, n).sum(axis=1)
 
 
 def same_label_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray:
@@ -127,18 +133,14 @@ def edge_homophily(g: Graph, s: GraphSignal) -> float:
     return _edge_metric(g, s, EDGE_HOMOPHILY)
 
 
-def node_homophily(g: Graph, s: GraphSignal, edge_ids=None) -> float:
-    """Mean same-label neighbor fraction over nodes with degree >= 1.
-
-    With ``edge_ids`` the neighbors and degrees are those of the subgraph
-    formed by that edge subset.
-    """
-    same = same_label_values(g, s, edge_ids)
-    i, j, _ = _edges(g, edge_ids)
-    if not len(i):
+def node_homophily(g: Graph, s: GraphSignal) -> float:
+    """Mean same-label neighbor fraction over nodes with degree >= 1."""
+    same = same_label_values(g, s)
+    if not g.edge_count:
         raise ValueError("graph has no edges")
-    # only endpoints of the given edges have degree >= 1
-    return node_mean_ratio(i, j, same)
+    # only endpoints of edges have degree >= 1
+    sums, counts, _ = node_sums(g, np.arange(g.edge_count), [g.edge_count], same)
+    return float(np.mean(sums / counts))
 
 
 _EXACT = {

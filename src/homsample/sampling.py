@@ -12,10 +12,14 @@ inclusion model.
 so it is a pure function of that pair, and row r of
 ``draw_block(graph, design, seeds)`` is the sample ``draw_sample`` gives
 on ``seeds[r]``. Induced designs observe exactly the edges with both
-endpoints in the sampled node set; they draw a block's node sets row by
-row, with the draw ``realize`` uses, and find every row's edges in one
-vectorized step. Traceroute observes the union of edges on one random
-shortest path per source-target pair, and its blocks repeat ``realize``.
+endpoints in the sampled node set. One kernel serves all three of their
+mechanics: it draws one node set per row, each from its row's generator,
+and finds every row's edges in one vectorized step. ``realize`` is its
+one-row case, ``realize_block`` gives each row ``make_rng(seed)``, and
+``edge_counts`` gives every row the one stream, a block of rows at a
+time. Traceroute observes the union of edges on one random shortest path
+per source-target pair; its blocks repeat ``realize``, and its
+``edge_counts`` backtracks a block of realizations at once.
 """
 
 from __future__ import annotations
@@ -32,34 +36,42 @@ from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
 from .rng import DEFAULT_SEED, make_rng
 from .shortest_paths import path_dag, sample_path, sample_paths
 
-# byte budget for the per-row arrays of one block of traceroute oracle
-# realizations: an edge mask and the uniform keys of the node draws
+# byte budget for the per-row arrays of one block of oracle realizations:
+# the node and edge masks of an induced design, or traceroute's edge mask
+# and the uniform keys of its node draws
 _BLOCK_BYTES = 1 << 19
 
 
 class _InducedDesign:
     """Mechanics of the induced designs, which differ only in their ``node_sample``."""
 
+    def _masks(self, g: Graph, rngs) -> tuple[np.ndarray, np.ndarray]:
+        """Row r of the node mask holds the node set ``node_sample`` draws
+        from ``rngs[r]``, drawn in row order, and row r of the edge mask the
+        edges it induces, found for all rows at once."""
+        nodes = np.zeros((len(rngs), g.node_count), dtype=bool)
+        for row, rng in zip(nodes, rngs):
+            row[self.node_sample(g, rng)] = True
+        return nodes, nodes[:, g.edge_i] & nodes[:, g.edge_j]
+
     def realize(self, g: Graph, rng) -> "SampledGraph":
-        nodes = self.node_sample(g, rng)
-        return SampledGraph(self, g, nodes, induced_edge_ids(g, nodes))
+        nodes, edges = self._masks(g, [rng])
+        return SampledGraph(self, g, np.flatnonzero(nodes[0]), np.flatnonzero(edges[0]))
 
     def realize_block(self, g: Graph, seeds) -> "SampleBlock":
-        """Row r holds the node set ``node_sample`` draws from ``make_rng(seeds[r])``
-        and the edges it induces, found for all rows at once."""
-        nodes = np.zeros((len(seeds), g.node_count), dtype=bool)
-        for row, seed in zip(nodes, seeds):
-            row[self.node_sample(g, make_rng(seed))] = True
-        edges = nodes[:, g.edge_i] & nodes[:, g.edge_j]
+        """Row r is ``realize`` on ``make_rng(seeds[r])``."""
+        nodes, edges = self._masks(g, [make_rng(seed) for seed in seeds])
         return SampleBlock(self, g, tuple(seeds), np.nonzero(edges)[1],
                            row_offsets(edges.sum(axis=1)), nodes.sum(axis=1))
 
     def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
         """Times each edge is sampled over ``replications`` successive ``realize``
-        calls on one stream."""
+        calls on one stream, drawn as blocks of rows whose masks fit ``_BLOCK_BYTES``
+        (a row's node mask, two endpoint gathers and edge mask take n + 3m bytes)."""
         counts = np.zeros(g.edge_count, dtype=np.int64)
-        for _ in range(replications):
-            counts[self.realize(g, rng).edge_index] += 1
+        block = max(1, _BLOCK_BYTES // max(1, g.node_count + 3 * g.edge_count))
+        for start in range(0, replications, block):
+            counts += self._masks(g, [rng] * min(block, replications - start))[1].sum(axis=0)
         return counts
 
 
@@ -344,19 +356,14 @@ def row_offsets(counts) -> np.ndarray:
     return out
 
 
-def induced_edge_ids(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Parent ids of edges with both endpoints in ``nodes``."""
-    mask = np.zeros(g.node_count, dtype=bool)
-    mask[nodes] = True
-    return np.nonzero(mask[g.edge_i] & mask[g.edge_j])[0]
-
-
 def induced_subgraph(g: Graph, nodes, design: SampleDesign | None = None) -> SampledGraph:
     """Subgraph induced by a node set (inclusion probabilities unfilled)."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= g.node_count):
         raise ValueError(f"node id out of range [0, {g.node_count})")
-    return SampledGraph(design, g, nodes, induced_edge_ids(g, nodes))
+    mask = np.zeros(g.node_count, dtype=bool)
+    mask[nodes] = True
+    return SampledGraph(design, g, nodes, np.flatnonzero(mask[g.edge_i] & mask[g.edge_j]))
 
 
 def draw_sample(g: Graph, design: SampleDesign) -> SampledGraph:

@@ -69,7 +69,7 @@ def path_dag(g: Graph, source: int) -> PathDag:
 
 def _bfs_dag(g: Graph, source: int) -> PathDag:
     n = g.node_count
-    indptr, nbr, nbr_eid = g._indptr, g._nbr, g._nbr_eid
+    indptr, nbr, nbr_eid = g._adjacency()
     dist = np.full(n, -1, dtype=np.int64)
     sigma = np.zeros(n)
     pred_lo = np.zeros(n, dtype=np.int64)

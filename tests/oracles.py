@@ -31,7 +31,7 @@ from homsample.estimators import (
 from homsample.inclusion import InclusionModel
 from homsample.metrics import EDGE_METRICS, NODE_HOMOPHILY, same_label_values
 from homsample.rng import child_rng
-from homsample.sampling import design_to_dict, draw_sample, with_seed
+from homsample.sampling import design_to_dict, draw_sample, induced_subgraph, with_seed
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -132,7 +132,7 @@ def reference_path_dag(g: Graph, source: int) -> SimpleNamespace:
     sigma[source] = 1.0
     order = [source]
     queue = deque([source])
-    indptr, nbr, nbr_eid = g._indptr, g._nbr, g._nbr_eid
+    indptr, nbr, nbr_eid = g._adjacency()
     while queue:
         v = queue.popleft()
         dv = dist[v]
@@ -218,6 +218,15 @@ def reference_empirical_pi(g: Graph, design, replications: int) -> InclusionMode
         source=f"empirical:{design.kind}",
         pi=counts / replications,
     )
+
+
+def reference_edge_counts(g: Graph, design, rng, replications: int) -> np.ndarray:
+    """Times each edge is sampled over ``replications`` node draws of an
+    induced design, one after another from ``rng``, each induced alone."""
+    counts = np.zeros(g.edge_count, dtype=np.int64)
+    for _ in range(replications):
+        counts[induced_subgraph(g, design.node_sample(g, rng)).edge_index] += 1
+    return counts
 
 
 def reference_edge_betweenness(g: Graph) -> np.ndarray:

@@ -325,6 +325,17 @@ def test_estimate_defaults_to_the_metrics_first_mode(tmp_path, kind):
     assert implicit.read_bytes() == explicit.read_bytes()
 
 
+def test_empirical_oracle_on_an_empty_edge_list(tmp_path):
+    # a 0-node, 0-edge graph: the oracle's blocks must not divide by its size
+    edges = tmp_path / "e.txt"
+    edges.write_text("")
+    res = run_cli("sample", "--edges", str(edges), "--design", "bernoulli", "--p", "0.5",
+                  "--pi", "empirical")
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert data["parent_node_count"] == 0 and data["nodes"] == [] and data["edges"] == []
+
+
 def test_graphon_on_an_empty_graph_is_an_input_error(tmp_path):
     edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
     edges.write_text("")

@@ -16,13 +16,11 @@ from homsample import (
     draw_sample,
     edge_variation_values,
     estimate_metric,
-    hajek_ratio,
     ht_total,
     ht_variance,
     inclusion_for,
     induced_subgraph,
 )
-from homsample.estimators import plug_in_total
 from homsample.estimators import (
     HAJEK_RATIO,
     HT_TOTAL,
@@ -68,7 +66,7 @@ def test_census_is_exact(karate):
     sample = draw_sample(g, design)
     values = edge_variation_values(g, s)[sample.edge_index]
     assert ht_total(sample, values, incl) == dirichlet_energy(g, s)
-    assert plug_in_total(sample, values) == dirichlet_energy(g, s)
+    assert estimate_metric(sample, s, "dirichlet_total", PLUG_IN).point == dirichlet_energy(g, s)
     var, status = ht_variance(sample, values, incl)
     assert var == 0.0 and status == VARIANCE_EXACT
     census = BernoulliDesign(p=1.0, seed=4)
@@ -93,11 +91,10 @@ def test_k3_srs_worked_example(triangle):
 
 def test_k3_plug_in_expectation_matches_pi_scaling(triangle):
     g, s = triangle
-    values = edge_variation_values(g, s)
-    expect = srs_expectation(3, 2, lambda sub: plug_in_total(
-        induced_subgraph(g, sub), values[induced_subgraph(g, sub).edge_index]))
+    expect = srs_expectation(3, 2, lambda sub: estimate_metric(
+        induced_subgraph(g, sub), s, "dirichlet_total", PLUG_IN).point)
     assert expect == pytest.approx(4.0 / 3.0)   # TV * pi with pi = 1/3
-    assert plug_in_total(induced_subgraph(g, []), np.array([])) == 0.0
+    assert estimate_metric(induced_subgraph(g, []), s, "dirichlet_total", PLUG_IN).point == 0.0
 
 
 def test_star_variance_enumeration(star):
@@ -118,7 +115,7 @@ def test_bernoulli_identity_ht_is_scaled_plug_in(karate):
         sample = draw_sample(g, design)
         vals = values[sample.edge_index]
         assert ht_total(sample, vals, incl) == pytest.approx(
-            plug_in_total(sample, vals) / p ** 2, rel=1e-12)
+            estimate_metric(sample, s, "dirichlet_total", PLUG_IN).point / p ** 2, rel=1e-12)
 
 
 def test_bernoulli_disjoint_pair_cross_term_is_zero():
@@ -245,16 +242,16 @@ def test_hajek_reductions(triangle):
     incl = inclusion_for(g, design)
     values = edge_variation_values(g, s)
     sample = induced_subgraph(g, [0, 1], design)   # single same-label edge
-    ones = np.ones(sample.edge_count)
-    assert hajek_ratio(sample, ones, ones, incl) == 1.0
+    assert estimate_metric(sample, s, "edge_homophily", HAJEK_RATIO, incl).point == 1.0
     # uniform pi: ratio equals the unweighted sample ratio
-    vals = values[sample.edge_index]
-    edge_w = g.edge_w[sample.edge_index]
-    assert hajek_ratio(sample, vals, 2 * edge_w, incl) == pytest.approx(
-        vals.sum() / (2 * edge_w.sum()))
+    for sample in (induced_subgraph(g, [0, 2], design), induced_subgraph(g, [0, 1, 2], design)):
+        vals = values[sample.edge_index]
+        edge_w = g.edge_w[sample.edge_index]
+        point = estimate_metric(sample, s, "dirichlet_normalized", HAJEK_RATIO, incl).point
+        assert point > 0 and point == pytest.approx(vals.sum() / (2 * edge_w.sum()))
     with pytest.raises(DegenerateSampleError, match="denominator"):
         empty = induced_subgraph(g, [], design)
-        hajek_ratio(empty, np.array([]), np.array([]), incl)
+        estimate_metric(empty, s, "edge_homophily", HAJEK_RATIO, incl)
 
 
 def test_exhaustive_unbiasedness_random_graphs():

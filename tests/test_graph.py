@@ -24,6 +24,7 @@ from homsample.graph import (
     dump_edge_list,
 )
 from homsample.graphon import sample_w_random_graph, two_block_graphon
+from homsample.shortest_paths import path_dag
 from oracles import (
     edge_id,
     random_graph,
@@ -158,12 +159,21 @@ def test_adjacency_queries():
         edge_id(g, 0, 3)
 
 
+def test_adjacency_is_built_on_first_traversal(karate):
+    kg, _ = karate
+    g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
+    assert g._indptr is None and g._nbr is None and g._nbr_eid is None
+    path_dag(g, 0)
+    built = g._adjacency()
+    assert all(a is not None and not a.flags.writeable for a in built)
+    assert all(a is b for a, b in zip(built, g._adjacency()))   # kept, not rebuilt
+
+
 def test_adjacency_arrays_match_the_concatenating_build():
     rng = np.random.default_rng(8)
     for n in (1, 2, 5, 13):
         g = random_graph(rng, n=n, p=0.5, weighted=True)
-        indptr, nbr, nbr_eid = reference_csr(g)
-        for got, want in ((g._indptr, indptr), (g._nbr, nbr), (g._nbr_eid, nbr_eid)):
+        for got, want in zip(g._adjacency(), reference_csr(g)):
             assert got.dtype == want.dtype == np.int64
             assert got.tobytes() == want.tobytes()
 
@@ -175,6 +185,7 @@ def test_adjacency_build_holds_one_node_sized_array():
     tracemalloc.start()
     try:
         g = Graph(n, [0, 5], [n - 1, n - 1], [1.0, 1.0])
+        g._adjacency()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

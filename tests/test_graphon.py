@@ -3,7 +3,7 @@ from math import comb, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homsample import (
     Graph,
@@ -83,17 +83,24 @@ def graph_signal_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(pair=graph_signal_pairs())
+# squared deviations of 6.7e-320 are subnormal, where rounding is absolute
+@example(pair=(Graph.from_arrays(8, [0], [1], [1.0]),
+               GraphSignal(np.array([[2.59e-160]] + [[0.0]] * 7))))
 def test_phi_step_matches_dense_reference(pair):
     g, s = pair
     n = g.node_count
     got = phi_step(g, s)
     # rounding error is relative to the size of the terms, sum_e w_e (|x_i|^2 + |x_j|^2),
-    # which bounds the functional itself; a near-constant signal cancels them
+    # which bounds the functional itself; a near-constant signal cancels them. Below
+    # the smallest normal float the error is absolute (n^2 subnormal spacings at most),
+    # so both absolute tolerances are floored at a few times that float
     sq = (s.rows ** 2).sum(axis=1)
     scale = float(g.edge_w @ (sq[g.edge_i] + sq[g.edge_j]))
+    floor = 4 * np.finfo(float).tiny
     assert got == pytest.approx(dense_phi_step(*to_step_pair(g, s)),
-                                rel=1e-12, abs=1e-12 * scale / n ** 2)
-    assert got * n ** 2 == pytest.approx(dirichlet_energy(g, s), rel=1e-9, abs=1e-9 * scale)
+                                rel=1e-12, abs=max(1e-12 * scale / n ** 2, floor))
+    assert got * n ** 2 == pytest.approx(dirichlet_energy(g, s), rel=1e-9,
+                                         abs=max(1e-9 * scale, floor))
     with pytest.raises(ValueError, match="rows for"):
         phi_step(g, GraphSignal(np.zeros((n + 1, s.dim))))
 

@@ -17,9 +17,16 @@ from homsample import (
     induced_subgraph,
     inclusion_for,
 )
-from homsample import shortest_paths
+from homsample import sampling, shortest_paths
 from homsample.rng import make_rng
-from oracles import brute_edge_betweenness, dense_joint, edge_id, random_graph, reference_empirical_pi
+from oracles import (
+    brute_edge_betweenness,
+    dense_joint,
+    edge_id,
+    random_graph,
+    reference_edge_counts,
+    reference_empirical_pi,
+)
 
 # max |z| over the edges of a graph, the oracle against the per-replication
 # reference: P(|Z| > 4.5) is 6.8e-6, so about 5e-4 family-wise over 78 edges
@@ -271,6 +278,24 @@ def test_induced_oracle_counts_successive_realizations_on_one_stream(karate, des
     for _ in range(300):
         counts[design.realize(g, rng).edge_index] += 1
     assert empirical_pi(g, design, 300).pi.tobytes() == (counts / 300).tobytes()
+
+
+@pytest.mark.parametrize("design", [BernoulliDesign(p=0.3, seed=6), SrsDesign(n_star=10, seed=7)])
+def test_induced_oracle_blocks_match_the_per_realization_loop(monkeypatch, karate, design):
+    # 2,000 bytes hold 7 rows of karate's masks (n + 3m = 268 bytes a row), so 501
+    # realizations span 72 blocks, the last one partial
+    g, _ = karate
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 2000)
+    got = design.edge_counts(g, make_rng(design.seed), 501)
+    want = reference_edge_counts(g, design, make_rng(design.seed), 501)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert empirical_pi(g, design, 501).pi.tobytes() == (want / 501).tobytes()
+
+
+def test_oracle_on_a_graph_without_nodes_is_empty():
+    g = Graph.from_edges(0, [])
+    model = empirical_pi(g, BernoulliDesign(p=0.5), 50)
+    assert model.pi.shape == (0,) and model.source == "empirical:bernoulli"
 
 
 @pytest.mark.parametrize("design", [BernoulliDesign(p=0.5), SrsDesign(n_star=2),

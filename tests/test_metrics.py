@@ -12,7 +12,9 @@ from homsample import (
     node_homophily,
     normalized_dirichlet,
 )
+from homsample.estimators import estimate_metric
 from homsample.metrics import METRIC_KINDS, homophily_profile, node_sums, same_label_weight_values
+from homsample.sampling import SampledGraph
 from oracles import (
     dense_laplacian_tv,
     edge_id,
@@ -176,19 +178,30 @@ def test_kernels_on_edge_subsets_match_subgraphs():
                               same_label_weight_values(g, s)[ids])
         if len(ids):
             sub = Graph.from_arrays(n, g.edge_i[ids], g.edge_j[ids], g.edge_w[ids])
-            assert node_homophily(g, s, ids) == node_homophily(sub, s)
+            sample = SampledGraph(None, g, np.arange(n), ids)
+            assert estimate_metric(sample, s, "node_homophily", "plug_in").point == \
+                node_homophily(sub, s)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14), data=st.data())
 def test_node_sums_match_the_sorting_reference_bitwise(seed, n, data):
+    # several rows, each an edge subset of its own (an empty one included),
+    # against the reference on each row alone
     g = random_graph(np.random.default_rng(seed), n=n, p=0.5)
-    keep = data.draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
-    ids = np.flatnonzero(np.array(keep, dtype=bool))
+    rows = [np.flatnonzero(np.array(data.draw(st.lists(
+        st.booleans(), min_size=g.edge_count, max_size=g.edge_count)), dtype=bool))
+        for _ in range(data.draw(st.integers(1, 4)))]
+    rows.insert(data.draw(st.integers(0, len(rows))), np.array([], dtype=np.int64))
+    ids = np.concatenate(rows)
     values = np.array(data.draw(st.lists(
-        st.floats(-1e9, 1e9, allow_subnormal=False), min_size=len(ids), max_size=len(ids))))
-    for sub in (ids, ids[:0]):
-        args = g.edge_i[sub], g.edge_j[sub], values[:len(sub)].astype(np.float64)
-        for got, want in zip(node_sums(*args), reference_node_sums(*args)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        st.floats(-1e9, 1e9, allow_subnormal=False), min_size=len(ids), max_size=len(ids))),
+        dtype=np.float64)
+    sums, counts, per_row = node_sums(g, ids, [len(r) for r in rows], values)
+    want = [reference_node_sums(g.edge_i[r], g.edge_j[r], v)
+            for r, v in zip(rows, np.split(values, np.cumsum([len(r) for r in rows])[:-1]))]
+    assert per_row.tolist() == [len(c) for _, c in want]
+    for got, parts in ((sums, [w for w, _ in want]), (counts, [c for _, c in want])):
+        expected = np.concatenate(parts)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
