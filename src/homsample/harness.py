@@ -40,7 +40,7 @@ from .estimators import PLUG_IN, DegenerateSampleError, SweepColumns, check_mode
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
 from .jsonout import dumps_indented
-from .rng import DEFAULT_SEED, derive_seed
+from .rng import DEFAULT_SEED, derive_seed, derive_seeds
 from .sampling import design_from_dict, design_params, draw_block, with_seed
 
 # byte budget for the per-row arrays of one block of replications
@@ -183,7 +183,8 @@ def run_experiment(cfg: ExperimentConfig,
 
     ``dataset`` may pass a preloaded (graph, signal) pair; otherwise
     ``cfg.dataset`` is treated as a manifest path. Replications run
-    serially, in order, a block of ``_block_rows`` at a time.
+    serially, in order, a block of ``_block_rows`` at a time; a block's
+    seeds are derived at once, when the block runs.
     """
     if dataset is not None:
         g, signal = dataset
@@ -206,11 +207,11 @@ def run_experiment(cfg: ExperimentConfig,
                                cfg.pi_source, cfg.pi_replications) if needs_pi else None
 
         columns = SweepColumns(g, signal, incl)
-        seeds = [derive_seed(cfg.base_seed, 1, sweep_idx, r) for r in range(cfg.replications)]
         reps = []
-        for start in range(0, len(seeds), rows):
-            reps += _replicate_block(g, design, columns, cfg.metrics, start,
-                                     seeds[start:start + rows])
+        for start in range(0, cfg.replications, rows):
+            block = range(start, min(start + rows, cfg.replications))
+            seeds = derive_seeds(cfg.base_seed, 1, sweep_idx, block).tolist()
+            reps += _replicate_block(g, design, columns, cfg.metrics, start, seeds)
 
         summaries = {}
         for kind, mode in cfg.metrics:

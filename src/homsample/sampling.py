@@ -3,7 +3,8 @@
 Every design is a frozen dataclass carrying its parameters and a seed, and
 owns its mechanics: ``realize(g, rng)`` draws one sample from a given
 stream, ``realize_block(g, seeds)`` draws one sample per seed, each from
-its own stream ``make_rng(seed)``, into a :class:`SampleBlock`,
+its own stream ``make_rng(seed)``, keyed for the whole block at once by
+:func:`~homsample.rng.make_rngs`, into a :class:`SampleBlock`,
 ``edge_counts(g, rng, replications)`` counts how often each edge
 is sampled over that many realizations drawn from one stream (the
 empirical inclusion oracle), and ``inclusion(g)`` builds its analytic
@@ -15,7 +16,7 @@ on ``seeds[r]``. Induced designs observe exactly the edges with both
 endpoints in the sampled node set. One kernel serves all three of their
 mechanics: it draws one node set per row, each from its row's generator,
 and finds every row's edges in one vectorized step. ``realize`` is its
-one-row case, ``realize_block`` gives each row ``make_rng(seed)``, and
+one-row case, ``realize_block`` gives each row its seed's stream, and
 ``edge_counts`` gives every row the one stream, a block of rows at a
 time. Traceroute observes the union of edges on one random shortest path
 per source-target pair; its blocks repeat ``realize``, and its
@@ -33,7 +34,7 @@ import numpy as np
 
 from .graph import Graph
 from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
-from .rng import DEFAULT_SEED, make_rng
+from .rng import DEFAULT_SEED, make_rng, make_rngs
 from .shortest_paths import path_dag, sample_path, sample_paths
 
 # byte budget for the per-row arrays of one block of oracle realizations:
@@ -45,22 +46,22 @@ _BLOCK_BYTES = 1 << 19
 class _InducedDesign:
     """Mechanics of the induced designs, which differ only in their ``node_sample``."""
 
-    def _masks(self, g: Graph, rngs) -> tuple[np.ndarray, np.ndarray]:
+    def _masks(self, g: Graph, rows: int, rngs) -> tuple[np.ndarray, np.ndarray]:
         """Row r of the node mask holds the node set ``node_sample`` draws
-        from ``rngs[r]``, drawn in row order, and row r of the edge mask the
-        edges it induces, found for all rows at once."""
-        nodes = np.zeros((len(rngs), g.node_count), dtype=bool)
+        from the r-th generator of ``rngs``, drawn in row order, and row r
+        of the edge mask the edges it induces, found for all rows at once."""
+        nodes = np.zeros((rows, g.node_count), dtype=bool)
         for row, rng in zip(nodes, rngs):
             row[self.node_sample(g, rng)] = True
         return nodes, nodes[:, g.edge_i] & nodes[:, g.edge_j]
 
     def realize(self, g: Graph, rng) -> "SampledGraph":
-        nodes, edges = self._masks(g, [rng])
+        nodes, edges = self._masks(g, 1, [rng])
         return SampledGraph(self, g, np.flatnonzero(nodes[0]), np.flatnonzero(edges[0]))
 
     def realize_block(self, g: Graph, seeds) -> "SampleBlock":
         """Row r is ``realize`` on ``make_rng(seeds[r])``."""
-        nodes, edges = self._masks(g, [make_rng(seed) for seed in seeds])
+        nodes, edges = self._masks(g, len(seeds), make_rngs(seeds))
         return SampleBlock(self, g, tuple(seeds), np.nonzero(edges)[1],
                            row_offsets(edges.sum(axis=1)), nodes.sum(axis=1))
 
@@ -71,7 +72,8 @@ class _InducedDesign:
         counts = np.zeros(g.edge_count, dtype=np.int64)
         block = max(1, _BLOCK_BYTES // max(1, g.node_count + 3 * g.edge_count))
         for start in range(0, replications, block):
-            counts += self._masks(g, [rng] * min(block, replications - start))[1].sum(axis=0)
+            rows = min(block, replications - start)
+            counts += self._masks(g, rows, [rng] * rows)[1].sum(axis=0)
         return counts
 
 
@@ -161,15 +163,19 @@ class TracerouteDesign:
                 nodes, eids = res
                 seen[eids] = True
                 paths.append(tuple(nodes))
-        ids = np.nonzero(seen)[0]
-        nodes = np.unique(np.concatenate([g.edge_i[ids], g.edge_j[ids]])) if len(ids) else np.empty(0, dtype=np.int64)
+        ids = np.flatnonzero(seen)
+        # a node mask, not np.unique, which imports numpy.ma on its first call
+        touched = np.zeros(g.node_count, dtype=bool)
+        touched[g.edge_i[ids]] = True
+        touched[g.edge_j[ids]] = True
+        nodes = np.flatnonzero(touched)
         return SampledGraph(self, g, nodes, ids, paths=tuple(paths),
                             meta={"skipped_pairs": skipped,
                                   "pair_rule": "sources and targets drawn by independent SRS; s=t pairs skipped"})
 
     def realize_block(self, g: Graph, seeds) -> "SampleBlock":
         """``realize`` on ``make_rng(seed)`` for each seed in turn."""
-        samples = [self.realize(g, make_rng(seed)) for seed in seeds]
+        samples = [self.realize(g, rng) for rng in make_rngs(seeds)]
         return SampleBlock(self, g, tuple(seeds),
                            np.concatenate([s.edge_index for s in samples]),
                            row_offsets([s.edge_count for s in samples]),

@@ -31,7 +31,7 @@ from homsample.estimators import (
 from homsample.inclusion import InclusionModel
 from homsample.metrics import EDGE_METRICS, NODE_HOMOPHILY, same_label_values
 from homsample.rng import child_rng
-from homsample.sampling import design_to_dict, draw_sample, induced_subgraph, with_seed
+from homsample.sampling import design_to_dict, induced_subgraph, with_seed
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -529,9 +529,32 @@ class ReferenceColumns:
             sampled_edges=len(ids), design=design_to_dict(design), seed=design.seed)
 
 
+# -- numpy's own SeedSequence seeding, the reference for the batched hash ----
+
+def reference_make_rng(seed: int) -> np.random.Generator:
+    """Philox generator for an integer seed, keyed by numpy's SeedSequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+
+
+def reference_child_rng(base_seed: int, *path: int) -> np.random.Generator:
+    """Philox generator keyed by numpy's SeedSequence of ``[base_seed, *path]``."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([int(base_seed)] + [int(p) for p in path])))
+
+
+def reference_derive_seed(base_seed: int, *path: int) -> int:
+    """The 64-bit word numpy's SeedSequence makes of ``[base_seed, *path]``."""
+    seq = np.random.SeedSequence([int(base_seed)] + [int(p) for p in path])
+    lo, hi = seq.generate_state(2)
+    return int(lo) | (int(hi) << 32)
+
+
 def reference_replicate(g, design, columns, metric_pairs, rep, seed):
-    """One replication dict of an experiment, drawn and estimated alone."""
-    sample = draw_sample(g, with_seed(design, seed))
+    """One replication dict of an experiment, drawn alone on numpy's own
+    seeding of ``seed`` and estimated alone."""
+    design = with_seed(design, seed)
+    design.validate(g.node_count)
+    sample = design.realize(g, reference_make_rng(seed))
     estimates = {}
     for kind, mode in metric_pairs:
         key = f"{kind}:{mode}"

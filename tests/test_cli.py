@@ -107,6 +107,17 @@ def test_estimate_traceroute_approx_pi(tmp_path):
     assert data["point"] > 0
 
 
+def test_traceroute_experiment_does_not_import_numpy_ma(tmp_path):
+    # numpy's plain 1-D np.unique imports numpy.ma, about 30 ms of a process
+    args = ["experiment", "--manifest", MANIFEST, "--design", "traceroute",
+            "--sources", "2", "--targets", "2", "--metric", "all", "--reps", "20",
+            "--pi", "empirical", "--pi-reps", "200", "--out", str(tmp_path / "out.json")]
+    code = ("import sys; from homsample import cli; "
+            f"code = cli.main({args!r}); sys.exit(code or 'numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_empirical_oracle_does_not_replay_the_sample():
     # an oracle run on the sample's own stream would see that very sample as
     # its one replication and give every sampled edge pi = 1
@@ -283,6 +294,17 @@ PINNED_OUTPUTS = {
         ("experiment", "--design", "traceroute", "--sources", "1,2", "--targets", "1,2",
          "--metric", "dirichlet_total", "--reps", "10", "--seed", "7"),
         "3b50054889fa4aaefa5efe1c0b6acca93fb0c136d4bd13a707f43134e76aa757"),
+    # seeds of two and of three 32-bit words (2**64 - 1 and 2**70), recorded
+    # while every stream was seeded through numpy's own SeedSequence
+    "experiment-bernoulli-seed-2-64-minus-1": (
+        ("experiment", "--design", "bernoulli", "--p", "0.3", "--metric", "all",
+         "--reps", "20", "--seed", "18446744073709551615"),
+        "624d91589e5e11537370bd720a0f0051860afad4e8131047f96e3e67beb844c2"),
+    "experiment-traceroute-empirical-seed-2-70": (
+        ("experiment", "--design", "traceroute", "--sources", "2", "--targets", "2",
+         "--metric", "dirichlet_total", "--reps", "10", "--pi", "empirical",
+         "--pi-reps", "2000", "--seed", "1180591620717411303424"),
+        "760f89d633e92019cf3183cb1ace0b479ef7c1fda225430f72c84bd81cf59318"),
 }
 
 # sha256 of the CSV files of the pinned experiment-bernoulli command, recorded
