@@ -12,10 +12,12 @@ within a fixed byte budget by counting the bytes it holds
 (``_sp_cache_bytes``), and the edge betweenness (``_betweenness``), which
 :mod:`homsample.inclusion` keeps once computed.
 
-Edge lists and label files are read once and parsed in one pass over
-numpy arrays, which also names the first bad line of a malformed text
-(see "text formats" below). A graph has one node per label, or without
-labels ``max id + 1`` nodes, at most ``UNLABELLED_NODE_LIMIT``."""
+Edge lists and label files are read once and parsed over numpy arrays,
+which also names the first bad line of a malformed text (see "text
+formats" below). A label file, one line per node, is parsed whole; an
+edge list in line-aligned chunks of a fixed size, so its parse holds a
+bounded number of bytes per edge. A graph has one node per label, or
+without labels ``max id + 1`` nodes, at most ``UNLABELLED_NODE_LIMIT``."""
 
 from __future__ import annotations
 
@@ -220,17 +222,27 @@ class GraphSignal:
 # Labels:    one "node_id class_id" per line, every node exactly once.
 #
 # Line k of a text is its k-th "\n"-separated piece, and whitespace is
-# what str.isspace() says, as for str.split(). A text is read once and
-# parsed in one pass over arrays. Comments are cut, and numpy finds the
-# bytes of every field and the fields of each row, a line that holds
-# any. Ids of 1 to 18 ASCII digits are read from their bytes; every
-# other id goes through int() and every weight through float(), so the
-# accepted syntax is Python's. Each check a line must pass is a mask
-# over the rows, and an error names the first row that fails one.
+# what str.isspace() says, as for str.split(). A text is read once into
+# one str, so a decode error names its offset in the file. A label file
+# is parsed as one table; an edge list in chunks of _CHUNK_CHARS
+# characters, each cut after a "\n", whose line numbers go on from the
+# chunks before. Comments are cut, and numpy finds the bytes of every
+# field and the fields of each row, a line that holds any. Ids of 1 to
+# 18 ASCII digits and weights of 1 to 15 ASCII digits with at most one
+# "." are read from their bytes; every other id goes through int() and
+# every other weight through float(), so the accepted syntax is
+# Python's. Each check a line must pass is a mask over the rows, and an
+# error names the first row that fails one; the first chunk with such a
+# row raises, so it is the first bad line of the text. Loading a
+# W-random dump of 163k edges whose weights are all "1.0" peaks at about
+# 100 traced bytes per edge (tracemalloc, Python 3.11, numpy 2.4), the
+# graph's own 24 included, at any file size.
 
 _COMMENT = re.compile("#[^\n]*")
 _SPACE_BUT_NEWLINE = re.compile(r"[^\S\n]")   # for str patterns \s is str.isspace()
 _SPACE = np.array([c < 128 and chr(c).isspace() for c in range(256)])   # by UTF-8 byte
+_POW10 = np.array([float(10 ** k) for k in range(16)])   # each exact in float64
+_CHUNK_CHARS = 1 << 18   # an edge list is parsed this many characters, to a line end, at a time
 
 
 def _read(source) -> str:
@@ -241,6 +253,20 @@ def _read(source) -> str:
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     return "".join(line if line.endswith("\n") else line + "\n" for line in source)
+
+
+def _line_chunks(text: str):
+    """``(piece, line)`` pairs that cut text after the first ``"\\n"`` at or
+    past every _CHUNK_CHARS characters, ``line`` the 0-based number of the
+    piece's first line in text. An empty text is one empty piece."""
+    start, line = 0, 0
+    while True:
+        cut = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        piece = text[start:cut]
+        yield piece, line
+        if cut == len(text):
+            return
+        start, line = cut, line + piece.count("\n")
 
 
 def _convert(convert, tokens: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +292,10 @@ class _FieldTable:
 
     ``b`` is the text without comments as UTF-8 bytes, each whitespace
     character but ``"\\n"`` made an ASCII space, with one space appended;
-    field f spans ``b[first[f]:end[f]]``, fields in text order. Row r is
-    line ``line[r]`` (0-based) of ``text`` and holds ``count[r]`` fields
-    from field ``start[r]`` on.
+    field f spans ``b[first[f]:end[f]]``, fields in text order. ``text``
+    is a whole text, or its lines from line ``first_line`` (0-based) on.
+    Row r is line ``line[r]`` of the whole text and holds ``count[r]``
+    fields from field ``start[r]`` on.
     """
 
     text: str
@@ -278,6 +305,7 @@ class _FieldTable:
     line: np.ndarray
     start: np.ndarray
     count: np.ndarray
+    first_line: int
 
     def field(self, c: int) -> np.ndarray:
         """Field c of every row; a row with fewer fields, which fails its
@@ -318,9 +346,42 @@ class _FieldTable:
                 value[odd] = read
         return value, ok
 
+    def decimals(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """float() of fields f, and a mask of the fields it reads.
+
+        Fields of 1 to 15 ASCII digits and at most one ".", which float()
+        reads alike, are read from their bytes: their digits make an
+        integer below 2**53 and the "." a power of ten, both exact in
+        float64, so the quotient rounds once, as float() does (Clinger
+        1990, "How to read floating point numbers accurately").
+        """
+        first = self.first[f]
+        width = self.end[f] - first
+        plain = width <= 16
+        mantissa = np.zeros(len(f), dtype=np.int64)
+        point = np.full(len(f), -1)   # position of the "."
+        for d in range(min(int(width.max(initial=0)), 16)):
+            live = plain & (width > d)
+            byte = self.b[np.where(live, first + d, 0)]
+            digit = byte - np.uint8(48)
+            is_digit = digit <= 9
+            dot = live & (byte == 46) & (point < 0)
+            plain &= ~live | is_digit | dot
+            point[dot] = d
+            mantissa = np.where(live & is_digit, mantissa * 10 + digit, mantissa)
+        digits = width - (point >= 0)
+        plain &= (digits >= 1) & (digits <= 15)
+        scale = np.where(plain & (point >= 0), width - 1 - point, 0)
+        value = mantissa / _POW10[scale]
+        odd = np.flatnonzero(~plain)
+        ok = np.ones(len(f), dtype=bool)
+        if len(odd):
+            value[odd], ok[odd] = _convert(float, self.tokens(f[odd]), np.float64)
+        return value, ok
+
     def raw(self, r: int) -> str:
         """Row r's line as the text holds it, comment included, stripped."""
-        k = int(self.line[r])
+        k = int(self.line[r]) - self.first_line
         return self.text.split("\n", k + 1)[k].strip()
 
     def raise_first(self, error, checks) -> None:
@@ -334,7 +395,7 @@ class _FieldTable:
             raise error(f"line {self.line[r] + 1}: {message(r)}")
 
 
-def _field_table(text: str) -> _FieldTable:
+def _field_table(text: str, first_line: int = 0) -> _FieldTable:
     bare = _COMMENT.sub("", text) if "#" in text else text
     if not bare.isascii():
         bare = _SPACE_BUT_NEWLINE.sub(" ", bare)
@@ -344,17 +405,19 @@ def _field_table(text: str) -> _FieldTable:
     per_line = np.diff(np.searchsorted(first, np.flatnonzero(b == 10)), prepend=0, append=len(first))
     line = np.flatnonzero(per_line)
     count = per_line[line]
-    return _FieldTable(text, b, first, end, line, np.cumsum(count) - count, count)
+    return _FieldTable(text, b, first, end, line + first_line, np.cumsum(count) - count, count,
+                       first_line)
 
 
 def _edge_columns(t: _FieldTable):
-    """``(i, j, w, max_id, line)`` of an edge list, ``line`` the first to hold
-    ``max_id`` (1-based); raises EdgeListError naming the first bad line."""
+    """``(i, j, w, max_id, line)`` of an edge list or a chunk of one, ``line``
+    the first to hold ``max_id`` (1-based, in the whole list); raises
+    EdgeListError naming the first bad line."""
     i, i_ok = t.ints(t.field(0))
     j, j_ok = t.ints(t.field(1))
     w, w_ok = np.ones(len(i)), np.ones(len(i), dtype=bool)
     weighted = np.flatnonzero(t.count == 3)
-    w[weighted], w_ok[weighted] = _convert(float, t.tokens(t.start[weighted] + 2), np.float64)
+    w[weighted], w_ok[weighted] = t.decimals(t.start[weighted] + 2)
     t.raise_first(EdgeListError, [
         ((t.count < 2) | (t.count > 3), lambda r: f"expected 'i j' or 'i j w', got {t.raw(r)!r}"),
         (~(i_ok & j_ok & w_ok), lambda r: f"not numeric: {t.raw(r)!r}"),
@@ -381,7 +444,12 @@ def load_edge_list(source, labelled: int | None = None) -> Graph:
     come before any array sized by the node count. A malformed line
     raises EdgeListError naming the first bad line.
     """
-    i, j, w, max_id, line = _edge_columns(_field_table(_read(source)))
+    columns, max_id, line = [], -1, 0
+    for piece, first_line in _line_chunks(_read(source)):
+        *chunk, top, top_line = _edge_columns(_field_table(piece, first_line))
+        columns.append(chunk)
+        if top > max_id:
+            max_id, line = top, top_line
     if labelled is not None and max_id >= labelled:
         raise UnlabelledNodeError(
             f"edge endpoint node {max_id} has no label: the label file names {labelled} nodes")
@@ -390,6 +458,8 @@ def load_edge_list(source, labelled: int | None = None) -> Graph:
             f"line {line}: node id {max_id} exceeds {UNLABELLED_NODE_LIMIT - 1}, "
             "the largest id an edge list may hold without labels; "
             "give --labels so the label file sets the node count")
+    i, j, w = (np.concatenate(c) for c in zip(*columns))
+    del columns   # the chunks' copy of i, j and w, freed before the graph is built
     return Graph.from_arrays(max_id + 1 if labelled is None else labelled, i, j, w)
 
 

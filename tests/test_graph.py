@@ -280,12 +280,12 @@ def test_malformed_manifest_is_an_error(tmp_path, capsys, content, fragment):
 
 @pytest.mark.parametrize("bad", ["edges", "labels"])
 def test_decode_error_names_the_byte_offset_in_the_file(tmp_path, capsys, bad):
-    # past the first 8 KiB, so a chunked read would report an offset into its chunk
-    n = 3000
+    # past the first parse chunk, so an error counted from a chunk's start would show
+    n = 40_000
     files = {"edges": "".join(f"{v} {v + 1}\n" for v in range(n - 1)).encode(),
              "labels": "".join(f"{v} {v % 2}\n" for v in range(n)).encode()}
     offset = len(files[bad]) - 5 * 1000
-    assert offset > 8192
+    assert offset > graph._CHUNK_CHARS
     files[bad] = files[bad][:offset] + b"\xff" + files[bad][offset + 1:]
     paths = {}
     for name, data in files.items():
@@ -409,7 +409,10 @@ def assert_same_outcome(got, want):
 
 
 PLAIN_IDS = ["0", "1", "2", "3", "17"]
-PLAIN_WEIGHTS = ["1", "0.5", "2.25", "0", "1e3", "0.1"]
+PLAIN_WEIGHTS = ["1", "0.5", "2.25", "0", "1e3", "0.1",
+                 # each side of _FieldTable.decimals' bounds, and tokens only float() reads
+                 "1.", ".5", "007.50", "123456789012345", "1234567890123456",
+                 "0.30000000000000004", "1e-5", "-0.0", "1_0.5", "１.５"]
 
 
 @st.composite
@@ -468,13 +471,46 @@ def sources(text, path):
     return (lambda: io.StringIO(text)), (lambda: path), (lambda: text.split("\n"))
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=texts(edge_rows()), labelled=st.sampled_from([None, 4, 100]))
-def test_bulk_edge_list_matches_per_line_reference(text_file, text, labelled):
-    for source in sources(text, text_file):
+def assert_edge_list_matches_reference(text, path, labelled):
+    for source in sources(text, path):
         want = outcome(lambda: reference_load_edge_list(source(), n_hint=labelled, labelled=labelled))
         got = outcome(lambda: load_edge_list(source(), labelled=labelled))
         assert_same_outcome(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts(edge_rows()), labelled=st.sampled_from([None, 4, 100]))
+def test_bulk_edge_list_matches_per_line_reference(text_file, text, labelled):
+    assert_edge_list_matches_reference(text, text_file, labelled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts(edge_rows()), labelled=st.sampled_from([None, 4, 100]),
+       chunk=st.integers(1, 12))
+def test_bulk_edge_list_in_chunks_of_a_few_characters_matches_reference(text_file, text,
+                                                                        labelled, chunk):
+    # every line a chunk of its own or a few to a chunk: errors, their line numbers and
+    # the line of the largest id must not see where the text was cut
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_CHUNK_CHARS", chunk)
+        pieces, lines = zip(*graph._line_chunks(text))
+        starts = np.cumsum([0, *map(len, pieces)])[:-1]
+        assert "".join(pieces) == text and all(piece.endswith("\n") for piece in pieces[:-1])
+        assert list(lines) == [text[:start].count("\n") for start in starts]
+        assert_edge_list_matches_reference(text, text_file, labelled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.text("0123456789", min_size=1, max_size=17).flatmap(
+    lambda digits: st.sampled_from([digits] + [digits[:k] + "." + digits[k:]
+                                               for k in range(len(digits) + 1)])))
+@example(token="96.48064786969077")   # 16 digits: as a float first, they would round twice
+@example(token="0.1")
+def test_decimals_read_digits_and_a_point_as_float_does(token):
+    t = graph._field_table(f"{token} 1.5\n{token}\n")
+    value, ok = t.decimals(np.arange(3))
+    assert ok.all()
+    assert value.tobytes() == np.array([float(token), 1.5, float(token)]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -493,10 +529,15 @@ def test_bulk_labels_match_per_line_reference(text_file, text, class_count, n):
                         outcome(lambda: reference_load_labels(text_file, class_count, n)))
 
 
-def test_bulk_load_of_a_44k_edge_w_random_dump(tmp_path):
+@pytest.fixture(scope="module")
+def w_random_44k():
     w, _ = two_block_graphon(0.008, 0.003)
     g, _ = sample_w_random_graph(w, 4000, np.random.default_rng([1, 0]))
     assert g.edge_count > 40_000
+    return g
+
+
+def assert_44k_dump_variants_match_reference(tmp_path, g):
     lines = dump_edge_list(g).splitlines(keepends=True)
     variants = {
         "plain": lines,
@@ -513,6 +554,45 @@ def test_bulk_load_of_a_44k_edge_w_random_dump(tmp_path):
         for source in (path, io.StringIO(text)):
             got = load_edge_list(source, labelled=g.node_count)
             assert got == want and got.edge_w.tobytes() == want.edge_w.tobytes(), name
+    # bad lines in the first and the last chunk, named by their line in the file
+    big = f"0 {2 ** 24}\n"
+    flawed = {"late self-loop": (lines[:-3] + ["7 7\n"] + lines[-3:], len(lines) - 2),
+              "late largest id": (lines[:-3] + [big] + lines[-3:], len(lines) - 2),
+              "largest id early and late": (lines[:3] + [big] + lines[3:-3] + [big] + lines[-3:], 4)}
+    for name, (variant, line) in flawed.items():
+        path.write_text("".join(variant), encoding="utf-8")
+        want = outcome(lambda: reference_load_edge_list(path))
+        assert isinstance(want, EdgeListError) and str(want).startswith(f"line {line}:"), name
+        assert_same_outcome(outcome(lambda: load_edge_list(path)), want)
+
+
+def test_bulk_load_of_a_44k_edge_w_random_dump(tmp_path, w_random_44k):
+    assert_44k_dump_variants_match_reference(tmp_path, w_random_44k)
+
+
+def test_bulk_load_of_a_44k_edge_w_random_dump_in_small_chunks(tmp_path, w_random_44k,
+                                                               monkeypatch):
+    # about 1,200 cuts, at shifting offsets into the lines; at 7 characters a chunk
+    # each of the test's loads would take 20 s
+    monkeypatch.setattr(graph, "_CHUNK_CHARS", 509)
+    assert_44k_dump_variants_match_reference(tmp_path, w_random_44k)
+
+
+def test_load_of_a_163k_edge_w_random_dump_peaks_under_128_bytes_per_edge(tmp_path):
+    # parsed whole, with float() of every weight token, the load peaked at 255 B per edge
+    w, _ = two_block_graphon(0.004, 0.0025)
+    g, _ = sample_w_random_graph(w, 10_000, np.random.default_rng([1, 0]))
+    assert g.edge_count > 150_000
+    path = tmp_path / "edges.txt"
+    path.write_text(dump_edge_list(g), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        got = load_edge_list(path, labelled=g.node_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == g
+    assert peak <= 128 * g.edge_count
 
 
 def test_dump_matches_scalar_formatting():
