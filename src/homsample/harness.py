@@ -64,6 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.pi_source == "empirical" and self.pi_replications < 1:
+            raise ValueError(f"pi replications must be >= 1, got {self.pi_replications}")
         if not self.metrics:
             raise ValueError("metrics must name at least one (kind, mode) pair")
         seen = set()

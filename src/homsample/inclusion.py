@@ -15,8 +15,9 @@ A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies
 from a design's realizations, all drawn one after another from the one
 stream of the design's seed through the design's ``edge_counts``, a block
 of realizations at a time with no generator per realization: induced
-designs find a block's induced edges in one step, and traceroute
-backtracks every target of a source at once. It is the fallback
+designs find a block's induced edges in one step, and traceroute walks
+every (row, source, target) path of a block back at once, one uniform a
+hop, over the gathered DAGs of the block's sources. It is the fallback
 authority when the approximation is in doubt; it estimates ``pi`` only,
 so its models carry no joints. A model is only its source, ``pi`` and
 span table; the estimators check a realization against it.
@@ -115,7 +116,7 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> Inclusion
     """
     design.validate(g.node_count)
     if replications < 1:
-        raise ValueError("replications must be >= 1")
+        raise ValueError(f"pi replications must be >= 1, got {replications}")
     counts = design.edge_counts(g, make_rng(design.seed), replications)
     return InclusionModel(
         source=f"empirical:{design.kind}",

@@ -20,7 +20,8 @@ one-row case, ``realize_block`` gives each row its seed's stream, and
 ``edge_counts`` gives every row the one stream, a block of rows at a
 time. Traceroute observes the union of edges on one random shortest path
 per source-target pair; its blocks repeat ``realize``, and its
-``edge_counts`` backtracks a block of realizations at once.
+``edge_counts`` walks every (row, source, target) path of a block of
+realizations back at once, one uniform a hop.
 """
 
 from __future__ import annotations
@@ -186,11 +187,11 @@ class TracerouteDesign:
 
         Realizations are drawn in blocks of rows; a block's size comes from
         ``_BLOCK_BYTES``. Each row's sources and targets are uniform SRS
-        subsets, drawn for the whole block at once. The pairs are grouped
-        by source, and every (row, target) of a source is
-        backtracked at once by :func:`sample_paths`, sources in increasing
-        order. Each row counts the union of its edges once; s = t and
-        unreachable pairs add no edge, as in ``realize``.
+        subsets, drawn for the whole block at once, and then every
+        (row, source, target) path of the block is walked back at once by
+        :func:`sample_paths`, one uniform a hop. Each row counts the union
+        of its edges once; s = t and unreachable pairs add no edge, as in
+        ``realize``.
         """
         n, m = g.node_count, g.edge_count
         counts = np.zeros(m, dtype=np.int64)
@@ -200,14 +201,8 @@ class TracerouteDesign:
             sources = _srs_rows(rng, rows, n, self.n_sources)
             targets = _srs_rows(rng, rows, n, self.n_targets)
             seen = np.zeros((rows, m), dtype=bool)
-            flat = sources.ravel()
-            by_source = flat.argsort(kind="stable")
-            for group in np.split(by_source, np.flatnonzero(np.diff(flat[by_source])) + 1):
-                # the rows holding this source, in row order
-                held = group // self.n_sources
-                dag = path_dag(g, int(flat[group[0]]))
-                walker, eids = sample_paths(dag, targets[held].ravel(), rng)
-                seen[held[walker // self.n_targets], eids] = True
+            for walker, eids in sample_paths(g, sources, targets, rng):
+                seen[walker // (self.n_sources * self.n_targets), eids] = True
             counts += seen.sum(axis=0)
         return counts
 

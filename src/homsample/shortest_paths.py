@@ -1,7 +1,8 @@
 """Hop-count shortest-path machinery shared by traceroute sampling and
 edge betweenness: single-source BFS DAGs with path counts, and uniform
 random draws from the set of shortest paths, one target at a time
-(``sample_path``) or every target of a source at once (``sample_paths``).
+(``sample_path``) or every (row, source, target) path of a block of
+realizations at once (``sample_paths``).
 
 A DAG is built by a level-synchronous BFS over the graph's CSR arrays:
 each frontier is expanded at once, new nodes are numbered in the order
@@ -12,7 +13,10 @@ DAG is a handful of flat arrays, with no per-node Python objects.
 Path counts are kept as floats; only their ratios are ever used. DAGs are
 rng-free, so they are cached on the graph and reused across replications
 without affecting reproducibility. The cache is bounded in bytes: past
-the budget, new DAGs are computed and not stored.
+the budget, new DAGs are computed and not stored. The running sums that
+``sample_paths`` backtracks by are computed on a DAG's first use there and
+kept on it under the same budget, so BFS and betweenness pay nothing for
+them.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .graph import Graph
 
 # per-graph budget for cached DAGs, counted by the bytes of their arrays
 _CACHE_BYTES = 128 << 20
+# budget for the DAGs and walkers of one chunk of sources in sample_paths
+_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(eq=False, slots=True)
@@ -36,7 +42,10 @@ class PathDag:
     predecessors of node v on shortest paths are
     ``pred[pred_lo[v]:pred_hi[v]]``, in BFS order, with the matching edge
     ids in ``pred_eid``. The groups are laid out in BFS order of v, so
-    each level's predecessors are one contiguous slice.
+    each level's predecessors are one contiguous slice. ``cum``, once
+    :func:`sample_paths` has needed it and the cache budget holds it, keeps
+    the running sums of ``sigma[pred]`` within each group, aligned with
+    ``pred``.
     """
 
     source: int
@@ -48,11 +57,13 @@ class PathDag:
     pred_hi: np.ndarray
     pred: np.ndarray
     pred_eid: np.ndarray
+    cum: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the DAG's arrays, which the cache budget counts."""
-        return sum(getattr(self, f.name).nbytes for f in fields(self)[1:])
+        arrays = (getattr(self, f.name) for f in fields(self)[1:])
+        return sum(a.nbytes for a in arrays if a is not None)
 
 
 def path_dag(g: Graph, source: int) -> PathDag:
@@ -149,14 +160,18 @@ def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None
     return nodes, eids
 
 
-def _running_sums(dag: PathDag) -> np.ndarray:
+def _running_sums(g: Graph, dag: PathDag) -> np.ndarray:
     """Running sums of ``sigma[pred]`` within each predecessor group, aligned
     with ``dag.pred``.
 
     Entry k of a group adds its own count to entry k - 1's sum, one term at
     a time from the left as :func:`sample_path` adds them, so every sum is
-    bitwise its running total. One pass per position in a group.
+    bitwise its running total. One pass per position in a group. The sums
+    are computed on first use and kept on a cached DAG while the cache
+    budget holds them.
     """
+    if dag.cum is not None:
+        return dag.cum
     cum = dag.sigma[dag.pred]
     nodes = dag.order[1:]
     size = dag.pred_hi[nodes] - dag.pred_lo[nodes]
@@ -166,42 +181,102 @@ def _running_sums(dag: PathDag) -> np.ndarray:
     for k in range(1, len(bounds)):
         at = by_pos[bounds[k - 1]:bounds[k]]
         cum[at] += cum[at - 1]
+    if g._sp_cache.get(dag.source) is dag and g._sp_cache_bytes + cum.nbytes <= _CACHE_BYTES:
+        g._sp_cache_bytes += cum.nbytes
+        dag.cum = cum
     return cum
 
 
-def sample_paths(dag: PathDag, targets: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform shortest path from the source to each target, all at once.
+def sample_paths(g: Graph, sources: np.ndarray, targets: np.ndarray, rng):
+    """One uniform shortest path for every (row, source, target) of a block.
 
-    Returns ``(walker, edge_ids)``: entry k says that path ``walker[k]``
-    (an index into ``targets``) runs over edge ``edge_ids[k]``. A target
-    that is the source or is unreachable takes no step. The paths are walked
-    back one BFS level at a time, deepest first. At each level, the walkers
-    standing on a node with more than one predecessor draw one uniform
-    each, in the order of ``targets``, and pick a predecessor by the same
-    running sum over its path counts that :func:`sample_path` scans, so a
-    given uniform gives the same pick.
+    ``sources`` and ``targets`` hold one row of node ids per realization.
+    The walker of ``(r, i, j)``, numbered ``(r * n_s + i) * n_t + j``,
+    walks from ``targets[r, j]`` back to ``sources[r, i]``. Yields
+    ``(walker, edge_ids)`` arrays, level by level: walker[k] steps over
+    edge edge_ids[k].
+
+    Walkers draw in order of source (increasing), then row, then target.
+    Each draws exactly dist(s, t) uniforms, one per hop from t back to s,
+    whether or not the hop has a choice; s = t and unreachable walkers
+    draw none and take no step. The uniforms lie in the stream one walker
+    after another, so a block's draws are fixed by its sources and
+    targets. Consecutive sources are therefore walked in chunks whose
+    arrays fit ``_CHUNK_BYTES``, at least one source a chunk, and the
+    chunking changes no bit. A chunk's paths are walked back at once, one
+    BFS level at a time, deepest first; each hop picks a predecessor by
+    the same running sum over path counts that :func:`sample_path` scans,
+    so a given uniform gives the same pick.
     """
-    sigma, pred, pred_lo, pred_hi, pred_eid = dag.sigma, dag.pred, dag.pred_lo, dag.pred_hi, dag.pred_eid
-    cur = np.array(targets, dtype=np.int64)
-    depth = dag.dist[cur]
-    cum = _running_sums(dag)
-    none = np.empty(0, dtype=np.int64)
-    walkers, eids = [none], [none]
-    for d in range(int(depth.max(initial=0)), 0, -1):
-        at = (depth >= d).nonzero()[0]
-        v = cur[at]
+    n = g.node_count
+    n_s, n_t = sources.shape[1], targets.shape[1]
+    flat = sources.ravel()
+    # entries of ``sources`` in order of source, then row; a count per node
+    # relabels the sources, as np.unique would without importing numpy.ma
+    entry = flat.argsort(kind="stable")
+    per_source = np.bincount(flat, minlength=n)
+    distinct = per_source.nonzero()[0]
+    chunk, size, begin = [], 0, 0
+    for s, end in zip(distinct.tolist(), per_source[distinct].cumsum().tolist()):
+        dag = path_dag(g, s)
+        # the DAG's arrays, held (five node and three predecessor arrays) and
+        # gathered (four and three), and its walkers' index arrays and
+        # uniforms, at most one a level
+        share = 72 * n + 48 * len(dag.pred) + (end - begin) * n_t * (120 + 8 * len(dag.levels))
+        if chunk and size + share > _CHUNK_BYTES:
+            yield from _walk(n, chunk, n_s, targets, rng)
+            chunk, size = [], 0
+        chunk.append((dag, _running_sums(g, dag), entry[begin:end]))
+        size += share
+        begin = end
+    if chunk:
+        yield from _walk(n, chunk, n_s, targets, rng)
+
+
+def _walk(n: int, chunk: list, n_s: int, targets: np.ndarray, rng):
+    """Walk a chunk's walkers back to their sources.
+
+    ``chunk`` holds each source's DAG, running sums and entries of the
+    block's ``sources`` (``r * n_s + i``). The DAGs' arrays are gathered
+    into one: source slot c's node v is entry ``c * n + v`` of the node
+    arrays, and its predecessor groups are offset past those of the slots
+    before it.
+    """
+    dags, cums, entries = zip(*chunk)
+    offsets = np.cumsum([0] + [len(d.pred) for d in dags[:-1]])
+    dist = np.concatenate([d.dist for d in dags])
+    sigma = np.concatenate([d.sigma for d in dags])
+    pred_lo = np.concatenate([d.pred_lo + o for d, o in zip(dags, offsets)])
+    pred_hi = np.concatenate([d.pred_hi + o for d, o in zip(dags, offsets)])
+    pred = np.concatenate([d.pred + c * n for c, d in enumerate(dags)])
+    pred_eid = np.concatenate([d.pred_eid for d in dags])
+    cum = np.concatenate(cums)
+    entry = np.concatenate(entries)
+    n_t = targets.shape[1]
+    number = (entry[:, None] * n_t + np.arange(n_t)).ravel()
+    cur = (np.arange(len(dags)) * n).repeat([len(e) * n_t for e in entries])
+    cur += targets[entry // n_s].ravel()
+    depth = np.maximum(dist[cur], 0)
+    # walker k's uniforms are u[start[k]:start[k] + depth[k]], from its target back
+    start = depth.cumsum() - depth
+    u = rng.random(int(depth.sum()))
+    # walkers by depth, deepest first, so those still walking are a prefix
+    walking = np.argsort(-depth, kind="stable")[:np.count_nonzero(depth)]
+    depth, cur, pos, number = depth[walking], cur[walking], start[walking], number[walking]
+    active = np.searchsorted(-depth, -np.arange(depth[0] if len(depth) else 0, 0, -1), side="right")
+    for a in active.tolist():
+        v = cur[:a]
         k = pred_lo[v]
         count = pred_hi[v] - k
         multi = (count > 1).nonzero()[0]
         if len(multi):
             # pick the first running sum above r, or the last predecessor:
             # count the sums at or below r among all but the last
-            r = rng.random(len(multi)) * sigma[v[multi]]
+            r = u[pos[multi]] * sigma[v[multi]]
             span = count[multi] - 1
-            start = span.cumsum() - span
-            scan = np.arange(span.sum()) + (k[multi] - start).repeat(span)
-            k[multi] += np.add.reduceat(cum[scan] <= r.repeat(span), start, dtype=np.int64)
-        walkers.append(at)
-        eids.append(pred_eid[k])
-        cur[at] = pred[k]
-    return np.concatenate(walkers), np.concatenate(eids)
+            lead = span.cumsum() - span
+            scan = np.arange(span.sum()) + (k[multi] - lead).repeat(span)
+            k[multi] += np.add.reduceat(cum[scan] <= r.repeat(span), lead, dtype=np.int64)
+        yield number[:a], pred_eid[k]
+        cur[:a] = pred[k]
+        pos[:a] += 1

@@ -178,30 +178,38 @@ def reference_sample_path(dag, t: int, rng):
     return nodes, eids
 
 
-def reference_backtrack(dag, targets, rng) -> tuple[list[int], list[int]]:
-    """Every target's path walked back together over a :func:`reference_path_dag` DAG.
+def reference_block_paths(g: Graph, sources, targets, rng) -> list:
+    """Every (row, source, target) path of a block, walked back one at a time
+    over :func:`reference_path_dag` DAGs.
 
-    Uniforms are drawn one at a time in the order the batched kernel
-    draws them: deepest level first and, within a level, in target order,
-    one per walker standing on a node with more than one predecessor.
-    Returns the (walker, edge id) steps in the order they are taken.
+    Walkers go in order of source, then row, then target. Each draws
+    dist(s, t) uniforms, one ``rng.random()`` per hop from t back to s,
+    whether or not the hop has a choice, and picks each predecessor by
+    its hop's uniform. Returns the edge ids, from t back to s, of every
+    (r, i, j) walker from ``targets[r][j]`` to ``sources[r][i]``, in
+    that (row, source, target) order.
     """
-    cur = [int(t) for t in targets]
-    depth = [int(dag.dist[t]) for t in cur]
-    walkers, eids = [], []
-    for d in range(max(depth, default=0), 0, -1):
-        for w, v in enumerate(cur):
-            if depth[w] < d:
-                continue
-            p = dag.preds[v]
-            k = 0
-            if len(p) > 1:
-                cum = dag.pred_cum[v]
-                k = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(p) - 1)
-            walkers.append(w)
-            eids.append(dag.pred_eids[v][k])
-            cur[w] = int(p[k])
-    return walkers, eids
+    n_s, n_t = len(sources[0]), len(targets[0])
+    pairs = sorted((int(s), r, i) for r, row in enumerate(sources) for i, s in enumerate(row))
+    dags = {}
+    paths = [None] * (len(sources) * n_s * n_t)
+    for s, r, i in pairs:
+        if s not in dags:
+            dags[s] = reference_path_dag(g, s)
+        dag = dags[s]
+        for j, t in enumerate(targets[r]):
+            v, eids = int(t), []
+            for _ in range(max(int(dag.dist[v]), 0)):
+                u = rng.random()
+                p = dag.preds[v]
+                k = 0
+                if len(p) > 1:
+                    cum = dag.pred_cum[v]
+                    k = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(p) - 1)
+                eids.append(dag.pred_eids[v][k])
+                v = int(p[k])
+            paths[(r * n_s + i) * n_t + j] = eids
+    return paths
 
 
 def reference_empirical_pi(g: Graph, design, replications: int) -> InclusionModel:

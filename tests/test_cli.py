@@ -129,6 +129,19 @@ def test_empirical_oracle_does_not_replay_the_sample():
         assert any(e["pi"] != 1.0 for e in json.loads(res.stdout)["edges"])
 
 
+@pytest.mark.parametrize("command, message", [
+    (("experiment", "--reps", "0", "--pi-reps", "50"), "error: replications must be >= 1"),
+    (("experiment", "--reps", "2", "--pi-reps", "0"), "error: pi replications must be >= 1, got 0"),
+    (("estimate", "--pi-reps", "0"), "error: pi replications must be >= 1, got 0"),
+], ids=["reps", "pi-reps", "estimate-pi-reps"])
+def test_zero_replications_are_rejected_naming_the_count(command, message):
+    # --reps 0 and --pi-reps 0 used to print the same message
+    res = run_cli(command[0], "--manifest", MANIFEST, "--design", "traceroute", "--sources", "2",
+                  "--targets", "2", "--metric", "dirichlet_total", "--pi", "empirical", *command[1:])
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines() == [message]
+
+
 @pytest.mark.parametrize("command", [
     ("sample", "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3"),
     ("estimate", "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3"),
@@ -295,7 +308,9 @@ PINNED_OUTPUTS = {
          "--metric", "dirichlet_total", "--reps", "10", "--seed", "7"),
         "3b50054889fa4aaefa5efe1c0b6acca93fb0c136d4bd13a707f43134e76aa757"),
     # seeds of two and of three 32-bit words (2**64 - 1 and 2**70), recorded
-    # while every stream was seeded through numpy's own SeedSequence
+    # while every stream was seeded through numpy's own SeedSequence; the
+    # empirical traceroute one re-recorded when the oracle's walkers took to
+    # drawing one uniform a hop
     "experiment-bernoulli-seed-2-64-minus-1": (
         ("experiment", "--design", "bernoulli", "--p", "0.3", "--metric", "all",
          "--reps", "20", "--seed", "18446744073709551615"),
@@ -304,7 +319,7 @@ PINNED_OUTPUTS = {
         ("experiment", "--design", "traceroute", "--sources", "2", "--targets", "2",
          "--metric", "dirichlet_total", "--reps", "10", "--pi", "empirical",
          "--pi-reps", "2000", "--seed", "1180591620717411303424"),
-        "760f89d633e92019cf3183cb1ace0b479ef7c1fda225430f72c84bd81cf59318"),
+        "c578e91fbbeb52bcd69d8c253e1469125958ec250206929e6f7d8ffddf3835a9"),
 }
 
 # sha256 of the CSV files of the pinned experiment-bernoulli command, recorded

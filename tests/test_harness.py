@@ -164,8 +164,11 @@ def test_summaries_and_csv_outputs():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="replications"):
+    with pytest.raises(ValueError, match="^replications"):
         _karate_cfg(replications=0)
+    with pytest.raises(ValueError, match="^pi replications must be >= 1, got 0"):
+        _karate_cfg(pi_source="empirical", pi_replications=0)
+    _karate_cfg(pi_replications=0)     # analytic pi runs no oracle
     with pytest.raises(ValueError, match="unknown metric"):
         _karate_cfg(metrics=(("degree", "plug_in"),))
     with pytest.raises(ValueError, match="not supported for 'node_homophily'"):

@@ -261,13 +261,20 @@ def test_traceroute_oracle_agrees_with_reference_across_components():
 
 
 def test_traceroute_oracle_does_not_depend_on_the_dag_cache(monkeypatch, karate):
+    # nor on how its kernel groups a block's sources into chunks: one source a
+    # chunk, every source of a block in one, or DAGs recomputed for every block
     kg, _ = karate
     design = TracerouteDesign(3, 2, seed=8)
     want = empirical_pi(Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w), design, 3000)
-    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", 0)
-    g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
-    got = empirical_pi(g, design, 3000)
-    assert g._sp_cache == {} and got.pi.tobytes() == want.pi.tobytes()
+    cache, chunk = shortest_paths._CACHE_BYTES, shortest_paths._CHUNK_BYTES
+    for cache_bytes, chunk_bytes in ((0, chunk), (cache, 0), (cache, 1 << 62), (0, 0)):
+        monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", cache_bytes)
+        monkeypatch.setattr(shortest_paths, "_CHUNK_BYTES", chunk_bytes)
+        g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
+        got = empirical_pi(g, design, 3000)
+        assert got.pi.tobytes() == want.pi.tobytes()
+        assert (g._sp_cache == {}) == (cache_bytes == 0)
+        assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) <= cache_bytes
 
 
 @pytest.mark.parametrize("design", [BernoulliDesign(p=0.4, seed=3), SrsDesign(n_star=12, seed=4)])

@@ -1,19 +1,23 @@
 """The array-native BFS DAGs, backtracking and Brandes accumulation against
 the node-at-a-time references in ``oracles``: equal distances, orders and
 predecessor groups, bitwise-equal path counts and betweenness, the same
-sampled paths from the same generator draws (one target at a time and
-every target of a source at once), and the byte-bounded cache."""
+sampled paths from the same generator draws (one target at a time, and
+every (row, source, target) path of a block at once, in chunks of any
+size), and the byte-bounded cache."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsample import Graph, TracerouteDesign, edge_betweenness, make_rng
-from homsample import shortest_paths
+from homsample import sampling, shortest_paths
 from homsample.shortest_paths import path_dag, sample_path, sample_paths
 from oracles import (
     random_graph,
-    reference_backtrack,
+    reference_block_paths,
     reference_edge_betweenness,
     reference_path_dag,
     reference_sample_path,
@@ -87,49 +91,61 @@ def test_betweenness_bitwise_with_counts_beyond_float_precision(karate):
     assert edge_betweenness(kg).tobytes() == reference_edge_betweenness(kg).tobytes()
 
 
-def assert_same_backtrack(g, s, seed, repeat=2):
-    """The batched kernel's steps and generator use equal the scalar reference's,
-    over every node as a target, each listed ``repeat`` times."""
-    dag, ref = path_dag(g, s), reference_path_dag(g, s)
-    targets = np.tile(np.arange(g.node_count), repeat)
-    # the kernel's running sums are the reference's left-to-right cumsums
-    cum = shortest_paths._running_sums(dag)
-    for v in range(g.node_count):
-        if ref.pred_cum[v] is not None:
-            assert cum[dag.pred_lo[v]:dag.pred_hi[v]].tobytes() == ref.pred_cum[v].tobytes()
-    fast, slow = make_rng(seed), make_rng(seed)
-    walker, eids = sample_paths(dag, targets, fast)
-    assert (walker.tolist(), eids.tolist()) == reference_backtrack(ref, targets, slow)
-    assert same_state(fast, slow)
-    # each walker's steps are a shortest path from its target back to s;
-    # s itself and unreachable targets take none
-    for w, t in enumerate(targets):
-        steps = eids[walker == w]
-        assert len(steps) == max(dag.dist[t], 0)
-        if not len(steps):
-            continue
-        ends = {int(t)}
+def walk_block(g, sources, targets, rng):
+    """Each walker's edge ids from :func:`sample_paths`, from its target back."""
+    sources, targets = np.asarray(sources), np.asarray(targets)
+    paths = [[] for _ in range(sources.size * targets.shape[1])]
+    for walker, eids in sample_paths(g, sources, targets, rng):
+        for w, e in zip(walker.tolist(), eids.tolist()):
+            paths[w].append(e)
+    return paths
+
+
+def assert_same_backtrack(g, sources, targets, seed, monkeypatch):
+    """The block kernel's steps and generator use equal the scalar reference's,
+    at every chunk budget, and each step list is a shortest path."""
+    for s in np.unique(sources):
+        # the kernel's running sums are the reference's left-to-right cumsums
+        dag, ref = path_dag(g, s), reference_path_dag(g, s)
+        cum = shortest_paths._running_sums(g, dag)
+        for v in range(g.node_count):
+            if ref.pred_cum[v] is not None:
+                assert cum[dag.pred_lo[v]:dag.pred_hi[v]].tobytes() == ref.pred_cum[v].tobytes()
+    slow = make_rng(seed)
+    want = reference_block_paths(g, sources, targets, slow)
+    for budget in (0, 1 << 14, 1 << 62):
+        monkeypatch.setattr(shortest_paths, "_CHUNK_BYTES", budget)
+        fast = make_rng(seed)
+        assert walk_block(g, sources, targets, fast) == want
+        assert same_state(fast, slow)
+    # walker (r, i, j) runs from targets[r, j] back to sources[r, i]
+    sources, targets = np.asarray(sources), np.asarray(targets)
+    n_s, n_t = sources.shape[1], targets.shape[1]
+    for w, steps in enumerate(want):
+        r, i, j = w // (n_s * n_t), w // n_t % n_s, w % n_t
+        s, t = int(sources[r, i]), int(targets[r, j])
+        assert len(steps) == max(path_dag(g, s).dist[t], 0)
+        ends = {t}
         for e in steps:
-            i, j = int(g.edge_i[e]), int(g.edge_j[e])
-            assert ends & {i, j}
-            ends = {i, j} - ends
-        assert ends == {s}
-    # one target draws its uniforms from the target back, as sample_path does
-    for t in (dag.dist > 0).nonzero()[0][:5]:
-        one, scalar = make_rng(seed), make_rng(seed)
-        walker, eids = sample_paths(dag, [t], one)
-        assert eids.tolist() == sample_path(dag, t, scalar)[1][::-1]
-        assert same_state(one, scalar)
+            u, v = int(g.edge_i[e]), int(g.edge_j[e])
+            assert ends & {u, v}
+            ends = {u, v} - ends
+        assert not steps or ends == {s}
 
 
-def test_batched_backtrack_matches_reference(karate):
+def test_batched_backtrack_matches_reference(monkeypatch, karate):
     kg, _ = karate
-    for s in range(kg.node_count):
-        assert_same_backtrack(kg, s, 1000 + s)
+    n = kg.node_count
+    # every node a source and a target in two rows, then SRS rows as the oracle draws them
+    everything = np.tile(np.arange(n), (2, 1))
+    assert_same_backtrack(kg, everything, everything, 1000, monkeypatch)
+    rng = make_rng(5)
+    sources, targets = sampling._srs_rows(rng, 40, n, 3), sampling._srs_rows(rng, 40, n, 4)
+    assert_same_backtrack(kg, sources, targets, 1001, monkeypatch)
     g = layered(3, 36)
     assert path_dag(g, 0).sigma.max() > 2.0 ** 53
-    for s in (0, 1, 55, 110):
-        assert_same_backtrack(g, s, s)
+    all_nodes = np.tile(np.arange(g.node_count), (3, 1))
+    assert_same_backtrack(g, np.array([[0, 1, 55, 110]] * 3), all_nodes, 7, monkeypatch)
 
 
 class Constant:
@@ -148,19 +164,22 @@ def test_batched_backtrack_breaks_ties_as_sample_path_does():
     dag = path_dag(g, 0)
     for u in (0.0, 0.25, 0.5, 0.75):
         for t in range(1, g.node_count):
-            walker, eids = sample_paths(dag, [t], Constant(u))
-            assert eids.tolist() == sample_path(dag, t, Constant(u))[1][::-1]
+            steps = walk_block(g, [[0]], [[t]], Constant(u))
+            assert steps == [sample_path(dag, t, Constant(u))[1][::-1]]
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 12), p=st.floats(0.1, 0.7), seed=st.integers(0, 2**32 - 1))
-def test_batched_backtrack_matches_reference_on_two_components(n, p, seed):
+@given(n=st.integers(1, 12), p=st.floats(0.1, 0.7), rows=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_backtrack_matches_reference_on_two_components(n, p, rows, seed):
     rng = np.random.default_rng(seed)
     a, b = random_graph(rng, n, p), random_graph(rng, n, p)
     g = Graph.from_arrays(2 * n + 1, np.concatenate([a.edge_i, b.edge_i + n]),
                           np.concatenate([a.edge_j, b.edge_j + n]))
-    for s in range(g.node_count):
-        assert_same_backtrack(g, s, seed + s, repeat=3)
+    nodes = np.tile(np.arange(g.node_count), (rows, 1))
+    # hypothesis runs its examples in one test call, so the budget is set by hand
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_backtrack(g, nodes, nodes, seed, monkeypatch)
 
 
 def test_cache_is_bounded_in_bytes(monkeypatch, karate):
@@ -182,3 +201,48 @@ def test_cache_is_bounded_in_bytes(monkeypatch, karate):
     assert 0 < len(g._sp_cache) < g.node_count
     assert g._betweenness is not None and edge_betweenness(g) is g._betweenness
     assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) <= budget
+
+
+def test_running_sums_are_kept_on_cached_dags_within_the_budget(monkeypatch, karate):
+    kg, _ = karate
+    g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
+    edge_betweenness(g)
+    # BFS and betweenness compute no running sums
+    assert len(g._sp_cache) == g.node_count
+    assert all(d.cum is None for d in g._sp_cache.values())
+    TracerouteDesign(3, 3).edge_counts(g, make_rng(0), 50)
+    kept = [d for d in g._sp_cache.values() if d.cum is not None]
+    assert kept and all(shortest_paths._running_sums(g, d) is d.cum for d in kept)
+    assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values())
+    # a budget that holds one DAG and not its sums keeps the sums off it
+    g1 = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
+    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", shortest_paths._bfs_dag(g, 0).nbytes)
+    dag = path_dag(g1, 0)
+    assert g1._sp_cache == {0: dag}
+    assert shortest_paths._running_sums(g1, dag).tobytes() == g._sp_cache[0].cum.tobytes()
+    assert dag.cum is None and g1._sp_cache_bytes == dag.nbytes
+
+
+def test_block_kernel_holds_one_chunk_of_dags_at_a_time(monkeypatch):
+    # one realization with 40 sources on a 50 x 50 grid: a DAG and its running
+    # sums take 218 kB, so all 40 gathered at once take some 17 MB. The kernel
+    # holds one chunk, gathered, and the next source's DAG: under the chunk
+    # budget plus four DAGs
+    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", 0)
+    g = grid(50)
+    dag = path_dag(g, 0)
+    one = dag.nbytes + shortest_paths._running_sums(g, dag).nbytes
+    g._adjacency()
+    peaks = {}
+    for budget in (0, 1 << 20, 1 << 62):
+        monkeypatch.setattr(shortest_paths, "_CHUNK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            counts = TracerouteDesign(40, 3, seed=1).edge_counts(g, make_rng(1), 1)
+            peaks[budget] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() > 0
+    assert peaks[0] <= 4 * one
+    assert peaks[1 << 20] <= (1 << 20) + 4 * one
+    assert peaks[1 << 62] > 40 * one
