@@ -10,6 +10,7 @@ byte-identical unless --seed is given.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -28,7 +29,6 @@ from .harness import (
     write_histogram_csv,
     write_summary_csv,
 )
-from .jsonout import dumps_indented
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
@@ -156,7 +156,7 @@ def _single_design(args, n, seed):
 
 
 def _emit_json(obj, out_path):
-    text = dumps_indented(obj) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -243,8 +243,9 @@ def _cmd_experiment(args):
               f"gt={row['ground_truth']:.4f} mean={mean:.4f} "
               f"bias={bias:+.4f} std={std:.4f} invalid={row['invalid']}")
     if args.out:
+        text = record.to_json()
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
+            fh.write(text)
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="", encoding="utf-8") as fh:
             write_summary_csv(record, fh)

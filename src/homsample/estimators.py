@@ -20,9 +20,11 @@ and the ids of its edges there. Every estimate runs through
 (:class:`~homsample.sampling.SampleBlock`) at once: the
 :mod:`homsample.metrics` kernels, ``pi`` and the ratio denominators are
 gathered once per block, each row's totals are the pairwise sums of its
-own slice, and each row is checked as one sample is, so a row's estimate
-or invalid reason is bit for bit that of its sample alone.
-:func:`estimate_metric` is the one-row case. Node homophily is a mean of
+own slice, and each row is checked as one sample is, so a row's point,
+variance and variance status, or its invalid reason, are bit for bit
+those of its sample alone. :func:`estimate_metric` is the one-row case, and
+the one place that adds the metric, sizes, design and seed of an
+:class:`EstimateReport`. Node homophily is a mean of
 per-node ratios, not an edge total, and is only offered as a plug-in on
 the sampled subgraph; its node sums, like the variance's, are
 :func:`~homsample.metrics.node_sums`, which the exact metric uses too.
@@ -49,7 +51,7 @@ from .metrics import (
     node_sums,
     same_label_values,
 )
-from .sampling import SampleBlock, SampledGraph, row_offsets
+from .sampling import SampleBlock, SampledGraph, design_to_dict, row_offsets
 
 # estimators refuse inclusion probabilities below this
 PI_FLOOR = 1e-12
@@ -364,7 +366,8 @@ class SweepColumns:
 
     def estimate_block(self, block: SampleBlock, kind: str, mode: str) -> list:
         """One entry per row of ``block``, a block of this graph: the row's
-        :func:`estimate_metric` report, or the DegenerateSampleError it raises."""
+        ``{"point", "variance", "variance_status"}`` as :func:`estimate_metric`
+        reports them, or the DegenerateSampleError it raises."""
         _check_request(kind, mode, self.incl)
         if block.parent is not self.graph:
             raise ValueError("sample is not drawn from the graph of these columns")
@@ -405,18 +408,10 @@ class SweepColumns:
         _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
         if variances is None:
             variances = [(None, VARIANCE_UNSUPPORTED)] * block.rows
-        reports = []
-        for row, (point, (variance, status), nodes, edges, design, seed) in enumerate(zip(
-                points.tolist(), variances, block.sampled_nodes.tolist(), rows.lengths.tolist(),
-                block.design_dicts, block.seeds)):
-            if row in invalid:
-                reports.append(invalid[row])
-            else:
-                if variance is not None:
-                    variance /= den ** 2
-                reports.append(EstimateReport(kind, mode, point, variance, status, nodes, edges,
-                                              design, seed))
-        return reports
+        return [invalid[row] if row in invalid else
+                {"point": point, "variance": None if variance is None else variance / den ** 2,
+                 "variance_status": status}
+                for row, (point, (variance, status)) in enumerate(zip(points.tolist(), variances))]
 
 
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
@@ -432,8 +427,12 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     the one-row case of :meth:`SweepColumns.estimate_block`, which
     evaluates the kernels on the sampled edges alone.
     """
-    (report,) = SweepColumns(sample.parent, signal, incl).estimate_block(
+    (estimate,) = SweepColumns(sample.parent, signal, incl).estimate_block(
         SampleBlock.of(sample), kind, mode)
-    if isinstance(report, DegenerateSampleError):
-        raise report
-    return report
+    if isinstance(estimate, DegenerateSampleError):
+        raise estimate
+    design = sample.design
+    return EstimateReport(kind, mode, **estimate, sampled_nodes=sample.node_count,
+                          sampled_edges=sample.edge_count,
+                          design=None if design is None else design_to_dict(design),
+                          seed=None if design is None else design.seed)

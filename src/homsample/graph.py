@@ -42,6 +42,9 @@ class UnlabelledNodeError(EdgeListError):
 
 
 UNLABELLED_NODE_LIMIT = 1 << 24   # node arrays of 8 B per node stay within 128 MiB
+# one-hot rows take 8·n·K bytes and building them holds three such arrays: 128 MiB
+# of rows (2^24 node-class entries, e.g. 233k nodes in 41 classes) peaks near 400 MB
+ONE_HOT_BYTE_LIMIT = 1 << 27
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -200,7 +203,12 @@ class GraphSignal:
 
     @classmethod
     def from_labels(cls, labels, class_count: int) -> "GraphSignal":
+        """One-hot rows of ``labels``, refused unless within ONE_HOT_BYTE_LIMIT bytes."""
         labels = np.asarray(labels, dtype=np.int64)
+        size = 8 * len(labels) * class_count
+        if size > ONE_HOT_BYTE_LIMIT:
+            raise ValueError(f"{len(labels)} nodes in {class_count} classes make one-hot rows "
+                             f"of {size} bytes, above the limit of {ONE_HOT_BYTE_LIMIT}")
         if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
             raise ValueError(f"class id out of range [0, {class_count})")
         rows = np.zeros((len(labels), class_count))

@@ -13,18 +13,21 @@ Replications run serially, in order, each on its own stream, in blocks:
 as many rows as ``_BLOCK_BYTES`` allows are realized at once by
 ``draw_block`` and estimated at once by
 :meth:`~homsample.estimators.SweepColumns.estimate_block`, which each
-sweep value builds once, and which gives every row the estimates (or the
-invalid reason) ``estimate_metric`` gives its sample alone, bit for bit.
+sweep value builds once, and which gives every row the point, variance
+and variance status (or the invalid reason) ``estimate_metric`` gives its
+sample alone, bit for bit.
 Ground truth is computed once on the full graph; summaries report mean,
 bias, standard deviation, invalid-replication counts and histogram bins
 per sweep value. A
 replication whose sample cannot support an estimator (an empty ratio
 denominator, or an edge the inclusion model never saw) is recorded as
 invalid with the reason, and the experiment goes on; a summary with no
-valid replication has mean, bias and std None. A record's JSON is its
-dataclass fields in declaration order, nested records likewise, so a new
-field is one line and serializes itself; :mod:`homsample.jsonout` writes
-it with the bytes of ``json.dumps(indent=2)`` in a fraction of its time.
+valid replication has mean, bias and std None. A replication's estimate
+under the key ``"kind:mode"`` is ``{"point", "variance", "variance_status"}``
+or ``{"invalid": reason}``: its replication holds its seed and sizes, and its
+sweep its design. A record's JSON is its dataclass fields in declaration
+order, nested records likewise, so a new field is one line and serializes
+itself; ``json.dumps(allow_nan=False)`` refuses a non-finite number.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from . import metrics
 from .estimators import PLUG_IN, DegenerateSampleError, SweepColumns, check_mode
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
-from .jsonout import dumps_indented
 from .rng import DEFAULT_SEED, derive_seed, derive_seeds
 from .sampling import design_from_dict, design_params, draw_block, with_seed
 
@@ -124,7 +126,7 @@ class RunRecord:
         d = {**vars(self), "config": vars(self.config),
              "sweeps": [{**vars(s), "summaries": {k: vars(v) for k, v in s.summaries.items()}}
                         for s in self.sweeps]}
-        return dumps_indented(d) + "\n"
+        return json.dumps(d, indent=2, allow_nan=False) + "\n"
 
 
 def resolve_design(template: dict, overrides: dict, n: int):
@@ -164,19 +166,14 @@ def _replicate_block(g, design, columns, metric_pairs, first_rep, seeds) -> list
     """The replications of ``seeds``, numbered from ``first_rep``: one block
     realization, then one block estimate per metric pair."""
     block = draw_block(g, design, seeds)
-    results = {f"{kind}:{mode}": columns.estimate_block(block, kind, mode)
+    results = {f"{kind}:{mode}": [{"invalid": str(e)} if isinstance(e, DegenerateSampleError)
+                                  else e for e in columns.estimate_block(block, kind, mode)]
                for kind, mode in metric_pairs}
-    reps = []
-    for row, (seed, nodes, edges) in enumerate(zip(seeds, block.sampled_nodes.tolist(),
-                                                   block.sampled_edges.tolist())):
-        estimates = {}
-        for key, reports in results.items():
-            report = reports[row]
-            estimates[key] = ({"invalid": str(report)}
-                              if isinstance(report, DegenerateSampleError) else vars(report))
-        reps.append({"rep": first_rep + row, "seed": seed, "sampled_nodes": nodes,
-                     "sampled_edges": edges, "estimates": estimates})
-    return reps
+    return [{"rep": first_rep + row, "seed": seed, "sampled_nodes": nodes,
+             "sampled_edges": edges,
+             "estimates": {key: entries[row] for key, entries in results.items()}}
+            for row, (seed, nodes, edges) in enumerate(zip(seeds, block.sampled_nodes.tolist(),
+                                                           block.sampled_edges.tolist()))]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -295,12 +292,8 @@ def write_estimates_csv(record: RunRecord, stream):
         for rep in sweep.replications:
             for key in sorted(rep["estimates"]):
                 est = rep["estimates"][key]
-                kind, mode = key.split(":")
-                if "invalid" in est:
-                    writer.writerow([record.dataset, kind, mode, design_kind, param,
-                                     rep["seed"], "", "", "invalid"])
-                else:
-                    writer.writerow([record.dataset, kind, mode, design_kind, param,
-                                     rep["seed"], repr(est["point"]),
-                                     repr(est["variance"]) if est["variance"] is not None else "",
-                                     est["variance_status"]])
+                cells = (["", "", "invalid"] if "invalid" in est else
+                         [repr(est["point"]), "" if est["variance"] is None else repr(est["variance"]),
+                          est["variance_status"]])
+                writer.writerow([record.dataset, *key.split(":"), design_kind, param, rep["seed"],
+                                 *cells])

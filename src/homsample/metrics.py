@@ -55,6 +55,9 @@ def edge_variation_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray
     """
     _check_dims(g, s)
     i, j, w = _edges(g, edge_ids)
+    if s.labels is not None:
+        # two one-hot rows differ in two unit entries or in none; no (edges, K) array
+        return w * (2.0 * (s.labels[i] != s.labels[j]))
     d = s.rows[i] - s.rows[j]
     return w * np.einsum("ef,ef->e", d, d)
 

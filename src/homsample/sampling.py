@@ -324,14 +324,6 @@ class SampleBlock:
     def sampled_edges(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    @cached_property
-    def design_dicts(self) -> list:
-        """Each row's ``design_to_dict`` of its seeded design, or None without a design."""
-        if self.design is None:
-            return [None] * self.rows
-        kind, params = self.design.kind, design_params(self.design)
-        return [{"kind": kind, "seed": seed, **params} for seed in self.seeds]
-
 
 def bernoulli_node_sample(g: Graph, p: float, rng) -> np.ndarray:
     """Each node retained independently with probability p, in node order."""

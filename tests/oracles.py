@@ -26,12 +26,11 @@ from homsample.estimators import (
     VARIANCE_EXACT,
     VARIANCE_UNSUPPORTED,
     DegenerateSampleError,
-    EstimateReport,
 )
 from homsample.inclusion import InclusionModel
 from homsample.metrics import EDGE_METRICS, NODE_HOMOPHILY, same_label_values
 from homsample.rng import child_rng
-from homsample.sampling import design_to_dict, induced_subgraph, with_seed
+from homsample.sampling import induced_subgraph, with_seed
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -463,7 +462,8 @@ def _reference_span_variance(g, ids, values, pi, incl, clamp_negative):
 
 class ReferenceColumns:
     """One sample at a time: each estimate gathers its sampled ids from
-    per-edge columns over all edges and runs its checks on that sample alone."""
+    per-edge columns over all edges and runs its checks on that sample alone,
+    giving the ``{"point", "variance", "variance_status"}`` entry of a run record."""
 
     def __init__(self, g: Graph, signal: GraphSignal, incl: InclusionModel | None, kinds):
         self.graph = g
@@ -530,11 +530,7 @@ class ReferenceColumns:
 
         if not math.isfinite(point):
             raise DegenerateSampleError(f"non-finite estimate for {kind}/{mode}")
-        design = sample.design
-        return EstimateReport(
-            kind=kind, mode=mode, point=point, variance=variance,
-            variance_status=variance_status, sampled_nodes=sample.node_count,
-            sampled_edges=len(ids), design=design_to_dict(design), seed=design.seed)
+        return {"point": point, "variance": variance, "variance_status": variance_status}
 
 
 # -- numpy's own SeedSequence seeding, the reference for the batched hash ----
@@ -567,7 +563,7 @@ def reference_replicate(g, design, columns, metric_pairs, rep, seed):
     for kind, mode in metric_pairs:
         key = f"{kind}:{mode}"
         try:
-            estimates[key] = vars(columns.estimate(sample, kind, mode))
+            estimates[key] = columns.estimate(sample, kind, mode)
         except DegenerateSampleError as exc:
             estimates[key] = {"invalid": str(exc)}
     return {"rep": rep, "seed": seed, "sampled_nodes": sample.node_count,

@@ -229,6 +229,25 @@ def test_summary_without_valid_replications_is_null_not_nan(tmp_path):
     assert rows["dirichlet_total"]["mean"] == "0.0"
 
 
+@pytest.mark.parametrize("command", [
+    ("homophily",),
+    ("experiment", "--design", "bernoulli", "--p", "0.5", "--metric", "dirichlet_total",
+     "--reps", "3"),
+])
+def test_a_non_finite_output_is_an_input_error(tmp_path, command):
+    # a weight of 1e308 on an edge joining two classes overflows the Dirichlet
+    # energy to inf; JSON has no inf, so no file is written and the exit is 2
+    edges, labels, out = tmp_path / "e.txt", tmp_path / "l.txt", tmp_path / "out.json"
+    edges.write_text("0 1 1e308\n1 2 1\n2 3 1\n0 3 1\n")
+    labels.write_text("0 0\n1 1\n2 0\n3 1\n")
+    res = run_cli(command[0], "--edges", str(edges), "--labels", str(labels), "--classes", "2",
+                  *command[1:], "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1] == (
+        "error: Out of range float values are not JSON compliant: inf")
+    assert not out.exists()
+
+
 def test_graphon_identity_check():
     res = run_cli("graphon", "--check-identity", "--manifest", MANIFEST)
     assert res.returncode == 0
@@ -253,7 +272,10 @@ def test_graphon_convergence(tmp_path):
 # HT variance, the identity check as written from the dense n x n step pair, and
 # the next five as written before the estimators read one metric table, and
 # the two-field traceroute sweep as written before records serialized their own
-# fields. A changed hash is a changed output: it must be justified in CHANGES.md.
+# fields. Every experiment record was re-recorded when a replication's estimate
+# entries dropped the kind, mode, sizes, design and seed that their key, their
+# replication and their sweep hold. A changed hash is a changed output: it must
+# be justified in CHANGES.md.
 PINNED_OUTPUTS = {
     "estimate-srs": (
         ("estimate", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet", "--seed", "7"),
@@ -264,7 +286,7 @@ PINNED_OUTPUTS = {
     "experiment-bernoulli": (
         ("experiment", "--design", "bernoulli", "--p", "0.3,0.5", "--metric", "all",
          "--reps", "20", "--seed", "7", "--threads", "1"),
-        "b032763d5961bb0df0dd0dc59d79a00828b9f03fa2186ea95aa147f6da63d5ed"),
+        "2594f10a5392ae439a40c8fc5bbc400cc34e5e0a9f51bc1cb63a7f61b9f427ea"),
     "sample-bernoulli": (
         ("sample", "--design", "bernoulli", "--p", "0.3", "--seed", "7"),
         "a0cad77609525911682866d32e06b1a65768433e018b31c985b8c4f9f0564e78"),
@@ -302,11 +324,11 @@ PINNED_OUTPUTS = {
     "experiment-srs-plug-in": (
         ("experiment", "--design", "srs", "--frac", "0.3", "--metric", "dirichlet_total,edge",
          "--mode", "plug_in", "--reps", "20", "--seed", "7", "--threads", "1"),
-        "0f1b69a5eb785c4c64131db59cf04d8dcf521adb9515a8d90db15167dfa37b73"),
+        "9c1e7bbfd19edc8561f60699a3cbc45238e8fa456ead7837de5b7b35affde525"),
     "experiment-traceroute-sweep": (
         ("experiment", "--design", "traceroute", "--sources", "1,2", "--targets", "1,2",
          "--metric", "dirichlet_total", "--reps", "10", "--seed", "7"),
-        "3b50054889fa4aaefa5efe1c0b6acca93fb0c136d4bd13a707f43134e76aa757"),
+        "e2deb8f9148f3fee275ff316c87478c7246ceda856f6a3d8bc3d2cb5b9d9b5e2"),
     # seeds of two and of three 32-bit words (2**64 - 1 and 2**70), recorded
     # while every stream was seeded through numpy's own SeedSequence; the
     # empirical traceroute one re-recorded when the oracle's walkers took to
@@ -314,12 +336,12 @@ PINNED_OUTPUTS = {
     "experiment-bernoulli-seed-2-64-minus-1": (
         ("experiment", "--design", "bernoulli", "--p", "0.3", "--metric", "all",
          "--reps", "20", "--seed", "18446744073709551615"),
-        "624d91589e5e11537370bd720a0f0051860afad4e8131047f96e3e67beb844c2"),
+        "f0c0aae43e04fdd43be76b7080c1d04752c61aacb2e0c6e55d56534e3f39db76"),
     "experiment-traceroute-empirical-seed-2-70": (
         ("experiment", "--design", "traceroute", "--sources", "2", "--targets", "2",
          "--metric", "dirichlet_total", "--reps", "10", "--pi", "empirical",
          "--pi-reps", "2000", "--seed", "1180591620717411303424"),
-        "c578e91fbbeb52bcd69d8c253e1469125958ec250206929e6f7d8ffddf3835a9"),
+        "2c5e9413610d30005d6f9f48f204a3deced5835bd80c1b3745bbd04637054f3c"),
 }
 
 # sha256 of the CSV files of the pinned experiment-bernoulli command, recorded

@@ -224,6 +224,47 @@ def test_label_view_roundtrip():
         GraphSignal(rows, labels)
 
 
+def test_one_hot_rows_above_the_byte_limit_are_refused_before_allocating():
+    # 34 nodes in 10^7 classes would take 2.72 GB of rows, and building the
+    # signal three times that; the bound is fixed before the run
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^34 nodes in 10000000 classes make one-hot rows "
+                                             "of 2720000000 bytes, above the limit of 134217728$"):
+            GraphSignal.from_labels(np.zeros(34, dtype=np.int64), 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_one_hot_rows_at_the_byte_limit_are_built(monkeypatch):
+    monkeypatch.setattr(graph, "ONE_HOT_BYTE_LIMIT", 8 * 34 * 2)
+    assert GraphSignal.from_labels(np.arange(34) % 2, 2).rows.shape == (34, 2)
+    with pytest.raises(ValueError, match="34 nodes in 3 classes"):
+        GraphSignal.from_labels(np.arange(34) % 2, 3)
+
+
+@pytest.mark.parametrize("via", ["manifest", "flags"])
+def test_a_huge_class_count_is_an_input_error(tmp_path, capsys, via):
+    data = karate_manifest_path().parent
+    (tmp_path / "m.json").write_text(json.dumps({
+        "name": "karate", "edge_file": str(data / "karate_edges.txt"),
+        "label_file": str(data / "karate_labels.txt"), "class_count": 10 ** 7}))
+    args = (["--manifest", str(tmp_path / "m.json")] if via == "manifest" else
+            ["--edges", str(data / "karate_edges.txt"), "--labels",
+             str(data / "karate_labels.txt"), "--classes", str(10 ** 7)])
+    tracemalloc.start()
+    try:
+        assert cli.main(["homophily", *args]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert capsys.readouterr().err == ("error: 34 nodes in 10000000 classes make one-hot rows "
+                                       "of 2720000000 bytes, above the limit of 134217728\n")
+
+
 def test_signal_is_immutable():
     s = GraphSignal.from_labels([0, 1], 2)
     with pytest.raises(ValueError):

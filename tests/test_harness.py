@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import tracemalloc
 from unittest import mock
 
@@ -30,7 +31,7 @@ from homsample.harness import (
     write_summary_csv,
 )
 from homsample.rng import derive_seed, make_rng
-from homsample.sampling import design_from_dict, draw_sample, with_seed
+from homsample.sampling import design_from_dict, design_to_dict, draw_sample, with_seed
 from oracles import ReferenceColumns, random_graph, random_onehot_signal, reference_replicate
 
 # a vectorized division over invalid rows that warned would add bytes to stderr
@@ -272,14 +273,60 @@ def test_each_replication_reruns_alone_from_its_seed(karate, design, sweep, pi_s
             rerun = {}
             for kind, mode in ALL_PAIRS:
                 try:
-                    rerun[f"{kind}:{mode}"] = vars(estimate_metric(sample, s, kind, mode, incl))
+                    report = estimate_metric(sample, s, kind, mode, incl)
                 except DegenerateSampleError as exc:
                     rerun[f"{kind}:{mode}"] = {"invalid": str(exc)}
                     invalid += 1
+                    continue
+                # the entry drops what its replication, key and sweep already hold
+                assert (report.kind, report.mode) == (kind, mode)
+                assert (report.seed, report.sampled_nodes, report.sampled_edges) == (
+                    rep["seed"], rep["sampled_nodes"], rep["sampled_edges"])
+                assert report.design == design_to_dict(with_seed(sweep_design, rep["seed"]))
+                rerun[f"{kind}:{mode}"] = {"point": report.point, "variance": report.variance,
+                                           "variance_status": report.variance_status}
             # repr writes each float's shortest round-trip digits: equal reprs, equal bits
             assert repr(rerun) == repr(rep["estimates"])
     if pi_source == "empirical":
         assert invalid > 0     # reasons of the undersized oracle are rerun too
+
+
+@pytest.mark.parametrize("design, pi_source", [
+    ({"kind": "bernoulli", "p": 0.2}, "analytic"),
+    ({"kind": "traceroute", "n_sources": 2, "n_targets": 3}, "empirical"),
+])
+def test_each_estimate_entry_holds_only_its_own_numbers(karate, design, pi_source):
+    # kind and mode are in the entry's key, sizes and seed in its replication,
+    # the design in its sweep: a valid entry is its point, variance and status
+    cfg = _karate_cfg(design=design, metrics=ALL_PAIRS, replications=40,
+                      pi_source=pi_source, pi_replications=20)
+    record = json.loads(run_experiment(cfg, dataset=karate).to_json())
+    shapes = [list(entry) for rep in record["sweeps"][0]["replications"]
+              for entry in rep["estimates"].values()]
+    assert len(shapes) == 40 * len(ALL_PAIRS)
+    assert {tuple(s) for s in shapes} == {("point", "variance", "variance_status"), ("invalid",)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["ground_truth", "point", "variance", "mean", "bin_edge",
+                                   "sweep_parameter"])
+def test_a_non_finite_record_field_is_an_error(karate, bad, where):
+    record = run_experiment(_karate_cfg(replications=3), dataset=karate)
+    record.to_json()
+    key = "dirichlet_normalized:known_denominator"
+    sweep = record.sweeps[0]
+    if where == "ground_truth":
+        record.ground_truth["dirichlet_normalized"] = bad
+    elif where in ("point", "variance"):
+        sweep.replications[1]["estimates"][key][where] = bad
+    elif where == "mean":
+        sweep.summaries[key].mean = bad
+    elif where == "bin_edge":
+        sweep.summaries[key].histogram["edges"][-1] = bad
+    else:
+        sweep.params["n_star"] = bad
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        record.to_json()
 
 
 def test_zero_joint_probability_is_an_invalid_replication(karate):

@@ -36,6 +36,22 @@ def test_edge_variation_cases():
     assert dict(zip(edges, values.tolist())) == {(0, 1): 0.0, (1, 2): 6.0}
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14), classes=st.integers(1, 5))
+def test_labelled_edge_variation_is_the_rows_variation_bitwise(seed, n, classes):
+    # a labelled signal's kernel reads its labels, never an (edges, classes) array
+    rng = np.random.default_rng(seed)
+    edges = random_graph(rng, n, 0.6)
+    g = Graph.from_arrays(n, edges.edge_i, edges.edge_j,
+                          rng.lognormal(0.0, 50.0, size=edges.edge_count))
+    s = random_onehot_signal(rng, n, classes)
+    ids = rng.permutation(g.edge_count)[:g.edge_count // 2]
+    for edge_ids in (None, ids):
+        got = edge_variation_values(g, s, edge_ids)
+        want = edge_variation_values(g, GraphSignal(s.rows), edge_ids)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_dirichlet_energy_hand_cases(triangle, star):
     g, s = triangle
     assert dirichlet_energy(g, s) == 4.0                # 0 + 2 + 2
