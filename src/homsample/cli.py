@@ -10,6 +10,7 @@ byte-identical unless --seed is given.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -156,7 +157,13 @@ def _single_design(args, n, seed):
 
 
 def _emit_json(obj, out_path):
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    # json.dump writes the indented encoder's chunks as they come; json.dumps
+    # would hold them all in a list before joining. Encoding ends before the
+    # file opens, so a refused value leaves no file.
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2, allow_nan=False)
+    buf.write("\n")
+    text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -48,6 +48,7 @@ from .metrics import (
     EDGE_METRICS,
     METRIC_KINDS,
     NODE_HOMOPHILY,
+    checked_total_weight,
     node_sums,
     same_label_values,
 )
@@ -396,7 +397,8 @@ class SweepColumns:
                 _flag(invalid, den == 0.0, "zero HT denominator (empty or degenerate sample)")
                 points = _quotients(rows.sums(np.divide(values, pi, out=weighted)), den)
             else:  # ht_total, or known_denominator
-                den = 1.0 if scale is None else scale * self.total_weight
+                den = (1.0 if scale is None else
+                       scale * checked_total_weight(self.total_weight, kind))
                 if den <= 0:
                     raise ValueError("parent graph has no edge weight")
                 pi = _block_pi(g, self.incl, ids, rows.offsets, invalid)

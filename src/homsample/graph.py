@@ -42,8 +42,9 @@ class UnlabelledNodeError(EdgeListError):
 
 
 UNLABELLED_NODE_LIMIT = 1 << 24   # node arrays of 8 B per node stay within 128 MiB
-# one-hot rows take 8·n·K bytes and building them holds three such arrays: 128 MiB
-# of rows (2^24 node-class entries, e.g. 233k nodes in 41 classes) peaks near 400 MB
+# one-hot rows take 8·n·K bytes: the limit, 128 MiB of rows (2^24 node-class
+# entries, e.g. 233k nodes in 41 classes), keeps a mistyped class count from
+# asking for gigabytes
 ONE_HOT_BYTE_LIMIT = 1 << 27
 
 
@@ -171,8 +172,10 @@ class Graph:
 
 
 def total_edge_weight(g: Graph) -> float:
-    """Sum of weights over stored edges (each unordered edge once)."""
-    return float(g.edge_w.sum())
+    """Sum of weights over stored edges (each unordered edge once); inf when
+    they sum past the largest float64."""
+    with np.errstate(over="ignore"):
+        return float(g.edge_w.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +207,9 @@ class GraphSignal:
     @classmethod
     def from_labels(cls, labels, class_count: int) -> "GraphSignal":
         """One-hot rows of ``labels``, refused unless within ONE_HOT_BYTE_LIMIT bytes."""
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.array(labels, dtype=np.int64)   # a copy: it is frozen
+        if labels.ndim != 1:
+            raise ValueError("labels must be a 1-d array")
         size = 8 * len(labels) * class_count
         if size > ONE_HOT_BYTE_LIMIT:
             raise ValueError(f"{len(labels)} nodes in {class_count} classes make one-hot rows "
@@ -213,7 +218,11 @@ class GraphSignal:
             raise ValueError(f"class id out of range [0, {class_count})")
         rows = np.zeros((len(labels), class_count))
         rows[np.arange(len(labels)), labels] = 1.0
-        return cls(rows, labels)
+        # one-hot by construction: neither copied nor checked by __post_init__
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "rows", _freeze(rows))
+        object.__setattr__(signal, "labels", _freeze(labels))
+        return signal
 
     @property
     def node_count(self) -> int:

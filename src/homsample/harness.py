@@ -25,16 +25,23 @@ invalid with the reason, and the experiment goes on; a summary with no
 valid replication has mean, bias and std None. A replication's estimate
 under the key ``"kind:mode"`` is ``{"point", "variance", "variance_status"}``
 or ``{"invalid": reason}``: its replication holds its seed and sizes, and its
-sweep its design. A record's JSON is its dataclass fields in declaration
-order, nested records likewise, so a new field is one line and serializes
-itself; ``json.dumps(allow_nan=False)`` refuses a non-finite number.
+sweep its design. A record's JSON is the text
+``json.dumps(indent=2, allow_nan=False)`` gives for its dataclass fields in
+declaration order, nested records likewise, so a new field is one line and
+serializes itself, and a non-finite number is json's ValueError. json's
+indented encoder is pure Python, so the replication rows, the bulk of a
+record, are written by ``_replications_json`` from one row template, with the
+same bytes; it and ``_replicate_block`` are the only code that knows the row
+layout.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -122,11 +129,32 @@ class RunRecord:
     sweeps: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        """Every record's fields in declaration order; a non-finite number is an error."""
-        d = {**vars(self), "config": vars(self.config),
-             "sweeps": [{**vars(s), "summaries": {k: vars(v) for k, v in s.summaries.items()}}
-                        for s in self.sweeps]}
-        return json.dumps(d, indent=2, allow_nan=False) + "\n"
+        """The bytes of ``json.dumps(record, indent=2, allow_nan=False)`` and a
+        new line: every record's fields in declaration order, nested records
+        likewise, each sweep's replications written by :func:`_replications_json`."""
+        head, tail = _split_at({**vars(self), "config": vars(self.config)}, "sweeps", 0)
+        parts = [head]
+        for k, s in enumerate(self.sweeps):
+            parts.append(",\n    " if k else "[\n    ")
+            sweep_head, sweep_tail = _split_at(
+                {**vars(s), "summaries": {key: vars(v) for key, v in s.summaries.items()}},
+                "replications", 2)
+            parts.append(sweep_head)
+            parts.extend(_replications_json(s.replications, 3))
+            parts.append(sweep_tail)
+        parts.append(("\n  ]" if self.sweeps else "[]") + tail + "\n")
+        return "".join(parts)
+
+
+def _split_at(obj: dict, key: str, depth: int) -> tuple[str, str]:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)``, written
+    ``depth`` levels deep, before and after the value of ``obj[key]``. json
+    escapes every new line inside a string, so the line of ``key`` at the
+    indent of ``obj``'s own keys occurs once."""
+    text = json.dumps({**obj, key: []}, indent=2, allow_nan=False)
+    head, slot, tail = text.replace("\n", "\n" + "  " * depth).partition(
+        "\n" + "  " * (depth + 1) + encode_basestring_ascii(key) + ": []")
+    return head + slot[:-2], tail
 
 
 def resolve_design(template: dict, overrides: dict, n: int):
@@ -174,6 +202,47 @@ def _replicate_block(g, design, columns, metric_pairs, first_rep, seeds) -> list
              "estimates": {key: entries[row] for key, entries in results.items()}}
             for row, (seed, nodes, edges) in enumerate(zip(seeds, block.sampled_nodes.tolist(),
                                                            block.sampled_edges.tolist()))]
+
+
+def _out_of_range(x: float):
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+
+
+def _replications_json(reps: list, depth: int):
+    """The pieces of ``json.dumps(reps, indent=2, allow_nan=False)`` for a
+    sweep's replication rows written ``depth`` levels deep. Each row has the
+    layout :func:`_replicate_block` builds and is filled into one template,
+    its strings, ints and floats written as json writes them."""
+    if not reps:
+        yield "[]"
+        return
+    row_pad, field_pad, key_pad, entry_pad = ("\n" + "  " * (depth + k) for k in range(1, 5))
+    string, integer, real = encode_basestring_ascii, int.__repr__, float.__repr__
+    finite = math.isfinite
+    sep = "["
+    for r in reps:
+        entries = []
+        for key, e in r["estimates"].items():
+            if "invalid" in e:
+                entries.append(f'{key_pad}{string(key)}: {{{entry_pad}"invalid": '
+                               f'{string(e["invalid"])}{key_pad}}}')
+            else:
+                p, v = e["point"], e["variance"]
+                entries.append(
+                    f'{key_pad}{string(key)}: {{'
+                    f'{entry_pad}"point": {real(p) if finite(p) else _out_of_range(p)},'
+                    f'{entry_pad}"variance": '
+                    f'{"null" if v is None else real(v) if finite(v) else _out_of_range(v)},'
+                    f'{entry_pad}"variance_status": {string(e["variance_status"])}{key_pad}}}')
+        estimates = ",".join(entries) + field_pad if entries else ""
+        yield (f'{sep}{row_pad}{{'
+               f'{field_pad}"rep": {integer(r["rep"])},'
+               f'{field_pad}"seed": {integer(r["seed"])},'
+               f'{field_pad}"sampled_nodes": {integer(r["sampled_nodes"])},'
+               f'{field_pad}"sampled_edges": {integer(r["sampled_edges"])},'
+               f'{field_pad}"estimates": {{{estimates}}}{row_pad}}}')
+        sep = ","
+    yield "\n" + "  " * depth + "]"
 
 
 def run_experiment(cfg: ExperimentConfig,

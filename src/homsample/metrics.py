@@ -18,6 +18,8 @@ samples (their plug-in node homophily and HT variance read it).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import Graph, GraphSignal, total_edge_weight
@@ -111,9 +113,18 @@ EDGE_METRICS = {
 }
 
 
+def checked_total_weight(total: float, kind: str) -> float:
+    """``total``, a graph's total edge weight, unless its weights sum past the
+    largest float64: no edge metric of that graph is exact, so ``kind`` is refused."""
+    if not math.isfinite(total):
+        raise ValueError(f"{kind} is undefined: the total edge weight overflows float64 ({total})")
+    return total
+
+
 def _edge_metric(g: Graph, s: GraphSignal, kind: str) -> float:
     kernel, scale = EDGE_METRICS[kind]
-    den = 1.0 if scale is None else scale * total_edge_weight(g)
+    total = checked_total_weight(total_edge_weight(g), kind)
+    den = 1.0 if scale is None else scale * total
     if den <= 0:
         raise ValueError("graph has no edges")
     return float(kernel(g, s).sum()) / den

@@ -224,6 +224,25 @@ def test_label_view_roundtrip():
         GraphSignal(rows, labels)
 
 
+def test_one_hot_rows_are_built_once():
+    # the rows from_labels fills are the signal's own: no copy of them and no
+    # n x K array to check them against; labels are copied (they are frozen)
+    n, k = 20_000, 50
+    labels = np.arange(n) % k
+    tracemalloc.start()
+    try:
+        s = GraphSignal.from_labels(labels, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * k
+    assert np.array_equal(s.labels, labels) and labels.flags.writeable
+    assert not s.rows.flags.writeable and not s.labels.flags.writeable
+    assert np.array_equal(s.rows, np.eye(k)[labels])
+    with pytest.raises(ValueError, match="1-d"):
+        GraphSignal.from_labels(labels.reshape(-1, 2), k)
+
+
 def test_one_hot_rows_above_the_byte_limit_are_refused_before_allocating():
     # 34 nodes in 10^7 classes would take 2.72 GB of rows, and building the
     # signal three times that; the bound is fixed before the run

@@ -329,6 +329,74 @@ def test_a_non_finite_record_field_is_an_error(karate, bad, where):
         record.to_json()
 
 
+def _json_dumps_record(record) -> str:
+    """The record through json's own indented encoder, as RunRecord.to_json promises."""
+    d = {**vars(record), "config": vars(record.config),
+         "sweeps": [{**vars(s), "summaries": {k: vars(v) for k, v in s.summaries.items()}}
+                    for s in record.sweeps]}
+    return json.dumps(d, indent=2, allow_nan=False) + "\n"
+
+
+# strings json must escape: quotes, backslashes, control and non-ASCII characters,
+# characters beyond the BMP (written as surrogate pairs) and lone surrogates
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t é😀\udc80'),
+                          st.characters(codec=None)), max_size=12)
+_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                                    -1.7976931348623157e308, 0.1, 1e16, 1e-7]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_U64 = st.integers(0, 2**64 - 1)
+# entries and rows with their keys in the order _replicate_block writes them
+_ENTRY = st.one_of(
+    st.builds(lambda p, v, status: {"point": p, "variance": v, "variance_status": status},
+              _FLOAT, st.none() | _FLOAT, _TEXT),
+    st.builds(lambda reason: {"invalid": reason}, _TEXT))
+_ROW = st.builds(lambda rep, seed, nodes, edges, estimates: {
+    "rep": rep, "seed": seed, "sampled_nodes": nodes, "sampled_edges": edges,
+    "estimates": estimates}, _U64, _U64, _U64, _U64, st.dictionaries(_TEXT, _ENTRY, max_size=3))
+# a parameter named like the slot of the rows, at a depth where the writer must not find it
+_PARAMS = st.dictionaries(st.sampled_from(["p", "replications", "sweeps", "n_star"]) | _TEXT,
+                          _FLOAT | _U64 | st.just([]), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=_TEXT, sweeps=st.lists(st.tuples(_PARAMS, st.lists(_ROW, max_size=3)),
+                                      max_size=3))
+def test_record_rows_are_written_as_json_writes_them(dataset, sweeps):
+    key = "dirichlet_normalized:known_denominator"
+    summaries = {key: harness.SummaryStats(
+        kind="dirichlet_normalized", mode="known_denominator", ground_truth=0.25, mean=0.5,
+        bias=0.25, std=None, valid=1, invalid=0, histogram={"edges": [0.5, 0.5], "counts": [1]})}
+    record = harness.RunRecord(
+        dataset=dataset, config=_karate_cfg(), ground_truth={"dirichlet_normalized": 0.25},
+        sweeps=[harness.SweepResult(params=params, replications=rows, summaries=summaries)
+                for params, rows in sweeps])
+    assert record.to_json() == _json_dumps_record(record)
+
+
+def _two_triangles():
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3, 2.5)])
+    return g, GraphSignal.from_labels([0, 1, 0, 1, 1, 0, 0], 2)
+
+
+@pytest.mark.parametrize("design, sweep, pi_source, graph", [
+    ({"kind": "bernoulli"}, ({"p": 0.02}, {"p": 0.3}), "analytic", "karate"),
+    ({"kind": "srs"}, ({"n_star": 2}, {"frac": 0.5}), "analytic", "karate"),
+    # one source and one target in different triangles sample no edge
+    ({"kind": "traceroute"}, ({"n_sources": 1, "n_targets": 1}, {"n_sources": 2, "n_targets": 2}),
+     "analytic", "two triangles"),
+    ({"kind": "traceroute"}, ({"n_sources": 1, "n_targets": 1}, {"n_sources": 2, "n_targets": 3}),
+     "empirical", "karate"),
+])
+def test_real_records_are_written_as_json_writes_them(karate, design, sweep, pi_source, graph):
+    dataset = karate if graph == "karate" else _two_triangles()
+    cfg = _karate_cfg(design=design, sweep=sweep, metrics=ALL_PAIRS, replications=30,
+                      base_seed=5, pi_source=pi_source, pi_replications=30)
+    record = run_experiment(cfg, dataset=dataset)
+    entries = [e for s in record.sweeps for r in s.replications for e in r["estimates"].values()]
+    assert any("invalid" in e for e in entries) and any("point" in e for e in entries)
+    assert record.to_json() == _json_dumps_record(record)
+
+
 def test_zero_joint_probability_is_an_invalid_replication(karate):
     # a zero joint for disjoint edge pairs contradicts any sample holding two of them
     g, s = karate

@@ -172,6 +172,17 @@ def test_profile_and_exact_metric(karate):
         exact_metric(g, s, "modularity")
 
 
+@pytest.mark.parametrize("kind", ["dirichlet_total", "dirichlet_normalized", "edge_homophily"])
+def test_an_overflowing_total_edge_weight_is_refused_by_name(kind):
+    # 1e308 + 1e308 is inf: the normalized metrics would read nan and 0.0
+    g = Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (2, 0, 1.0)])
+    s = GraphSignal.from_labels([0, 1, 0], 2)
+    with np.errstate(all="raise"), pytest.raises(
+            ValueError, match=f"^{kind} is undefined: the total edge weight overflows float64"):
+        exact_metric(g, s, kind)
+    assert exact_metric(g, s, "node_homophily") == 1 / 3   # counts, not weights
+
+
 def test_edge_variation_values_nonnegative_random():
     rng = np.random.default_rng(41)
     g = random_graph(rng, 15, p=0.5, weighted=True)
