@@ -35,7 +35,8 @@ from .metrics import (
     DIRICHLET_TOTAL,
     EDGE_HOMOPHILY,
     NODE_HOMOPHILY,
-    dirichlet_energy,
+    checked_total_weight,
+    exact_metric,
     homophily_profile,
 )
 from .rng import DEFAULT_SEED
@@ -177,7 +178,7 @@ def _cmd_info(args):
         "name": name,
         "nodes": g.node_count,
         "edges": g.edge_count,
-        "total_edge_weight": total_edge_weight(g),
+        "total_edge_weight": checked_total_weight(total_edge_weight(g), "total_edge_weight"),
     }
     if s is not None and s.labels is not None:
         counts = np.bincount(s.labels, minlength=s.dim)
@@ -265,10 +266,24 @@ def _cmd_experiment(args):
     return 0
 
 
+# the convergence study's flags and their defaults; the identity check reads a dataset
+_STUDY_DEFAULTS = {"p_in": 0.5, "p_out": 0.2, "sizes": "50,100,200,400", "reps": 20,
+                   "seed": DEFAULT_SEED, "csv": None}
+_DATASET_FLAGS = ("manifest", "edges", "labels", "classes")
+
+
 def _cmd_graphon(args):
+    """The identity check on a dataset, or the convergence study; a flag of
+    the other one is an error that names the flag."""
+    mode, other, flags = (("--check-identity", "the convergence study", _STUDY_DEFAULTS)
+                          if args.check_identity else
+                          ("the convergence study", "--check-identity", _DATASET_FLAGS))
+    for name in flags:
+        if getattr(args, name) is not None:
+            raise ValueError(f"{_flag_name(name)} belongs to {other}, not to {mode}")
     if args.check_identity:
         g, s, name = _load_from_flags(args)
-        tv = dirichlet_energy(g, s)
+        tv = exact_metric(g, s, DIRICHLET_TOTAL)
         phi = phi_step(g, s)
         scaled = phi * g.node_count ** 2
         residual = abs(scaled - tv) / max(abs(tv), 1.0)
@@ -276,6 +291,9 @@ def _cmd_graphon(args):
         _emit_json({"dataset": name, "tv": tv, "phi": phi,
                     "phi_times_n_squared": scaled, "relative_residual": residual}, args.out)
         return 0 if residual < 1e-9 else 1
+    for name, default in _STUDY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     # convergence study on a two-block graphon
     w, sig = two_block_graphon(args.p_in, args.p_out)
     result = convergence_experiment(w, sig, _ints(args.sizes), args.reps, args.seed)
@@ -356,11 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     p.add_argument("--check-identity", action="store_true",
                    help="verify phi*n^2 equals the Dirichlet energy on a dataset")
-    p.add_argument("--p-in", type=float, default=0.5)
-    p.add_argument("--p-out", type=float, default=0.2)
-    p.add_argument("--sizes", default="50,100,200,400")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    study = {name: f" (default {value})" for name, value in _STUDY_DEFAULTS.items()}
+    p.add_argument("--p-in", type=float, help="within-block edge probability" + study["p_in"])
+    p.add_argument("--p-out", type=float, help="between-block edge probability" + study["p_out"])
+    p.add_argument("--sizes", help="comma list of graph sizes" + study["sizes"])
+    p.add_argument("--reps", type=int, help="W-random graphs per size" + study["reps"])
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", help="JSON output path")
     p.add_argument("--csv", help="convergence series CSV path")
     p.set_defaults(func=_cmd_graphon)

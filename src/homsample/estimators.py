@@ -17,25 +17,25 @@ dividing one HT total by the parent graph's known normalizer
 ("known_denominator": exactly unbiased). A sample carries its parent graph
 and the ids of its edges there. Every estimate runs through
 :meth:`SweepColumns.estimate_block`, which estimates a block of samples
-(:class:`~homsample.sampling.SampleBlock`) at once: the
-:mod:`homsample.metrics` kernels, ``pi`` and the ratio denominators are
-gathered once per block, each row's totals are the pairwise sums of its
-own slice, and each row is checked as one sample is, so a row's point,
-variance and variance status, or its invalid reason, are bit for bit
-those of its sample alone. :func:`estimate_metric` is the one-row case, and
-the one place that adds the metric, sizes, design and seed of an
-:class:`EstimateReport`. Node homophily is a mean of
-per-node ratios, not an edge total, and is only offered as a plug-in on
-the sampled subgraph; its node sums, like the variance's, are
+(:class:`~homsample.sampling.SampleBlock`) for all its metric pairs in one
+call: the :mod:`homsample.metrics` kernels and ``pi`` are evaluated once
+per call on the block's edge ids, each row's totals are the pairwise sums
+of its own slice, and each row is checked as one sample is, so a row's
+point, variance and variance status, or its invalid reason, are bit for
+bit those of its sample alone. :func:`estimate_metric` is the one-row,
+one-pair case, and the one place that adds the metric, sizes, design and
+seed of an :class:`EstimateReport`. Node homophily is a mean of per-node
+ratios, not an edge total, and is only offered as a plug-in on the sampled
+subgraph; its node sums, like the variance's, are
 :func:`~homsample.metrics.node_sums`, which the exact metric uses too.
-:func:`ht_total` and :func:`ht_variance` give the HT total of any
-per-edge values and its variance on one sample.
+:func:`ht_total` and :func:`ht_variance` give the HT total of any per-edge
+values and its variance on one sample.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +69,10 @@ MODES_FOR_KIND = {
     EDGE_HOMOPHILY: (HAJEK_RATIO, KNOWN_DENOMINATOR, PLUG_IN),
     NODE_HOMOPHILY: (PLUG_IN,),
 }
+
+# each metric's per-edge kernel
+_KERNELS = {**{kind: kernel for kind, (kernel, _) in EDGE_METRICS.items()},
+            NODE_HOMOPHILY: same_label_values}
 
 VARIANCE_EXACT = "exact_design"
 VARIANCE_UNSUPPORTED = "unsupported"
@@ -110,12 +114,6 @@ def check_mode(kind: str, mode: str):
                          f"(supported: {', '.join(MODES_FOR_KIND[kind])})")
 
 
-def _check_request(kind: str, mode: str, incl: InclusionModel | None):
-    check_mode(kind, mode)
-    if mode != PLUG_IN and incl is None:
-        raise ValueError(f"mode {mode!r} requires an inclusion model")
-
-
 def _floor_error(g: Graph, edge: int, pi: float, source: str) -> DegenerateSampleError:
     return DegenerateSampleError(
         f"sampled edge ({g.edge_i[edge]}, {g.edge_j[edge]}) has inclusion "
@@ -141,16 +139,6 @@ def _block_pi(g: Graph, incl: InclusionModel, ids: np.ndarray, offsets: np.ndarr
         for row, pos in zip(rows.tolist(), bad[first].tolist()):
             invalid.setdefault(row, _floor_error(g, ids[pos], pi[pos], incl.source))
         pi[bad] = 1.0
-    return pi
-
-
-def _positive_pi(sample: SampledGraph, incl: InclusionModel) -> np.ndarray:
-    """``incl.pi`` of the sampled edges; a value below PI_FLOOR contradicts the realization."""
-    invalid = {}
-    pi = _block_pi(sample.parent, incl, sample.edge_index, row_offsets([sample.edge_count]),
-                   invalid)
-    if invalid:
-        raise invalid[0]
     return pi
 
 
@@ -196,13 +184,6 @@ def _quotients(num: np.ndarray, den) -> np.ndarray:
         return np.divide(num, den, out=np.zeros(len(num)), where=np.asarray(den) != 0)
 
 
-def _weights(g: Graph, ids: np.ndarray, scale: float) -> np.ndarray:
-    """``scale * edge_w`` at the edges ``ids``, computed in the one array."""
-    weights = g.edge_w[ids]
-    weights *= scale
-    return weights
-
-
 def _flag(invalid: dict, rows: np.ndarray, message: str):
     """Record ``message`` for the flagged rows that no earlier check made invalid."""
     for row in np.flatnonzero(rows).tolist():
@@ -214,67 +195,61 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
     values = _sampled_values(sample, values)
     if sample.edge_count == 0:
         return 0.0
-    return float((values / _positive_pi(sample, incl)).sum())
-
-
-def _span_variance(q: float, ss: float, total: float, m: int, pairs3: int, pi: float,
-                   incl: InclusionModel, clamp_negative: bool) -> tuple[float, str]:
-    """:func:`ht_variance` of m sampled edges with values V from their sums:
-    ``q = V @ V``, ``ss = S @ S`` over the node sums S, ``total = V.sum()``,
-    ``pairs3`` ordered pairs spanning 3 nodes and the edges' common ``pi``."""
-    if m == 0:
-        return 0.0, VARIANCE_EXACT
-    a = ss - 2.0 * q
-    d = total ** 2 - q - a
-    pairs4 = m * m - m - pairs3
-    joint = incl.joint_by_span
-    for span, pairs in ((3, pairs3), (4, pairs4)):
-        if pairs and joint[span] <= 0:
-            raise DegenerateSampleError(
-                f"{pairs} observed ordered edge pairs spanning {span} nodes have joint "
-                f"inclusion probability 0 under the {incl.source} model, which "
-                "contradicts this realization")
-    inv_sq = 1.0 / pi ** 2
-    est = q * (inv_sq - 1.0 / pi)
-    if pairs3:
-        est += a * (inv_sq - 1.0 / joint[3])
-    if pairs4:
-        est += d * (inv_sq - 1.0 / joint[4])
-    est = float(est)
-    if est < 0 and clamp_negative:
-        return 0.0, VARIANCE_CLAMPED
-    return est, VARIANCE_EXACT
+    invalid = {}
+    pi = _block_pi(sample.parent, incl, sample.edge_index, row_offsets([sample.edge_count]),
+                   invalid)
+    if invalid:
+        raise invalid[0]
+    return float((values / pi).sum())
 
 
 def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarray,
                         pi: np.ndarray, incl: InclusionModel, invalid: dict,
                         clamp_negative: bool) -> list:
-    """:func:`_span_variance` of each row of the edges ``ids`` that is not
-    ``invalid`` ((None, None) for those); a row with a zero joint joins ``invalid``.
-
-    Totals and node sums come for all rows at once; the dot products are
-    one BLAS ``@`` per row, as on that row's sample alone.
+    """:func:`ht_variance` of each row of the edges ``ids`` that is not
+    ``invalid`` ((None, None) for those); a row with a sampled pair in a span
+    class of joint probability 0 joins ``invalid``. Totals and node sums come
+    for all rows at once; Q and A are one BLAS ``@`` per row, as on that
+    row's sample alone.
     """
     sums, degrees, node_lengths = node_sums(g, ids, rows.lengths, values)
     node_rows = _Rows(row_offsets(node_lengths))
     degree_sq = row_offsets(degrees * degrees)[node_rows.offsets]
-    pairs3 = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
+    pairs3_by_row = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
     totals = rows.sums(values).tolist()
     bounds, node_bounds = rows.offsets.tolist(), node_rows.offsets.tolist()
-    out = []
+    joint = incl.joint_by_span
+    out = [(None, None)] * len(rows.lengths)
     for row, m in enumerate(rows.lengths.tolist()):
         if row in invalid:
-            out.append((None, None))
+            continue
+        if m == 0:
+            out[row] = 0.0, VARIANCE_EXACT
             continue
         v = values[bounds[row]:bounds[row + 1]]
         s = sums[node_bounds[row]:node_bounds[row + 1]]
-        try:
-            out.append(_span_variance(float(v @ v), float(s @ s), totals[row], m, pairs3[row],
-                                      float(pi[bounds[row]]) if m else 0.0, incl,
-                                      clamp_negative))
-        except DegenerateSampleError as exc:
-            invalid[row] = exc
-            out.append((None, None))
+        q = float(v @ v)
+        a = float(s @ s) - 2.0 * q
+        d = totals[row] ** 2 - q - a
+        pairs3 = pairs3_by_row[row]
+        pairs4 = m * m - m - pairs3
+        for span, pairs in ((3, pairs3), (4, pairs4)):
+            if pairs and joint[span] <= 0:
+                invalid.setdefault(row, DegenerateSampleError(
+                    f"{pairs} observed ordered edge pairs spanning {span} nodes have joint "
+                    f"inclusion probability 0 under the {incl.source} model, which "
+                    "contradicts this realization"))
+        if row in invalid:
+            continue
+        p = float(pi[bounds[row]])
+        inv_sq = 1.0 / p ** 2
+        est = q * (inv_sq - 1.0 / p)
+        if pairs3:
+            est += a * (inv_sq - 1.0 / joint[3])
+        if pairs4:
+            est += d * (inv_sq - 1.0 / joint[4])
+        est = float(est)
+        out[row] = (0.0, VARIANCE_CLAMPED) if est < 0 and clamp_negative else (est, VARIANCE_EXACT)
     return out
 
 
@@ -306,110 +281,109 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     values = _sampled_values(sample, values)
     if not incl.has_joint:
         return None, VARIANCE_UNSUPPORTED
-    pi = _positive_pi(sample, incl)
-    invalid = {}
-    (var,) = _row_span_variances(sample.parent, sample.edge_index,
-                                 _Rows(row_offsets([sample.edge_count])), values, pi, incl,
-                                 invalid, clamp_negative)
+    g, ids, offsets = sample.parent, sample.edge_index, row_offsets([sample.edge_count])
+    invalid = {}   # a pi below the floor, then a zero joint
+    pi = _block_pi(g, incl, ids, offsets, invalid)
+    (var,) = _row_span_variances(g, ids, _Rows(offsets), values, pi, incl, invalid,
+                                 clamp_negative)
     if invalid:
         raise invalid[0]
     return var
 
 
 class SweepColumns:
-    """Per-edge columns of one graph, signal and inclusion model, estimated a block at a time.
+    """One graph, signal and inclusion model, estimated a block of samples at a time.
 
     An experiment builds one per sweep value and estimates each block of
-    replications with :meth:`estimate_block`; :func:`estimate_metric` is
-    its one-row case, so every estimate runs the same code:
+    replications, all its metric pairs at once, with :meth:`estimate_block`;
+    :func:`estimate_metric` is its one-row, one-pair case, so every estimate
+    runs the same code:
 
     - each ``EDGE_METRICS`` kernel, and node homophily's same-label
-      indicator, is gathered at the block's edge ids from its column over
-      all m edges, built the first time a block holds m ids or more, or
-      evaluated on those ids when the block holds fewer;
-    - ``pi``, with its floor test, and each ratio's ``scale * edge_w`` are
-      gathered once per block;
+      indicator, is evaluated once per call on the block's edge ids and
+      dropped after the last pair that reads it;
+    - ``pi``, with its floor test, is gathered once per call, and each
+      ratio's ``scale * edge_w`` once per pair; a value weighs 1 (plug-in)
+      or 1/pi, and its total divides by 1, the known normalizer, or the
+      same weighted sum of ``scale * edge_w``;
     - a row's totals are the 1-D pairwise sums of its contiguous slice
       (``_Rows.sums``), node sums come from one bincount over
       ``row * n + node`` (:func:`~homsample.metrics.node_sums`), and the
       span-variance dot products are one BLAS ``@`` per row.
 
-    A kernel is elementwise in the edges, so every gathered value has the
-    bits of a kernel on one row's sample alone, and so has each row's
-    estimate. A row fails the checks in the order one sample does: the pi
-    floor, then a zero denominator or a zero joint, then a non-finite point.
+    A kernel is elementwise in the edges, so every value has the bits of a
+    kernel on one row's sample alone, and so has each row's estimate. A row
+    fails the checks in the order one sample does: the pi floor, then a zero
+    denominator or a zero joint, then a non-finite point.
     """
 
     def __init__(self, g: Graph, signal: GraphSignal, incl: InclusionModel | None):
         self.graph = g
         self.signal = signal
         self.incl = incl
-        self._columns = {}
-        self._block = self._block_rows = None
+        self.total_weight = total_edge_weight(g)
 
-    @cached_property
-    def total_weight(self) -> float:
-        return total_edge_weight(self.graph)
-
-    def _gather(self, kernel, ids: np.ndarray) -> np.ndarray:
-        column = self._columns.get(kernel)
-        if column is None:
-            if len(ids) < self.graph.edge_count:
-                return kernel(self.graph, self.signal, ids)
-            column = self._columns[kernel] = kernel(self.graph, self.signal)
-        return column[ids]
-
-    def _rows(self, block: SampleBlock) -> _Rows:
-        # a block's metrics share its rows
-        if block is not self._block:
-            self._block, self._block_rows = block, _Rows(block.offsets)
-        return self._block_rows
-
-    def estimate_block(self, block: SampleBlock, kind: str, mode: str) -> list:
-        """One entry per row of ``block``, a block of this graph: the row's
+    def estimate_block(self, block: SampleBlock, pairs) -> dict:
+        """``{"kind:mode": entries}`` for each (kind, mode) of ``pairs``, one
+        entry per row of ``block``, a block of this graph: the row's
         ``{"point", "variance", "variance_status"}`` as :func:`estimate_metric`
         reports them, or the DegenerateSampleError it raises."""
-        _check_request(kind, mode, self.incl)
+        for kind, mode in pairs:
+            check_mode(kind, mode)
+            if mode != PLUG_IN and self.incl is None:
+                raise ValueError(f"mode {mode!r} requires an inclusion model")
         if block.parent is not self.graph:
             raise ValueError("sample is not drawn from the graph of these columns")
-        g, ids, rows = self.graph, block.edge_index, self._rows(block)
-        invalid = {}   # row -> the error of the first check it fails
-        variances = None
+        g, ids, rows = self.graph, block.edge_index, _Rows(block.offsets)
+        # each kernel's values at ids, kept until the last pair that reads them
+        kernels, left = {}, Counter(_KERNELS[kind] for kind, _ in pairs)
+        floor, pi = {}, None   # the rows that fail pi's floor test, and pi at ids
+        out = {}
+        for kind, mode in pairs:
+            kernel = _KERNELS[kind]
+            if kernel not in kernels:
+                kernels[kernel] = kernel(g, self.signal, ids)
+            left[kernel] -= 1
+            if mode != PLUG_IN and pi is None:
+                pi = _block_pi(g, self.incl, ids, rows.offsets, floor)
+            out[f"{kind}:{mode}"] = self._estimate_rows(
+                ids, rows, kind, mode, kernels[kernel] if left[kernel] else kernels.pop(kernel),
+                pi, {} if mode == PLUG_IN else dict(floor))
+        return out
 
+    def _estimate_rows(self, ids: np.ndarray, rows: _Rows, kind: str, mode: str,
+                       values: np.ndarray, pi: np.ndarray | None, invalid: dict) -> list:
+        """The entries of one metric pair on the rows of the edges ``ids``:
+        ``values`` is its kernel at ``ids`` and ``invalid`` maps a row to the
+        error of the first check it fails."""
+        g = self.graph
+        variances = [(None, VARIANCE_UNSUPPORTED)] * len(rows.lengths)
         if kind == NODE_HOMOPHILY:
             _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
-            sums, counts, node_lengths = node_sums(g, ids, rows.lengths,
-                                                   self._gather(same_label_values, ids))
+            sums, counts, node_lengths = node_sums(g, ids, rows.lengths, values)
             node_rows = _Rows(row_offsets(node_lengths))
             points = _quotients(node_rows.sums(sums / counts), node_rows.lengths)
         else:
-            kernel, scale = EDGE_METRICS[kind]
-            values = self._gather(kernel, ids)
-            if mode == PLUG_IN:
-                den = np.ones(block.rows) if scale is None else rows.sums(_weights(g, ids, scale))
-                _flag(invalid, den == 0.0, "empty sample; plug-in ratio undefined")
-                points = _quotients(rows.sums(values), den)
-            elif mode == HAJEK_RATIO:
-                pi = _block_pi(g, self.incl, ids, rows.offsets, invalid)
-                weighted = _weights(g, ids, scale)
-                weighted /= pi
-                den = rows.sums(weighted)
-                _flag(invalid, den == 0.0, "zero HT denominator (empty or degenerate sample)")
-                points = _quotients(rows.sums(np.divide(values, pi, out=weighted)), den)
-            else:  # ht_total, or known_denominator
-                den = (1.0 if scale is None else
-                       scale * checked_total_weight(self.total_weight, kind))
+            scale = EDGE_METRICS[kind][1]
+            if scale is None:
+                den = 1.0
+            elif mode == KNOWN_DENOMINATOR:
+                den = scale * checked_total_weight(self.total_weight, kind)
                 if den <= 0:
                     raise ValueError("parent graph has no edge weight")
-                pi = _block_pi(g, self.incl, ids, rows.offsets, invalid)
-                points = _quotients(rows.sums(values / pi), den)
-                if self.incl.has_joint:
-                    variances = _row_span_variances(g, ids, rows, values, pi, self.incl,
-                                                    invalid, True)
-
+            else:
+                weights = g.edge_w[ids]
+                weights *= scale
+                if mode == HAJEK_RATIO:
+                    weights /= pi
+                den = rows.sums(weights)
+                _flag(invalid, den == 0.0,
+                      "empty sample; plug-in ratio undefined" if mode == PLUG_IN else
+                      "zero HT denominator (empty or degenerate sample)")
+            points = _quotients(rows.sums(values if mode == PLUG_IN else values / pi), den)
+            if mode in (HT_TOTAL, KNOWN_DENOMINATOR) and self.incl.has_joint:
+                variances = _row_span_variances(g, ids, rows, values, pi, self.incl, invalid, True)
         _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
-        if variances is None:
-            variances = [(None, VARIANCE_UNSUPPORTED)] * block.rows
         return [invalid[row] if row in invalid else
                 {"point": point, "variance": None if variance is None else variance / den ** 2,
                  "variance_status": status}
@@ -429,8 +403,8 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     the one-row case of :meth:`SweepColumns.estimate_block`, which
     evaluates the kernels on the sampled edges alone.
     """
-    (estimate,) = SweepColumns(sample.parent, signal, incl).estimate_block(
-        SampleBlock.of(sample), kind, mode)
+    ((estimate,),) = SweepColumns(sample.parent, signal, incl).estimate_block(
+        SampleBlock.of(sample), ((kind, mode),)).values()
     if isinstance(estimate, DegenerateSampleError):
         raise estimate
     design = sample.design

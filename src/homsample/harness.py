@@ -11,11 +11,10 @@ with that seed, then ``estimate_metric`` with the sweep's inclusion model,
 gives the recorded estimates bit for bit.
 Replications run serially, in order, each on its own stream, in blocks:
 as many rows as ``_BLOCK_BYTES`` allows are realized at once by
-``draw_block`` and estimated at once by
-:meth:`~homsample.estimators.SweepColumns.estimate_block`, which each
-sweep value builds once, and which gives every row the point, variance
-and variance status (or the invalid reason) ``estimate_metric`` gives its
-sample alone, bit for bit.
+``draw_block`` and estimated for all metric pairs in one call of
+:meth:`~homsample.estimators.SweepColumns.estimate_block`, which gives
+every row the point, variance and variance status (or the invalid reason)
+``estimate_metric`` gives its sample alone, bit for bit.
 Ground truth is computed once on the full graph; summaries report mean,
 bias, standard deviation, invalid-replication counts and histogram bins
 per sweep value. A
@@ -185,18 +184,18 @@ def sweep_inclusion(g: Graph, design, base_seed: int, sweep_idx: int,
 
 def _block_rows(g: Graph) -> int:
     """Replications per block: at once, a row's arrays hold at most 96 bytes
-    per node and per edge of ``g`` (masks, edge ids, gathered columns, node
+    per node and per edge of ``g`` (masks, edge ids, kernel values, node
     sums and their bincount keys); a census row of the ht path holds about 80."""
     return max(1, _BLOCK_BYTES // (96 * (g.node_count + g.edge_count)))
 
 
 def _replicate_block(g, design, columns, metric_pairs, first_rep, seeds) -> list[dict]:
     """The replications of ``seeds``, numbered from ``first_rep``: one block
-    realization, then one block estimate per metric pair."""
+    realization, then one estimate of the block for all metric pairs."""
     block = draw_block(g, design, seeds)
-    results = {f"{kind}:{mode}": [{"invalid": str(e)} if isinstance(e, DegenerateSampleError)
-                                  else e for e in columns.estimate_block(block, kind, mode)]
-               for kind, mode in metric_pairs}
+    results = {key: [{"invalid": str(e)} if isinstance(e, DegenerateSampleError) else e
+                     for e in entries]
+               for key, entries in columns.estimate_block(block, metric_pairs).items()}
     return [{"rep": first_rep + row, "seed": seed, "sampled_nodes": nodes,
              "sampled_edges": edges,
              "estimates": {key: entries[row] for key, entries in results.items()}}

@@ -57,11 +57,13 @@ def edge_variation_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray
     """
     _check_dims(g, s)
     i, j, w = _edges(g, edge_ids)
-    if s.labels is not None:
-        # two one-hot rows differ in two unit entries or in none; no (edges, K) array
-        return w * (2.0 * (s.labels[i] != s.labels[j]))
-    d = s.rows[i] - s.rows[j]
-    return w * np.einsum("ef,ef->e", d, d)
+    # a value past the largest float64 is inf, which exact_metric and the estimates refuse
+    with np.errstate(over="ignore"):
+        if s.labels is not None:
+            # two one-hot rows differ in two unit entries or in none; no (edges, K) array
+            return w * (2.0 * (s.labels[i] != s.labels[j]))
+        d = s.rows[i] - s.rows[j]
+        return w * np.einsum("ef,ef->e", d, d)
 
 
 def same_label_weight_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray:
@@ -166,11 +168,15 @@ _EXACT = {
 
 
 def exact_metric(g: Graph, s: GraphSignal, kind: str) -> float:
+    """Metric ``kind`` of the full graph; a non-finite value is refused as json refuses it."""
     try:
         fn = _EXACT[kind]
     except KeyError:
         raise ValueError(f"unknown metric kind {kind!r}") from None
-    return fn(g, s)
+    value = fn(g, s)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return value
 
 
 def homophily_profile(g: Graph, s: GraphSignal) -> dict:

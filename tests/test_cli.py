@@ -461,3 +461,50 @@ def test_graphon_rejects_sizes_below_one(sizes):
     res = run_cli("graphon", f"--sizes={sizes}", "--reps", "1")
     assert res.returncode == 2
     assert res.stderr == "error: sizes must be >= 1, got " + sizes.split(",")[0] + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("homophily",),
+    ("experiment", "--design", "bernoulli", "--p", "0.5", "--metric", "dirichlet_total",
+     "--reps", "3"),
+    ("graphon", "--check-identity"),
+])
+def test_a_non_finite_exact_metric_is_refused_before_anything_is_printed(tmp_path, command):
+    # the Dirichlet energy of this graph overflows to inf; without --out no
+    # JSON encoder sees it, so the exact metric itself refuses it
+    edges, labels = tmp_path / "e.txt", tmp_path / "l.txt"
+    edges.write_text("0 1 1e308\n1 2 1\n2 3 1\n0 3 1\n")
+    labels.write_text("0 0\n1 1\n2 0\n3 1\n")
+    res = run_cli(command[0], "--edges", str(edges), "--labels", str(labels), "--classes", "2",
+                  *command[1:])
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: Out of range float values are not JSON compliant: inf\n"
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_info_refuses_an_overflowing_total_edge_weight(tmp_path, out):
+    edges, path = tmp_path / "e.txt", tmp_path / "info.json"
+    edges.write_text("0 1 1e308\n1 2 1e308\n2 0 1\n")
+    res = run_cli("info", "--edges", str(edges), *(["--out", str(path)] if out else []))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == ("error: total_edge_weight is undefined: the total edge weight "
+                          "overflows float64 (inf)\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("--manifest", MANIFEST, "--sizes", "20", "--reps", "1"), "--manifest"),
+    (("--sizes", "20", "--reps", "1", "--classes", "2"), "--classes"),
+    (("--check-identity", "--manifest", MANIFEST, "--sizes", "20", "--p-in", "0.9"), "--p-in"),
+    (("--check-identity", "--manifest", MANIFEST, "--seed", "3"), "--seed"),
+    (("--check-identity", "--manifest", MANIFEST, "--csv"), "--csv"),
+])
+def test_graphon_rejects_a_flag_of_the_mode_it_does_not_run(tmp_path, args, flag):
+    csv_path = tmp_path / "conv.csv"
+    res = run_cli("graphon", *args, *([str(csv_path)] if args[-1] == "--csv" else []))
+    assert (res.returncode, res.stdout) == (2, "")
+    mine, other = "the convergence study", "--check-identity"
+    if "--check-identity" in args:
+        mine, other = other, mine
+    assert res.stderr == f"error: {flag} belongs to {other}, not to {mine}\n"
+    assert not csv_path.exists()
