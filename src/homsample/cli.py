@@ -82,15 +82,19 @@ def _add_dataset_flags(p):
 
 def _load_from_flags(args, need_labels=True):
     if args.manifest:
+        given = [_flag_name(n) for n in _DATASET_FLAGS[1:] if getattr(args, n) is not None]
+        if given:
+            raise ValueError(f"{given[0]} and --manifest both name the dataset; give one")
         return load_dataset(args.manifest)
     if not args.edges:
         raise ValueError("provide --manifest or --edges")
-    if args.labels:
-        if args.classes is None:
-            raise ValueError("--labels requires --classes")
-        g, s = load_labelled(args.edges, args.labels, args.classes)
-    else:
+    if (args.labels is None) != (args.classes is None):
+        raise ValueError("--classes requires --labels" if args.labels is None
+                         else "--labels requires --classes")
+    if args.labels is None:
         g, s = load_edge_list(args.edges), None
+    else:
+        g, s = load_labelled(args.edges, args.labels, args.classes)
     if need_labels and s is None:
         raise ValueError("this command needs labels (--manifest or --labels/--classes)")
     return g, s, args.edges
@@ -180,10 +184,9 @@ def _cmd_info(args):
         "edges": g.edge_count,
         "total_edge_weight": checked_total_weight(total_edge_weight(g), "total_edge_weight"),
     }
-    if s is not None and s.labels is not None:
-        counts = np.bincount(s.labels, minlength=s.dim)
+    if s is not None:
         info["classes"] = s.dim
-        info["class_counts"] = [int(c) for c in counts]
+        info["class_counts"] = np.bincount(s.labels, minlength=s.dim).tolist()
     print(f"{name}: n={info['nodes']} edges={info['edges']} "
           f"total_weight={info['total_edge_weight']:g}"
           + (f" classes={info['classes']}" if "classes" in info else ""))
@@ -269,7 +272,7 @@ def _cmd_experiment(args):
 # the convergence study's flags and their defaults; the identity check reads a dataset
 _STUDY_DEFAULTS = {"p_in": 0.5, "p_out": 0.2, "sizes": "50,100,200,400", "reps": 20,
                    "seed": DEFAULT_SEED, "csv": None}
-_DATASET_FLAGS = ("manifest", "edges", "labels", "classes")
+_DATASET_FLAGS = ("manifest", "edges", "labels", "classes")   # a manifest names the other three
 
 
 def _cmd_graphon(args):

@@ -41,11 +41,7 @@ class UnlabelledNodeError(EdgeListError):
     """An edge endpoint at or above the number of labelled nodes."""
 
 
-UNLABELLED_NODE_LIMIT = 1 << 24   # node arrays of 8 B per node stay within 128 MiB
-# one-hot rows take 8·n·K bytes: the limit, 128 MiB of rows (2^24 node-class
-# entries, e.g. 233k nodes in 41 classes), keeps a mistyped class count from
-# asking for gigabytes
-ONE_HOT_BYTE_LIMIT = 1 << 27
+UNLABELLED_NODE_LIMIT = 1 << 24   # arrays of 8 B per node, or per class, stay within 128 MiB
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -178,59 +174,58 @@ def total_edge_weight(g: Graph) -> float:
         return float(g.edge_w.sum())
 
 
+def _checked_class_count(count) -> int:
+    """``count`` if it is an integer from 1 to UNLABELLED_NODE_LIMIT."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"'class_count' is not an integer >= 1: {count!r}")
+    if count > UNLABELLED_NODE_LIMIT:
+        raise ValueError(f"'class_count' {count} is above the limit of {UNLABELLED_NODE_LIMIT}")
+    return int(count)
+
+
 @dataclass(frozen=True, eq=False)
 class GraphSignal:
-    """Per-node feature rows, optionally backed by class labels.
+    """Per-node feature rows, or class labels: exactly one of the two.
 
-    ``labels`` is present exactly when the rows are one-hot class
-    encodings; consistency between rows and labels is enforced.
+    ``GraphSignal(rows)`` holds an n x d float64 array, and a labelled
+    signal, from :meth:`from_labels`, n int64 labels in ``[0, class_count)``
+    and no rows; ``dim`` is d or the class count. Each is a frozen copy.
     """
 
-    rows: np.ndarray
+    rows: np.ndarray | None
     labels: np.ndarray | None = None
+    class_count: int | None = None
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError("signal rows must be a 2-d array")
-        object.__setattr__(self, "rows", _freeze(rows))
-        if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.int64)
-            if labels.shape != (rows.shape[0],):
-                raise ValueError("labels must align with signal rows")
-            expected = np.zeros_like(rows)
-            expected[np.arange(len(labels)), labels] = 1.0
-            if not np.array_equal(rows, expected):
-                raise ValueError("rows are not one-hot encodings of the labels")
-            object.__setattr__(self, "labels", _freeze(labels))
+        if self.labels is None:
+            rows = np.array(self.rows, dtype=np.float64)
+            if rows.ndim != 2:
+                raise ValueError("signal rows must be a 2-d array")
+            object.__setattr__(self, "rows", _freeze(rows))
+            return
+        if self.rows is not None:
+            raise ValueError("a signal holds feature rows or labels, not both")
+        count = _checked_class_count(self.class_count)
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.ndim != 1:
+            raise ValueError("labels must be a 1-d array")
+        if len(labels) and (labels.min() < 0 or labels.max() >= count):
+            raise ValueError(f"class id out of range [0, {count})")
+        object.__setattr__(self, "labels", _freeze(labels))
+        object.__setattr__(self, "class_count", count)
 
     @classmethod
     def from_labels(cls, labels, class_count: int) -> "GraphSignal":
-        """One-hot rows of ``labels``, refused unless within ONE_HOT_BYTE_LIMIT bytes."""
-        labels = np.array(labels, dtype=np.int64)   # a copy: it is frozen
-        if labels.ndim != 1:
-            raise ValueError("labels must be a 1-d array")
-        size = 8 * len(labels) * class_count
-        if size > ONE_HOT_BYTE_LIMIT:
-            raise ValueError(f"{len(labels)} nodes in {class_count} classes make one-hot rows "
-                             f"of {size} bytes, above the limit of {ONE_HOT_BYTE_LIMIT}")
-        if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
-            raise ValueError(f"class id out of range [0, {class_count})")
-        rows = np.zeros((len(labels), class_count))
-        rows[np.arange(len(labels)), labels] = 1.0
-        # one-hot by construction: neither copied nor checked by __post_init__
-        signal = object.__new__(cls)
-        object.__setattr__(signal, "rows", _freeze(rows))
-        object.__setattr__(signal, "labels", _freeze(labels))
-        return signal
+        """The labelled signal of ``labels``, each in ``[0, class_count)``."""
+        return cls(None, labels, class_count)
 
     @property
     def node_count(self) -> int:
-        return self.rows.shape[0]
+        return len(self.rows if self.labels is None else self.labels)
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[1]
+        return self.rows.shape[1] if self.labels is None else self.class_count
 
 
 # -- text formats ----------------------------------------------------------
@@ -492,8 +487,9 @@ def dump_edge_list(g: Graph) -> str:
 
 
 def _label_signal(t: _FieldTable, class_count: int, n: int) -> GraphSignal:
-    """The one-hot GraphSignal of a label file's field table; raises
+    """The labelled GraphSignal of a label file's field table; raises
     LabelError naming the first bad line, or the first unlabelled node."""
+    class_count = _checked_class_count(class_count)
     labels = np.full(n, -1, dtype=np.int64)
     node, node_ok = t.ints(t.field(0))
     cls, cls_ok = t.ints(t.field(1))
@@ -519,7 +515,7 @@ def _label_signal(t: _FieldTable, class_count: int, n: int) -> GraphSignal:
 
 
 def load_labels(source, class_count: int, n: int) -> GraphSignal:
-    """Parse "node_id class_id" lines into a one-hot GraphSignal.
+    """Parse "node_id class_id" lines into a labelled GraphSignal.
 
     Every node in ``[0, n)`` must appear exactly once; a malformed line
     raises LabelError naming the first bad line.
@@ -560,8 +556,6 @@ def load_dataset(manifest_path) -> tuple[Graph, GraphSignal, str]:
     for field in ("edge_file", "label_file"):
         if not isinstance(raw[field], str):
             raise ValueError(f"manifest field {field!r} is not a string: {raw[field]!r}")
-    count = raw["class_count"]
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValueError(f"manifest field 'class_count' is not an integer >= 1: {count!r}")
-    g, s = load_labelled(path.parent / raw["edge_file"], path.parent / raw["label_file"], count)
+    g, s = load_labelled(path.parent / raw["edge_file"], path.parent / raw["label_file"],
+                         raw["class_count"])
     return g, s, str(raw["name"])

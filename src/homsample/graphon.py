@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphSignal
-from .metrics import dirichlet_energy
+from .metrics import dirichlet_energy, same_label_values
 from .rng import child_rng
 
 
@@ -49,12 +49,14 @@ def phi_step(g: Graph, s: GraphSignal) -> float:
     n = g.node_count
     if n == 0:
         raise ValueError("graph has no nodes")
-    x = s.rows
-    sq = np.einsum("af,af->a", x, x)
     degree = (np.bincount(g.edge_i, g.edge_w, minlength=n)
               + np.bincount(g.edge_j, g.edge_w, minlength=n))
-    cross = float(g.edge_w @ np.einsum("ef,ef->e", x[g.edge_i], x[g.edge_j]))
-    return (float(degree @ sq) - 2.0 * cross) / float(n * n)
+    if s.labels is None:
+        x = s.rows
+        sq, dots = np.einsum("af,af->a", x, x), np.einsum("ef,ef->e", x[g.edge_i], x[g.edge_j])
+    else:   # a label's one-hot row has norm 1, and two rows a dot product of 1 or 0
+        sq, dots = np.ones(n), same_label_values(g, s)
+    return (float(degree @ sq) - 2.0 * float(g.edge_w @ dots)) / float(n * n)
 
 
 @dataclass(frozen=True, eq=False)

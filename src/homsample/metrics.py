@@ -2,7 +2,7 @@
 
 The smoothness measure is the edge total of squared feature deviations,
 ``sum over edges of w_ij * ||x_i - x_j||^2``; its [0, 1] normalization
-divides by twice the total edge weight, which for one-hot signals equals
+divides by twice the total edge weight, which for labelled signals equals
 the heterophilous fraction of edge weight (so that normalized energy and
 edge homophily sum to one exactly).
 
@@ -60,7 +60,7 @@ def edge_variation_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray
     # a value past the largest float64 is inf, which exact_metric and the estimates refuse
     with np.errstate(over="ignore"):
         if s.labels is not None:
-            # two one-hot rows differ in two unit entries or in none; no (edges, K) array
+            # the one-hot rows of two labels differ in two unit entries or in none
             return w * (2.0 * (s.labels[i] != s.labels[j]))
         d = s.rows[i] - s.rows[j]
         return w * np.einsum("ef,ef->e", d, d)
@@ -138,9 +138,9 @@ def dirichlet_energy(g: Graph, s: GraphSignal) -> float:
 
 
 def normalized_dirichlet(g: Graph, s: GraphSignal) -> float:
-    """Dirichlet energy divided by twice the total edge weight; in [0, 1] for one-hot signals."""
+    """Dirichlet energy divided by twice the total edge weight; in [0, 1] for labelled signals."""
     if s.labels is None:
-        raise ValueError("normalized energy is defined for one-hot signals")
+        raise ValueError("normalized energy is defined for labelled signals")
     return _edge_metric(g, s, DIRICHLET_NORMALIZED)
 
 

@@ -49,11 +49,16 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     return a
 
 
+def signal_rows(s: GraphSignal) -> np.ndarray:
+    """A signal's feature rows, or the one-hot rows of its labels."""
+    return np.asarray(s.rows) if s.labels is None else np.eye(s.dim)[s.labels]
+
+
 def dense_laplacian_tv(g: Graph, s: GraphSignal) -> float:
     """trace(X^T L X) with an explicitly materialized combinatorial Laplacian."""
     a = dense_adjacency(g)
     lap = np.diag(a.sum(axis=1)) - a
-    x = np.asarray(s.rows)
+    x = signal_rows(s)
     return float(np.trace(x.T @ lap @ x))
 
 
@@ -327,7 +332,7 @@ def to_step_pair(g: Graph, s: GraphSignal) -> tuple[StepGraphon, StepSignal]:
     a = np.zeros((n, n))
     a[g.edge_i, g.edge_j] = g.edge_w
     a[g.edge_j, g.edge_i] = g.edge_w
-    return StepGraphon(a), StepSignal(np.array(s.rows))
+    return StepGraphon(a), StepSignal(signal_rows(s))
 
 
 def _half_ordered_sum(w: np.ndarray, x: np.ndarray) -> float:
@@ -649,7 +654,7 @@ def reference_canonical_edges(i, j, w) -> tuple[list, list, list]:
 
 
 def reference_load_labels(source, class_count: int, n: int) -> GraphSignal:
-    """Parse "node_id class_id" lines into a one-hot GraphSignal.
+    """Parse "node_id class_id" lines into a labelled GraphSignal.
 
     Every node in ``[0, n)`` must appear exactly once.
     """

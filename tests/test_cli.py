@@ -508,3 +508,27 @@ def test_graphon_rejects_a_flag_of_the_mode_it_does_not_run(tmp_path, args, flag
         mine, other = other, mine
     assert res.stderr == f"error: {flag} belongs to {other}, not to {mine}\n"
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("classes", ["-3", "0"])
+def test_a_class_count_below_one_is_an_input_error(tmp_path, classes):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    res = run_cli("info", "--edges", str(empty), "--labels", str(empty), "--classes", classes)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: 'class_count' is not an integer >= 1: {classes}\n"
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("info", ("--manifest", MANIFEST, "--edges", "{edges}", "--labels", "/nonexistent",
+              "--classes", "9"), "--edges and --manifest both name the dataset; give one"),
+    ("info", ("--edges", "{edges}", "--classes", "3"), "--classes requires --labels"),
+    ("homophily", ("--manifest", MANIFEST, "--classes", "5"),
+     "--classes and --manifest both name the dataset; give one"),
+])
+def test_a_dataset_flag_that_would_be_ignored_is_an_input_error(tmp_path, command, args, message):
+    edges = tmp_path / "e.txt"
+    edges.write_text("0 1\n")
+    res = run_cli(command, *(a.format(edges=edges) for a in args))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {message}\n"

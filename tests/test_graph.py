@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -196,7 +197,7 @@ def test_adjacency_build_holds_one_node_sized_array():
 
 def test_labels_one_hot():
     s = load_labels(io.StringIO("0 0\n1 0\n2 1\n"), class_count=2, n=3)
-    assert s.rows.tolist() == [[1, 0], [1, 0], [0, 1]]
+    assert s.rows is None and (s.node_count, s.dim) == (3, 2)
     assert s.labels.tolist() == [0, 0, 1]
 
 
@@ -216,52 +217,56 @@ def test_label_view_roundtrip():
     labels = rng.integers(0, 4, size=30)
     s = GraphSignal.from_labels(labels, 4)
     assert np.array_equal(s.labels, labels)
-    # rows inconsistent with labels are rejected
-    rows = np.array(s.rows)
-    rows.flags.writeable = True
-    rows[0] = [0.5, 0.5, 0, 0]
-    with pytest.raises(ValueError, match="one-hot"):
-        GraphSignal(rows, labels)
+    # a signal holds rows or labels, even rows that are the labels' one-hot rows
+    with pytest.raises(ValueError, match="^a signal holds feature rows or labels, not both$"):
+        GraphSignal(np.eye(4)[labels], labels)
 
 
-def test_one_hot_rows_are_built_once():
-    # the rows from_labels fills are the signal's own: no copy of them and no
-    # n x K array to check them against; labels are copied (they are frozen)
-    n, k = 20_000, 50
-    labels = np.arange(n) % k
+def test_labels_are_copied_once_at_any_class_count():
+    # a labelled signal holds no (nodes, classes) array: at 10^6 classes its one-hot
+    # rows would take 160 GB; the labels are copied once (they are frozen)
+    n, k = 20_000, 10 ** 6
+    labels = np.arange(n, dtype=np.int64) * 50
     tracemalloc.start()
     try:
         s = GraphSignal.from_labels(labels, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 8 * n * k
+    assert peak <= 2 * 8 * n
+    assert (s.node_count, s.dim, s.rows) == (n, k, None)
     assert np.array_equal(s.labels, labels) and labels.flags.writeable
-    assert not s.rows.flags.writeable and not s.labels.flags.writeable
-    assert np.array_equal(s.rows, np.eye(k)[labels])
+    assert not s.labels.flags.writeable
     with pytest.raises(ValueError, match="1-d"):
         GraphSignal.from_labels(labels.reshape(-1, 2), k)
+    with pytest.raises(ValueError, match=r"class id out of range \[0, 999950\)"):
+        GraphSignal.from_labels(labels, k - 50)
 
 
-def test_one_hot_rows_above_the_byte_limit_are_refused_before_allocating():
-    # 34 nodes in 10^7 classes would take 2.72 GB of rows, and building the
-    # signal three times that; the bound is fixed before the run
+def test_a_class_count_above_the_limit_is_refused_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^34 nodes in 10000000 classes make one-hot rows "
-                                             "of 2720000000 bytes, above the limit of 134217728$"):
-            GraphSignal.from_labels(np.zeros(34, dtype=np.int64), 10 ** 7)
+        with pytest.raises(ValueError, match="^'class_count' 16777217 is above the limit "
+                                             "of 16777216$"):
+            GraphSignal.from_labels(np.zeros(34, dtype=np.int64), 2 ** 24 + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
 
 
-def test_one_hot_rows_at_the_byte_limit_are_built(monkeypatch):
-    monkeypatch.setattr(graph, "ONE_HOT_BYTE_LIMIT", 8 * 34 * 2)
-    assert GraphSignal.from_labels(np.arange(34) % 2, 2).rows.shape == (34, 2)
-    with pytest.raises(ValueError, match="34 nodes in 3 classes"):
-        GraphSignal.from_labels(np.arange(34) % 2, 3)
+def test_a_class_count_at_the_limit_is_built():
+    s = GraphSignal.from_labels([0, 2 ** 24 - 1], 2 ** 24)
+    assert (s.node_count, s.dim) == (2, 2 ** 24)
+
+
+@pytest.mark.parametrize("count", [0, -3, 1.5, True, None, "2"])
+def test_a_class_count_below_one_or_not_an_integer_is_refused(count):
+    message = re.escape(f"'class_count' is not an integer >= 1: {count!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GraphSignal.from_labels([], count)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_labels(io.StringIO("0 0\n"), count, 1)
 
 
 @pytest.mark.parametrize("via", ["manifest", "flags"])
@@ -269,10 +274,10 @@ def test_a_huge_class_count_is_an_input_error(tmp_path, capsys, via):
     data = karate_manifest_path().parent
     (tmp_path / "m.json").write_text(json.dumps({
         "name": "karate", "edge_file": str(data / "karate_edges.txt"),
-        "label_file": str(data / "karate_labels.txt"), "class_count": 10 ** 7}))
+        "label_file": str(data / "karate_labels.txt"), "class_count": 2 ** 24 + 1}))
     args = (["--manifest", str(tmp_path / "m.json")] if via == "manifest" else
             ["--edges", str(data / "karate_edges.txt"), "--labels",
-             str(data / "karate_labels.txt"), "--classes", str(10 ** 7)])
+             str(data / "karate_labels.txt"), "--classes", str(2 ** 24 + 1)])
     tracemalloc.start()
     try:
         assert cli.main(["homophily", *args]) == 2
@@ -280,12 +285,15 @@ def test_a_huge_class_count_is_an_input_error(tmp_path, capsys, via):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    assert capsys.readouterr().err == ("error: 34 nodes in 10000000 classes make one-hot rows "
-                                       "of 2720000000 bytes, above the limit of 134217728\n")
+    assert capsys.readouterr().err == ("error: 'class_count' 16777217 is above the limit "
+                                       "of 16777216\n")
 
 
 def test_signal_is_immutable():
     s = GraphSignal.from_labels([0, 1], 2)
+    with pytest.raises(ValueError):
+        s.labels[0] = 1
+    s = GraphSignal(np.eye(2))
     with pytest.raises(ValueError):
         s.rows[0, 0] = 5.0
 
@@ -387,7 +395,7 @@ def test_edges_and_labels_flags_load_what_the_manifest_loads(tmp_path, capsys):
     g, s, _ = cli._load_from_flags(cli.build_parser().parse_args(["homophily", *flags]))
     g2, s2, _ = load_dataset(manifest)
     assert g == g2 and g.node_count == 5
-    assert np.array_equal(s.labels, s2.labels) and np.array_equal(s.rows, s2.rows)
+    assert np.array_equal(s.labels, s2.labels) and s.dim == s2.dim
     capsys.readouterr()
     assert cli.main(["homophily", *flags]) == 0
     via_flags = capsys.readouterr().out
@@ -465,7 +473,7 @@ def assert_same_outcome(got, want):
         assert got.edge_w.tobytes() == want.edge_w.tobytes()
     else:
         assert isinstance(got, GraphSignal)
-        assert np.array_equal(got.labels, want.labels) and np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.labels, want.labels) and got.dim == want.dim
 
 
 PLAIN_IDS = ["0", "1", "2", "3", "17"]

@@ -27,6 +27,7 @@ from oracles import (
     random_onehot_signal,
     reference_w_random_graph,
     riemann_phi,
+    signal_rows,
     to_step_pair,
 )
 
@@ -44,7 +45,7 @@ def test_step_pair_transcription():
     s = GraphSignal.from_labels([0, 1], 2)
     w, x = to_step_pair(g, s)
     assert w.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert x.rows.tolist() == s.rows.tolist()
+    assert x.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     # block (i, j), which holds (u, v) = ((i + 0.5) / n, (j + 0.5) / n), holds the edge weight
     assert w.values[0, 1] == 1.0
     assert w.values[0, 0] == 0.0
@@ -105,6 +106,20 @@ def test_phi_step_matches_dense_reference(pair):
         phi_step(g, GraphSignal(np.zeros((n + 1, s.dim))))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), classes=st.integers(1, 5),
+       weighted=st.booleans())
+def test_labelled_phi_step_is_the_one_hot_rows_phi_step_bitwise(seed, n, classes, weighted):
+    # a labelled signal steps by its labels alone, with no (nodes, classes) array
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, 0.5)
+    if weighted:
+        g = Graph.from_arrays(n, g.edge_i, g.edge_j, rng.lognormal(0.0, 3.0, size=g.edge_count))
+    s = random_onehot_signal(rng, n, classes)
+    got, want = phi_step(g, s), phi_step(g, GraphSignal(signal_rows(s)))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_phi_step_memory_is_linear():
     # the dense n x n blocks of a 4,000-node graph would take 128 MB each
     n = 4000
@@ -141,7 +156,7 @@ def test_phi_step_invariant_under_block_permutation():
     perm = rng.permutation(12)
     new_id = np.argsort(perm)                  # node perm[a] becomes node a
     g2 = Graph.from_arrays(12, new_id[g.edge_i], new_id[g.edge_j], g.edge_w)
-    s2 = GraphSignal(s.rows[perm])
+    s2 = GraphSignal.from_labels(s.labels[perm], s.dim)
     assert phi_step(g2, s2) == pytest.approx(phi_step(g, s), rel=1e-12)
 
 
