@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -161,19 +163,33 @@ def _single_design(args, n, seed):
     return resolve_design({"kind": args.design, "seed": seed}, values[0], n)
 
 
+def _write_pieces(pieces, out_path):
+    """Write the text ``pieces`` to ``out_path`` as they are made, into a
+    temporary file beside it that replaces ``out_path`` once the last piece
+    is written: an error on the way, such as a refused value, leaves no file."""
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _emit_json(obj, out_path):
-    # json.dump writes the indented encoder's chunks as they come; json.dumps
-    # would hold them all in a list before joining. Encoding ends before the
-    # file opens, so a refused value leaves no file.
-    buf = io.StringIO()
-    json.dump(obj, buf, indent=2, allow_nan=False)
-    buf.write("\n")
-    text = buf.getvalue()
+    # the indented encoder's chunks are written as they come; json.dumps
+    # would hold them all in a list before joining
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(obj)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write_pieces(itertools.chain(chunks, ["\n"]), out_path)
+        return
+    # stdout cannot take back what it printed, so encoding ends first
+    buf = io.StringIO()
+    buf.writelines(chunks)
+    buf.write("\n")
+    sys.stdout.write(buf.getvalue())
 
 
 def _cmd_info(args):
@@ -186,7 +202,8 @@ def _cmd_info(args):
     }
     if s is not None:
         info["classes"] = s.dim
-        info["class_counts"] = np.bincount(s.labels, minlength=s.dim).tolist()
+        # up to the largest label present: K may be far more than the nodes
+        info["class_counts"] = np.bincount(s.labels).tolist()
     print(f"{name}: n={info['nodes']} edges={info['edges']} "
           f"total_weight={info['total_edge_weight']:g}"
           + (f" classes={info['classes']}" if "classes" in info else ""))
@@ -254,9 +271,7 @@ def _cmd_experiment(args):
               f"gt={row['ground_truth']:.4f} mean={mean:.4f} "
               f"bias={bias:+.4f} std={std:.4f} invalid={row['invalid']}")
     if args.out:
-        text = record.to_json()
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_pieces(record.json_pieces(), args.out)
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="", encoding="utf-8") as fh:
             write_summary_csv(record, fh)

@@ -22,7 +22,9 @@ call: the :mod:`homsample.metrics` kernels and ``pi`` are evaluated once
 per call on the block's edge ids, each row's totals are the pairwise sums
 of its own slice, and each row is checked as one sample is, so a row's
 point, variance and variance status, or its invalid reason, are bit for
-bit those of its sample alone. :func:`estimate_metric` is the one-row,
+bit those of its sample alone. A pair's estimates of a block are columns
+(:class:`Estimates`): float64 points and variances, their statuses, and
+the reasons of the invalid rows. :func:`estimate_metric` is the one-row,
 one-pair case, and the one place that adds the metric, sizes, design and
 seed of an :class:`EstimateReport`. Node homophily is a mean of per-node
 ratios, not an edge total, and is only offered as a plug-in on the sampled
@@ -88,6 +90,34 @@ class DegenerateSampleError(ValueError):
     has closed-form joint probability 0. The experiment harness records
     such a replication as invalid.
     """
+
+
+@dataclass
+class Estimates:
+    """One metric pair's estimates of a run of rows, as columns.
+
+    Row r has point ``points[r]``, variance ``variances[r]`` (float64) and
+    variance status ``statuses[r]``; its variance is NaN, and reads None,
+    where its status is "unsupported". A row in ``invalid`` has the
+    DegenerateSampleError its sample raises instead, and nothing in the
+    other columns.
+    """
+
+    points: np.ndarray
+    variances: np.ndarray
+    statuses: list
+    invalid: dict
+
+    def entries(self, start: int, stop: int) -> list:
+        """Rows ``start`` to ``stop``: each row's ``{"point", "variance",
+        "variance_status"}`` in Python floats, or its DegenerateSampleError."""
+        return [self.invalid.get(row) or {
+                    "point": point,
+                    "variance": None if status == VARIANCE_UNSUPPORTED else variance,
+                    "variance_status": status}
+                for row, point, variance, status in zip(
+                    range(start, stop), self.points[start:stop].tolist(),
+                    self.variances[start:stop].tolist(), self.statuses[start:stop])]
 
 
 @dataclass(frozen=True)
@@ -205,12 +235,12 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
 
 def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarray,
                         pi: np.ndarray, incl: InclusionModel, invalid: dict,
-                        clamp_negative: bool) -> list:
+                        clamp_negative: bool) -> tuple[np.ndarray, list]:
     """:func:`ht_variance` of each row of the edges ``ids`` that is not
-    ``invalid`` ((None, None) for those); a row with a sampled pair in a span
-    class of joint probability 0 joins ``invalid``. Totals and node sums come
-    for all rows at once; Q and A are one BLAS ``@`` per row, as on that
-    row's sample alone.
+    ``invalid``, as a variance and a status column (NaN and "exact_design"
+    for invalid rows); a row with a sampled pair in a span class of joint
+    probability 0 joins ``invalid``. Totals and node sums come for all rows
+    at once; Q and A are one BLAS ``@`` per row, as on that row's sample alone.
     """
     sums, degrees, node_lengths = node_sums(g, ids, rows.lengths, values)
     node_rows = _Rows(row_offsets(node_lengths))
@@ -219,12 +249,12 @@ def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarr
     totals = rows.sums(values).tolist()
     bounds, node_bounds = rows.offsets.tolist(), node_rows.offsets.tolist()
     joint = incl.joint_by_span
-    out = [(None, None)] * len(rows.lengths)
+    variances, statuses = np.full(len(rows.lengths), np.nan), [VARIANCE_EXACT] * len(rows.lengths)
     for row, m in enumerate(rows.lengths.tolist()):
         if row in invalid:
             continue
         if m == 0:
-            out[row] = 0.0, VARIANCE_EXACT
+            variances[row] = 0.0
             continue
         v = values[bounds[row]:bounds[row + 1]]
         s = sums[node_bounds[row]:node_bounds[row + 1]]
@@ -248,9 +278,11 @@ def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarr
             est += a * (inv_sq - 1.0 / joint[3])
         if pairs4:
             est += d * (inv_sq - 1.0 / joint[4])
-        est = float(est)
-        out[row] = (0.0, VARIANCE_CLAMPED) if est < 0 and clamp_negative else (est, VARIANCE_EXACT)
-    return out
+        if est < 0 and clamp_negative:
+            variances[row], statuses[row] = 0.0, VARIANCE_CLAMPED
+        else:
+            variances[row] = est
+    return variances, statuses
 
 
 def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
@@ -284,11 +316,11 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     g, ids, offsets = sample.parent, sample.edge_index, row_offsets([sample.edge_count])
     invalid = {}   # a pi below the floor, then a zero joint
     pi = _block_pi(g, incl, ids, offsets, invalid)
-    (var,) = _row_span_variances(g, ids, _Rows(offsets), values, pi, incl, invalid,
-                                 clamp_negative)
+    variances, statuses = _row_span_variances(g, ids, _Rows(offsets), values, pi, incl,
+                                              invalid, clamp_negative)
     if invalid:
         raise invalid[0]
-    return var
+    return float(variances[0]), statuses[0]
 
 
 class SweepColumns:
@@ -324,10 +356,10 @@ class SweepColumns:
         self.total_weight = total_edge_weight(g)
 
     def estimate_block(self, block: SampleBlock, pairs) -> dict:
-        """``{"kind:mode": entries}`` for each (kind, mode) of ``pairs``, one
-        entry per row of ``block``, a block of this graph: the row's
-        ``{"point", "variance", "variance_status"}`` as :func:`estimate_metric`
-        reports them, or the DegenerateSampleError it raises."""
+        """``{"kind:mode": Estimates}`` for each (kind, mode) of ``pairs``, one
+        row per row of ``block``, a block of this graph: the row's point,
+        variance and variance status as :func:`estimate_metric` reports them,
+        or the DegenerateSampleError it raises."""
         for kind, mode in pairs:
             check_mode(kind, mode)
             if mode != PLUG_IN and self.incl is None:
@@ -352,12 +384,13 @@ class SweepColumns:
         return out
 
     def _estimate_rows(self, ids: np.ndarray, rows: _Rows, kind: str, mode: str,
-                       values: np.ndarray, pi: np.ndarray | None, invalid: dict) -> list:
-        """The entries of one metric pair on the rows of the edges ``ids``:
+                       values: np.ndarray, pi: np.ndarray | None, invalid: dict) -> Estimates:
+        """The estimates of one metric pair on the rows of the edges ``ids``:
         ``values`` is its kernel at ``ids`` and ``invalid`` maps a row to the
         error of the first check it fails."""
         g = self.graph
-        variances = [(None, VARIANCE_UNSUPPORTED)] * len(rows.lengths)
+        variances = np.full(len(rows.lengths), np.nan)
+        statuses = [VARIANCE_UNSUPPORTED] * len(rows.lengths)
         if kind == NODE_HOMOPHILY:
             _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
             sums, counts, node_lengths = node_sums(g, ids, rows.lengths, values)
@@ -382,12 +415,13 @@ class SweepColumns:
                       "zero HT denominator (empty or degenerate sample)")
             points = _quotients(rows.sums(values if mode == PLUG_IN else values / pi), den)
             if mode in (HT_TOTAL, KNOWN_DENOMINATOR) and self.incl.has_joint:
-                variances = _row_span_variances(g, ids, rows, values, pi, self.incl, invalid, True)
+                variances, statuses = _row_span_variances(g, ids, rows, values, pi, self.incl,
+                                                          invalid, True)
+                # an overflow gives inf, as for the points, and the record refuses it
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    variances /= den ** 2
         _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
-        return [invalid[row] if row in invalid else
-                {"point": point, "variance": None if variance is None else variance / den ** 2,
-                 "variance_status": status}
-                for row, (point, (variance, status)) in enumerate(zip(points.tolist(), variances))]
+        return Estimates(points, variances, statuses, invalid)
 
 
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
@@ -403,8 +437,9 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     the one-row case of :meth:`SweepColumns.estimate_block`, which
     evaluates the kernels on the sampled edges alone.
     """
-    ((estimate,),) = SweepColumns(sample.parent, signal, incl).estimate_block(
+    (estimates,) = SweepColumns(sample.parent, signal, incl).estimate_block(
         SampleBlock.of(sample), ((kind, mode),)).values()
+    (estimate,) = estimates.entries(0, 1)
     if isinstance(estimate, DegenerateSampleError):
         raise estimate
     design = sample.design

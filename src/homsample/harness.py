@@ -21,17 +21,24 @@ per sweep value. A
 replication whose sample cannot support an estimator (an empty ratio
 denominator, or an edge the inclusion model never saw) is recorded as
 invalid with the reason, and the experiment goes on; a summary with no
-valid replication has mean, bias and std None. A replication's estimate
-under the key ``"kind:mode"`` is ``{"point", "variance", "variance_status"}``
-or ``{"invalid": reason}``: its replication holds its seed and sizes, and its
-sweep its design. A record's JSON is the text
-``json.dumps(indent=2, allow_nan=False)`` gives for its dataclass fields in
-declaration order, nested records likewise, so a new field is one line and
-serializes itself, and a non-finite number is json's ValueError. json's
-indented encoder is pure Python, so the replication rows, the bulk of a
-record, are written by ``_replications_json`` from one row template, with the
-same bytes; it and ``_replicate_block`` are the only code that knows the row
-layout.
+valid replication has mean, bias and std None.
+A sweep holds its replications as columns (:class:`SweepResult`): their
+seeds and sizes, and under each key ``"kind:mode"`` the
+:class:`~homsample.estimators.Estimates` its blocks gave, so memory grows by
+a few dozen bytes per replication and metric pair. A record's JSON is the
+text ``json.dumps(indent=2, allow_nan=False)`` gives for its dataclass
+fields in declaration order, nested records likewise, so a new field is one
+line and serializes itself, and a non-finite number is json's ValueError;
+but a sweep is written as its ``params``, its ``replications`` and its
+``summaries``. Its replications are rows, ``{"rep", "seed",
+"sampled_nodes", "sampled_edges", "estimates"}``, each estimate
+``{"point", "variance", "variance_status"}`` or ``{"invalid": reason}``:
+its replication holds its seed and sizes, and its sweep its design. json's
+indented encoder is pure Python, so the rows, the bulk of a record, are
+written by ``_replications_json`` from one row template, with the same
+bytes; it and :meth:`SweepResult.rows` are the only code that knows the row
+layout. :meth:`RunRecord.json_pieces` gives the text piece by piece, as it
+is encoded, so a record streams to its file and is never held whole.
 """
 
 from __future__ import annotations
@@ -45,14 +52,16 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import metrics
-from .estimators import PLUG_IN, DegenerateSampleError, SweepColumns, check_mode
+from .estimators import PLUG_IN, DegenerateSampleError, Estimates, SweepColumns, check_mode
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import inclusion_for
 from .rng import DEFAULT_SEED, derive_seed, derive_seeds
-from .sampling import design_from_dict, design_params, draw_block, with_seed
+from .sampling import SampleBlock, design_from_dict, design_params, draw_block, with_seed
 
 # byte budget for the per-row arrays of one block of replications
 _BLOCK_BYTES = 1 << 23
+# rows of a sweep's columns turned into Python objects at once when its rows are read
+_ROW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -115,9 +124,56 @@ class SummaryStats:
 
 @dataclass
 class SweepResult:
+    """One sweep value's replications, as columns: replication r has seed
+    ``seeds[r]``, ``sampled_nodes[r]`` nodes and ``sampled_edges[r]`` edges,
+    and ``estimates[key]`` (:class:`~homsample.estimators.Estimates`) holds
+    its estimate under each ``"kind:mode"`` key."""
+
     params: dict
-    replications: list
-    summaries: dict
+    seeds: np.ndarray                 # uint64
+    sampled_nodes: np.ndarray
+    sampled_edges: np.ndarray
+    estimates: dict
+    summaries: dict = field(default_factory=dict)
+
+    @classmethod
+    def allocate(cls, params: dict, keys, replications: int) -> SweepResult:
+        """Room for ``replications`` rows of the estimate ``keys``, filled by :meth:`put`."""
+        n = replications
+        return cls(params, np.zeros(n, np.uint64), np.zeros(n, np.int64), np.zeros(n, np.int64),
+                   {key: Estimates(np.zeros(n), np.zeros(n), [None] * n, {}) for key in keys})
+
+    def put(self, start: int, block: SampleBlock, estimates: dict):
+        """Rows ``start`` onward: the replications of ``block`` and their
+        estimates, as :meth:`~homsample.estimators.SweepColumns.estimate_block` gives them."""
+        rows = slice(start, start + block.rows)
+        self.seeds[rows] = block.seeds
+        self.sampled_nodes[rows] = block.sampled_nodes
+        self.sampled_edges[rows] = block.sampled_edges
+        for key, est in estimates.items():
+            column = self.estimates[key]
+            column.points[rows] = est.points
+            column.variances[rows] = est.variances
+            column.statuses[rows] = est.statuses
+            column.invalid.update((start + row, e) for row, e in est.invalid.items())
+
+    def rows(self):
+        """Each replication's row of the record, in order, one at a time:
+        ``{"rep", "seed", "sampled_nodes", "sampled_edges", "estimates"}``,
+        with ``{"point", "variance", "variance_status"}`` or ``{"invalid":
+        reason}`` under each key. The columns are read ``_ROW_CHUNK`` rows at
+        a time."""
+        for start in range(0, len(self.seeds), _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, len(self.seeds))
+            entries = {key: [{"invalid": str(e)} if isinstance(e, DegenerateSampleError) else e
+                             for e in est.entries(start, stop)]
+                       for key, est in self.estimates.items()}
+            for i, (seed, nodes, edges) in enumerate(zip(self.seeds[start:stop].tolist(),
+                                                         self.sampled_nodes[start:stop].tolist(),
+                                                         self.sampled_edges[start:stop].tolist())):
+                yield {"rep": start + i, "seed": seed, "sampled_nodes": nodes,
+                       "sampled_edges": edges,
+                       "estimates": {key: column[i] for key, column in entries.items()}}
 
 
 @dataclass
@@ -129,20 +185,26 @@ class RunRecord:
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(record, indent=2, allow_nan=False)`` and a
-        new line: every record's fields in declaration order, nested records
-        likewise, each sweep's replications written by :func:`_replications_json`."""
+        new line, joined from :meth:`json_pieces`."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """The text of :meth:`to_json`, piece by piece as each is encoded:
+        every record's fields in declaration order, nested records likewise,
+        but a sweep is its ``params``, its ``replications`` (its rows, written
+        by :func:`_replications_json`) and its ``summaries``."""
         head, tail = _split_at({**vars(self), "config": vars(self.config)}, "sweeps", 0)
-        parts = [head]
+        yield head
         for k, s in enumerate(self.sweeps):
-            parts.append(",\n    " if k else "[\n    ")
+            yield ",\n    " if k else "[\n    "
             sweep_head, sweep_tail = _split_at(
-                {**vars(s), "summaries": {key: vars(v) for key, v in s.summaries.items()}},
+                {"params": s.params, "replications": [],
+                 "summaries": {key: vars(v) for key, v in s.summaries.items()}},
                 "replications", 2)
-            parts.append(sweep_head)
-            parts.extend(_replications_json(s.replications, 3))
-            parts.append(sweep_tail)
-        parts.append(("\n  ]" if self.sweeps else "[]") + tail + "\n")
-        return "".join(parts)
+            yield sweep_head
+            yield from _replications_json(s, 3)
+            yield sweep_tail
+        yield ("\n  ]" if self.sweeps else "[]") + tail + "\n"
 
 
 def _split_at(obj: dict, key: str, depth: int) -> tuple[str, str]:
@@ -189,37 +251,23 @@ def _block_rows(g: Graph) -> int:
     return max(1, _BLOCK_BYTES // (96 * (g.node_count + g.edge_count)))
 
 
-def _replicate_block(g, design, columns, metric_pairs, first_rep, seeds) -> list[dict]:
-    """The replications of ``seeds``, numbered from ``first_rep``: one block
-    realization, then one estimate of the block for all metric pairs."""
-    block = draw_block(g, design, seeds)
-    results = {key: [{"invalid": str(e)} if isinstance(e, DegenerateSampleError) else e
-                     for e in entries]
-               for key, entries in columns.estimate_block(block, metric_pairs).items()}
-    return [{"rep": first_rep + row, "seed": seed, "sampled_nodes": nodes,
-             "sampled_edges": edges,
-             "estimates": {key: entries[row] for key, entries in results.items()}}
-            for row, (seed, nodes, edges) in enumerate(zip(seeds, block.sampled_nodes.tolist(),
-                                                           block.sampled_edges.tolist()))]
-
-
 def _out_of_range(x: float):
     raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
 
 
-def _replications_json(reps: list, depth: int):
-    """The pieces of ``json.dumps(reps, indent=2, allow_nan=False)`` for a
-    sweep's replication rows written ``depth`` levels deep. Each row has the
-    layout :func:`_replicate_block` builds and is filled into one template,
-    its strings, ints and floats written as json writes them."""
-    if not reps:
+def _replications_json(sweep: SweepResult, depth: int):
+    """The pieces of ``json.dumps(list(sweep.rows()), indent=2, allow_nan=False)``
+    written ``depth`` levels deep, one per row. Each row of
+    :meth:`SweepResult.rows` is filled into one template, its strings, ints
+    and floats written as json writes them."""
+    if not len(sweep.seeds):
         yield "[]"
         return
     row_pad, field_pad, key_pad, entry_pad = ("\n" + "  " * (depth + k) for k in range(1, 5))
     string, integer, real = encode_basestring_ascii, int.__repr__, float.__repr__
     finite = math.isfinite
     sep = "["
-    for r in reps:
+    for r in sweep.rows():
         entries = []
         for key, e in r["estimates"].items():
             if "invalid" in e:
@@ -274,33 +322,34 @@ def run_experiment(cfg: ExperimentConfig,
                                cfg.pi_source, cfg.pi_replications) if needs_pi else None
 
         columns = SweepColumns(g, signal, incl)
-        reps = []
+        sweep = SweepResult.allocate(dict(overrides) if overrides else design_params(design),
+                                     [f"{kind}:{mode}" for kind, mode in cfg.metrics],
+                                     cfg.replications)
         for start in range(0, cfg.replications, rows):
-            block = range(start, min(start + rows, cfg.replications))
-            seeds = derive_seeds(cfg.base_seed, 1, sweep_idx, block).tolist()
-            reps += _replicate_block(g, design, columns, cfg.metrics, start, seeds)
+            reps = range(start, min(start + rows, cfg.replications))
+            block = draw_block(g, design, derive_seeds(cfg.base_seed, 1, sweep_idx, reps).tolist())
+            sweep.put(start, block, columns.estimate_block(block, cfg.metrics))
 
-        summaries = {}
         for kind, mode in cfg.metrics:
             key = f"{kind}:{mode}"
-            points = [r["estimates"][key]["point"] for r in reps
-                      if "invalid" not in r["estimates"][key]]
+            est = sweep.estimates[key]
+            valid = np.ones(cfg.replications, dtype=bool)
+            valid[list(est.invalid)] = False
+            points = est.points[valid]
             invalid = cfg.replications - len(points)
-            if points:
+            if len(points):
                 edges, counts = histogram(points, cfg.bins)
                 mean = float(np.mean(points))
                 bias = mean - ground_truth[kind]
                 std = float(np.std(points, ddof=1)) if len(points) > 1 else 0.0
             else:
                 edges, counts, mean, bias, std = [], [], None, None, None
-            summaries[key] = SummaryStats(
+            sweep.summaries[key] = SummaryStats(
                 kind=kind, mode=mode, ground_truth=ground_truth[kind],
                 mean=mean, bias=bias, std=std, valid=len(points), invalid=invalid,
                 histogram={"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]},
             )
-        record.sweeps.append(SweepResult(
-            params=dict(overrides) if overrides else design_params(design),
-            replications=reps, summaries=summaries))
+        record.sweeps.append(sweep)
     return record
 
 
@@ -350,14 +399,15 @@ def write_histogram_csv(record: RunRecord, stream):
 
 
 def write_estimates_csv(record: RunRecord, stream):
-    """Per-replication estimates: (dataset, kind, design, param, seed, point, variance, status)."""
+    """Per-replication estimates: (dataset, kind, mode, design, param, seed, point, variance,
+    status)."""
     writer = csv.writer(stream)
     writer.writerow(["dataset", "kind", "mode", "design", "param", "seed",
                      "point", "variance", "status"])
     design_kind = record.config.design.get("kind")
     for sweep in record.sweeps:
         param = json.dumps(sweep.params, sort_keys=True)
-        for rep in sweep.replications:
+        for rep in sweep.rows():
             for key in sorted(rep["estimates"]):
                 est = rep["estimates"][key]
                 cells = (["", "", "invalid"] if "invalid" in est else

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from homsample import cli, karate_manifest_path
+from homsample import cli, harness, karate_manifest_path
 from homsample.estimators import MODES_FOR_KIND
 
 MANIFEST = str(karate_manifest_path())
@@ -273,10 +273,58 @@ def test_an_overflowing_total_edge_weight_is_an_input_error(tmp_path, command):
                         r"edge weight overflows float64 \(inf\)\n", res.stderr)
 
 
+def test_a_record_refused_at_one_row_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the record is written as it is encoded, into a temporary file beside
+    # --out; a value refused after some rows are written removes that file
+    def run_experiment(cfg, dataset):
+        record = harness.run_experiment(cfg, dataset)
+        record.sweeps[0].estimates["dirichlet_total:ht_total"].variances[7] = float("inf")
+        return record
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    out = tmp_path / "run.json"
+    code = cli.main(["experiment", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+                     "--metric", "dirichlet_total", "--reps", "20", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: Out of range float values are not JSON compliant: inf\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _peak_rss_mb(*args) -> float:
+    """Peak RSS of one CLI run. A small parent spawns it: a child's peak
+    starts at the peak of the process it is spawned from."""
+    script = ("import resource, subprocess, sys; "
+              "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    res = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "homsample", *args],
+                         capture_output=True, text=True, check=True)
+    return int(res.stdout) / 1024    # KiB on Linux
+
+
+def test_info_counts_classes_up_to_the_largest_label(tmp_path):
+    # a class count far above the labels present costs no memory and no
+    # bytes; listing all 2^24 counts peaked at 390 MB and wrote 117 MB
+    data_dir = karate_manifest_path().parent
+    dataset = ("--edges", str(data_dir / "karate_edges.txt"),
+               "--labels", str(data_dir / "karate_labels.txt"))
+    peaks, sizes = {}, {}
+    for classes in (2, 2 ** 24):
+        out = tmp_path / f"info_{classes}.json"
+        peaks[classes] = _peak_rss_mb("info", *dataset, "--classes", str(classes),
+                                      "--out", str(out))
+        info = json.loads(out.read_text())
+        assert (info["classes"], info["class_counts"]) == (classes, [17, 17])
+        sizes[classes] = out.stat().st_size
+    assert peaks[2 ** 24] <= peaks[2] + 5
+    assert sizes[2 ** 24] < 1000
+
+
 def test_json_outputs_are_encoded_without_holding_every_chunk(tmp_path):
     # json.dumps(indent=2) keeps each of the pure-Python encoder's chunks in a
     # list before joining them, near 10 bytes traced per output byte here;
-    # json.dump into a StringIO measured 2.0 to 2.3
+    # json.dump into a StringIO measured 2.0 to 2.3, and writing the chunks to
+    # the file as they come 0.04
     n = 30_000
     obj = {"nodes": list(range(n)),
            "edges": [{"i": k, "j": k + 1, "w": 1.5, "pi": 0.09} for k in range(n)]}

@@ -18,10 +18,17 @@ from homsample import (
     karate_manifest_path,
     shortest_paths,
 )
-from homsample.estimators import DegenerateSampleError, SweepColumns, estimate_metric
+from homsample.estimators import (
+    VARIANCE_CLAMPED,
+    VARIANCE_EXACT,
+    VARIANCE_UNSUPPORTED,
+    DegenerateSampleError,
+    SweepColumns,
+    estimate_metric,
+)
 from homsample.harness import (
     ExperimentConfig,
-    _replicate_block,
+    SweepResult,
     histogram,
     resolve_design,
     run_experiment,
@@ -31,7 +38,7 @@ from homsample.harness import (
     write_summary_csv,
 )
 from homsample.rng import derive_seed, make_rng
-from homsample.sampling import design_from_dict, design_to_dict, draw_sample, with_seed
+from homsample.sampling import design_from_dict, design_to_dict, draw_block, draw_sample, with_seed
 from oracles import ReferenceColumns, random_graph, random_onehot_signal, reference_replicate
 
 # a vectorized division over invalid rows that warned would add bytes to stderr
@@ -98,8 +105,8 @@ def test_sweep_and_frac_resolution():
     assert len(rec.sweeps) == 2
     assert rec.sweeps[0].params == {"frac": 0.3}
     # 30% of 34 nodes rounds to 10
-    assert all(r["sampled_nodes"] == 10 for r in rec.sweeps[0].replications)
-    assert all(r["sampled_nodes"] == 20 for r in rec.sweeps[1].replications)
+    assert all(r["sampled_nodes"] == 10 for r in rec.sweeps[0].rows())
+    assert all(r["sampled_nodes"] == 20 for r in rec.sweeps[1].rows())
 
 
 @pytest.mark.parametrize("frac", [-2.0, 0.0, float("nan"), 1.5])
@@ -184,8 +191,8 @@ def test_config_rejects_bins_below_one():
 
 def test_all_replications_reported_in_order():
     rec = run_experiment(_karate_cfg(replications=12))
-    assert [r["rep"] for r in rec.sweeps[0].replications] == list(range(12))
-    seeds = [r["seed"] for r in rec.sweeps[0].replications]
+    assert [r["rep"] for r in rec.sweeps[0].rows()] == list(range(12))
+    seeds = [r["seed"] for r in rec.sweeps[0].rows()]
     assert len(set(seeds)) == 12
 
 
@@ -241,7 +248,7 @@ def test_unobserved_edges_are_invalid_replications_not_aborts():
     s = rec.sweeps[0].summaries["dirichlet_total:ht_total"]
     assert s.invalid > 0 and s.valid + s.invalid == 300
     reasons = {r["estimates"]["dirichlet_total:ht_total"].get("invalid")
-               for r in rec.sweeps[0].replications} - {None}
+               for r in rec.sweeps[0].rows()} - {None}
     assert all("inclusion probability 0" in m for m in reasons)
 
 
@@ -266,7 +273,7 @@ def test_each_replication_reruns_alone_from_its_seed(karate, design, sweep, pi_s
         sweep_design = resolve_design(design, overrides, g.node_count)
         incl = harness.sweep_inclusion(g, sweep_design, cfg.base_seed, sweep_idx,
                                        pi_source, cfg.pi_replications)
-        for rep in result.replications:
+        for rep in result.rows():
             sample = draw_sample(g, with_seed(sweep_design, rep["seed"]))
             assert (rep["sampled_nodes"], rep["sampled_edges"]) == (sample.node_count,
                                                                    sample.edge_count)
@@ -318,7 +325,8 @@ def test_a_non_finite_record_field_is_an_error(karate, bad, where):
     if where == "ground_truth":
         record.ground_truth["dirichlet_normalized"] = bad
     elif where in ("point", "variance"):
-        sweep.replications[1]["estimates"][key][where] = bad
+        # row 1 is valid and has an exact variance
+        getattr(sweep.estimates[key], where + "s")[1] = bad
     elif where == "mean":
         sweep.summaries[key].mean = bad
     elif where == "bin_edge":
@@ -332,7 +340,8 @@ def test_a_non_finite_record_field_is_an_error(karate, bad, where):
 def _json_dumps_record(record) -> str:
     """The record through json's own indented encoder, as RunRecord.to_json promises."""
     d = {**vars(record), "config": vars(record.config),
-         "sweeps": [{**vars(s), "summaries": {k: vars(v) for k, v in s.summaries.items()}}
+         "sweeps": [{"params": s.params, "replications": list(s.rows()),
+                     "summaries": {k: vars(v) for k, v in s.summaries.items()}}
                     for s in record.sweeps]}
     return json.dumps(d, indent=2, allow_nan=False) + "\n"
 
@@ -345,32 +354,61 @@ _FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 
                                     -1.7976931348623157e308, 0.1, 1e16, 1e-7]),
                    st.floats(allow_nan=False, allow_infinity=False))
 _U64 = st.integers(0, 2**64 - 1)
-# entries and rows with their keys in the order _replicate_block writes them
+_SIZE = st.integers(0, 2**63 - 1)
+# a row's estimate: its point, variance and status, or the error of an invalid row
 _ENTRY = st.one_of(
-    st.builds(lambda p, v, status: {"point": p, "variance": v, "variance_status": status},
-              _FLOAT, st.none() | _FLOAT, _TEXT),
-    st.builds(lambda reason: {"invalid": reason}, _TEXT))
-_ROW = st.builds(lambda rep, seed, nodes, edges, estimates: {
-    "rep": rep, "seed": seed, "sampled_nodes": nodes, "sampled_edges": edges,
-    "estimates": estimates}, _U64, _U64, _U64, _U64, st.dictionaries(_TEXT, _ENTRY, max_size=3))
+    st.tuples(_FLOAT, _FLOAT, st.sampled_from([VARIANCE_EXACT, VARIANCE_CLAMPED])),
+    st.tuples(_FLOAT, st.just(np.nan), st.just(VARIANCE_UNSUPPORTED)),
+    st.builds(DegenerateSampleError, _TEXT))
 # a parameter named like the slot of the rows, at a depth where the writer must not find it
 _PARAMS = st.dictionaries(st.sampled_from(["p", "replications", "sweeps", "n_star"]) | _TEXT,
                           _FLOAT | _U64 | st.just([]), max_size=3)
 
 
+@st.composite
+def _sweep_columns(draw):
+    """A sweep's columns, up to three rows of up to three estimate keys."""
+    keys = draw(st.lists(_TEXT, max_size=3, unique=True))
+    n = draw(st.integers(0, 3))
+    sweep = SweepResult.allocate(draw(_PARAMS), keys, n)
+    sweep.seeds[:] = draw(st.lists(_U64, min_size=n, max_size=n))
+    sweep.sampled_nodes[:] = draw(st.lists(_SIZE, min_size=n, max_size=n))
+    sweep.sampled_edges[:] = draw(st.lists(_SIZE, min_size=n, max_size=n))
+    for key in keys:
+        est = sweep.estimates[key]
+        for row in range(n):
+            entry = draw(_ENTRY)
+            if isinstance(entry, DegenerateSampleError):
+                est.invalid[row] = entry
+            else:
+                est.points[row], est.variances[row], est.statuses[row] = entry
+    return sweep
+
+
 @settings(max_examples=200, deadline=None)
-@given(dataset=_TEXT, sweeps=st.lists(st.tuples(_PARAMS, st.lists(_ROW, max_size=3)),
-                                      max_size=3))
+@given(dataset=_TEXT, sweeps=st.lists(_sweep_columns(), max_size=3))
 def test_record_rows_are_written_as_json_writes_them(dataset, sweeps):
     key = "dirichlet_normalized:known_denominator"
-    summaries = {key: harness.SummaryStats(
-        kind="dirichlet_normalized", mode="known_denominator", ground_truth=0.25, mean=0.5,
-        bias=0.25, std=None, valid=1, invalid=0, histogram={"edges": [0.5, 0.5], "counts": [1]})}
+    for sweep in sweeps:
+        sweep.summaries = {key: harness.SummaryStats(
+            kind="dirichlet_normalized", mode="known_denominator", ground_truth=0.25, mean=0.5,
+            bias=0.25, std=None, valid=1, invalid=0,
+            histogram={"edges": [0.5, 0.5], "counts": [1]})}
     record = harness.RunRecord(
         dataset=dataset, config=_karate_cfg(), ground_truth={"dirichlet_normalized": 0.25},
-        sweeps=[harness.SweepResult(params=params, replications=rows, summaries=summaries)
-                for params, rows in sweeps])
+        sweeps=sweeps)
     assert record.to_json() == _json_dumps_record(record)
+
+
+def _replicate(g, design, columns, pairs, seeds, per_block=None) -> list:
+    """The rows of a sweep of ``seeds``, run ``per_block`` rows to a block
+    (all at once by default) as an experiment runs them."""
+    per_block = per_block or len(seeds)
+    sweep = SweepResult.allocate({}, [f"{kind}:{mode}" for kind, mode in pairs], len(seeds))
+    for start in range(0, len(seeds), per_block):
+        block = draw_block(g, design, seeds[start:start + per_block])
+        sweep.put(start, block, columns.estimate_block(block, pairs))
+    return list(sweep.rows())
 
 
 def _two_triangles():
@@ -392,7 +430,7 @@ def test_real_records_are_written_as_json_writes_them(karate, design, sweep, pi_
     cfg = _karate_cfg(design=design, sweep=sweep, metrics=ALL_PAIRS, replications=30,
                       base_seed=5, pi_source=pi_source, pi_replications=30)
     record = run_experiment(cfg, dataset=dataset)
-    entries = [e for s in record.sweeps for r in s.replications for e in r["estimates"].values()]
+    entries = [e for s in record.sweeps for r in s.rows() for e in r["estimates"].values()]
     assert any("invalid" in e for e in entries) and any("point" in e for e in entries)
     assert record.to_json() == _json_dumps_record(record)
 
@@ -406,7 +444,7 @@ def test_zero_joint_probability_is_an_invalid_replication(karate):
     table[4] = 0.0
     incl = dataclasses.replace(incl, joint_by_span=table)
     columns = SweepColumns(g, s, incl)
-    (rep,) = _replicate_block(g, design, columns, (("dirichlet_total", "ht_total"),), 0, [5])
+    (rep,) = _replicate(g, design, columns, (("dirichlet_total", "ht_total"),), [5])
     assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]
 
 
@@ -496,11 +534,7 @@ def test_block_engine_matches_the_per_replication_reference(karate, seed, data):
     reference = ReferenceColumns(g, s, incl, sorted({kind for kind, _ in pairs}))
     want = [reference_replicate(g, design, reference, pairs, r, seed)
             for r, seed in enumerate(seeds)]
-    columns = SweepColumns(g, s, incl)
-    got = []
-    for start in range(0, reps, per_block):
-        got += _replicate_block(g, design, columns, pairs, start,
-                                seeds[start:start + per_block])
+    got = _replicate(g, design, SweepColumns(g, s, incl), pairs, seeds, per_block)
     # repr writes each float's shortest round-trip digits: equal reprs, equal bits
     assert repr(got) == repr(want)
     reasons = {e["invalid"] for r in got for e in r["estimates"].values() if "invalid" in e}
@@ -530,7 +564,7 @@ def test_block_engine_keeps_the_order_of_checks(karate, first, second):
         incl = dataclasses.replace(incl, joint_by_span=table)
     seeds = [derive_seed(11, 1, 0, r) for r in range(50)]
     pair = ("dirichlet_total", "ht_total")
-    got = _replicate_block(g, design, SweepColumns(g, s, incl), (pair,), 0, seeds)
+    got = _replicate(g, design, SweepColumns(g, s, incl), (pair,), seeds)
     reference = ReferenceColumns(g, s, incl, ("dirichlet_total",))
     assert repr(got) == repr([reference_replicate(g, design, reference, (pair,), r, seed)
                               for r, seed in enumerate(seeds)])
@@ -556,6 +590,25 @@ def test_one_row_blocks_write_the_record_of_one_block(karate, design, pi_source)
         assert run_experiment(cfg, dataset=karate).to_json() == record
 
 
+def test_a_sweep_holds_each_replication_in_a_few_hundred_bytes(karate):
+    # columns hold a seed, two sizes and, per metric pair, a point, a variance
+    # and a status: about 120 bytes here, where a dict per replication took
+    # about 1.3 kB; the bound is fixed before the run
+    pairs = (("dirichlet_normalized", "hajek_ratio"), ("edge_homophily", "hajek_ratio"),
+             ("node_homophily", "plug_in"), ("dirichlet_total", "ht_total"))
+    cfg = _karate_cfg(design={"kind": "bernoulli", "p": 0.3}, metrics=pairs,
+                      replications=20_000)
+    tracemalloc.start()
+    try:
+        record = run_experiment(cfg, dataset=karate)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    summaries = record.sweeps[0].summaries.values()
+    assert [s.valid + s.invalid for s in summaries] == [cfg.replications] * len(pairs)
+    assert current <= 300 * cfg.replications
+
+
 def test_one_block_stays_within_the_byte_budget():
     # the budget bounds what a block allocates, fixed before the run: a
     # census of a W-random graph through every metric pair, the span-variance path included
@@ -566,10 +619,16 @@ def test_one_block_stays_within_the_byte_budget():
     columns = SweepColumns(g, s, design.inclusion(g))
     rows = harness._block_rows(g)
     seeds = [derive_seed(7, 1, 0, r) for r in range(2 * rows)]
-    _replicate_block(g, design, columns, ALL_PAIRS, 0, seeds[:rows])   # builds the columns
+    sweep = SweepResult.allocate({}, [f"{kind}:{mode}" for kind, mode in ALL_PAIRS], 2 * rows)
+
+    def replicate(start):
+        block = draw_block(g, design, seeds[start:start + rows])
+        sweep.put(start, block, columns.estimate_block(block, ALL_PAIRS))
+
+    replicate(0)   # builds the columns
     tracemalloc.start()
     try:
-        _replicate_block(g, design, columns, ALL_PAIRS, rows, seeds[rows:])
+        replicate(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
