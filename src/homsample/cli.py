@@ -4,7 +4,9 @@ Subcommands: info, homophily, sample, estimate, experiment, graphon.
 Machine-readable results are always JSON/CSV written to paths given by
 flags (or stdout); human-readable tables go to standard output only. The
 seed defaults to a fixed constant so repeated invocations are
-byte-identical unless --seed is given.
+byte-identical unless --seed is given. ``experiment`` and ``graphon``
+import the harness and the graphon module when they run, so the other
+commands start without them.
 """
 
 from __future__ import annotations
@@ -21,17 +23,7 @@ import numpy as np
 from . import __version__
 from .estimators import MODES_FOR_KIND, PLUG_IN, estimate_metric
 from .graph import load_dataset, load_edge_list, load_labelled, total_edge_weight
-from .graphon import convergence_experiment, phi_step, two_block_graphon
-from .harness import (
-    ExperimentConfig,
-    resolve_design,
-    run_experiment,
-    summarize,
-    sweep_inclusion,
-    write_estimates_csv,
-    write_histogram_csv,
-    write_summary_csv,
-)
+from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
@@ -42,7 +34,7 @@ from .metrics import (
     homophily_profile,
 )
 from .rng import DEFAULT_SEED
-from .sampling import design_params, draw_sample
+from .sampling import design_params, draw_sample, resolve_design
 
 METRIC_ALIASES = {
     "dirichlet": DIRICHLET_NORMALIZED,
@@ -109,6 +101,23 @@ def _add_design_flags(p):
     p.add_argument("--n-star", help="SRS sample size (comma list sweeps)")
     p.add_argument("--sources", help="traceroute source count (comma list sweeps)")
     p.add_argument("--targets", help="traceroute target count (comma list sweeps)")
+
+
+def _add_pi_flags(p):
+    p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
+    p.add_argument("--pi-reps", type=int,
+                   help="replications of the empirical inclusion oracle, with --pi empirical "
+                        f"only (default {DEFAULT_PI_REPLICATIONS})")
+
+
+def _pi_replications(args) -> int:
+    """The oracle's replication count; --pi-reps is an error under --pi analytic,
+    which runs no oracle."""
+    if args.pi_reps is None:
+        return DEFAULT_PI_REPLICATIONS
+    if args.pi != "empirical":
+        raise ValueError(f"--pi-reps belongs to --pi empirical, not to --pi {args.pi}")
+    return args.pi_reps
 
 
 def _floats(text):
@@ -223,28 +232,34 @@ def _cmd_homophily(args):
 
 
 def _cmd_sample(args):
+    pi_reps = _pi_replications(args)
     g, s, name = _load_from_flags(args, need_labels=False)
     design = _single_design(args, g.node_count, args.seed)
     sample = draw_sample(g, design)
-    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
+    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
     _emit_json(sample.to_json_dict(incl), args.out)
     return 0
 
 
 def _cmd_estimate(args):
+    pi_reps = _pi_replications(args)
     g, s, name = _load_from_flags(args)
     design = _single_design(args, g.node_count, args.seed)
     kind = _metric_kind(args.metric)
     mode = args.mode or MODES_FOR_KIND[kind][0]
     sample = draw_sample(g, design)
     # plug-in estimates never read pi
-    incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, args.pi_reps)
+    incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
     report = estimate_metric(sample, s, kind, mode, incl=incl)
     _emit_json({"dataset": name, **vars(report)}, args.out)
     return 0
 
 
 def _cmd_experiment(args):
+    from .harness import (ExperimentConfig, run_experiment, summarize, write_estimates_csv,
+                          write_histogram_csv, write_summary_csv)
+
+    pi_reps = _pi_replications(args)
     g, s, name = _load_from_flags(args)
     sweep = [design_params(resolve_design({"kind": args.design}, v, g.node_count))
              for v in _design_values(args)]
@@ -262,7 +277,7 @@ def _cmd_experiment(args):
         sweep=tuple(sweep),
         bins=args.bins,
         pi_source=args.pi,
-        pi_replications=args.pi_reps,
+        pi_replications=pi_reps,
     )
     record = run_experiment(cfg, dataset=(g, s))
     for row in summarize(record):
@@ -293,6 +308,8 @@ _DATASET_FLAGS = ("manifest", "edges", "labels", "classes")   # a manifest names
 def _cmd_graphon(args):
     """The identity check on a dataset, or the convergence study; a flag of
     the other one is an error that names the flag."""
+    from .graphon import convergence_experiment, phi_step, two_block_graphon
+
     mode, other, flags = (("--check-identity", "the convergence study", _STUDY_DEFAULTS)
                           if args.check_identity else
                           ("the convergence study", "--check-identity", _DATASET_FLAGS))
@@ -349,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     _add_design_flags(p)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
-    p.add_argument("--pi-reps", type=int, default=100_000,
-                   help="replications for the empirical inclusion oracle")
+    _add_pi_flags(p)
     p.add_argument("--out", help="write SampledGraph JSON here (default stdout)")
     p.set_defaults(func=_cmd_sample)
 
@@ -363,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None,
                    help="ht_total|plug_in|hajek_ratio|known_denominator (default: per metric)")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
-    p.add_argument("--pi-reps", type=int, default=100_000)
+    _add_pi_flags(p)
     p.add_argument("--out", help="write EstimateReport JSON here (default stdout)")
     p.set_defaults(func=_cmd_estimate)
 
@@ -378,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
-    p.add_argument("--pi-reps", type=int, default=100_000)
+    _add_pi_flags(p)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; replications run serially")
     p.add_argument("--out", help="RunRecord JSON path")

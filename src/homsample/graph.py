@@ -15,8 +15,10 @@ within a fixed byte budget by counting the bytes it holds
 Edge lists and label files are read once and parsed over numpy arrays,
 which also names the first bad line of a malformed text (see "text
 formats" below). A label file, one line per node, is parsed whole; an
-edge list in line-aligned chunks of a fixed size, so its parse holds a
-bounded number of bytes per edge. A graph has one node per label, or
+edge list in line-aligned chunks of a fixed size, so that beyond the text
+and the parsed rows its parse holds one chunk's field table. The rows
+become a graph through one stable sort of their pair keys, and the graph
+keeps the arrays that sort made. A graph has one node per label, or
 without labels ``max id + 1`` nodes, at most ``UNLABELLED_NODE_LIMIT``."""
 
 from __future__ import annotations
@@ -72,11 +74,14 @@ class Graph:
     )
 
     def __init__(self, node_count, edge_i, edge_j, edge_w):
-        self.node_count = int(node_count)
         # own copies: freezing must not flip writability of caller arrays
-        self.edge_i = _freeze(np.array(edge_i, dtype=np.int64))
-        self.edge_j = _freeze(np.array(edge_j, dtype=np.int64))
-        self.edge_w = _freeze(np.array(edge_w, dtype=np.float64))
+        self._own(node_count, np.array(edge_i, dtype=np.int64), np.array(edge_j, dtype=np.int64),
+                  np.array(edge_w, dtype=np.float64))
+
+    def _own(self, node_count, edge_i, edge_j, edge_w):
+        """Set up the graph on ``edge_*``, which it takes and freezes without a copy."""
+        self.node_count = int(node_count)
+        self.edge_i, self.edge_j, self.edge_w = _freeze(edge_i), _freeze(edge_j), _freeze(edge_w)
         self._indptr = self._nbr = self._nbr_eid = None
         self._sp_cache = {}
         self._sp_cache_bytes = 0
@@ -107,12 +112,34 @@ class Graph:
             raise ValueError("negative edge weight")
         if n * n > np.iinfo(np.int64).max:
             raise ValueError(f"node count {n} is too large: pair keys n * n overflow int64")
-        key = np.minimum(i, j) * n + np.maximum(i, j)
-        uniq, inverse = np.unique(key, return_inverse=True)
-        wsum = np.bincount(inverse, weights=w, minlength=len(uniq))
+        # the pair key min * n + max, as min * (n - 1) + i + j: one temporary
+        key = np.minimum(i, j)
+        key *= n - 1
+        key += i
+        key += j
+        # a stable sort keeps each pair's rows in input order, so bincount sums
+        # them in the order np.unique's inverse would
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(len(key), dtype=bool)   # the first row of each pair
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        uniq = key[first]
+        del key
+        w = w[order]
+        group = np.cumsum(first, out=order)   # order is dead: its buffer takes the pair numbers
+        del first
+        group -= 1
+        wsum = np.bincount(group, weights=w, minlength=len(uniq))
+        del group, order, w
         keep = wsum > 0
-        uniq, wsum = uniq[keep], wsum[keep]
-        return cls(n, uniq // n, uniq % n, wsum)
+        if not keep.all():
+            uniq, wsum = uniq[keep], wsum[keep]
+        g = cls.__new__(cls)
+        edge_i = uniq // n
+        # bincount of no rows is int64, even with weights
+        g._own(n, edge_i, np.remainder(uniq, n, out=uniq), wsum.astype(np.float64, copy=False))
+        return g
 
     @classmethod
     def from_edges(cls, node_count, edges) -> "Graph":
@@ -246,15 +273,18 @@ class GraphSignal:
 # Python's. Each check a line must pass is a mask over the rows, and an
 # error names the first row that fails one; the first chunk with such a
 # row raises, so it is the first bad line of the text. Loading a
-# W-random dump of 163k edges whose weights are all "1.0" peaks at about
-# 100 traced bytes per edge (tracemalloc, Python 3.11, numpy 2.4), the
-# graph's own 24 included, at any file size.
+# W-random dump whose weights are all "1.0" peaks (tracemalloc, Python
+# 3.11, numpy 2.4) at the larger of two costs: while it parses, one
+# chunk's field table, about 1.8 MB, and 38 bytes per edge for the text
+# and the parsed rows; while Graph.from_arrays builds the graph, about
+# 57 bytes per edge, the graph's own 24 included. So 44k edges peak at
+# 77 bytes per edge and 163k edges at 57.
 
 _COMMENT = re.compile("#[^\n]*")
 _SPACE_BUT_NEWLINE = re.compile(r"[^\S\n]")   # for str patterns \s is str.isspace()
 _SPACE = np.array([c < 128 and chr(c).isspace() for c in range(256)])   # by UTF-8 byte
 _POW10 = np.array([float(10 ** k) for k in range(16)])   # each exact in float64
-_CHUNK_CHARS = 1 << 18   # an edge list is parsed this many characters, to a line end, at a time
+_CHUNK_CHARS = 1 << 17   # an edge list is parsed this many characters, to a line end, at a time
 
 
 def _read(source) -> str:

@@ -54,9 +54,9 @@ import numpy as np
 from . import metrics
 from .estimators import PLUG_IN, DegenerateSampleError, Estimates, SweepColumns, check_mode
 from .graph import Graph, GraphSignal, load_dataset
-from .inclusion import inclusion_for
-from .rng import DEFAULT_SEED, derive_seed, derive_seeds
-from .sampling import SampleBlock, design_from_dict, design_params, draw_block, with_seed
+from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
+from .rng import DEFAULT_SEED, derive_seeds
+from .sampling import SampleBlock, design_params, draw_block, resolve_design
 
 # byte budget for the per-row arrays of one block of replications
 _BLOCK_BYTES = 1 << 23
@@ -76,7 +76,7 @@ class ExperimentConfig:
     sweep: tuple = ()                 # per-sweep parameter overrides, e.g. ({"p": 0.1}, ...)
     bins: int = 20
     pi_source: str = "analytic"       # "analytic" | "empirical"
-    pi_replications: int = 100_000
+    pi_replications: int = DEFAULT_PI_REPLICATIONS
 
     def __post_init__(self):
         if self.replications < 1:
@@ -216,32 +216,6 @@ def _split_at(obj: dict, key: str, depth: int) -> tuple[str, str]:
     head, slot, tail = text.replace("\n", "\n" + "  " * depth).partition(
         "\n" + "  " * (depth + 1) + encode_basestring_ascii(key) + ": []")
     return head + slot[:-2], tail
-
-
-def resolve_design(template: dict, overrides: dict, n: int):
-    """Design from a template dict plus overrides; an SRS "frac" in (0, 1]
-    becomes ``n_star = max(1, round(frac * n))`` unless n_star is given."""
-    merged = {**template, **overrides}
-    frac = merged.pop("frac", None)
-    if frac is not None and "n_star" not in merged:
-        frac = float(frac)
-        if not 0.0 < frac <= 1.0:
-            raise ValueError(f"SRS frac must be in (0, 1], got {frac!r}")
-        merged["n_star"] = max(1, round(frac * n))
-    return design_from_dict(merged)
-
-
-def sweep_inclusion(g: Graph, design, base_seed: int, sweep_idx: int,
-                    source: str, replications: int):
-    """Inclusion model for sweep value ``sweep_idx`` of an experiment.
-
-    The empirical oracle draws all its realizations from the auxiliary
-    stream ``(base_seed, 2, sweep_idx)``; on the design's own seed it would
-    replay the very sample it weights as its first replication. Analytic
-    models do not depend on the seed.
-    """
-    oracle = with_seed(design, derive_seed(base_seed, 2, sweep_idx))
-    return inclusion_for(g, oracle, source=source, replications=replications)
 
 
 def _block_rows(g: Graph) -> int:

@@ -25,17 +25,19 @@ span table; the estimators check a realization against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import Graph
-from .rng import make_rng
-from .shortest_paths import path_dag
+from .rng import derive_seed, make_rng
 
 if TYPE_CHECKING:
     from .sampling import SampleDesign
+
+# realizations the empirical oracle draws unless told otherwise
+DEFAULT_PI_REPLICATIONS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +78,8 @@ def edge_betweenness(g: Graph) -> np.ndarray:
     """
     if g._betweenness is not None:
         return g._betweenness
+    from .shortest_paths import path_dag   # traceroute code alone needs it
+
     b = np.zeros(g.edge_count)
     for s in range(g.node_count):
         dag = path_dag(g, s)
@@ -124,8 +128,8 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> Inclusion
     )
 
 
-def inclusion_for(g: Graph, design: SampleDesign,
-                  source: str = "analytic", replications: int = 100_000) -> InclusionModel:
+def inclusion_for(g: Graph, design: SampleDesign, source: str = "analytic",
+                  replications: int = DEFAULT_PI_REPLICATIONS) -> InclusionModel:
     """Build the inclusion model a design calls for.
 
     ``source="analytic"`` returns ``design.inclusion(g)``: exact
@@ -139,3 +143,16 @@ def inclusion_for(g: Graph, design: SampleDesign,
         raise ValueError(f"unknown inclusion source {source!r}")
     design.validate(g.node_count)
     return design.inclusion(g)
+
+
+def sweep_inclusion(g: Graph, design: SampleDesign, base_seed: int, sweep_idx: int,
+                    source: str, replications: int) -> InclusionModel:
+    """Inclusion model for sweep value ``sweep_idx`` of an experiment.
+
+    The empirical oracle draws all its realizations from the auxiliary
+    stream ``(base_seed, 2, sweep_idx)``; on the design's own seed it would
+    replay the very sample it weights as its first replication. Analytic
+    models do not depend on the seed.
+    """
+    oracle = replace(design, seed=derive_seed(base_seed, 2, sweep_idx))
+    return inclusion_for(g, oracle, source=source, replications=replications)

@@ -36,7 +36,6 @@ import numpy as np
 from .graph import Graph
 from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
 from .rng import DEFAULT_SEED, make_rng, make_rngs
-from .shortest_paths import path_dag, sample_path, sample_paths
 
 # byte budget for the per-row arrays of one block of oracle realizations:
 # the node and edge masks of an induced design, or traceroute's edge mask
@@ -147,6 +146,8 @@ class TracerouteDesign:
         Sampled nodes are exactly the endpoints of sampled edges; unreachable
         pairs are skipped and counted in ``meta``.
         """
+        from .shortest_paths import path_dag, sample_path   # traceroute code alone needs it
+
         sources = srs_node_sample(g, self.n_sources, rng)
         targets = srs_node_sample(g, self.n_targets, rng)
         seen = np.zeros(g.edge_count, dtype=bool)
@@ -193,6 +194,8 @@ class TracerouteDesign:
         of its edges once; s = t and unreachable pairs add no edge, as in
         ``realize``.
         """
+        from .shortest_paths import sample_paths
+
         n, m = g.node_count, g.edge_count
         counts = np.zeros(m, dtype=np.int64)
         block = max(1, _BLOCK_BYTES // (m + 16 * n))
@@ -237,6 +240,19 @@ def design_from_dict(d: dict) -> SampleDesign:
         return cls(**d)
     except TypeError as exc:
         raise ValueError(f"bad parameters for {kind!r} design: {exc}") from None
+
+
+def resolve_design(template: dict, overrides: dict, n: int) -> SampleDesign:
+    """Design from a template dict plus overrides; an SRS "frac" in (0, 1]
+    becomes ``n_star = max(1, round(frac * n))`` unless n_star is given."""
+    merged = {**template, **overrides}
+    frac = merged.pop("frac", None)
+    if frac is not None and "n_star" not in merged:
+        frac = float(frac)
+        if not 0.0 < frac <= 1.0:
+            raise ValueError(f"SRS frac must be in (0, 1], got {frac!r}")
+        merged["n_star"] = max(1, round(frac * n))
+    return design_from_dict(merged)
 
 
 def with_seed(design: SampleDesign, seed: int) -> SampleDesign:

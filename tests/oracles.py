@@ -641,6 +641,21 @@ def reference_load_edge_list(source, n_hint: int | None = None, labelled: int | 
     return Graph.from_arrays(n, ii, jj, ww)
 
 
+def reference_from_arrays(node_count, i, j, w=None) -> Graph:
+    """``Graph.from_arrays`` of valid rows by ``np.unique`` and a bincount over
+    its inverse: each pair's weights summed in input order from 0.0."""
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    w = np.ones(len(i)) if w is None else np.asarray(w, dtype=np.float64)
+    n = int(node_count)
+    key = np.minimum(i, j) * n + np.maximum(i, j)
+    uniq, inverse = np.unique(key, return_inverse=True)
+    wsum = np.bincount(inverse, weights=w, minlength=len(uniq))
+    keep = wsum > 0
+    uniq, wsum = uniq[keep], wsum[keep]
+    return Graph(n, uniq // n, uniq % n, wsum)
+
+
 def reference_canonical_edges(i, j, w) -> tuple[list, list, list]:
     """``(edge_i, edge_j, edge_w)`` of raw pair rows, by a dict: each
     unordered pair's weights summed in input order from 0.0, pairs whose

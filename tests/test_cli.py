@@ -120,6 +120,39 @@ def test_traceroute_experiment_does_not_import_numpy_ma(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_estimate_imports_neither_the_harness_nor_the_graphon_nor_shortest_paths(tmp_path):
+    args = ["estimate", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+            "--out", str(tmp_path / "out.json")]
+    code = ("import sys; from homsample import cli; code = cli.main({!r}); "
+            "print(sorted(m for m in ('homsample.harness', 'homsample.graphon', "
+            "'homsample.shortest_paths') if m in sys.modules)); sys.exit(code)").format(args)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("sample",),
+    ("estimate",),
+    ("experiment", "--reps", "2"),
+], ids=["sample", "estimate", "experiment"])
+@pytest.mark.parametrize("pi_reps", ["-5", "100000"])
+def test_pi_reps_under_analytic_pi_is_an_input_error(command, pi_reps):
+    # the analytic model runs no oracle, so the count would be ignored
+    res = run_cli(*command, "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3",
+                  "--pi-reps", pi_reps)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.splitlines() == ["error: --pi-reps belongs to --pi empirical, "
+                                       "not to --pi analytic"]
+
+
+def test_pi_reps_defaults_to_100000_under_empirical_pi():
+    parser = cli.build_parser()
+    for pi in ("analytic", "empirical"):
+        args = parser.parse_args(["estimate", "--design", "srs", "--pi", pi])
+        assert cli._pi_replications(args) == 100_000
+
+
 def test_empirical_oracle_does_not_replay_the_sample():
     # an oracle run on the sample's own stream would see that very sample as
     # its one replication and give every sampled edge pi = 1
@@ -276,12 +309,14 @@ def test_an_overflowing_total_edge_weight_is_an_input_error(tmp_path, command):
 def test_a_record_refused_at_one_row_leaves_no_file(tmp_path, monkeypatch, capsys):
     # the record is written as it is encoded, into a temporary file beside
     # --out; a value refused after some rows are written removes that file
+    original = harness.run_experiment
+
     def run_experiment(cfg, dataset):
-        record = harness.run_experiment(cfg, dataset)
+        record = original(cfg, dataset)
         record.sweeps[0].estimates["dirichlet_total:ht_total"].variances[7] = float("inf")
         return record
 
-    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
     out = tmp_path / "run.json"
     code = cli.main(["experiment", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
                      "--metric", "dirichlet_total", "--reps", "20", "--out", str(out)])

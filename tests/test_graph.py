@@ -32,6 +32,7 @@ from oracles import (
     reference_canonical_edges,
     reference_csr,
     reference_dump_edge_list,
+    reference_from_arrays,
     reference_load_edge_list,
     reference_load_labels,
 )
@@ -83,9 +84,10 @@ def test_from_arrays_rejects_non_finite_weights(bad):
 @st.composite
 def raw_edges(draw):
     """A node count and pair rows over few nodes, so reversed duplicates,
-    zero weights and isolated nodes are common; no self-loops."""
+    zero weights and isolated nodes are common, and 1e16 beside 1.0 makes
+    sums that depend on their order; no self-loops."""
     n = draw(st.integers(1, 6))
-    weight = st.one_of(st.just(0.0), st.sampled_from([0.1, 1 / 3, 1.0, 2.5]),
+    weight = st.one_of(st.just(0.0), st.sampled_from([0.1, 1 / 3, 1.0, 2.5, 1e16]),
                        st.floats(0.0, 1e6, allow_nan=False))
     rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
                          max_size=12))
@@ -105,6 +107,23 @@ def test_from_arrays_matches_dict_reference(edges):
     assert g.node_count == n
     assert g.edge_i.tolist() == want_i and g.edge_j.tolist() == want_j
     assert g.edge_w.tobytes() == np.array(want_w, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=raw_edges(), weighted=st.booleans())
+# a pair three times whose sum depends on the order it is taken in
+@example(edges=(3, [(0, 1, 1e16), (1, 0, 1.0), (0, 1, 1.0)]), weighted=True)
+@example(edges=(4, []), weighted=True)
+# a pair whose weights merge to 0, and isolated nodes above the largest endpoint
+@example(edges=(6, [(1, 0, 0.0), (0, 1, 0.0), (2, 1, 2.5)]), weighted=True)
+def test_from_arrays_is_bitwise_the_unique_inverse_reference(edges, weighted):
+    n, rows = edges
+    i, j, w = ([row[k] for row in rows] for k in range(3))
+    w = w if weighted else None
+    got, want = Graph.from_arrays(n, i, j, w), reference_from_arrays(n, i, j, w)
+    assert got == want and got.edge_w.tobytes() == want.edge_w.tobytes()
+    assert [a.dtype for a in (got.edge_i, got.edge_j, got.edge_w)] == [np.int64, np.int64,
+                                                                       np.float64]
 
 
 def test_from_arrays_rejects_a_node_count_whose_pair_keys_overflow():
@@ -646,11 +665,18 @@ def test_bulk_load_of_a_44k_edge_w_random_dump_in_small_chunks(tmp_path, w_rando
     assert_44k_dump_variants_match_reference(tmp_path, w_random_44k)
 
 
-def test_load_of_a_163k_edge_w_random_dump_peaks_under_128_bytes_per_edge(tmp_path):
-    # parsed whole, with float() of every weight token, the load peaked at 255 B per edge
-    w, _ = two_block_graphon(0.004, 0.0025)
-    g, _ = sample_w_random_graph(w, 10_000, np.random.default_rng([1, 0]))
-    assert g.edge_count > 150_000
+@pytest.mark.parametrize("graph_spec, edges, bound", [
+    # srs-variance's graph: 117 B per edge with np.unique's inverse and 2**18-character chunks
+    ((0.008, 0.003, 4_000, [7, 0]), 43_782, 96),
+    # 255 B per edge parsed whole with float() of every weight token; 100 B per
+    # edge with np.unique's inverse
+    ((0.004, 0.0025, 10_000, [1, 0]), 163_195, 80),
+], ids=["44k", "163k"])
+def test_load_of_a_w_random_dump_peaks_under_its_bytes_per_edge(tmp_path, graph_spec, edges, bound):
+    p_in, p_out, n, seed = graph_spec
+    w, _ = two_block_graphon(p_in, p_out)
+    g, _ = sample_w_random_graph(w, n, np.random.default_rng(seed))
+    assert g.edge_count == edges
     path = tmp_path / "edges.txt"
     path.write_text(dump_edge_list(g), encoding="utf-8")
     tracemalloc.start()
@@ -660,7 +686,7 @@ def test_load_of_a_163k_edge_w_random_dump_peaks_under_128_bytes_per_edge(tmp_pa
     finally:
         tracemalloc.stop()
     assert got == g
-    assert peak <= 128 * g.edge_count
+    assert peak <= bound * g.edge_count
 
 
 def test_dump_matches_scalar_formatting():

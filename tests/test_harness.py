@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -199,12 +200,13 @@ def test_all_replications_reported_in_order():
 def test_empirical_oracle_runs_on_each_sweeps_auxiliary_stream(monkeypatch):
     # sweep s's oracle draws from (base_seed, 2, s), never from a replication's stream
     seen = []
+    inclusion_for = inclusion.inclusion_for
 
     def spy(g, design, source, replications):
         seen.append((source, design.seed, replications))
-        return inclusion.inclusion_for(g, design, source=source, replications=replications)
+        return inclusion_for(g, design, source=source, replications=replications)
 
-    monkeypatch.setattr(harness, "inclusion_for", spy)
+    monkeypatch.setattr(inclusion, "inclusion_for", spy)
     cfg = _karate_cfg(sweep=({"n_star": 12}, {"n_star": 14}), replications=2,
                       pi_source="empirical", pi_replications=50)
     run_experiment(cfg)
@@ -216,7 +218,7 @@ def test_plug_in_only_runs_build_no_inclusion_model(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("inclusion model built for a plug-in-only run")
 
-    monkeypatch.setattr(harness, "inclusion_for", fail)
+    monkeypatch.setattr(inclusion, "inclusion_for", fail)
     cfg = _karate_cfg(design={"kind": "traceroute", "n_sources": 3, "n_targets": 3},
                       metrics=(("node_homophily", "plug_in"),), replications=5,
                       pi_source="empirical")
@@ -453,14 +455,20 @@ def test_traceroute_sweep_computes_betweenness_once(monkeypatch, karate):
     cfg = _karate_cfg(design={"kind": "traceroute", "n_sources": 2, "n_targets": 2},
                       metrics=(("dirichlet_total", "ht_total"),), replications=20,
                       sweep=({"n_sources": 1}, {"n_sources": 3}))
-    path_dag, inclusion_for = inclusion.path_dag, harness.inclusion_for
+    path_dag, inclusion_for = shortest_paths.path_dag, inclusion.inclusion_for
+    betweenness_code = inclusion.edge_betweenness.__code__   # the draws call path_dag too
 
     def run():
         g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
         brandes_sources, models = [], []
-        monkeypatch.setattr(inclusion, "path_dag",
-                            lambda g, s: brandes_sources.append(s) or path_dag(g, s))
-        monkeypatch.setattr(harness, "inclusion_for",
+
+        def counted_path_dag(g, s):
+            if sys._getframe(1).f_code is betweenness_code:
+                brandes_sources.append(s)
+            return path_dag(g, s)
+
+        monkeypatch.setattr(shortest_paths, "path_dag", counted_path_dag)
+        monkeypatch.setattr(inclusion, "inclusion_for",
                             lambda *a, **kw: models.append(inclusion_for(*a, **kw)) or models[-1])
         record = run_experiment(cfg, dataset=(g, signal))
         return g, len(brandes_sources), [m.pi.tobytes() for m in models], record.to_json()

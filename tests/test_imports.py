@@ -51,3 +51,11 @@ def test_benchmark_tracer_targets_resolve():
         except (ImportError, AttributeError):
             unresolved.add(name)
     assert unresolved <= TRACER_ABSENT
+
+
+def test_every_package_export_resolves_to_its_module_s_name():
+    # the package imports its re-exports on first use, so a misspelt one would fail only there
+    for name in homsample.__all__:
+        value = getattr(homsample, name)
+        assert getattr(importlib.import_module(f"homsample.{homsample._OWNER[name]}"), name) is value
+    assert len(homsample.__all__) == 39
