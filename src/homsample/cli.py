@@ -34,7 +34,7 @@ from .metrics import (
     homophily_profile,
 )
 from .rng import DEFAULT_SEED
-from .sampling import design_params, draw_sample, resolve_design
+from .sampling import design_to_dict, draw_sample, resolve_design
 
 METRIC_ALIASES = {
     "dirichlet": DIRICHLET_NORMALIZED,
@@ -120,14 +120,6 @@ def _pi_replications(args) -> int:
     return args.pi_reps
 
 
-def _floats(text):
-    return [float(x) for x in text.split(",") if x]
-
-
-def _ints(text):
-    return [int(x) for x in text.split(",") if x]
-
-
 # each design's parameter flags, by their argparse names
 _DESIGN_FLAGS = {"bernoulli": ("p",), "srs": ("frac", "n_star"),
                  "traceroute": ("sources", "targets")}
@@ -135,6 +127,15 @@ _DESIGN_FLAGS = {"bernoulli": ("p",), "srs": ("frac", "n_star"),
 
 def _flag_name(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _values(args, name: str, cast) -> list:
+    """The comma list of flag ``name``, each value cast; a list with no
+    value is an error that names the flag."""
+    values = [cast(x) for x in getattr(args, name).split(",") if x]
+    if not values:
+        raise ValueError(f"{_flag_name(name)} lists no value")
+    return values
 
 
 def _design_values(args):
@@ -148,28 +149,28 @@ def _design_values(args):
     if args.design == "bernoulli":
         if not args.p:
             raise ValueError("bernoulli design requires --p")
-        return [{"p": p} for p in _floats(args.p)]
+        return [{"p": p} for p in _values(args, "p", float)]
     if args.design == "srs":
         if args.n_star is not None and args.frac is not None:
             raise ValueError("--n-star and --frac both set the SRS sample size; give one")
         if args.n_star:
-            return [{"n_star": v} for v in _ints(args.n_star)]
+            return [{"n_star": v} for v in _values(args, "n_star", int)]
         if args.frac:
-            return [{"frac": f} for f in _floats(args.frac)]
+            return [{"frac": f} for f in _values(args, "frac", float)]
         raise ValueError("srs design requires --frac or --n-star")
     if not (args.sources and args.targets):
         raise ValueError("traceroute design requires --sources and --targets")
-    src, tgt = _ints(args.sources), _ints(args.targets)
+    src, tgt = _values(args, "sources", int), _values(args, "targets", int)
     if len(src) != len(tgt):
         raise ValueError("--sources and --targets must have the same length")
     return [{"n_sources": s, "n_targets": t} for s, t in zip(src, tgt)]
 
 
-def _single_design(args, n, seed):
+def _single_design(args, n):
     values = _design_values(args)
     if len(values) != 1:
         raise ValueError("this command takes exactly one design parameter value")
-    return resolve_design({"kind": args.design, "seed": seed}, values[0], n)
+    return resolve_design({"kind": args.design}, values[0], n)
 
 
 def _write_pieces(pieces, out_path):
@@ -234,24 +235,26 @@ def _cmd_homophily(args):
 def _cmd_sample(args):
     pi_reps = _pi_replications(args)
     g, s, name = _load_from_flags(args, need_labels=False)
-    design = _single_design(args, g.node_count, args.seed)
-    sample = draw_sample(g, design)
+    design = _single_design(args, g.node_count)
+    sample = draw_sample(g, design, args.seed)
     incl = sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
-    _emit_json(sample.to_json_dict(incl), args.out)
+    _emit_json({"design": design_to_dict(design, args.seed), "seed": args.seed,
+                **sample.to_json_dict(incl)}, args.out)
     return 0
 
 
 def _cmd_estimate(args):
     pi_reps = _pi_replications(args)
     g, s, name = _load_from_flags(args)
-    design = _single_design(args, g.node_count, args.seed)
+    design = _single_design(args, g.node_count)
     kind = _metric_kind(args.metric)
     mode = args.mode or MODES_FOR_KIND[kind][0]
-    sample = draw_sample(g, design)
+    sample = draw_sample(g, design, args.seed)
     # plug-in estimates never read pi
     incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
     report = estimate_metric(sample, s, kind, mode, incl=incl)
-    _emit_json({"dataset": name, **vars(report)}, args.out)
+    _emit_json({"dataset": name, **vars(report), "design": design_to_dict(design, args.seed),
+                "seed": args.seed}, args.out)
     return 0
 
 
@@ -261,7 +264,7 @@ def _cmd_experiment(args):
 
     pi_reps = _pi_replications(args)
     g, s, name = _load_from_flags(args)
-    sweep = [design_params(resolve_design({"kind": args.design}, v, g.node_count))
+    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count)))
              for v in _design_values(args)]
     if args.metric == "all":
         kinds = list(TABLE_METRICS)
@@ -331,7 +334,7 @@ def _cmd_graphon(args):
             setattr(args, name, default)
     # convergence study on a two-block graphon
     w, sig = two_block_graphon(args.p_in, args.p_out)
-    result = convergence_experiment(w, sig, _ints(args.sizes), args.reps, args.seed)
+    result = convergence_experiment(w, sig, _values(args, "sizes", int), args.reps, args.seed)
     for row in result["series"]:
         print(f"n={row['n']}: mean={row['mean']:.4f} deviation={row['deviation']:.4f} "
               f"(phi={result['phi']:.4f})")

@@ -25,8 +25,8 @@ point, variance and variance status, or its invalid reason, are bit for
 bit those of its sample alone. A pair's estimates of a block are columns
 (:class:`Estimates`): float64 points and variances, their statuses, and
 the reasons of the invalid rows. :func:`estimate_metric` is the one-row,
-one-pair case, and the one place that adds the metric, sizes, design and
-seed of an :class:`EstimateReport`. Node homophily is a mean of per-node
+one-pair case, and the one place that adds the metric and sizes of an
+:class:`EstimateReport`. Node homophily is a mean of per-node
 ratios, not an edge total, and is only offered as a plug-in on the sampled
 subgraph; its node sums, like the variance's, are
 :func:`~homsample.metrics.node_sums`, which the exact metric uses too.
@@ -54,7 +54,7 @@ from .metrics import (
     node_sums,
     same_label_values,
 )
-from .sampling import SampleBlock, SampledGraph, design_to_dict, row_offsets
+from .sampling import SampleBlock, SampledGraph, row_offsets
 
 # estimators refuse inclusion probabilities below this
 PI_FLOOR = 1e-12
@@ -122,7 +122,7 @@ class Estimates:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with variance status and sample provenance."""
+    """Point estimate with variance status and the sample's sizes."""
 
     kind: str
     mode: str
@@ -131,8 +131,6 @@ class EstimateReport:
     variance_status: str
     sampled_nodes: int
     sampled_edges: int
-    design: dict | None
-    seed: int | None
 
 
 def check_mode(kind: str, mode: str):
@@ -442,8 +440,5 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     (estimate,) = estimates.entries(0, 1)
     if isinstance(estimate, DegenerateSampleError):
         raise estimate
-    design = sample.design
     return EstimateReport(kind, mode, **estimate, sampled_nodes=sample.node_count,
-                          sampled_edges=sample.edge_count,
-                          design=None if design is None else design_to_dict(design),
-                          seed=None if design is None else design.seed)
+                          sampled_edges=sample.edge_count)

@@ -6,9 +6,11 @@ retention probabilities {0.1, 0.3, 0.5}). Replication r of sweep s runs
 on the derived stream (base_seed, 1, s, r), and the empirical inclusion
 oracle draws all of sweep s's realizations from the one stream
 (base_seed, 2, s), so records are byte-reproducible and any replication
-can be rerun alone from its seed: ``draw_sample`` on the sweep's design
-with that seed, then ``estimate_metric`` with the sweep's inclusion model,
-gives the recorded estimates bit for bit.
+can be rerun alone from its seed: ``draw_sample(g, design, seed)`` on the
+sweep's design and that seed, then ``estimate_metric`` with the sweep's
+inclusion model, gives the recorded estimates bit for bit; under analytic
+inclusion, ``estimate --seed <seed>`` with the sweep's parameters prints
+them.
 Replications run serially, in order, each on its own stream, in blocks:
 as many rows as ``_BLOCK_BYTES`` allows are realized at once by
 ``draw_block`` and estimated for all metric pairs in one call of
@@ -56,7 +58,7 @@ from .estimators import PLUG_IN, DegenerateSampleError, Estimates, SweepColumns,
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
 from .rng import DEFAULT_SEED, derive_seeds
-from .sampling import SampleBlock, design_params, draw_block, resolve_design
+from .sampling import SampleBlock, draw_block, resolve_design
 
 # byte budget for the per-row arrays of one block of replications
 _BLOCK_BYTES = 1 << 23
@@ -143,11 +145,12 @@ class SweepResult:
         return cls(params, np.zeros(n, np.uint64), np.zeros(n, np.int64), np.zeros(n, np.int64),
                    {key: Estimates(np.zeros(n), np.zeros(n), [None] * n, {}) for key in keys})
 
-    def put(self, start: int, block: SampleBlock, estimates: dict):
-        """Rows ``start`` onward: the replications of ``block`` and their
-        estimates, as :meth:`~homsample.estimators.SweepColumns.estimate_block` gives them."""
+    def put(self, start: int, seeds, block: SampleBlock, estimates: dict):
+        """Rows ``start`` onward: the replications of ``block``, drawn on
+        ``seeds``, and their estimates, as
+        :meth:`~homsample.estimators.SweepColumns.estimate_block` gives them."""
         rows = slice(start, start + block.rows)
-        self.seeds[rows] = block.seeds
+        self.seeds[rows] = seeds
         self.sampled_nodes[rows] = block.sampled_nodes
         self.sampled_edges[rows] = block.sampled_edges
         for key, est in estimates.items():
@@ -222,7 +225,7 @@ def _block_rows(g: Graph) -> int:
     """Replications per block: at once, a row's arrays hold at most 96 bytes
     per node and per edge of ``g`` (masks, edge ids, kernel values, node
     sums and their bincount keys); a census row of the ht path holds about 80."""
-    return max(1, _BLOCK_BYTES // (96 * (g.node_count + g.edge_count)))
+    return max(1, _BLOCK_BYTES // (96 * max(1, g.node_count + g.edge_count)))
 
 
 def _out_of_range(x: float):
@@ -296,13 +299,14 @@ def run_experiment(cfg: ExperimentConfig,
                                cfg.pi_source, cfg.pi_replications) if needs_pi else None
 
         columns = SweepColumns(g, signal, incl)
-        sweep = SweepResult.allocate(dict(overrides) if overrides else design_params(design),
+        sweep = SweepResult.allocate(dict(overrides or vars(design)),
                                      [f"{kind}:{mode}" for kind, mode in cfg.metrics],
                                      cfg.replications)
         for start in range(0, cfg.replications, rows):
             reps = range(start, min(start + rows, cfg.replications))
-            block = draw_block(g, design, derive_seeds(cfg.base_seed, 1, sweep_idx, reps).tolist())
-            sweep.put(start, block, columns.estimate_block(block, cfg.metrics))
+            seeds = derive_seeds(cfg.base_seed, 1, sweep_idx, reps)
+            block = draw_block(g, design, seeds.tolist())
+            sweep.put(start, seeds, block, columns.estimate_block(block, cfg.metrics))
 
         for kind, mode in cfg.metrics:
             key = f"{kind}:{mode}"

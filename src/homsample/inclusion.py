@@ -13,7 +13,7 @@ inclusion is approximated through ordered-pair edge betweenness,
 available there, so variance estimation is unsupported under traceroute.
 A Monte Carlo oracle (``empirical_pi``) estimates inclusion frequencies
 from a design's realizations, all drawn one after another from the one
-stream of the design's seed through the design's ``edge_counts``, a block
+stream of the seed it is given through the design's ``edge_counts``, a block
 of realizations at a time with no generator per realization: induced
 designs find a block's induced edges in one step, and traceroute walks
 every (row, source, target) path of a block back at once, one uniform a
@@ -25,7 +25,7 @@ span table; the estimators check a realization against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -109,19 +109,20 @@ def approx_pi_traceroute(b: np.ndarray, n_sources: int, n_targets: int, n: int) 
     return np.where(b > 0, -np.expm1(-rate), 0.0)
 
 
-def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> InclusionModel:
+def empirical_pi(g: Graph, design: SampleDesign, replications: int,
+                 seed: int) -> InclusionModel:
     """Monte Carlo inclusion frequencies over independent design realizations.
 
     All replications draw, one after another, from the one stream
-    ``make_rng(design.seed)``, through the design's ``edge_counts``, so the
-    model is a deterministic function of (graph, design, seed,
-    replications). Edges never observed keep pi = 0, which marks them
+    ``make_rng(seed)``, through the design's ``edge_counts``, so the
+    model is a deterministic function of (graph, design, replications,
+    seed). Edges never observed keep pi = 0, which marks them
     unsampleable.
     """
     design.validate(g.node_count)
     if replications < 1:
         raise ValueError(f"pi replications must be >= 1, got {replications}")
-    counts = design.edge_counts(g, make_rng(design.seed), replications)
+    counts = design.edge_counts(g, make_rng(seed), replications)
     return InclusionModel(
         source=f"empirical:{design.kind}",
         pi=counts / replications,
@@ -129,16 +130,19 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int) -> Inclusion
 
 
 def inclusion_for(g: Graph, design: SampleDesign, source: str = "analytic",
-                  replications: int = DEFAULT_PI_REPLICATIONS) -> InclusionModel:
+                  replications: int = DEFAULT_PI_REPLICATIONS,
+                  seed: int | None = None) -> InclusionModel:
     """Build the inclusion model a design calls for.
 
     ``source="analytic"`` returns ``design.inclusion(g)``: exact
     probabilities for induced designs and the betweenness approximation
     for traceroute (joint unavailable); ``source="empirical"`` runs the
-    Monte Carlo oracle.
+    Monte Carlo oracle on the stream of ``seed``, which it requires.
     """
     if source == "empirical":
-        return empirical_pi(g, design, replications)
+        if seed is None:
+            raise ValueError("the empirical inclusion oracle needs a seed")
+        return empirical_pi(g, design, replications, seed)
     if source != "analytic":
         raise ValueError(f"unknown inclusion source {source!r}")
     design.validate(g.node_count)
@@ -150,9 +154,9 @@ def sweep_inclusion(g: Graph, design: SampleDesign, base_seed: int, sweep_idx: i
     """Inclusion model for sweep value ``sweep_idx`` of an experiment.
 
     The empirical oracle draws all its realizations from the auxiliary
-    stream ``(base_seed, 2, sweep_idx)``; on the design's own seed it would
-    replay the very sample it weights as its first replication. Analytic
+    stream ``(base_seed, 2, sweep_idx)``; on the seed of a sample it weights
+    it would replay that very sample as its first replication. Analytic
     models do not depend on the seed.
     """
-    oracle = replace(design, seed=derive_seed(base_seed, 2, sweep_idx))
-    return inclusion_for(g, oracle, source=source, replications=replications)
+    return inclusion_for(g, design, source=source, replications=replications,
+                         seed=derive_seed(base_seed, 2, sweep_idx))

@@ -1,21 +1,23 @@
 """Network sampling designs: Bernoulli-induced, SRS-induced, traceroute.
 
-Every design is a frozen dataclass carrying its parameters and a seed, and
-owns its mechanics: ``realize(g, rng)`` draws one sample from a given
-stream, ``realize_block(g, seeds)`` draws one sample per seed, each from
-its own stream ``make_rng(seed)``, keyed for the whole block at once by
+Every design is a frozen dataclass of its parameters alone, and owns its
+mechanics: ``realize(g, rng)`` draws one sample from a given stream,
+``realize_block(g, seeds)`` draws one sample per seed, each from its own
+stream ``make_rng(seed)``, keyed for the whole block at once by
 :func:`~homsample.rng.make_rngs`, into a :class:`SampleBlock`,
 ``edge_counts(g, rng, replications)`` counts how often each edge
 is sampled over that many realizations drawn from one stream (the
 empirical inclusion oracle), and ``inclusion(g)`` builds its analytic
 inclusion model.
-``draw_sample(graph, design)`` realizes a design on the stream of its seed,
-so it is a pure function of that pair, and row r of
-``draw_block(graph, design, seeds)`` is the sample ``draw_sample`` gives
-on ``seeds[r]``. Induced designs observe exactly the edges with both
-endpoints in the sampled node set. One kernel serves all three of their
-mechanics: it draws one node set per row, each from its row's generator,
-and finds every row's edges in one vectorized step. ``realize`` is its
+A seed is passed where a stream is drawn: ``draw_sample(graph, design,
+seed)`` realizes a design on the stream ``make_rng(seed)``, so it is a pure
+function of the three, and row r of ``draw_block(graph, design, seeds)`` is
+the sample ``draw_sample`` gives on ``seeds[r]``. A sample holds only what
+was observed; the command that drew it writes down how.
+Induced designs observe exactly the edges with both endpoints in the
+sampled node set. One kernel serves all three of their mechanics: it
+draws one node set per row, each from its row's generator, and finds
+every row's edges in one vectorized step. ``realize`` is its
 one-row case, ``realize_block`` gives each row its seed's stream, and
 ``edge_counts`` gives every row the one stream, a block of rows at a
 time. Traceroute observes the union of edges on one random shortest path
@@ -26,7 +28,7 @@ realizations back at once, one uniform a hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import perm
 from typing import Union
@@ -35,7 +37,7 @@ import numpy as np
 
 from .graph import Graph
 from .inclusion import InclusionModel, approx_pi_traceroute, edge_betweenness
-from .rng import DEFAULT_SEED, make_rng, make_rngs
+from .rng import make_rng, make_rngs
 
 # byte budget for the per-row arrays of one block of oracle realizations:
 # the node and edge masks of an induced design, or traceroute's edge mask
@@ -57,12 +59,12 @@ class _InducedDesign:
 
     def realize(self, g: Graph, rng) -> "SampledGraph":
         nodes, edges = self._masks(g, 1, [rng])
-        return SampledGraph(self, g, np.flatnonzero(nodes[0]), np.flatnonzero(edges[0]))
+        return SampledGraph(g, np.flatnonzero(nodes[0]), np.flatnonzero(edges[0]))
 
     def realize_block(self, g: Graph, seeds) -> "SampleBlock":
         """Row r is ``realize`` on ``make_rng(seeds[r])``."""
         nodes, edges = self._masks(g, len(seeds), make_rngs(seeds))
-        return SampleBlock(self, g, tuple(seeds), np.nonzero(edges)[1],
+        return SampleBlock(g, np.nonzero(edges)[1],
                            row_offsets(edges.sum(axis=1)), nodes.sum(axis=1))
 
     def edge_counts(self, g: Graph, rng, replications: int) -> np.ndarray:
@@ -82,7 +84,6 @@ class BernoulliDesign(_InducedDesign):
     """Independent node retention with probability p, induced edges."""
 
     p: float
-    seed: int = DEFAULT_SEED
     kind = "bernoulli"
 
     def validate(self, n: int):
@@ -103,7 +104,6 @@ class SrsDesign(_InducedDesign):
     """Uniform node subset of fixed size without replacement, induced edges."""
 
     n_star: int
-    seed: int = DEFAULT_SEED
     kind = "srs"
 
     def validate(self, n: int):
@@ -132,7 +132,6 @@ class TracerouteDesign:
 
     n_sources: int
     n_targets: int
-    seed: int = DEFAULT_SEED
     kind = "traceroute"
 
     def validate(self, n: int):
@@ -171,15 +170,14 @@ class TracerouteDesign:
         touched[g.edge_i[ids]] = True
         touched[g.edge_j[ids]] = True
         nodes = np.flatnonzero(touched)
-        return SampledGraph(self, g, nodes, ids, paths=tuple(paths),
+        return SampledGraph(g, nodes, ids, paths=tuple(paths),
                             meta={"skipped_pairs": skipped,
                                   "pair_rule": "sources and targets drawn by independent SRS; s=t pairs skipped"})
 
     def realize_block(self, g: Graph, seeds) -> "SampleBlock":
         """``realize`` on ``make_rng(seed)`` for each seed in turn."""
         samples = [self.realize(g, rng) for rng in make_rngs(seeds)]
-        return SampleBlock(self, g, tuple(seeds),
-                           np.concatenate([s.edge_index for s in samples]),
+        return SampleBlock(g, np.concatenate([s.edge_index for s in samples]),
                            row_offsets([s.edge_count for s in samples]),
                            np.array([s.node_count for s in samples]))
 
@@ -220,16 +218,14 @@ SampleDesign = Union[BernoulliDesign, SrsDesign, TracerouteDesign]
 _DESIGN_TYPES = {"bernoulli": BernoulliDesign, "srs": SrsDesign, "traceroute": TracerouteDesign}
 
 
-def design_params(design: SampleDesign) -> dict:
-    """A design's parameters in field order, without its seed."""
-    return {k: v for k, v in vars(design).items() if k != "seed"}
-
-
-def design_to_dict(design: SampleDesign) -> dict:
-    return {"kind": design.kind, "seed": design.seed, **design_params(design)}
+def design_to_dict(design: SampleDesign, seed: int) -> dict:
+    """The JSON form of a design realized on ``seed``: its kind, the seed and
+    its parameters in field order."""
+    return {"kind": design.kind, "seed": seed, **vars(design)}
 
 
 def design_from_dict(d: dict) -> SampleDesign:
+    """The design of a kind and its parameters; any other key is a bad parameter."""
     d = dict(d)
     kind = d.pop("kind", None)
     try:
@@ -255,22 +251,16 @@ def resolve_design(template: dict, overrides: dict, n: int) -> SampleDesign:
     return design_from_dict(merged)
 
 
-def with_seed(design: SampleDesign, seed: int) -> SampleDesign:
-    return replace(design, seed=int(seed))
-
-
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """Observed subgraph with provenance.
+    """Observed subgraph: what a realization saw, not how it was drawn.
 
     ``edge_index`` holds the ids of the sampled edges in ``parent``, so
     endpoints, weights and per-edge values are read from the parent
     graph's edge arrays, and inclusion probabilities from a model's
-    ``pi``, which is aligned with them. ``design`` is None for subgraphs
-    built directly from a node set.
+    ``pi``, which is aligned with them.
     """
 
-    design: SampleDesign | None
     parent: Graph
     nodes: np.ndarray
     edge_index: np.ndarray
@@ -290,8 +280,6 @@ class SampledGraph:
         g, ids = self.parent, self.edge_index
         pi = incl.pi[ids].tolist() if incl is not None else [None] * self.edge_count
         out = {
-            "design": design_to_dict(self.design) if self.design is not None else None,
-            "seed": self.design.seed if self.design is not None else None,
             "parent_node_count": g.node_count,
             "nodes": [int(v) for v in self.nodes],
             "edges": [
@@ -308,18 +296,15 @@ class SampledGraph:
 
 @dataclass(frozen=True, eq=False)
 class SampleBlock:
-    """Samples of one design on one graph, one row per seed.
+    """Samples of one graph, one row per sample.
 
-    Row r is the sample ``draw_sample(parent, with_seed(design, seeds[r]))``:
-    it has ``sampled_nodes[r]`` sampled nodes, and the parent ids of its
-    sampled edges, in increasing order, are
-    ``edge_index[offsets[r]:offsets[r + 1]]``. A block of a sample with no
-    design has the one seed None.
+    Row r of ``draw_block(parent, design, seeds)`` is the sample
+    ``draw_sample(parent, design, seeds[r])``: it has ``sampled_nodes[r]``
+    sampled nodes, and the parent ids of its sampled edges, in increasing
+    order, are ``edge_index[offsets[r]:offsets[r + 1]]``.
     """
 
-    design: SampleDesign | None
     parent: Graph
-    seeds: tuple
     edge_index: np.ndarray
     offsets: np.ndarray
     sampled_nodes: np.ndarray
@@ -327,14 +312,12 @@ class SampleBlock:
     @classmethod
     def of(cls, sample: SampledGraph) -> "SampleBlock":
         """The one-row block of ``sample``."""
-        design = sample.design
-        return cls(design, sample.parent, (None if design is None else design.seed,),
-                   sample.edge_index, row_offsets([sample.edge_count]),
+        return cls(sample.parent, sample.edge_index, row_offsets([sample.edge_count]),
                    np.array([sample.node_count]))
 
     @property
     def rows(self) -> int:
-        return len(self.seeds)
+        return len(self.sampled_nodes)
 
     @cached_property
     def sampled_edges(self) -> np.ndarray:
@@ -365,23 +348,24 @@ def row_offsets(counts) -> np.ndarray:
     return out
 
 
-def induced_subgraph(g: Graph, nodes, design: SampleDesign | None = None) -> SampledGraph:
+def induced_subgraph(g: Graph, nodes) -> SampledGraph:
     """Subgraph induced by a node set (inclusion probabilities unfilled)."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64).ravel())
     if len(nodes) and (nodes[0] < 0 or nodes[-1] >= g.node_count):
         raise ValueError(f"node id out of range [0, {g.node_count})")
     mask = np.zeros(g.node_count, dtype=bool)
     mask[nodes] = True
-    return SampledGraph(design, g, nodes, np.flatnonzero(mask[g.edge_i] & mask[g.edge_j]))
+    return SampledGraph(g, nodes, np.flatnonzero(mask[g.edge_i] & mask[g.edge_j]))
 
 
-def draw_sample(g: Graph, design: SampleDesign) -> SampledGraph:
-    """Realize a design on a graph; deterministic in (graph, design, seed)."""
+def draw_sample(g: Graph, design: SampleDesign, seed: int) -> SampledGraph:
+    """Realize a design on a graph on the stream ``make_rng(seed)``;
+    deterministic in (graph, design, seed)."""
     design.validate(g.node_count)
-    return design.realize(g, make_rng(design.seed))
+    return design.realize(g, make_rng(seed))
 
 
 def draw_block(g: Graph, design: SampleDesign, seeds) -> SampleBlock:
-    """Realize a design once per seed; row r is ``draw_sample(g, with_seed(design, seeds[r]))``."""
+    """Realize a design once per seed; row r is ``draw_sample(g, design, seeds[r])``."""
     design.validate(g.node_count)
     return design.realize_block(g, seeds)

@@ -30,7 +30,7 @@ from homsample.estimators import (
 from homsample.inclusion import InclusionModel
 from homsample.metrics import EDGE_METRICS, NODE_HOMOPHILY, same_label_values
 from homsample.rng import child_rng
-from homsample.sampling import induced_subgraph, with_seed
+from homsample.sampling import induced_subgraph
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -216,14 +216,14 @@ def reference_block_paths(g: Graph, sources, targets, rng) -> list:
     return paths
 
 
-def reference_empirical_pi(g: Graph, design, replications: int) -> InclusionModel:
+def reference_empirical_pi(g: Graph, design, replications: int, seed: int) -> InclusionModel:
     """Monte Carlo inclusion frequencies, one fresh stream per replication:
-    replication r realizes the design on ``child_rng(design.seed, r)``."""
+    replication r realizes the design on ``child_rng(seed, r)``."""
     design.validate(g.node_count)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     counts = np.zeros(g.edge_count, dtype=np.int64)
-    base = int(design.seed)
+    base = int(seed)
     for r in range(replications):
         counts[design.realize(g, child_rng(base, r)).edge_index] += 1
     return InclusionModel(
@@ -561,7 +561,6 @@ def reference_derive_seed(base_seed: int, *path: int) -> int:
 def reference_replicate(g, design, columns, metric_pairs, rep, seed):
     """One replication dict of an experiment, drawn alone on numpy's own
     seeding of ``seed`` and estimated alone."""
-    design = with_seed(design, seed)
     design.validate(g.node_count)
     sample = design.realize(g, reference_make_rng(seed))
     estimates = {}

@@ -45,7 +45,7 @@ def _enumerate_srs(g, s, n_star, clamp=False):
     values = hs.edge_variation_values(g, s)
     hts, var_ests = [], []
     for subset in itertools.combinations(range(g.node_count), n_star):
-        sample = hs.induced_subgraph(g, subset, design)
+        sample = hs.induced_subgraph(g, subset)
         vals = values[sample.edge_index]
         hts.append(ht_total(sample, vals, incl))
         v, _ = ht_variance(sample, vals, incl, clamp_negative=clamp)
@@ -193,12 +193,11 @@ def test_criterion_7_traceroute_with_empirical_oracle():
     ok = True
     details = []
     for k, (n_s, n_t) in enumerate([(1, 1), (2, 2), (3, 3)]):
-        oracle_design = TracerouteDesign(n_s, n_t, seed=derive_seed(SEED, 2, k))
-        incl = hs.empirical_pi(g, oracle_design, replications=100_000)
+        design = TracerouteDesign(n_s, n_t)
+        incl = hs.empirical_pi(g, design, replications=100_000, seed=derive_seed(SEED, 2, k))
         points = np.empty(200)
         for r in range(200):
-            design = TracerouteDesign(n_s, n_t, seed=derive_seed(SEED, 1, k, r))
-            sample = hs.draw_sample(g, design)
+            sample = hs.draw_sample(g, design, derive_seed(SEED, 1, k, r))
             points[r] = ht_total(sample, values[sample.edge_index], incl) / denom
         bias = points.mean() - gt
         se = points.std(ddof=1) / np.sqrt(len(points))

@@ -615,3 +615,100 @@ def test_a_dataset_flag_that_would_be_ignored_is_an_input_error(tmp_path, comman
     res = run_cli(command, *(a.format(edges=edges) for a in args))
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == f"error: {message}\n"
+
+
+def test_the_commands_that_draw_a_sample_write_its_design_and_seed(tmp_path):
+    # a design is its parameters and a sample what was observed: the
+    # command that drew the sample writes down how, after or before its fields
+    est, smp = tmp_path / "estimate.json", tmp_path / "sample.json"
+    res = run_cli("estimate", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.4",
+                  "--metric", "dirichlet_total", "--seed", "55", "--out", str(est))
+    assert res.returncode == 0, res.stderr
+    report = json.loads(est.read_text())
+    assert list(report) == ["dataset", "kind", "mode", "point", "variance", "variance_status",
+                            "sampled_nodes", "sampled_edges", "design", "seed"]
+    assert report["design"] == {"kind": "bernoulli", "seed": 55, "p": 0.4}
+    assert report["seed"] == 55
+    res = run_cli("sample", "--manifest", MANIFEST, "--design", "srs", "--n-star", "8",
+                  "--seed", "3", "--out", str(smp))
+    assert res.returncode == 0, res.stderr
+    sample = json.loads(smp.read_text())
+    assert list(sample)[:3] == ["design", "seed", "parent_node_count"]
+    assert sample["design"] == {"kind": "srs", "seed": 3, "n_star": 8} and sample["seed"] == 3
+
+
+def _experiment_on_an_empty_graph(tmp_path, *design):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "homsample", "experiment", "--edges", str(empty),
+         "--labels", str(empty), "--classes", "1", "--design", *design,
+         "--metric", "dirichlet_total", "--reps", "3", "--out", str(tmp_path / "run.json")],
+        capture_output=True, text=True)
+
+
+def test_experiment_on_a_graph_without_nodes(tmp_path):
+    # a block's row count divides by the graph's nodes and edges
+    res = _experiment_on_an_empty_graph(tmp_path, "bernoulli", "--p", "0.5")
+    assert res.returncode == 0, res.stderr
+    record = json.loads((tmp_path / "run.json").read_text())
+    assert record["ground_truth"] == {"dirichlet_total": 0.0}
+    (sweep,) = record["sweeps"]
+    assert [r["estimates"]["dirichlet_total:ht_total"] for r in sweep["replications"]] == [
+        {"point": 0.0, "variance": 0.0, "variance_status": "exact_design"}] * 3
+
+
+@pytest.mark.parametrize("design, message", [
+    (("srs", "--n-star", "1"), "n_star must be in [1, 0], got 1"),
+    (("traceroute", "--sources", "1", "--targets", "1"), "n_sources must be in [1, 0], got 1"),
+], ids=["srs", "traceroute"])
+def test_experiment_on_a_graph_without_nodes_refuses_a_fixed_size_design(tmp_path, design,
+                                                                         message):
+    res = _experiment_on_an_empty_graph(tmp_path, *design)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("estimate", "--manifest", MANIFEST, "--design", "bernoulli", "--p", ","), "--p"),
+    (("sample", "--manifest", MANIFEST, "--design", "srs", "--frac", ","), "--frac"),
+    (("experiment", "--manifest", MANIFEST, "--design", "srs", "--n-star", ",", "--reps", "2"),
+     "--n-star"),
+    (("experiment", "--manifest", MANIFEST, "--design", "traceroute", "--sources", ",",
+      "--targets", ",", "--reps", "2"), "--sources"),
+    (("graphon", "--sizes", ",", "--reps", "1"), "--sizes"),
+], ids=["p", "frac", "n-star", "sources", "sizes"])
+def test_a_comma_list_with_no_value_is_an_input_error_naming_its_flag(args, flag):
+    res = run_cli(*args)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {flag} lists no value\n"
+
+
+RERUN_DESIGNS = {"bernoulli": ("--p", "0.3"), "srs": ("--n-star", "10"),
+                 "traceroute": ("--sources", "2", "--targets", "3")}
+
+
+@pytest.mark.parametrize("metric, mode", [("dirichlet_total", "ht_total"),
+                                          ("edge", "hajek_ratio"), ("node", "plug_in")])
+@pytest.mark.parametrize("design", list(RERUN_DESIGNS))
+def test_each_replication_reruns_alone_through_estimate(tmp_path, capsys, design, metric, mode):
+    # estimate --seed <row seed> with the sweep's parameters prints the row,
+    # or refuses it with the row's reason
+    flags = ["--manifest", MANIFEST, "--design", design, *RERUN_DESIGNS[design],
+             "--metric", metric, "--mode", mode, "--pi", "analytic"]
+    out = tmp_path / "run.json"
+    assert cli.main(["experiment", *flags, "--reps", "6", "--seed", "7", "--out", str(out)]) == 0
+    (sweep,) = json.loads(out.read_text())["sweeps"]
+    capsys.readouterr()
+    for row in sweep["replications"]:
+        code = cli.main(["estimate", *flags, "--seed", str(row["seed"])])
+        res = capsys.readouterr()
+        (entry,) = row["estimates"].values()
+        if "invalid" in entry:
+            assert (code, res.out, res.err) == (2, "", f"error: {entry['invalid']}\n")
+            continue
+        assert code == 0, res.err
+        report = json.loads(res.out)
+        assert {k: report[k] for k in (*entry, "sampled_nodes", "sampled_edges")} == {
+            **entry, "sampled_nodes": row["sampled_nodes"], "sampled_edges": row["sampled_edges"]}
+        assert report["seed"] == row["seed"]
+        assert report["design"] == {"kind": design, "seed": row["seed"], **sweep["params"]}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,7 @@ def _srs_enumeration(g, s, n_star, clamp=True):
     values = edge_variation_values(g, s)
     hts, var_ests = [], []
     for subset in srs_subsets(g.node_count, n_star):
-        sample = induced_subgraph(g, subset, design)
+        sample = induced_subgraph(g, subset)
         vals = values[sample.edge_index]
         hts.append(ht_total(sample, vals, incl))
         v, _ = ht_variance(sample, vals, incl, clamp_negative=clamp)
@@ -61,16 +62,16 @@ def _srs_enumeration(g, s, n_star, clamp=True):
 
 def test_census_is_exact(karate):
     g, s = karate
-    design = SrsDesign(n_star=g.node_count, seed=4)
+    design = SrsDesign(n_star=g.node_count)
     incl = inclusion_for(g, design)
-    sample = draw_sample(g, design)
+    sample = draw_sample(g, design, 4)
     values = edge_variation_values(g, s)[sample.edge_index]
     assert ht_total(sample, values, incl) == dirichlet_energy(g, s)
     assert estimate_metric(sample, s, "dirichlet_total", PLUG_IN).point == dirichlet_energy(g, s)
     var, status = ht_variance(sample, values, incl)
     assert var == 0.0 and status == VARIANCE_EXACT
-    census = BernoulliDesign(p=1.0, seed=4)
-    sample = draw_sample(g, census)
+    census = BernoulliDesign(p=1.0)
+    sample = draw_sample(g, census, 4)
     values = edge_variation_values(g, s)[sample.edge_index]
     assert ht_variance(sample, values, inclusion_for(g, census)) == (0.0, VARIANCE_EXACT)
 
@@ -81,10 +82,10 @@ def test_k3_srs_worked_example(triangle):
     design = SrsDesign(n_star=2)
     incl = inclusion_for(g, design)
     values = edge_variation_values(g, s)
-    sample = induced_subgraph(g, [0, 2], design)
+    sample = induced_subgraph(g, [0, 2])
     assert ht_total(sample, values[sample.edge_index], incl) == pytest.approx(6.0)
     hts = [ht_total(sm, values[sm.edge_index], incl)
-           for sm in (induced_subgraph(g, sub, design) for sub in srs_subsets(3, 2))]
+           for sm in (induced_subgraph(g, sub) for sub in srs_subsets(3, 2))]
     assert sorted(hts) == [0.0, 6.0, 6.0]
     assert np.mean(hts) == pytest.approx(4.0)
 
@@ -110,9 +111,9 @@ def test_bernoulli_identity_ht_is_scaled_plug_in(karate):
     g, s = karate
     values = edge_variation_values(g, s)
     for p in (0.2, 0.5, 0.9):
-        design = BernoulliDesign(p=p, seed=31)
+        design = BernoulliDesign(p=p)
         incl = inclusion_for(g, design)
-        sample = draw_sample(g, design)
+        sample = draw_sample(g, design, 31)
         vals = values[sample.edge_index]
         assert ht_total(sample, vals, incl) == pytest.approx(
             estimate_metric(sample, s, "dirichlet_total", PLUG_IN).point / p ** 2, rel=1e-12)
@@ -123,7 +124,7 @@ def test_bernoulli_disjoint_pair_cross_term_is_zero():
     s = GraphSignal.from_labels([0, 1, 0, 1], 2)
     design = BernoulliDesign(p=0.6)
     incl = inclusion_for(g, design)
-    sample = induced_subgraph(g, [0, 1, 2, 3], design)
+    sample = induced_subgraph(g, [0, 1, 2, 3])
     values = edge_variation_values(g, s)
     var, status = ht_variance(sample, values, incl)
     # independence: cross terms vanish, only diagonal terms remain
@@ -136,7 +137,7 @@ def test_star_variance_has_only_three_span_pairs(star):
     g, s = star
     design = BernoulliDesign(p=0.6)
     values = edge_variation_values(g, s)
-    sample = induced_subgraph(g, [0, 1, 2, 3], design)
+    sample = induced_subgraph(g, [0, 1, 2, 3])
     var, status = ht_variance(sample, values, inclusion_for(g, design))
     # every pair of distinct edges shares the center: joint p^3
     q, pi = (values ** 2).sum(), 0.6 ** 2
@@ -149,7 +150,7 @@ def test_span_class_with_zero_joint_is_degenerate():
     # SRS with n* = 3 never holds two disjoint edges; a sample that does contradicts it
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     design = SrsDesign(n_star=3)
-    sample = induced_subgraph(g, [0, 1, 2, 3], design)
+    sample = induced_subgraph(g, [0, 1, 2, 3])
     with pytest.raises(DegenerateSampleError, match="spanning 4 nodes have joint inclusion probability 0"):
         ht_variance(sample, np.ones(2), inclusion_for(g, design))
 
@@ -159,7 +160,7 @@ def test_variance_of_empty_sample(karate):
     for design, expected in ((SrsDesign(n_star=1), (0.0, VARIANCE_EXACT)),
                              (BernoulliDesign(p=0.5), (0.0, VARIANCE_EXACT)),
                              (TracerouteDesign(1, 1), (None, VARIANCE_UNSUPPORTED))):
-        empty = induced_subgraph(g, [], design)
+        empty = induced_subgraph(g, [])
         assert ht_variance(empty, np.array([]), inclusion_for(g, design)) == expected
 
 
@@ -189,10 +190,10 @@ def _induced_variance_cases(draw):
     g = Graph.from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
     seed = draw(st.integers(0, 2 ** 32))
     if draw(st.booleans()):
-        design = BernoulliDesign(p=draw(st.floats(0.05, 1.0)), seed=seed)
+        design = BernoulliDesign(p=draw(st.floats(0.05, 1.0)))
     else:
-        design = SrsDesign(n_star=draw(st.integers(1, n)), seed=seed)
-    sample = draw_sample(g, design)
+        design = SrsDesign(n_star=draw(st.integers(1, n)))
+    sample = draw_sample(g, design, seed)
     count = sample.edge_count
     values = np.array(draw(st.lists(_VALUE, min_size=count, max_size=count)), dtype=np.float64)
     return g, design, sample, values
@@ -207,10 +208,10 @@ def test_span_sum_variance_matches_dense_and_exact(case):
 def test_span_sum_variance_on_karate(karate):
     g, s = karate
     values = edge_variation_values(g, s)
-    designs = ([BernoulliDesign(p, seed=k) for p in (0.2, 0.5, 0.9) for k in range(10)]
-               + [SrsDesign(n, seed=k) for n in (4, 10, 20, 33) for k in range(10)])
-    for design in designs:
-        sample = draw_sample(g, design)
+    designs = ([BernoulliDesign(p) for p in (0.2, 0.5, 0.9)]
+               + [SrsDesign(n) for n in (4, 10, 20, 33)])
+    for design, k in itertools.product(designs, range(10)):
+        sample = draw_sample(g, design, k)
         _assert_variance_matches_references(g, design, sample, values[sample.edge_index])
 
 
@@ -219,9 +220,9 @@ def test_span_sum_variance_small_srs(n_star):
     # on K5 an SRS of n_star nodes holds every edge among them: no 4-span pair, j4 = 0
     g = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     rng = np.random.default_rng(n_star)
+    design = SrsDesign(n_star=n_star)
     for seed in range(20):
-        design = SrsDesign(n_star=n_star, seed=seed)
-        sample = draw_sample(g, design)
+        sample = draw_sample(g, design, seed)
         assert sample.edge_count == n_star * (n_star - 1) // 2
         _assert_variance_matches_references(g, design, sample, rng.normal(size=sample.edge_count))
 
@@ -229,8 +230,8 @@ def test_span_sum_variance_small_srs(n_star):
 def test_span_sum_variance_has_no_edge_limit():
     # 4465 sampled edges: more than a dense joint matrix may hold
     g = Graph.from_edges(100, [(i, j) for i in range(100) for j in range(i + 1, 100)])
-    design = SrsDesign(n_star=95, seed=1)
-    sample = draw_sample(g, design)
+    design = SrsDesign(n_star=95)
+    sample = draw_sample(g, design, 1)
     values = np.arange(sample.edge_count, dtype=np.float64) % 3
     var, status = ht_variance(sample, values, design.inclusion(g), clamp_negative=False)
     assert sample.edge_count == 4465 and np.isfinite(var) and status == VARIANCE_EXACT
@@ -241,16 +242,16 @@ def test_hajek_reductions(triangle):
     design = SrsDesign(n_star=2)
     incl = inclusion_for(g, design)
     values = edge_variation_values(g, s)
-    sample = induced_subgraph(g, [0, 1], design)   # single same-label edge
+    sample = induced_subgraph(g, [0, 1])   # single same-label edge
     assert estimate_metric(sample, s, "edge_homophily", HAJEK_RATIO, incl).point == 1.0
     # uniform pi: ratio equals the unweighted sample ratio
-    for sample in (induced_subgraph(g, [0, 2], design), induced_subgraph(g, [0, 1, 2], design)):
+    for sample in (induced_subgraph(g, [0, 2]), induced_subgraph(g, [0, 1, 2])):
         vals = values[sample.edge_index]
         edge_w = g.edge_w[sample.edge_index]
         point = estimate_metric(sample, s, "dirichlet_normalized", HAJEK_RATIO, incl).point
         assert point > 0 and point == pytest.approx(vals.sum() / (2 * edge_w.sum()))
     with pytest.raises(DegenerateSampleError, match="denominator"):
-        empty = induced_subgraph(g, [], design)
+        empty = induced_subgraph(g, [])
         estimate_metric(empty, s, "edge_homophily", HAJEK_RATIO, incl)
 
 
@@ -292,7 +293,7 @@ def test_variance_negative_clamp_flagged():
     design = SrsDesign(n_star=4)
     incl = inclusion_for(g, design)
     values = edge_variation_values(g, s)
-    sample = induced_subgraph(g, [0, 1, 2, 3], design)   # two disjoint edges
+    sample = induced_subgraph(g, [0, 1, 2, 3])   # two disjoint edges
     raw, _ = ht_variance(sample, values[sample.edge_index], incl, clamp_negative=False)
     # V = (2, 2), only 4-span pairs: pi = 2/5, j4 = 1/15, sum V^2 = 8 = sum over both orders
     assert raw == pytest.approx(8 * (1 / 0.4 ** 2 - 1 / 0.4) + 8 * (1 / 0.4 ** 2 - 15), rel=1e-12)
@@ -306,9 +307,9 @@ def test_variance_negative_clamp_flagged():
 
 def test_variance_unsupported_for_traceroute(karate):
     g, s = karate
-    design = TracerouteDesign(3, 3, seed=8)
+    design = TracerouteDesign(3, 3)
     incl = inclusion_for(g, design)
-    sample = draw_sample(g, design)
+    sample = draw_sample(g, design, 8)
     values = edge_variation_values(g, s)[sample.edge_index]
     var, status = ht_variance(sample, values, incl)
     assert var is None and status == VARIANCE_UNSUPPORTED
@@ -319,8 +320,8 @@ def test_variance_unsupported_for_traceroute(karate):
 
 def test_ht_rejects_missing_pi(karate):
     g, s = karate
-    design = SrsDesign(n_star=10, seed=2)
-    sample = draw_sample(g, design)
+    design = SrsDesign(n_star=10)
+    sample = draw_sample(g, design, 2)
     incl = inclusion_for(g, design)
     values = edge_variation_values(g, s)[sample.edge_index]
     bad = dataclasses.replace(incl, pi=np.zeros(g.edge_count))
@@ -330,9 +331,9 @@ def test_ht_rejects_missing_pi(karate):
 
 def test_estimate_metric_modes_and_validation(karate):
     g, s = karate
-    design = SrsDesign(n_star=12, seed=6)
+    design = SrsDesign(n_star=12)
     incl = inclusion_for(g, design)
-    sample = draw_sample(g, design)
+    sample = draw_sample(g, design, 6)
 
     r = estimate_metric(sample, s, "dirichlet_normalized", KNOWN_DENOMINATOR, incl=incl)
     assert 0 <= r.point and r.variance is not None and r.variance_status == VARIANCE_EXACT
@@ -349,7 +350,7 @@ def test_estimate_metric_modes_and_validation(karate):
         estimate_metric(sample, s, "dirichlet_total", HT_TOTAL)
     # the sample carries its parent; an edgeless parent has no known denominator
     edgeless = Graph.from_edges(3, [])
-    empty = induced_subgraph(edgeless, [0, 1], SrsDesign(n_star=2))
+    empty = induced_subgraph(edgeless, [0, 1])
     with pytest.raises(ValueError, match="parent graph"):
         estimate_metric(empty, GraphSignal.from_labels([0, 0, 1], 2), "edge_homophily",
                         KNOWN_DENOMINATOR, incl=inclusion_for(edgeless, SrsDesign(n_star=2)))
@@ -359,9 +360,9 @@ def test_estimate_metric_modes_and_validation(karate):
 
 def test_estimate_metric_census_recovers_exact(karate):
     g, s = karate
-    design = SrsDesign(n_star=34, seed=1)
+    design = SrsDesign(n_star=34)
     incl = inclusion_for(g, design)
-    sample = draw_sample(g, design)
+    sample = draw_sample(g, design, 1)
     from homsample.metrics import edge_homophily, normalized_dirichlet
 
     pairs = [("dirichlet_normalized", HAJEK_RATIO, normalized_dirichlet(g, s)),
@@ -384,11 +385,12 @@ def test_node_homophily_plug_in_on_triangle(triangle):
 
 def test_report_provenance(karate):
     g, s = karate
-    design = BernoulliDesign(p=0.4, seed=55)
+    design = BernoulliDesign(p=0.4)
     incl = inclusion_for(g, design)
-    sample = draw_sample(g, design)
+    sample = draw_sample(g, design, 55)
     r = estimate_metric(sample, s, "dirichlet_total", HT_TOTAL, incl=incl)
     d = vars(r)
-    assert d["design"]["kind"] == "bernoulli" and d["seed"] == 55
+    # how the sample was drawn is written by the command that drew it (test_cli)
+    assert "design" not in d and "seed" not in d
     assert d["sampled_nodes"] == sample.node_count
     assert d["sampled_edges"] == sample.edge_count

@@ -18,7 +18,7 @@ from homsample import (
     inclusion_for,
 )
 from homsample import sampling, shortest_paths
-from homsample.rng import make_rng
+from homsample.rng import DEFAULT_SEED, make_rng
 from oracles import (
     brute_edge_betweenness,
     dense_joint,
@@ -192,14 +192,14 @@ def test_approx_pi_traceroute_formula():
 
 def test_empirical_pi_census():
     g = k_n(4)
-    model = empirical_pi(g, BernoulliDesign(p=1.0, seed=1), replications=50)
+    model = empirical_pi(g, BernoulliDesign(p=1.0), replications=50, seed=1)
     assert np.all(model.pi == 1.0)
 
 
 def test_empirical_pi_matches_analytic_bernoulli(karate):
     g, _ = karate
     R = 100_000
-    model = empirical_pi(g, BernoulliDesign(p=0.5, seed=77), replications=R)
+    model = empirical_pi(g, BernoulliDesign(p=0.5), replications=R, seed=77)
     dev = np.abs(model.pi - 0.25)
     assert dev.max() <= 0.01
     assert dev.max() <= 4 * np.sqrt(0.25 * 0.75 / R)
@@ -209,25 +209,25 @@ def test_empirical_pi_matches_analytic_srs():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 10, 0.5)
     R = 100_000
-    design = SrsDesign(n_star=4, seed=5)
-    model = empirical_pi(g, design, replications=R)
+    design = SrsDesign(n_star=4)
+    model = empirical_pi(g, design, replications=R, seed=5)
     target = design.inclusion(g).pi[0]
     assert np.abs(model.pi - target).max() <= 4 * np.sqrt(target * (1 - target) / R)
 
 
 def test_empirical_pi_is_deterministic():
     g = k_n(5)
-    d = SrsDesign(n_star=3, seed=21)
-    a = empirical_pi(g, d, 500)
-    b = empirical_pi(g, d, 500)
+    d = SrsDesign(n_star=3)
+    a = empirical_pi(g, d, 500, 21)
+    b = empirical_pi(g, d, 500, 21)
     assert np.array_equal(a.pi, b.pi)
 
 
 def test_empirical_joint_diag_and_flags():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    model = empirical_pi(g, SrsDesign(n_star=2, seed=9), replications=2000)
+    model = empirical_pi(g, SrsDesign(n_star=2), replications=2000, seed=9)
     assert not model.has_joint  # the oracle estimates pi only
-    never = empirical_pi(g, BernoulliDesign(p=1e-9, seed=9), replications=50)
+    never = empirical_pi(g, BernoulliDesign(p=1e-9), replications=50, seed=9)
     assert np.all(never.pi == 0)
 
 
@@ -243,8 +243,8 @@ def oracle_z(fast, slow, r_fast, r_slow):
 def test_traceroute_oracle_agrees_with_per_replication_reference(karate, n_s, n_t):
     g, _ = karate
     R = 20_000
-    fast = empirical_pi(g, TracerouteDesign(n_s, n_t, seed=11), R).pi
-    slow = reference_empirical_pi(g, TracerouteDesign(n_s, n_t, seed=12), R).pi
+    fast = empirical_pi(g, TracerouteDesign(n_s, n_t), R, 11).pi
+    slow = reference_empirical_pi(g, TracerouteDesign(n_s, n_t), R, 12).pi
     assert oracle_z(fast, slow, R, R).max() <= ORACLE_Z_BOUND
 
 
@@ -254,8 +254,8 @@ def test_traceroute_oracle_agrees_with_reference_across_components():
                              (5, 6), (6, 7), (7, 8)])
     R = 20_000
     for n_s, n_t in ((1, 1), (2, 3)):
-        fast = empirical_pi(g, TracerouteDesign(n_s, n_t, seed=21), R).pi
-        slow = reference_empirical_pi(g, TracerouteDesign(n_s, n_t, seed=22), R).pi
+        fast = empirical_pi(g, TracerouteDesign(n_s, n_t), R, 21).pi
+        slow = reference_empirical_pi(g, TracerouteDesign(n_s, n_t), R, 22).pi
         assert np.all(fast > 0)
         assert oracle_z(fast, slow, R, R).max() <= ORACLE_Z_BOUND
 
@@ -264,44 +264,46 @@ def test_traceroute_oracle_does_not_depend_on_the_dag_cache(monkeypatch, karate)
     # nor on how its kernel groups a block's sources into chunks: one source a
     # chunk, every source of a block in one, or DAGs recomputed for every block
     kg, _ = karate
-    design = TracerouteDesign(3, 2, seed=8)
-    want = empirical_pi(Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w), design, 3000)
+    design = TracerouteDesign(3, 2)
+    want = empirical_pi(Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w), design, 3000, 8)
     cache, chunk = shortest_paths._CACHE_BYTES, shortest_paths._CHUNK_BYTES
     for cache_bytes, chunk_bytes in ((0, chunk), (cache, 0), (cache, 1 << 62), (0, 0)):
         monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", cache_bytes)
         monkeypatch.setattr(shortest_paths, "_CHUNK_BYTES", chunk_bytes)
         g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
-        got = empirical_pi(g, design, 3000)
+        got = empirical_pi(g, design, 3000, 8)
         assert got.pi.tobytes() == want.pi.tobytes()
         assert (g._sp_cache == {}) == (cache_bytes == 0)
         assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) <= cache_bytes
 
 
-@pytest.mark.parametrize("design", [BernoulliDesign(p=0.4, seed=3), SrsDesign(n_star=12, seed=4)])
+@pytest.mark.parametrize("design", [BernoulliDesign(p=0.4), SrsDesign(n_star=12)])
 def test_induced_oracle_counts_successive_realizations_on_one_stream(karate, design):
     g, _ = karate
-    rng = make_rng(design.seed)
+    seed = {"bernoulli": 3, "srs": 4}[design.kind]
+    rng = make_rng(seed)
     counts = np.zeros(g.edge_count)
     for _ in range(300):
         counts[design.realize(g, rng).edge_index] += 1
-    assert empirical_pi(g, design, 300).pi.tobytes() == (counts / 300).tobytes()
+    assert empirical_pi(g, design, 300, seed).pi.tobytes() == (counts / 300).tobytes()
 
 
-@pytest.mark.parametrize("design", [BernoulliDesign(p=0.3, seed=6), SrsDesign(n_star=10, seed=7)])
+@pytest.mark.parametrize("design", [BernoulliDesign(p=0.3), SrsDesign(n_star=10)])
 def test_induced_oracle_blocks_match_the_per_realization_loop(monkeypatch, karate, design):
     # 2,000 bytes hold 7 rows of karate's masks (n + 3m = 268 bytes a row), so 501
     # realizations span 72 blocks, the last one partial
     g, _ = karate
+    seed = {"bernoulli": 6, "srs": 7}[design.kind]
     monkeypatch.setattr(sampling, "_BLOCK_BYTES", 2000)
-    got = design.edge_counts(g, make_rng(design.seed), 501)
-    want = reference_edge_counts(g, design, make_rng(design.seed), 501)
+    got = design.edge_counts(g, make_rng(seed), 501)
+    want = reference_edge_counts(g, design, make_rng(seed), 501)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert empirical_pi(g, design, 501).pi.tobytes() == (want / 501).tobytes()
+    assert empirical_pi(g, design, 501, seed).pi.tobytes() == (want / 501).tobytes()
 
 
 def test_oracle_on_a_graph_without_nodes_is_empty():
     g = Graph.from_edges(0, [])
-    model = empirical_pi(g, BernoulliDesign(p=0.5), 50)
+    model = empirical_pi(g, BernoulliDesign(p=0.5), 50, DEFAULT_SEED)
     assert model.pi.shape == (0,) and model.source == "empirical:bernoulli"
 
 
@@ -309,7 +311,7 @@ def test_oracle_on_a_graph_without_nodes_is_empty():
                                     TracerouteDesign(2, 2)])
 def test_oracle_on_a_graph_without_edges_is_empty(design):
     g = Graph.from_edges(4, [])
-    model = empirical_pi(g, design, 50)
+    model = empirical_pi(g, design, 50, DEFAULT_SEED)
     assert model.pi.shape == (0,) and model.source == f"empirical:{design.kind}"
 
 
@@ -327,3 +329,15 @@ def test_inclusion_for_traceroute_has_no_joint(karate):
     assert not model.has_joint
     assert np.all(model.pi > 0)  # every karate edge lies on its endpoints' path
     assert model.source == "traceroute-approx" and len(model.pi) == g.edge_count
+
+
+def test_the_oracle_refuses_to_draw_without_a_seed(monkeypatch, karate):
+    # a design is its parameters; the stream the oracle draws on is passed to it
+    g, _ = karate
+
+    def draw(*args):
+        raise AssertionError("the oracle drew without a seed")
+
+    monkeypatch.setattr(TracerouteDesign, "edge_counts", draw)
+    with pytest.raises(ValueError, match="needs a seed"):
+        inclusion_for(g, TracerouteDesign(2, 2), source="empirical", replications=10)

@@ -207,7 +207,7 @@ def test_kernels_on_edge_subsets_match_subgraphs():
                               same_label_weight_values(g, s)[ids])
         if len(ids):
             sub = Graph.from_arrays(n, g.edge_i[ids], g.edge_j[ids], g.edge_w[ids])
-            sample = SampledGraph(None, g, np.arange(n), ids)
+            sample = SampledGraph(g, np.arange(n), ids)
             assert estimate_metric(sample, s, "node_homophily", "plug_in").point == \
                 node_homophily(sub, s)
 

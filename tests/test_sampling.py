@@ -15,7 +15,6 @@ from homsample.sampling import (
     design_from_dict,
     design_to_dict,
     srs_node_sample,
-    with_seed,
 )
 from homsample.shortest_paths import path_dag, sample_path
 from oracles import all_shortest_paths, random_graph
@@ -58,7 +57,7 @@ def test_srs_size_and_range():
     assert len(sub) == 3 and len(set(sub.tolist())) == 3
     for bad in (0, 7):
         with pytest.raises(ValueError):
-            draw_sample(g, SrsDesign(n_star=bad, seed=1))
+            draw_sample(g, SrsDesign(n_star=bad), 1)
 
 
 def test_srs_uniform_over_subsets():
@@ -171,25 +170,29 @@ def test_traceroute_paths_recorded(karate):
 
 
 @pytest.mark.parametrize("design", [
-    BernoulliDesign(p=0.4, seed=123),
-    SrsDesign(n_star=10, seed=123),
-    TracerouteDesign(n_sources=3, n_targets=4, seed=123),
+    BernoulliDesign(p=0.4),
+    SrsDesign(n_star=10),
+    TracerouteDesign(n_sources=3, n_targets=4),
 ])
 def test_draw_sample_deterministic(design, karate):
     g, _ = karate
-    a = draw_sample(g, design)
-    b = draw_sample(g, design)
+    a = draw_sample(g, design, 123)
+    b = draw_sample(g, design, 123)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.edge_index, b.edge_index)
     assert a.paths == b.paths
-    c = draw_sample(g, with_seed(design, 124))
+    c = draw_sample(g, design, 124)
     assert not (np.array_equal(a.nodes, c.nodes) and np.array_equal(a.edge_index, c.edge_index))
 
 
 def test_design_dict_roundtrip():
-    for design in (BernoulliDesign(0.2, seed=9), SrsDesign(5, seed=9),
-                   TracerouteDesign(2, 3, seed=9)):
-        assert design_from_dict(design_to_dict(design)) == design
+    for design in (BernoulliDesign(0.2), SrsDesign(5), TracerouteDesign(2, 3)):
+        d = design_to_dict(design, 9)
+        assert d["seed"] == 9
+        assert design_from_dict({k: v for k, v in d.items() if k != "seed"}) == design
+        # a design is its parameters: the seed it was drawn on is not one of them
+        with pytest.raises(ValueError, match="bad parameters"):
+            design_from_dict(d)
     with pytest.raises(ValueError, match="unknown design"):
         design_from_dict({"kind": "snowball"})
 
@@ -197,21 +200,23 @@ def test_design_dict_roundtrip():
 def test_design_validation(karate):
     g, _ = karate
     with pytest.raises(ValueError):
-        draw_sample(g, BernoulliDesign(p=0.0))
+        draw_sample(g, BernoulliDesign(p=0.0), 0)
     with pytest.raises(ValueError):
-        draw_sample(g, SrsDesign(n_star=35))
+        draw_sample(g, SrsDesign(n_star=35), 0)
     with pytest.raises(ValueError):
-        draw_sample(g, TracerouteDesign(n_sources=0, n_targets=3))
+        draw_sample(g, TracerouteDesign(n_sources=0, n_targets=3), 0)
 
 
 def test_sample_json_shape(karate):
     g, _ = karate
-    sample = draw_sample(g, SrsDesign(n_star=8, seed=3))
+    design = SrsDesign(n_star=8)
+    sample = draw_sample(g, design, 3)
     d = sample.to_json_dict()
-    assert d["design"]["kind"] == "srs" and d["seed"] == 3
+    # the design and seed are written by the command that drew the sample (test_cli)
+    assert "design" not in d and "seed" not in d
     assert len(d["edges"]) == sample.edge_count
     assert all(e["pi"] is None for e in d["edges"])
-    incl = sample.design.inclusion(g)
+    incl = design.inclusion(g)
     filled = sample.to_json_dict(incl)
     assert [e["pi"] for e in filled["edges"]] == incl.pi[sample.edge_index].tolist()
     assert {k: v for k, v in filled.items() if k != "edges"} == {k: v for k, v in d.items() if k != "edges"}

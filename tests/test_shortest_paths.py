@@ -238,7 +238,7 @@ def test_block_kernel_holds_one_chunk_of_dags_at_a_time(monkeypatch):
         monkeypatch.setattr(shortest_paths, "_CHUNK_BYTES", budget)
         tracemalloc.start()
         try:
-            counts = TracerouteDesign(40, 3, seed=1).edge_counts(g, make_rng(1), 1)
+            counts = TracerouteDesign(40, 3).edge_counts(g, make_rng(1), 1)
             peaks[budget] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
