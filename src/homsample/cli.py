@@ -12,6 +12,7 @@ commands start without them.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import itertools
 import json
@@ -104,7 +105,10 @@ def _add_design_flags(p):
 
 
 def _add_pi_flags(p):
-    p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic")
+    p.add_argument("--pi", choices=["analytic", "empirical"], default="analytic",
+                   help="inclusion probabilities: closed forms, or under traceroute the "
+                        "betweenness approximation, which runs one BFS per node (minutes at "
+                        "n = 200k); or the Monte Carlo oracle (default analytic)")
     p.add_argument("--pi-reps", type=int,
                    help="replications of the empirical inclusion oracle, with --pi empirical "
                         f"only (default {DEFAULT_PI_REPLICATIONS})")
@@ -178,7 +182,11 @@ def _write_pieces(pieces, out_path):
     temporary file beside it that replaces ``out_path`` once the last piece
     is written: an error on the way, such as a refused value, leaves no file."""
     tmp = f"{out_path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
+        # the output's directory is at fault: name the output, not the file beside it
+        raise type(exc)(exc.errno, exc.strerror, out_path) from None
     try:
         with fh:
             fh.writelines(pieces)
@@ -421,10 +429,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags that name an output file
+_OUT_FLAGS = ("out", "summary_csv", "hist_csv", "estimates_csv", "csv")
+
+
+def _check_out_dirs(args):
+    """Refuse an output file in a missing directory before any work is done."""
+    for name in _OUT_FLAGS:
+        path = getattr(args, name, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dirs(args)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

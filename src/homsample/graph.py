@@ -51,6 +51,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    numpy sorts 16-bit keys stably by a radix sort, in linear time, so the
+    keys are sorted one 16-bit digit at a time, least significant first.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
+
+
 class Graph:
     """Undirected weighted graph with canonical edge storage.
 
@@ -152,18 +164,41 @@ class Graph:
 
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, nbr, nbr_eid)``, the CSR adjacency over both directions:
-        built, frozen and kept the first time a traversal asks for it."""
+        built, frozen and kept the first time a traversal asks for it.
+
+        Node v's arcs are ``indptr[v]:indptr[v + 1]``: first the edges where
+        v is ``edge_i``, then those where it is ``edge_j``, each group in
+        edge order. ``indptr`` is int64; ``nbr`` and ``nbr_eid`` are int32,
+        8 B per arc, so a graph with 2^31 nodes or arcs is refused. The
+        build is a counting sort: ``edge_i`` is sorted, so each node's
+        first group is a run of consecutive edges, and the second group is
+        ordered by a stable 16-bit radix sort of ``edge_j``. Beyond its
+        result it holds a few edge-sized arrays and no node-sized one.
+        """
         if self._indptr is None:
             n, m = self.node_count, len(self.edge_i)
-            src = np.concatenate([self.edge_i, self.edge_j])
-            dst = np.concatenate([self.edge_j, self.edge_i])
-            eid = np.concatenate([np.arange(m), np.arange(m)])
-            order = np.argsort(src, kind="stable")
+            if n >= 1 << 31 or 2 * m >= 1 << 31:
+                raise ValueError(f"a graph of {n} nodes and {2 * m} arcs is too large for "
+                                 "32-bit traversal ids (at most 2^31 - 1 of each)")
+            ei, ej = self.edge_i, self.edge_j
             # entry v + 1 counts v's edges; summed in place, the one node-sized array is indptr
-            indptr = np.bincount(src + 1, minlength=n + 1).astype(np.int64, copy=False)
-            self._nbr = _freeze(dst[order])
-            self._nbr_eid = _freeze(eid[order])
-            self._indptr = _freeze(np.cumsum(indptr, out=indptr))
+            indptr = np.bincount(ei + 1, minlength=n + 1)
+            np.add.at(indptr, ej + 1, 1)
+            np.cumsum(indptr, out=indptr)
+            by_j = stable_argsort(ej, n)
+            sorted_j = ej[by_j]
+            nbr = np.empty(2 * m, dtype=np.int32)
+            nbr_eid = np.empty(2 * m, dtype=np.int32)
+            e = np.arange(m)
+            # edge e's arc out of edge_i[e] follows the arcs of earlier nodes into edge_j
+            pos = np.searchsorted(sorted_j, ei)
+            pos += e
+            nbr[pos], nbr_eid[pos] = ej, e
+            # the k-th arc out of an edge_j follows all arcs out of an edge_i up to that node
+            pos = np.searchsorted(ei, sorted_j, side="right")
+            pos += e
+            nbr[pos], nbr_eid[pos] = ei[by_j], by_j
+            self._nbr, self._nbr_eid, self._indptr = _freeze(nbr), _freeze(nbr_eid), _freeze(indptr)
         return self._indptr, self._nbr, self._nbr_eid
 
     # -- basic queries -----------------------------------------------------

@@ -48,12 +48,19 @@ class InclusionModel:
     mark edges the design can never sample. ``joint_by_span[k]`` is the
     closed-form joint probability of an edge pair spanning k distinct
     nodes (k = 2..4); without it joints are unavailable. A closed-form
-    model gives every edge the same ``pi``.
+    model gives every edge the same ``pi``: the variance reads a row's
+    ``pi`` from its first edge, so a span table with a ``pi`` that varies
+    is refused.
     """
 
     source: str
     pi: np.ndarray
     joint_by_span: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.joint_by_span is not None and len(self.pi) and (self.pi != self.pi[0]).any():
+            raise ValueError(f"the {self.source} model has a span table, which needs the same "
+                             "pi on every edge, but its pi varies from edge to edge")
 
     @property
     def has_joint(self) -> bool:
@@ -83,15 +90,19 @@ def edge_betweenness(g: Graph) -> np.ndarray:
     b = np.zeros(g.edge_count)
     for s in range(g.node_count):
         dag = path_dag(g, s)
-        sigma, order, levels = dag.sigma, dag.order, dag.levels
+        sigma, levels = dag.sigma, dag.levels.tolist()
+        # the DAG's int32 ids, in intp once: numpy indexes by intp fastest
+        order, pred = dag.order.astype(np.intp), dag.pred.astype(np.intp)
+        pred_eid = dag.pred_eid.astype(np.intp)
+        count = np.subtract(dag.pred_hi, dag.pred_lo, dtype=np.intp)
         delta = np.zeros(g.node_count)
         for d in range(len(levels) - 2, 0, -1):
             w = order[levels[d]:levels[d + 1]][::-1]
             lo, hi = dag.pred_lo[w[-1]], dag.pred_hi[w[0]]
-            v = dag.pred[lo:hi][::-1]
-            coef = np.repeat((1.0 + delta[w]) / sigma[w], dag.pred_hi[w] - dag.pred_lo[w])
+            v = pred[lo:hi][::-1]
+            coef = np.repeat((1.0 + delta[w]) / sigma[w], count[w])
             c = sigma[v] * coef
-            b[dag.pred_eid[lo:hi][::-1]] += c
+            b[pred_eid[lo:hi][::-1]] += c
             np.add.at(delta, v, c)
     b.flags.writeable = False
     g._betweenness = b

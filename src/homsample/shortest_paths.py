@@ -4,11 +4,15 @@ random draws from the set of shortest paths, one target at a time
 (``sample_path``) or every (row, source, target) path of a block of
 realizations at once (``sample_paths``).
 
-A DAG is built by a level-synchronous BFS over the graph's CSR arrays:
+A DAG is built by a level-synchronous BFS over the graph's CSR arrays
+(``Graph._adjacency``: int32 neighbours and edge ids, 8 B an arc):
 each frontier is expanded at once, new nodes are numbered in the order
 the node-at-a-time BFS would discover them, and path counts are summed
 in that BFS's order, so every count is bitwise the one it computes. The
-DAG is a handful of flat arrays, with no per-node Python objects.
+DAG is a handful of flat arrays, with no per-node Python objects: its ids
+are int32 and its path counts float64, 24 B a node and 8 B a predecessor
+entry, plus 8 B an entry for running sums. Traversals compute in intp,
+which numpy indexes by fastest, and store int32 once per DAG.
 
 Path counts are kept as floats; only their ratios are ever used. DAGs are
 rng-free, so they are cached on the graph and reused across replications
@@ -25,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, stable_argsort
 
 # per-graph budget for cached DAGs, counted by the bytes of their arrays
 _CACHE_BYTES = 128 << 20
@@ -45,7 +49,7 @@ class PathDag:
     each level's predecessors are one contiguous slice. ``cum``, once
     :func:`sample_paths` has needed it and the cache budget holds it, keeps
     the running sums of ``sigma[pred]`` within each group, aligned with
-    ``pred``.
+    ``pred``. ``sigma`` and ``cum`` are float64; every other array is int32.
     """
 
     source: int
@@ -81,49 +85,56 @@ def path_dag(g: Graph, source: int) -> PathDag:
 def _bfs_dag(g: Graph, source: int) -> PathDag:
     n = g.node_count
     indptr, nbr, nbr_eid = g._adjacency()
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, -1, dtype=np.int32)
     sigma = np.zeros(n)
-    pred_lo = np.zeros(n, dtype=np.int64)
-    pred_hi = np.zeros(n, dtype=np.int64)
     dist[source] = 0
     sigma[source] = 1.0
     degree = g.degrees()
-    frontier = np.array([source], dtype=np.int64)
+    # each level is computed in intp, which numpy indexes by fastest; the DAG stores int32
+    frontier = np.array([source], dtype=np.intp)
     # first[w]: position, among its level's arcs, of the first arc that reaches w
-    first = np.full(n, len(nbr), dtype=np.int64)
-    order, preds, eids = [frontier], [], []
+    first = np.full(n, len(nbr), dtype=np.intp)
+    order, preds, eids, starts, levels = [frontier], [], [], [], [0, 1]
     depth, stored = 0, 0
     while True:
         # every arc out of the frontier, in the order the node-at-a-time BFS scans them
         deg = degree[frontier]
         end = deg.cumsum()
         arc = np.arange(end[-1]) + (indptr[frontier] - end + deg).repeat(deg)
-        w = nbr[arc]
+        w = nbr[arc].astype(np.intp)
         fresh = (dist[w] < 0).nonzero()[0]
         if not len(fresh):
             break
         v, w, arc = frontier.repeat(deg)[fresh], w[fresh], arc[fresh]
         # group the arcs by target in first-discovery order; a stable sort keeps
-        # each group's predecessors in BFS order
+        # each group's predecessors in BFS order, led by its first arc
         np.minimum.at(first, w, fresh)
-        grouped = first[w].argsort(kind="stable")
+        key = first[w]
+        grouped = stable_argsort(key, int(end[-1]))
         v, w, e = v[grouped], w[grouped], nbr_eid[arc[grouped]]
-        bound = np.concatenate([[0], (w[1:] != w[:-1]).nonzero()[0] + 1, [len(w)]])
-        frontier = w[bound[:-1]]
+        start = (key == fresh)[grouped].nonzero()[0]
+        frontier = w[start]
         depth += 1
         dist[frontier] = depth
         np.add.at(sigma, w, sigma[v])
-        pred_lo[frontier] = stored + bound[:-1]
-        pred_hi[frontier] = stored + bound[1:]
         order.append(frontier)
         preds.append(v)
         eids.append(e)
+        starts.append(start + stored)
         stored += len(w)
-    levels = np.cumsum([0] + [len(level) for level in order])
+        levels.append(levels[-1] + len(frontier))
+    del first, degree   # the level state: only the DAG's arrays are built from here
+    # each reached node's predecessor group ends where the next one starts
+    bounds = np.concatenate([*starts, [stored]])
     order = np.concatenate(order)
-    pred = np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
-    pred_eid = np.concatenate(eids) if eids else np.empty(0, dtype=np.int64)
-    return PathDag(source, dist, sigma, order, levels, pred_lo, pred_hi, pred, pred_eid)
+    pred_lo = np.zeros(n, dtype=np.int32)
+    pred_hi = np.zeros(n, dtype=np.int32)
+    pred_lo[order[1:]] = bounds[:-1]
+    pred_hi[order[1:]] = bounds[1:]
+    pred = np.concatenate(preds, dtype=np.int32) if preds else np.empty(0, dtype=np.int32)
+    pred_eid = np.concatenate(eids) if eids else np.empty(0, dtype=np.int32)
+    return PathDag(source, dist, sigma, order.astype(np.int32), np.array(levels, dtype=np.int32),
+                   pred_lo, pred_hi, pred, pred_eid)
 
 
 def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None:
@@ -173,11 +184,11 @@ def _running_sums(g: Graph, dag: PathDag) -> np.ndarray:
     if dag.cum is not None:
         return dag.cum
     cum = dag.sigma[dag.pred]
-    nodes = dag.order[1:]
-    size = dag.pred_hi[nodes] - dag.pred_lo[nodes]
-    pos = np.arange(len(cum)) - dag.pred_lo[nodes].repeat(size)
-    by_pos = pos.argsort(kind="stable")
+    # the groups tile pred in BFS order of their nodes
+    lo = dag.pred_lo[dag.order[1:]]
+    pos = np.arange(len(cum)) - lo.repeat(np.diff(lo, append=len(cum)))
     bounds = np.bincount(pos).cumsum()
+    by_pos = stable_argsort(pos, len(bounds))
     for k in range(1, len(bounds)):
         at = by_pos[bounds[k - 1]:bounds[k]]
         cum[at] += cum[at - 1]
@@ -219,10 +230,10 @@ def sample_paths(g: Graph, sources: np.ndarray, targets: np.ndarray, rng):
     chunk, size, begin = [], 0, 0
     for s, end in zip(distinct.tolist(), per_source[distinct].cumsum().tolist()):
         dag = path_dag(g, s)
-        # the DAG's arrays, held (five node and three predecessor arrays) and
-        # gathered (four and three), and its walkers' index arrays and
-        # uniforms, at most one a level
-        share = 72 * n + 48 * len(dag.pred) + (end - begin) * n_t * (120 + 8 * len(dag.levels))
+        # the DAG's arrays, held (24 B a node, and 16 B a predecessor with its
+        # running sum) and gathered (28 B and 24 B), and its walkers' index
+        # arrays and uniforms, at most one a level
+        share = 52 * n + 40 * len(dag.pred) + (end - begin) * n_t * (120 + 8 * len(dag.levels))
         if chunk and size + share > _CHUNK_BYTES:
             yield from _walk(n, chunk, n_s, targets, rng)
             chunk, size = [], 0
@@ -246,10 +257,11 @@ def _walk(n: int, chunk: list, n_s: int, targets: np.ndarray, rng):
     offsets = np.cumsum([0] + [len(d.pred) for d in dags[:-1]])
     dist = np.concatenate([d.dist for d in dags])
     sigma = np.concatenate([d.sigma for d in dags])
-    pred_lo = np.concatenate([d.pred_lo + o for d, o in zip(dags, offsets)])
-    pred_hi = np.concatenate([d.pred_hi + o for d, o in zip(dags, offsets)])
-    pred = np.concatenate([d.pred + c * n for c, d in enumerate(dags)])
-    pred_eid = np.concatenate([d.pred_eid for d in dags])
+    # the walk and its callers index by these, so they are gathered in intp
+    pred_lo = np.concatenate([np.add(d.pred_lo, o, dtype=np.intp) for d, o in zip(dags, offsets)])
+    pred_hi = np.concatenate([np.add(d.pred_hi, o, dtype=np.intp) for d, o in zip(dags, offsets)])
+    pred = np.concatenate([np.add(d.pred, c * n, dtype=np.intp) for c, d in enumerate(dags)])
+    pred_eid = np.concatenate([d.pred_eid for d in dags], dtype=np.intp)
     cum = np.concatenate(cums)
     entry = np.concatenate(entries)
     n_t = targets.shape[1]

@@ -326,6 +326,33 @@ def test_a_record_refused_at_one_row_leaves_no_file(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--summary-csv", "--hist-csv", "--estimates-csv"])
+def test_an_output_in_a_missing_directory_is_refused_before_the_first_replication(
+        tmp_path, monkeypatch, capsys, flag):
+    def run_experiment(cfg, dataset):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    path = str(tmp_path / "missing" / "out")
+    code = cli.main(["experiment", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+                     "--reps", "5", flag, path])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_an_output_in_a_missing_directory_is_named_as_given(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "r.json")
+    code = cli.main(["estimate", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+                     "--out", path])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    # the writer, too, names the output and not the temporary file beside it
+    with pytest.raises(FileNotFoundError) as info:
+        cli._write_pieces(["{}\n"], path)
+    assert info.value.filename == path
+    assert list(tmp_path.iterdir()) == []
+
+
 def _peak_rss_mb(*args) -> float:
     """Peak RSS of one CLI run. A small parent spawns it: a child's peak
     starts at the peak of the process it is spawned from."""

@@ -23,6 +23,7 @@ from homsample.graph import (
     LabelError,
     UnlabelledNodeError,
     dump_edge_list,
+    stable_argsort,
 )
 from homsample.graphon import sample_w_random_graph, two_block_graphon
 from homsample.shortest_paths import path_dag
@@ -191,11 +192,24 @@ def test_adjacency_is_built_on_first_traversal(karate):
 
 def test_adjacency_arrays_match_the_concatenating_build():
     rng = np.random.default_rng(8)
-    for n in (1, 2, 5, 13):
-        g = random_graph(rng, n=n, p=0.5, weighted=True)
-        for got, want in zip(g._adjacency(), reference_csr(g)):
-            assert got.dtype == want.dtype == np.int64
-            assert got.tobytes() == want.tobytes()
+    graphs = [random_graph(rng, n=n, p=0.5, weighted=True) for n in (1, 2, 5, 13)]
+    # past 2^16 nodes the radix sort of edge_j takes a second 16-bit pass
+    i = rng.integers(0, 70_000, 5000)
+    graphs.append(Graph.from_arrays(70_000, i, (i + rng.integers(1, 70_000, 5000)) % 70_000))
+    for g in graphs:
+        got, want = g._adjacency(), reference_csr(g)
+        assert [a.dtype for a in got] == [np.int64, np.int32, np.int32]
+        # the same values in the same order as the stable argsort of both directions
+        assert all(a.tobytes() == b.astype(a.dtype).tobytes() for a, b in zip(got, want))
+
+
+@settings(max_examples=50, deadline=None)
+@given(bits=st.integers(0, 40), size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_stable_argsort_is_numpys_stable_argsort(bits, size, seed):
+    # one 16-bit radix pass per digit below the bound, with ties in input order
+    bound = 1 << bits
+    keys = np.random.default_rng(seed).integers(0, bound, size) // 3
+    assert np.array_equal(stable_argsort(keys, bound), np.argsort(keys, kind="stable"))
 
 
 def test_adjacency_build_holds_one_node_sized_array():
@@ -715,3 +729,15 @@ def test_load_dataset_reads_each_file_once(tmp_path, monkeypatch):
     g2, s2, _ = load_dataset(tmp_path / "m.json")
     assert g2 == g and s2.labels.tolist() == [0, 1, 0, 1, 0]
     assert sorted(opened) == ["e.txt", "l.txt", "m.json"]
+
+
+def test_adjacency_refuses_ids_past_int32_before_it_allocates():
+    # 2^31 nodes would take 16 GiB of indptr: the guard comes first
+    g = Graph(2**31, [0], [1], [1.0])
+    # 2^30 copies of one edge, as broadcast views of no memory: 2^31 arcs
+    arcs = Graph.__new__(Graph)
+    arcs._own(2, *(np.broadcast_to(x, (2**30,)) for x in (np.int64(0), np.int64(1), 1.0)))
+    for big in (g, arcs):
+        with pytest.raises(ValueError, match="32-bit traversal ids"):
+            big._adjacency()
+        assert big._indptr is None

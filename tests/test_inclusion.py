@@ -8,6 +8,7 @@ import pytest
 from homsample import (
     BernoulliDesign,
     Graph,
+    InclusionModel,
     SrsDesign,
     TracerouteDesign,
     approx_pi_traceroute,
@@ -321,6 +322,18 @@ def test_zero_pi_directs_to_oracle():
     zeroed = dataclasses.replace(model, pi=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="empirical"):
         ht_total(induced_subgraph(g, [0, 1, 2]), np.ones(2), zeroed)
+
+
+def test_a_span_table_needs_one_pi_for_every_edge():
+    # the span variance reads a row's pi from its first edge
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    table = inclusion_for(g, BernoulliDesign(p=0.5)).joint_by_span
+    with pytest.raises(ValueError, match="same pi on every edge"):
+        InclusionModel("analytic:bernoulli", np.array([0.25, 0.5]), table)
+    # a model with no edges, or with no span table, builds
+    assert InclusionModel("analytic:bernoulli", np.empty(0), table).has_joint
+    assert not InclusionModel("traceroute-approx", np.array([0.25, 0.5])).has_joint
+    assert not inclusion_for(Graph.from_edges(0, []), BernoulliDesign(p=0.5)).pi.size
 
 
 def test_inclusion_for_traceroute_has_no_joint(karate):

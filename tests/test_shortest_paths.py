@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from homsample import Graph, TracerouteDesign, edge_betweenness, make_rng
 from homsample import sampling, shortest_paths
+from homsample.graphon import sample_w_random_graph, two_block_graphon
 from homsample.shortest_paths import path_dag, sample_path, sample_paths
 from oracles import (
     random_graph,
@@ -246,3 +247,22 @@ def test_block_kernel_holds_one_chunk_of_dags_at_a_time(monkeypatch):
     assert peaks[0] <= 4 * one
     assert peaks[1 << 20] <= (1 << 20) + 4 * one
     assert peaks[1 << 62] > 40 * one
+
+
+def test_dags_hold_int32_ids_in_24_bytes_a_node_and_8_a_predecessor():
+    # the traceroute-betweenness graph of the benchmark, at workload seed 1
+    w, _ = two_block_graphon(0.13, 0.05)
+    g, _ = sample_w_random_graph(w, 200, np.random.default_rng([1, 0]))
+    edge_betweenness(g)
+    assert len(g._sp_cache) == g.node_count
+    ids = ("dist", "order", "levels", "pred_lo", "pred_hi", "pred", "pred_eid")
+    for dag in g._sp_cache.values():
+        assert all(getattr(dag, name).dtype == np.int32 for name in ids)
+        assert dag.sigma.dtype == np.float64 and dag.cum is None
+        assert dag.nbytes == 24 * g.node_count + 8 * len(dag.pred) + dag.levels.nbytes
+    total = sum(d.nbytes for d in g._sp_cache.values())
+    assert g._sp_cache_bytes == total
+    # 2.22 MB; with int64 ids the same DAGs took 4.12 MB
+    assert total < 2_400_000
+    for a in g._adjacency()[1:]:
+        assert a.dtype == np.int32
