@@ -114,14 +114,14 @@ def _add_pi_flags(p):
                         f"only (default {DEFAULT_PI_REPLICATIONS})")
 
 
-def _pi_replications(args) -> int:
+def _pi_replications(args, reads_pi: bool = True) -> int:
     """The oracle's replication count; --pi-reps is an error under --pi analytic,
-    which runs no oracle."""
-    if args.pi_reps is None:
-        return DEFAULT_PI_REPLICATIONS
-    if args.pi != "empirical":
+    which runs no oracle, and --pi empirical one where no mode ``reads_pi``."""
+    if args.pi_reps is not None and args.pi != "empirical":
         raise ValueError(f"--pi-reps belongs to --pi empirical, not to --pi {args.pi}")
-    return args.pi_reps
+    if args.pi == "empirical" and not reads_pi:
+        raise ValueError("--pi empirical belongs to a mode that reads pi, not to plug_in")
+    return DEFAULT_PI_REPLICATIONS if args.pi_reps is None else args.pi_reps
 
 
 # each design's parameter flags, by their argparse names
@@ -135,8 +135,13 @@ def _flag_name(name: str) -> str:
 
 def _values(args, name: str, cast) -> list:
     """The comma list of flag ``name``, each value cast; a list with no
-    value is an error that names the flag."""
-    values = [cast(x) for x in getattr(args, name).split(",") if x]
+    value, or a value that does not cast, is an error that names the flag."""
+    values = []
+    for x in filter(None, getattr(args, name).split(",")):
+        try:
+            values.append(cast(x))
+        except ValueError:
+            raise ValueError(f"{_flag_name(name)}: invalid {cast.__name__} value {x!r}") from None
     if not values:
         raise ValueError(f"{_flag_name(name)} lists no value")
     return values
@@ -252,11 +257,11 @@ def _cmd_sample(args):
 
 
 def _cmd_estimate(args):
-    pi_reps = _pi_replications(args)
-    g, s, name = _load_from_flags(args)
-    design = _single_design(args, g.node_count)
     kind = _metric_kind(args.metric)
     mode = args.mode or MODES_FOR_KIND[kind][0]
+    pi_reps = _pi_replications(args, reads_pi=mode != PLUG_IN)
+    g, s, name = _load_from_flags(args)
+    design = _single_design(args, g.node_count)
     sample = draw_sample(g, design, args.seed)
     # plug-in estimates never read pi
     incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
@@ -270,15 +275,15 @@ def _cmd_experiment(args):
     from .harness import (ExperimentConfig, run_experiment, summarize, write_estimates_csv,
                           write_histogram_csv, write_summary_csv)
 
-    pi_reps = _pi_replications(args)
-    g, s, name = _load_from_flags(args)
-    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count)))
-             for v in _design_values(args)]
     if args.metric == "all":
         kinds = list(TABLE_METRICS)
     else:
         kinds = [_metric_kind(m) for m in args.metric.split(",")]
     pairs = tuple((k, args.mode or MODES_FOR_KIND[k][0]) for k in kinds)
+    pi_reps = _pi_replications(args, reads_pi=any(mode != PLUG_IN for _, mode in pairs))
+    g, s, name = _load_from_flags(args)
+    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count)))
+             for v in _design_values(args)]
     cfg = ExperimentConfig(
         dataset=name,
         design={"kind": args.design},
@@ -434,11 +439,14 @@ _OUT_FLAGS = ("out", "summary_csv", "hist_csv", "estimates_csv", "csv")
 
 
 def _check_out_dirs(args):
-    """Refuse an output file in a missing directory before any work is done."""
+    """Refuse an output file in a missing directory, or one that is a
+    directory, before any work is done."""
     for name in _OUT_FLAGS:
         path = getattr(args, name, None)
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def main(argv=None) -> int:

@@ -16,8 +16,9 @@ Normalized metrics are estimated either as a ratio of two HT totals
 dividing one HT total by the parent graph's known normalizer
 ("known_denominator": exactly unbiased). A sample carries its parent graph
 and the ids of its edges there. Every estimate runs through
-:meth:`SweepColumns.estimate_block`, which estimates a block of samples
-(:class:`~homsample.sampling.SampleBlock`) for all its metric pairs in one
+:func:`estimate_block(block, signal, incl, pairs) <estimate_block>`, which
+estimates a block of samples (:class:`~homsample.sampling.SampleBlock`: their
+parent graph, edge ids and row offsets) for all its metric pairs in one
 call: the :mod:`homsample.metrics` kernels and ``pi`` are evaluated once
 per call on the block's edge ids, each row's totals are the pairwise sums
 of its own slice, and each row is checked as one sample is, so a row's
@@ -151,21 +152,21 @@ def _floor_error(g: Graph, edge: int, pi: float, source: str) -> DegenerateSampl
         "if it produced this model")
 
 
-def _block_pi(g: Graph, incl: InclusionModel, ids: np.ndarray, offsets: np.ndarray,
-              invalid: dict) -> np.ndarray:
-    """``incl.pi`` of the edges ``ids``, rows at ``offsets``.
+def _block_pi(block: SampleBlock, incl: InclusionModel, invalid: dict) -> np.ndarray:
+    """``incl.pi`` of the edges of ``block``.
 
     A value below PI_FLOOR contradicts its row's realization: the row goes
     into ``invalid`` (unless a check before made it invalid) with its first
     such edge named, and the value reads 1 so that dividing by it is quiet.
     """
+    ids = block.edge_index
     pi = incl.pi[ids]
     bad = np.flatnonzero(pi < PI_FLOOR)
     if len(bad):
-        rows, first = np.unique(np.searchsorted(offsets, bad, side="right") - 1,
+        rows, first = np.unique(np.searchsorted(block.offsets, bad, side="right") - 1,
                                 return_index=True)
         for row, pos in zip(rows.tolist(), bad[first].tolist()):
-            invalid.setdefault(row, _floor_error(g, ids[pos], pi[pos], incl.source))
+            invalid.setdefault(row, _floor_error(block.parent, ids[pos], pi[pos], incl.source))
         pi[bad] = 1.0
     return pi
 
@@ -224,23 +225,23 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
     if sample.edge_count == 0:
         return 0.0
     invalid = {}
-    pi = _block_pi(sample.parent, incl, sample.edge_index, row_offsets([sample.edge_count]),
-                   invalid)
+    pi = _block_pi(SampleBlock.of(sample), incl, invalid)
     if invalid:
         raise invalid[0]
     return float((values / pi).sum())
 
 
-def _row_span_variances(g: Graph, ids: np.ndarray, rows: _Rows, values: np.ndarray,
+def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
                         pi: np.ndarray, incl: InclusionModel, invalid: dict,
                         clamp_negative: bool) -> tuple[np.ndarray, list]:
-    """:func:`ht_variance` of each row of the edges ``ids`` that is not
-    ``invalid``, as a variance and a status column (NaN and "exact_design"
-    for invalid rows); a row with a sampled pair in a span class of joint
-    probability 0 joins ``invalid``. Totals and node sums come for all rows
-    at once; Q and A are one BLAS ``@`` per row, as on that row's sample alone.
+    """:func:`ht_variance` of each row of ``block`` (``rows`` its offsets)
+    that is not ``invalid``, as a variance and a status column (NaN and
+    "exact_design" for invalid rows); a row with a sampled pair in a span
+    class of joint probability 0 joins ``invalid``. Totals and node sums
+    come for all rows at once; Q and A are one BLAS ``@`` per row, as on
+    that row's sample alone.
     """
-    sums, degrees, node_lengths = node_sums(g, ids, rows.lengths, values)
+    sums, degrees, node_lengths = node_sums(block.parent, block.edge_index, rows.lengths, values)
     node_rows = _Rows(row_offsets(node_lengths))
     degree_sq = row_offsets(degrees * degrees)[node_rows.offsets]
     pairs3_by_row = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
@@ -311,23 +312,22 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     values = _sampled_values(sample, values)
     if not incl.has_joint:
         return None, VARIANCE_UNSUPPORTED
-    g, ids, offsets = sample.parent, sample.edge_index, row_offsets([sample.edge_count])
+    block = SampleBlock.of(sample)
     invalid = {}   # a pi below the floor, then a zero joint
-    pi = _block_pi(g, incl, ids, offsets, invalid)
-    variances, statuses = _row_span_variances(g, ids, _Rows(offsets), values, pi, incl,
+    pi = _block_pi(block, incl, invalid)
+    variances, statuses = _row_span_variances(block, _Rows(block.offsets), values, pi, incl,
                                               invalid, clamp_negative)
     if invalid:
         raise invalid[0]
     return float(variances[0]), statuses[0]
 
 
-class SweepColumns:
-    """One graph, signal and inclusion model, estimated a block of samples at a time.
-
-    An experiment builds one per sweep value and estimates each block of
-    replications, all its metric pairs at once, with :meth:`estimate_block`;
-    :func:`estimate_metric` is its one-row, one-pair case, so every estimate
-    runs the same code:
+def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel | None,
+                   pairs) -> dict:
+    """``{"kind:mode": Estimates}`` for each (kind, mode) of ``pairs``, one
+    row per row of ``block``: the row's point, variance and variance status
+    as :func:`estimate_metric` reports them, or the DegenerateSampleError it
+    raises. ``incl`` is required unless every mode is "plug_in".
 
     - each ``EDGE_METRICS`` kernel, and node homophily's same-label
       indicator, is evaluated once per call on the block's edge ids and
@@ -346,80 +346,67 @@ class SweepColumns:
     fails the checks in the order one sample does: the pi floor, then a zero
     denominator or a zero joint, then a non-finite point.
     """
+    for kind, mode in pairs:
+        check_mode(kind, mode)
+        if mode != PLUG_IN and incl is None:
+            raise ValueError(f"mode {mode!r} requires an inclusion model")
+    rows = _Rows(block.offsets)
+    # each kernel's values at the block's edges, kept until the last pair that reads them
+    kernels, left = {}, Counter(_KERNELS[kind] for kind, _ in pairs)
+    floor, pi = {}, None   # the rows that fail pi's floor test, and pi at the edges
+    out = {}
+    for kind, mode in pairs:
+        kernel = _KERNELS[kind]
+        if kernel not in kernels:
+            kernels[kernel] = kernel(block.parent, signal, block.edge_index)
+        left[kernel] -= 1
+        if mode != PLUG_IN and pi is None:
+            pi = _block_pi(block, incl, floor)
+        out[f"{kind}:{mode}"] = _estimate_rows(
+            block, rows, kind, mode, kernels[kernel] if left[kernel] else kernels.pop(kernel),
+            pi, incl, {} if mode == PLUG_IN else dict(floor))
+    return out
 
-    def __init__(self, g: Graph, signal: GraphSignal, incl: InclusionModel | None):
-        self.graph = g
-        self.signal = signal
-        self.incl = incl
-        self.total_weight = total_edge_weight(g)
 
-    def estimate_block(self, block: SampleBlock, pairs) -> dict:
-        """``{"kind:mode": Estimates}`` for each (kind, mode) of ``pairs``, one
-        row per row of ``block``, a block of this graph: the row's point,
-        variance and variance status as :func:`estimate_metric` reports them,
-        or the DegenerateSampleError it raises."""
-        for kind, mode in pairs:
-            check_mode(kind, mode)
-            if mode != PLUG_IN and self.incl is None:
-                raise ValueError(f"mode {mode!r} requires an inclusion model")
-        if block.parent is not self.graph:
-            raise ValueError("sample is not drawn from the graph of these columns")
-        g, ids, rows = self.graph, block.edge_index, _Rows(block.offsets)
-        # each kernel's values at ids, kept until the last pair that reads them
-        kernels, left = {}, Counter(_KERNELS[kind] for kind, _ in pairs)
-        floor, pi = {}, None   # the rows that fail pi's floor test, and pi at ids
-        out = {}
-        for kind, mode in pairs:
-            kernel = _KERNELS[kind]
-            if kernel not in kernels:
-                kernels[kernel] = kernel(g, self.signal, ids)
-            left[kernel] -= 1
-            if mode != PLUG_IN and pi is None:
-                pi = _block_pi(g, self.incl, ids, rows.offsets, floor)
-            out[f"{kind}:{mode}"] = self._estimate_rows(
-                ids, rows, kind, mode, kernels[kernel] if left[kernel] else kernels.pop(kernel),
-                pi, {} if mode == PLUG_IN else dict(floor))
-        return out
-
-    def _estimate_rows(self, ids: np.ndarray, rows: _Rows, kind: str, mode: str,
-                       values: np.ndarray, pi: np.ndarray | None, invalid: dict) -> Estimates:
-        """The estimates of one metric pair on the rows of the edges ``ids``:
-        ``values`` is its kernel at ``ids`` and ``invalid`` maps a row to the
-        error of the first check it fails."""
-        g = self.graph
-        variances = np.full(len(rows.lengths), np.nan)
-        statuses = [VARIANCE_UNSUPPORTED] * len(rows.lengths)
-        if kind == NODE_HOMOPHILY:
-            _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
-            sums, counts, node_lengths = node_sums(g, ids, rows.lengths, values)
-            node_rows = _Rows(row_offsets(node_lengths))
-            points = _quotients(node_rows.sums(sums / counts), node_rows.lengths)
+def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values: np.ndarray,
+                   pi: np.ndarray | None, incl: InclusionModel | None, invalid: dict) -> Estimates:
+    """The estimates of one metric pair on the rows of ``block``: ``values``
+    is its kernel at the block's edges and ``invalid`` maps a row to the
+    error of the first check it fails."""
+    g, ids = block.parent, block.edge_index
+    variances = np.full(len(rows.lengths), np.nan)
+    statuses = [VARIANCE_UNSUPPORTED] * len(rows.lengths)
+    if kind == NODE_HOMOPHILY:
+        _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
+        sums, counts, node_lengths = node_sums(g, ids, rows.lengths, values)
+        node_rows = _Rows(row_offsets(node_lengths))
+        points = _quotients(node_rows.sums(sums / counts), node_rows.lengths)
+    else:
+        scale = EDGE_METRICS[kind][1]
+        if scale is None:
+            den = 1.0
+        elif mode == KNOWN_DENOMINATOR:
+            den = scale * checked_total_weight(total_edge_weight(g), kind)
+            if den <= 0:
+                raise ValueError("parent graph has no edge weight")
         else:
-            scale = EDGE_METRICS[kind][1]
-            if scale is None:
-                den = 1.0
-            elif mode == KNOWN_DENOMINATOR:
-                den = scale * checked_total_weight(self.total_weight, kind)
-                if den <= 0:
-                    raise ValueError("parent graph has no edge weight")
-            else:
-                weights = g.edge_w[ids]
-                weights *= scale
-                if mode == HAJEK_RATIO:
-                    weights /= pi
-                den = rows.sums(weights)
-                _flag(invalid, den == 0.0,
-                      "empty sample; plug-in ratio undefined" if mode == PLUG_IN else
-                      "zero HT denominator (empty or degenerate sample)")
-            points = _quotients(rows.sums(values if mode == PLUG_IN else values / pi), den)
-            if mode in (HT_TOTAL, KNOWN_DENOMINATOR) and self.incl.has_joint:
-                variances, statuses = _row_span_variances(g, ids, rows, values, pi, self.incl,
-                                                          invalid, True)
-                # an overflow gives inf, as for the points, and the record refuses it
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    variances /= den ** 2
-        _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
-        return Estimates(points, variances, statuses, invalid)
+            weights = g.edge_w[ids]
+            weights *= scale
+            if mode == HAJEK_RATIO:
+                weights /= pi
+            den = rows.sums(weights)
+            _flag(invalid, den == 0.0,
+                  "empty sample; plug-in ratio undefined" if mode == PLUG_IN else
+                  "zero HT denominator (empty or degenerate sample)")
+        points = _quotients(rows.sums(values if mode == PLUG_IN else values / pi), den)
+        if mode in (HT_TOTAL, KNOWN_DENOMINATOR) and incl.has_joint:
+            variances, statuses = _row_span_variances(block, rows, values, pi, incl, invalid,
+                                                      True)
+            # an overflow gives inf, as for the points, and the record refuses it
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                variances /= den ** 2
+    _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
+    return Estimates(points, variances, statuses, invalid)
 
 
 def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: str,
@@ -432,11 +419,10 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
     graph ("known_denominator"). ``incl`` is required unless "plug_in".
     Degenerate realizations (an empty sample under a ratio mode, or an edge
     the model gives probability 0) raise DegenerateSampleError. This is
-    the one-row case of :meth:`SweepColumns.estimate_block`, which
-    evaluates the kernels on the sampled edges alone.
+    the one-row case of :func:`estimate_block`, which evaluates the kernels
+    on the sampled edges alone.
     """
-    (estimates,) = SweepColumns(sample.parent, signal, incl).estimate_block(
-        SampleBlock.of(sample), ((kind, mode),)).values()
+    (estimates,) = estimate_block(SampleBlock.of(sample), signal, incl, ((kind, mode),)).values()
     (estimate,) = estimates.entries(0, 1)
     if isinstance(estimate, DegenerateSampleError):
         raise estimate

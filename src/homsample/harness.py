@@ -14,7 +14,7 @@ them.
 Replications run serially, in order, each on its own stream, in blocks:
 as many rows as ``_BLOCK_BYTES`` allows are realized at once by
 ``draw_block`` and estimated for all metric pairs in one call of
-:meth:`~homsample.estimators.SweepColumns.estimate_block`, which gives
+``estimators.estimate_block(block, signal, incl, pairs)``, which gives
 every row the point, variance and variance status (or the invalid reason)
 ``estimate_metric`` gives its sample alone, bit for bit.
 Ground truth is computed once on the full graph; summaries report mean,
@@ -54,7 +54,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import metrics
-from .estimators import PLUG_IN, DegenerateSampleError, Estimates, SweepColumns, check_mode
+from .estimators import PLUG_IN, DegenerateSampleError, Estimates, check_mode, estimate_block
 from .graph import Graph, GraphSignal, load_dataset
 from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
 from .rng import DEFAULT_SEED, derive_seeds
@@ -148,7 +148,7 @@ class SweepResult:
     def put(self, start: int, seeds, block: SampleBlock, estimates: dict):
         """Rows ``start`` onward: the replications of ``block``, drawn on
         ``seeds``, and their estimates, as
-        :meth:`~homsample.estimators.SweepColumns.estimate_block` gives them."""
+        :func:`~homsample.estimators.estimate_block` gives them."""
         rows = slice(start, start + block.rows)
         self.seeds[rows] = seeds
         self.sampled_nodes[rows] = block.sampled_nodes
@@ -298,7 +298,6 @@ def run_experiment(cfg: ExperimentConfig,
         incl = sweep_inclusion(g, design, cfg.base_seed, sweep_idx,
                                cfg.pi_source, cfg.pi_replications) if needs_pi else None
 
-        columns = SweepColumns(g, signal, incl)
         sweep = SweepResult.allocate(dict(overrides or vars(design)),
                                      [f"{kind}:{mode}" for kind, mode in cfg.metrics],
                                      cfg.replications)
@@ -306,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig,
             reps = range(start, min(start + rows, cfg.replications))
             seeds = derive_seeds(cfg.base_seed, 1, sweep_idx, reps)
             block = draw_block(g, design, seeds.tolist())
-            sweep.put(start, seeds, block, columns.estimate_block(block, cfg.metrics))
+            sweep.put(start, seeds, block, estimate_block(block, signal, incl, cfg.metrics))
 
         for kind, mode in cfg.metrics:
             key = f"{kind}:{mode}"

@@ -340,6 +340,21 @@ def test_an_output_in_a_missing_directory_is_refused_before_the_first_replicatio
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--summary-csv", "--hist-csv", "--estimates-csv"])
+def test_an_output_that_is_a_directory_is_refused_before_the_first_replication(
+        tmp_path, monkeypatch, capsys, flag):
+    def run_experiment(cfg, dataset):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(harness, "run_experiment", run_experiment)
+    path = str(tmp_path)
+    code = cli.main(["experiment", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+                     "--reps", "5", flag, path])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {path!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_output_in_a_missing_directory_is_named_as_given(tmp_path, capsys):
     path = str(tmp_path / "missing" / "r.json")
     code = cli.main(["estimate", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
@@ -708,6 +723,36 @@ def test_a_comma_list_with_no_value_is_an_input_error_naming_its_flag(args, flag
     res = run_cli(*args)
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == f"error: {flag} lists no value\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("estimate", "--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3,abc"),
+     "--p: invalid float value 'abc'"),
+    (("estimate", "--manifest", MANIFEST, "--design", "srs", "--n-star", "1e3"),
+     "--n-star: invalid int value '1e3'"),
+    (("experiment", "--manifest", MANIFEST, "--design", "traceroute", "--sources", "2.5",
+      "--targets", "2", "--reps", "2"), "--sources: invalid int value '2.5'"),
+    (("graphon", "--sizes", "10,x", "--reps", "1"), "--sizes: invalid int value 'x'"),
+], ids=["p", "n-star", "sources", "sizes"])
+def test_a_comma_list_value_that_does_not_parse_is_an_input_error_naming_its_flag(args, message):
+    res = run_cli(*args)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("estimate", "--metric", "node"),
+    ("estimate", "--metric", "edge", "--mode", "plug_in", "--pi-reps", "3"),
+    ("experiment", "--metric", "dirichlet_total,edge", "--mode", "plug_in", "--pi-reps", "3",
+     "--reps", "2"),
+    ("experiment", "--metric", "node", "--reps", "2"),
+], ids=["estimate-node", "estimate-plug-in", "experiment-plug-in", "experiment-node"])
+def test_empirical_pi_is_refused_where_no_mode_reads_pi(args):
+    # a plug-in estimate builds no inclusion model, so the record would state an oracle never run
+    res = run_cli(args[0], "--manifest", MANIFEST, "--design", "srs", "--frac", "0.3",
+                  "--pi", "empirical", *args[1:])
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: --pi empirical belongs to a mode that reads pi, not to plug_in\n"
 
 
 RERUN_DESIGNS = {"bernoulli": ("--p", "0.3"), "srs": ("--n-star", "10"),

@@ -394,3 +394,29 @@ def test_report_provenance(karate):
     assert "design" not in d and "seed" not in d
     assert d["sampled_nodes"] == sample.node_count
     assert d["sampled_edges"] == sample.edge_count
+
+
+@pytest.mark.parametrize("design", [BernoulliDesign(p=0.3), SrsDesign(n_star=12),
+                                    TracerouteDesign(2, 2)], ids=["bernoulli", "srs", "traceroute"])
+def test_one_sample_entry_points_agree_with_the_block_estimator(karate, design):
+    # ht_total, ht_variance and estimate_metric each estimate the one-row block
+    # of their sample: equal floats, and the same refusal of a pi below the floor
+    g, s = karate
+    incl = inclusion_for(g, design)
+    for seed in range(300):
+        sample = draw_sample(g, design, seed)
+        values = edge_variation_values(g, s, sample.edge_index)
+        report = estimate_metric(sample, s, "dirichlet_total", HT_TOTAL, incl)
+        assert ht_total(sample, values, incl) == report.point
+        assert ht_variance(sample, values, incl) == (report.variance, report.variance_status)
+    sample = next(x for x in (draw_sample(g, design, seed) for seed in range(300))
+                  if x.edge_count)
+    low = dataclasses.replace(incl, pi=np.zeros(g.edge_count))
+    values = edge_variation_values(g, s, sample.edge_index)
+    with pytest.raises(DegenerateSampleError, match="below the floor") as info:
+        estimate_metric(sample, s, "dirichlet_total", HT_TOTAL, low)
+    entry_points = [ht_total] + [ht_variance] * incl.has_joint
+    for entry_point in entry_points:
+        with pytest.raises(DegenerateSampleError) as one:
+            entry_point(sample, values, low)
+        assert str(one.value) == str(info.value)

@@ -24,7 +24,7 @@ from homsample.estimators import (
     VARIANCE_EXACT,
     VARIANCE_UNSUPPORTED,
     DegenerateSampleError,
-    SweepColumns,
+    estimate_block,
     estimate_metric,
 )
 from homsample.harness import (
@@ -402,7 +402,7 @@ def test_record_rows_are_written_as_json_writes_them(dataset, sweeps):
     assert record.to_json() == _json_dumps_record(record)
 
 
-def _replicate(g, design, columns, pairs, seeds, per_block=None) -> list:
+def _replicate(g, design, s, incl, pairs, seeds, per_block=None) -> list:
     """The rows of a sweep of ``seeds``, run ``per_block`` rows to a block
     (all at once by default) as an experiment runs them."""
     per_block = per_block or len(seeds)
@@ -410,7 +410,7 @@ def _replicate(g, design, columns, pairs, seeds, per_block=None) -> list:
     for start in range(0, len(seeds), per_block):
         block = draw_block(g, design, seeds[start:start + per_block])
         sweep.put(start, seeds[start:start + per_block], block,
-                  columns.estimate_block(block, pairs))
+                  estimate_block(block, s, incl, pairs))
     return list(sweep.rows())
 
 
@@ -446,8 +446,7 @@ def test_zero_joint_probability_is_an_invalid_replication(karate):
     table = incl.joint_by_span.copy()
     table[4] = 0.0
     incl = dataclasses.replace(incl, joint_by_span=table)
-    columns = SweepColumns(g, s, incl)
-    (rep,) = _replicate(g, design, columns, (("dirichlet_total", "ht_total"),), [5])
+    (rep,) = _replicate(g, design, s, incl, (("dirichlet_total", "ht_total"),), [5])
     assert "joint inclusion probability 0" in rep["estimates"]["dirichlet_total:ht_total"]["invalid"]
 
 
@@ -544,7 +543,7 @@ def test_block_engine_matches_the_per_replication_reference(karate, seed, data):
     reference = ReferenceColumns(g, s, incl, sorted({kind for kind, _ in pairs}))
     want = [reference_replicate(g, design, reference, pairs, r, seed)
             for r, seed in enumerate(seeds)]
-    got = _replicate(g, design, SweepColumns(g, s, incl), pairs, seeds, per_block)
+    got = _replicate(g, design, s, incl, pairs, seeds, per_block)
     # repr writes each float's shortest round-trip digits: equal reprs, equal bits
     assert repr(got) == repr(want)
     reasons = {e["invalid"] for r in got for e in r["estimates"].values() if "invalid" in e}
@@ -573,7 +572,7 @@ def test_block_engine_keeps_the_order_of_checks(karate, first, second):
         incl = dataclasses.replace(incl, joint_by_span=table)
     seeds = [derive_seed(11, 1, 0, r) for r in range(50)]
     pair = ("dirichlet_total", "ht_total")
-    got = _replicate(g, design, SweepColumns(g, s, incl), (pair,), seeds)
+    got = _replicate(g, design, s, incl, (pair,), seeds)
     reference = ReferenceColumns(g, s, incl, ("dirichlet_total",))
     assert repr(got) == repr([reference_replicate(g, design, reference, (pair,), r, seed)
                               for r, seed in enumerate(seeds)])
@@ -625,16 +624,17 @@ def test_one_block_stays_within_the_byte_budget():
                                          np.random.default_rng(3))
     s = GraphSignal.from_labels((u >= 0.5).astype(int), 2)
     design = design_from_dict({"kind": "bernoulli", "p": 1.0})
-    columns = SweepColumns(g, s, design.inclusion(g))
+    incl = design.inclusion(g)
     rows = harness._block_rows(g)
     seeds = [derive_seed(7, 1, 0, r) for r in range(2 * rows)]
     sweep = SweepResult.allocate({}, [f"{kind}:{mode}" for kind, mode in ALL_PAIRS], 2 * rows)
 
     def replicate(start):
         block = draw_block(g, design, seeds[start:start + rows])
-        sweep.put(start, seeds[start:start + rows], block, columns.estimate_block(block, ALL_PAIRS))
+        sweep.put(start, seeds[start:start + rows], block,
+                  estimate_block(block, s, incl, ALL_PAIRS))
 
-    replicate(0)   # builds the columns
+    replicate(0)
     tracemalloc.start()
     try:
         replicate(rows)
