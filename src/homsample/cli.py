@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import MODES_FOR_KIND, PLUG_IN, estimate_metric
-from .graph import load_dataset, load_edge_list, load_labelled, total_edge_weight
+from .estimators import MODES_FOR_KIND, PLUG_IN, check_mode, estimate_metric
+from .graph import load_dataset, load_edge_list, load_labelled
 from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
 from .metrics import (
     DIRICHLET_NORMALIZED,
@@ -49,12 +49,17 @@ METRIC_ALIASES = {
 TABLE_METRICS = (DIRICHLET_NORMALIZED, EDGE_HOMOPHILY, NODE_HOMOPHILY)
 
 
-def _metric_kind(name: str) -> str:
+def _metric_pair(name: str, mode: str | None) -> tuple[str, str]:
+    """``(kind, mode)`` of metric ``name``, with the kind's default mode if
+    ``mode`` is None; an unknown metric, or a mode its kind lacks, is an error."""
     try:
-        return METRIC_ALIASES[name]
+        kind = METRIC_ALIASES[name]
     except KeyError:
         raise ValueError(f"unknown metric {name!r} "
                          f"(choices: {', '.join(sorted(METRIC_ALIASES))})") from None
+    mode = mode or MODES_FOR_KIND[kind][0]
+    check_mode(kind, mode)
+    return kind, mode
 
 
 def _seed(text: str) -> int:
@@ -175,11 +180,11 @@ def _design_values(args):
     return [{"n_sources": s, "n_targets": t} for s, t in zip(src, tgt)]
 
 
-def _single_design(args, n):
+def _single_design_value(args) -> dict:
     values = _design_values(args)
     if len(values) != 1:
         raise ValueError("this command takes exactly one design parameter value")
-    return resolve_design({"kind": args.design}, values[0], n)
+    return values[0]
 
 
 def _write_pieces(pieces, out_path):
@@ -221,7 +226,7 @@ def _cmd_info(args):
         "name": name,
         "nodes": g.node_count,
         "edges": g.edge_count,
-        "total_edge_weight": checked_total_weight(total_edge_weight(g), "total_edge_weight"),
+        "total_edge_weight": checked_total_weight(g, "total_edge_weight"),
     }
     if s is not None:
         info["classes"] = s.dim
@@ -247,8 +252,9 @@ def _cmd_homophily(args):
 
 def _cmd_sample(args):
     pi_reps = _pi_replications(args)
+    value = _single_design_value(args)
     g, s, name = _load_from_flags(args, need_labels=False)
-    design = _single_design(args, g.node_count)
+    design = resolve_design({"kind": args.design}, value, g.node_count)
     sample = draw_sample(g, design, args.seed)
     incl = sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
     _emit_json({"design": design_to_dict(design, args.seed), "seed": args.seed,
@@ -257,11 +263,11 @@ def _cmd_sample(args):
 
 
 def _cmd_estimate(args):
-    kind = _metric_kind(args.metric)
-    mode = args.mode or MODES_FOR_KIND[kind][0]
+    kind, mode = _metric_pair(args.metric, args.mode)
     pi_reps = _pi_replications(args, reads_pi=mode != PLUG_IN)
+    value = _single_design_value(args)
     g, s, name = _load_from_flags(args)
-    design = _single_design(args, g.node_count)
+    design = resolve_design({"kind": args.design}, value, g.node_count)
     sample = draw_sample(g, design, args.seed)
     # plug-in estimates never read pi
     incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
@@ -275,15 +281,12 @@ def _cmd_experiment(args):
     from .harness import (ExperimentConfig, run_experiment, summarize, write_estimates_csv,
                           write_histogram_csv, write_summary_csv)
 
-    if args.metric == "all":
-        kinds = list(TABLE_METRICS)
-    else:
-        kinds = [_metric_kind(m) for m in args.metric.split(",")]
-    pairs = tuple((k, args.mode or MODES_FOR_KIND[k][0]) for k in kinds)
+    names = TABLE_METRICS if args.metric == "all" else args.metric.split(",")
+    pairs = tuple(_metric_pair(m, args.mode) for m in names)
     pi_reps = _pi_replications(args, reads_pi=any(mode != PLUG_IN for _, mode in pairs))
+    values = _design_values(args)
     g, s, name = _load_from_flags(args)
-    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count)))
-             for v in _design_values(args)]
+    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count))) for v in values]
     cfg = ExperimentConfig(
         dataset=name,
         design={"kind": args.design},
@@ -439,14 +442,19 @@ _OUT_FLAGS = ("out", "summary_csv", "hist_csv", "estimates_csv", "csv")
 
 
 def _check_out_dirs(args):
-    """Refuse an output file in a missing directory, or one that is a
-    directory, before any work is done."""
-    for name in _OUT_FLAGS:
-        path = getattr(args, name, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse, before any work is done, an output file in a missing directory
+    or one that is a directory, and two outputs that name one file."""
+    given = {name: getattr(args, name) for name in _OUT_FLAGS if getattr(args, name, None)}
+    named = {}
+    for name, path in given.items():
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if path and os.path.isdir(path):
+        if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        first = named.setdefault(os.path.realpath(path), name)
+        if first != name:
+            raise ValueError(f"{_flag_name(first)} and {_flag_name(name)} both name the file "
+                             f"{path!r}; give each output its own")
 
 
 def main(argv=None) -> int:

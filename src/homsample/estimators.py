@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphSignal, total_edge_weight
+from .graph import Graph, GraphSignal
 from .inclusion import InclusionModel
 from .metrics import (
     DIRICHLET_NORMALIZED,
@@ -242,11 +242,11 @@ def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
     that row's sample alone.
     """
     sums, degrees, node_lengths = node_sums(block.parent, block.edge_index, rows.lengths, values)
-    node_rows = _Rows(row_offsets(node_lengths))
-    degree_sq = row_offsets(degrees * degrees)[node_rows.offsets]
+    node_offsets = row_offsets(node_lengths)
+    degree_sq = row_offsets(degrees * degrees)[node_offsets]
     pairs3_by_row = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
     totals = rows.sums(values).tolist()
-    bounds, node_bounds = rows.offsets.tolist(), node_rows.offsets.tolist()
+    bounds, node_bounds = rows.offsets.tolist(), node_offsets.tolist()
     joint = incl.joint_by_span
     variances, statuses = np.full(len(rows.lengths), np.nan), [VARIANCE_EXACT] * len(rows.lengths)
     for row, m in enumerate(rows.lengths.tolist()):
@@ -386,7 +386,7 @@ def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values
         if scale is None:
             den = 1.0
         elif mode == KNOWN_DENOMINATOR:
-            den = scale * checked_total_weight(total_edge_weight(g), kind)
+            den = scale * checked_total_weight(g, kind)
             if den <= 0:
                 raise ValueError("parent graph has no edge weight")
         else:

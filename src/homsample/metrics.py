@@ -115,9 +115,10 @@ EDGE_METRICS = {
 }
 
 
-def checked_total_weight(total: float, kind: str) -> float:
-    """``total``, a graph's total edge weight, unless its weights sum past the
-    largest float64: no edge metric of that graph is exact, so ``kind`` is refused."""
+def checked_total_weight(g: Graph, kind: str) -> float:
+    """The total edge weight of ``g``, unless its weights sum past the largest
+    float64: no edge metric of that graph is exact, so ``kind`` is refused."""
+    total = total_edge_weight(g)
     if not math.isfinite(total):
         raise ValueError(f"{kind} is undefined: the total edge weight overflows float64 ({total})")
     return total
@@ -125,7 +126,7 @@ def checked_total_weight(total: float, kind: str) -> float:
 
 def _edge_metric(g: Graph, s: GraphSignal, kind: str) -> float:
     kernel, scale = EDGE_METRICS[kind]
-    total = checked_total_weight(total_edge_weight(g), kind)
+    total = checked_total_weight(g, kind)
     den = 1.0 if scale is None else scale * total
     if den <= 0:
         raise ValueError("graph has no edges")

@@ -11,16 +11,16 @@ the node-at-a-time BFS would discover them, and path counts are summed
 in that BFS's order, so every count is bitwise the one it computes. The
 DAG is a handful of flat arrays, with no per-node Python objects: its ids
 are int32 and its path counts float64, 24 B a node and 8 B a predecessor
-entry, plus 8 B an entry for running sums. Traversals compute in intp,
-which numpy indexes by fastest, and store int32 once per DAG.
+entry. Traversals compute in intp, which numpy indexes by fastest, and
+store int32 once per DAG.
 
-Path counts are kept as floats; only their ratios are ever used. DAGs are
-rng-free, so they are cached on the graph and reused across replications
-without affecting reproducibility. The cache is bounded in bytes: past
-the budget, new DAGs are computed and not stored. The running sums that
-``sample_paths`` backtracks by are computed on a DAG's first use there and
-kept on it under the same budget, so BFS and betweenness pay nothing for
-them.
+Path counts are kept as floats; only their ratios are ever used. A DAG is
+what its BFS found and is never written after it. DAGs are rng-free, so
+they are cached on the graph and reused across replications without
+affecting reproducibility. The cache is bounded in bytes of DAG arrays:
+past the budget, new DAGs are computed and not stored. The running sums
+that ``sample_paths`` backtracks by belong to one chunk of its walk and
+are computed there, for all of the chunk's DAGs at once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _CACHE_BYTES = 128 << 20
 _CHUNK_BYTES = 1 << 23
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PathDag:
     """BFS shortest-path DAG from one source, as flat arrays.
 
@@ -46,10 +46,8 @@ class PathDag:
     predecessors of node v on shortest paths are
     ``pred[pred_lo[v]:pred_hi[v]]``, in BFS order, with the matching edge
     ids in ``pred_eid``. The groups are laid out in BFS order of v, so
-    each level's predecessors are one contiguous slice. ``cum``, once
-    :func:`sample_paths` has needed it and the cache budget holds it, keeps
-    the running sums of ``sigma[pred]`` within each group, aligned with
-    ``pred``. ``sigma`` and ``cum`` are float64; every other array is int32.
+    each level's predecessors are one contiguous slice. ``sigma`` is
+    float64; every other array is int32.
     """
 
     source: int
@@ -61,13 +59,11 @@ class PathDag:
     pred_hi: np.ndarray
     pred: np.ndarray
     pred_eid: np.ndarray
-    cum: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the DAG's arrays, which the cache budget counts."""
-        arrays = (getattr(self, f.name) for f in fields(self)[1:])
-        return sum(a.nbytes for a in arrays if a is not None)
+        return sum(getattr(self, f.name).nbytes for f in fields(self)[1:])
 
 
 def path_dag(g: Graph, source: int) -> PathDag:
@@ -171,30 +167,25 @@ def sample_path(dag: PathDag, t: int, rng) -> tuple[list[int], list[int]] | None
     return nodes, eids
 
 
-def _running_sums(g: Graph, dag: PathDag) -> np.ndarray:
-    """Running sums of ``sigma[pred]`` within each predecessor group, aligned
-    with ``dag.pred``.
+def _running_sums(dags) -> np.ndarray:
+    """Running sums of ``sigma[pred]`` within each predecessor group of
+    ``dags``, aligned with their ``pred`` arrays laid end to end.
 
     Entry k of a group adds its own count to entry k - 1's sum, one term at
     a time from the left as :func:`sample_path` adds them, so every sum is
-    bitwise its running total. One pass per position in a group. The sums
-    are computed on first use and kept on a cached DAG while the cache
-    budget holds them.
+    bitwise its running total. One pass per position in a group, for all
+    the DAGs at once.
     """
-    if dag.cum is not None:
-        return dag.cum
-    cum = dag.sigma[dag.pred]
-    # the groups tile pred in BFS order of their nodes
-    lo = dag.pred_lo[dag.order[1:]]
-    pos = np.arange(len(cum)) - lo.repeat(np.diff(lo, append=len(cum)))
+    cum = np.concatenate([d.sigma[d.pred] for d in dags])
+    # each DAG's groups tile its pred in BFS order of their nodes, so the
+    # groups of all of them tile cum
+    size = np.concatenate([np.diff(d.pred_lo[d.order[1:]], append=len(d.pred)) for d in dags])
+    pos = np.arange(len(cum)) - (size.cumsum() - size).repeat(size)
     bounds = np.bincount(pos).cumsum()
     by_pos = stable_argsort(pos, len(bounds))
     for k in range(1, len(bounds)):
         at = by_pos[bounds[k - 1]:bounds[k]]
         cum[at] += cum[at - 1]
-    if g._sp_cache.get(dag.source) is dag and g._sp_cache_bytes + cum.nbytes <= _CACHE_BYTES:
-        g._sp_cache_bytes += cum.nbytes
-        dag.cum = cum
     return cum
 
 
@@ -230,14 +221,14 @@ def sample_paths(g: Graph, sources: np.ndarray, targets: np.ndarray, rng):
     chunk, size, begin = [], 0, 0
     for s, end in zip(distinct.tolist(), per_source[distinct].cumsum().tolist()):
         dag = path_dag(g, s)
-        # the DAG's arrays, held (24 B a node, and 16 B a predecessor with its
-        # running sum) and gathered (28 B and 24 B), and its walkers' index
-        # arrays and uniforms, at most one a level
-        share = 52 * n + 40 * len(dag.pred) + (end - begin) * n_t * (120 + 8 * len(dag.levels))
+        # the DAG's arrays, held (24 B a node and 8 B a predecessor) and gathered
+        # with its running sums (28 B and 24 B), and its walkers' index arrays
+        # and uniforms, at most one a level
+        share = 52 * n + 32 * len(dag.pred) + (end - begin) * n_t * (120 + 8 * len(dag.levels))
         if chunk and size + share > _CHUNK_BYTES:
             yield from _walk(n, chunk, n_s, targets, rng)
             chunk, size = [], 0
-        chunk.append((dag, _running_sums(g, dag), entry[begin:end]))
+        chunk.append((dag, entry[begin:end]))
         size += share
         begin = end
     if chunk:
@@ -247,13 +238,14 @@ def sample_paths(g: Graph, sources: np.ndarray, targets: np.ndarray, rng):
 def _walk(n: int, chunk: list, n_s: int, targets: np.ndarray, rng):
     """Walk a chunk's walkers back to their sources.
 
-    ``chunk`` holds each source's DAG, running sums and entries of the
-    block's ``sources`` (``r * n_s + i``). The DAGs' arrays are gathered
-    into one: source slot c's node v is entry ``c * n + v`` of the node
-    arrays, and its predecessor groups are offset past those of the slots
-    before it.
+    ``chunk`` holds each source's DAG and entries of the block's
+    ``sources`` (``r * n_s + i``). The DAGs' arrays are gathered into one:
+    source slot c's node v is entry ``c * n + v`` of the node arrays, and
+    its predecessor groups are offset past those of the slots before it.
     """
-    dags, cums, entries = zip(*chunk)
+    dags, entries = zip(*chunk)
+    # before the gather, so the sums' temporaries are gone when it runs
+    cum = _running_sums(dags)
     offsets = np.cumsum([0] + [len(d.pred) for d in dags[:-1]])
     dist = np.concatenate([d.dist for d in dags])
     sigma = np.concatenate([d.sigma for d in dags])
@@ -262,7 +254,6 @@ def _walk(n: int, chunk: list, n_s: int, targets: np.ndarray, rng):
     pred_hi = np.concatenate([np.add(d.pred_hi, o, dtype=np.intp) for d, o in zip(dags, offsets)])
     pred = np.concatenate([np.add(d.pred, c * n, dtype=np.intp) for c, d in enumerate(dags)])
     pred_eid = np.concatenate([d.pred_eid for d in dags], dtype=np.intp)
-    cum = np.concatenate(cums)
     entry = np.concatenate(entries)
     n_t = targets.shape[1]
     number = (entry[:, None] * n_t + np.arange(n_t)).ravel()

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from homsample import cli, harness, karate_manifest_path
+from homsample import cli, graphon, harness, karate_manifest_path
 from homsample.estimators import MODES_FOR_KIND
 
 MANIFEST = str(karate_manifest_path())
@@ -365,6 +366,54 @@ def test_an_output_in_a_missing_directory_is_named_as_given(tmp_path, capsys):
     with pytest.raises(FileNotFoundError) as info:
         cli._write_pieces(["{}\n"], path)
     assert info.value.filename == path
+    assert list(tmp_path.iterdir()) == []
+
+
+NOT_SUPPORTED = "mode 'ht_total' not supported for 'node_homophily' (supported: plug_in)"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["estimate", "--design", "srs", "--frac", "0.3", "--metric", "node", "--mode", "ht_total",
+      "--pi", "empirical"], NOT_SUPPORTED),
+    (["estimate", "--design", "bernoulli", "--p", "0.1", "--metric", "node", "--mode", "ht_total",
+      "--pi", "empirical"], NOT_SUPPORTED),
+    (["experiment", "--design", "bernoulli", "--p", "0.3", "--metric", "node", "--mode", "ht_total"],
+     NOT_SUPPORTED),
+    (["experiment", "--design", "bernoulli"], "bernoulli design requires --p"),
+    (["sample", "--design", "traceroute", "--sources", "2"],
+     "traceroute design requires --sources and --targets"),
+])
+def test_a_refusal_that_needs_no_dataset_comes_before_the_load(monkeypatch, capsys, args, message):
+    def load(args, need_labels=True):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(cli, "_load_from_flags", load)
+    assert cli.main([*args, "--manifest", MANIFEST]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, first, second", [
+    *(("experiment", a, b) for a, b in itertools.combinations(
+        ["--out", "--summary-csv", "--hist-csv", "--estimates-csv"], 2)),
+    ("graphon", "--out", "--csv"),
+])
+def test_two_outputs_that_name_one_file_are_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, command, first, second):
+    def run(*_):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(harness, "run_experiment", run)
+    monkeypatch.setattr(graphon, "convergence_experiment", run)
+    monkeypatch.chdir(tmp_path)
+    args = {"experiment": ["--manifest", MANIFEST, "--design", "bernoulli", "--p", "0.3",
+                           "--reps", "5"],
+            "graphon": ["--sizes", "10", "--reps", "1"]}[command]
+    # one file, named once relative to the working directory and once in full
+    code = cli.main([command, *args, first, "out", second, str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {first} and {second} both name the file {str(tmp_path / 'out')!r}; "
+        "give each output its own\n")
     assert list(tmp_path.iterdir()) == []
 
 

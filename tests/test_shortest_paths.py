@@ -5,6 +5,7 @@ sampled paths from the same generator draws (one target at a time, and
 every (row, source, target) path of a block at once, in chunks of any
 size), and the byte-bounded cache."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -105,13 +106,17 @@ def walk_block(g, sources, targets, rng):
 def assert_same_backtrack(g, sources, targets, seed, monkeypatch):
     """The block kernel's steps and generator use equal the scalar reference's,
     at every chunk budget, and each step list is a shortest path."""
-    for s in np.unique(sources):
-        # the kernel's running sums are the reference's left-to-right cumsums
-        dag, ref = path_dag(g, s), reference_path_dag(g, s)
-        cum = shortest_paths._running_sums(g, dag)
+    # the running sums of all the sources' DAGs at once, laid end to end, are
+    # each DAG's left-to-right cumsums
+    dags = [path_dag(g, s) for s in np.unique(sources)]
+    cum = shortest_paths._running_sums(dags)
+    assert len(cum) == sum(len(dag.pred) for dag in dags)
+    for dag in dags:
+        ref = reference_path_dag(g, dag.source)
         for v in range(g.node_count):
             if ref.pred_cum[v] is not None:
                 assert cum[dag.pred_lo[v]:dag.pred_hi[v]].tobytes() == ref.pred_cum[v].tobytes()
+        cum = cum[len(dag.pred):]
     slow = make_rng(seed)
     want = reference_block_paths(g, sources, targets, slow)
     for budget in (0, 1 << 14, 1 << 62):
@@ -204,24 +209,23 @@ def test_cache_is_bounded_in_bytes(monkeypatch, karate):
     assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values()) <= budget
 
 
-def test_running_sums_are_kept_on_cached_dags_within_the_budget(monkeypatch, karate):
+def test_walk_writes_nothing_onto_cached_dags(karate):
     kg, _ = karate
     g = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
     edge_betweenness(g)
-    # BFS and betweenness compute no running sums
     assert len(g._sp_cache) == g.node_count
-    assert all(d.cum is None for d in g._sp_cache.values())
+    held = {s: d.nbytes for s, d in g._sp_cache.items()}
+    total = g._sp_cache_bytes
     TracerouteDesign(3, 3).edge_counts(g, make_rng(0), 50)
-    kept = [d for d in g._sp_cache.values() if d.cum is not None]
-    assert kept and all(shortest_paths._running_sums(g, d) is d.cum for d in kept)
-    assert g._sp_cache_bytes == sum(d.nbytes for d in g._sp_cache.values())
-    # a budget that holds one DAG and not its sums keeps the sums off it
-    g1 = Graph(kg.node_count, kg.edge_i, kg.edge_j, kg.edge_w)
-    monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", shortest_paths._bfs_dag(g, 0).nbytes)
-    dag = path_dag(g1, 0)
-    assert g1._sp_cache == {0: dag}
-    assert shortest_paths._running_sums(g1, dag).tobytes() == g._sp_cache[0].cum.tobytes()
-    assert dag.cum is None and g1._sp_cache_bytes == dag.nbytes
+    assert {s: d.nbytes for s, d in g._sp_cache.items()} == held
+    assert g._sp_cache_bytes == total == sum(held.values())
+
+
+def test_dags_are_frozen(karate):
+    kg, _ = karate
+    dag = path_dag(kg, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dag.sigma = dag.sigma.copy()
 
 
 def test_block_kernel_holds_one_chunk_of_dags_at_a_time(monkeypatch):
@@ -232,7 +236,7 @@ def test_block_kernel_holds_one_chunk_of_dags_at_a_time(monkeypatch):
     monkeypatch.setattr(shortest_paths, "_CACHE_BYTES", 0)
     g = grid(50)
     dag = path_dag(g, 0)
-    one = dag.nbytes + shortest_paths._running_sums(g, dag).nbytes
+    one = dag.nbytes + 8 * len(dag.pred)
     g._adjacency()
     peaks = {}
     for budget in (0, 1 << 20, 1 << 62):
@@ -258,7 +262,7 @@ def test_dags_hold_int32_ids_in_24_bytes_a_node_and_8_a_predecessor():
     ids = ("dist", "order", "levels", "pred_lo", "pred_hi", "pred", "pred_eid")
     for dag in g._sp_cache.values():
         assert all(getattr(dag, name).dtype == np.int32 for name in ids)
-        assert dag.sigma.dtype == np.float64 and dag.cum is None
+        assert dag.sigma.dtype == np.float64
         assert dag.nbytes == 24 * g.node_count + 8 * len(dag.pred) + dag.levels.nbytes
     total = sum(d.nbytes for d in g._sp_cache.values())
     assert g._sp_cache_bytes == total
