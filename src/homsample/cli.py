@@ -18,34 +18,30 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .estimators import MODES_FOR_KIND, PLUG_IN, check_mode, estimate_metric
 from .graph import load_dataset, load_edge_list, load_labelled
-from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
+from .inclusion import DEFAULT_PI_REPLICATIONS, check_pi_replications, sweep_inclusion
 from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
     EDGE_HOMOPHILY,
+    METRIC_KINDS,
     NODE_HOMOPHILY,
     checked_total_weight,
     exact_metric,
     homophily_profile,
 )
 from .rng import DEFAULT_SEED
-from .sampling import design_to_dict, draw_sample, resolve_design
+from .sampling import check_fractions, design_to_dict, draw_sample, resolve_design
 
-METRIC_ALIASES = {
-    "dirichlet": DIRICHLET_NORMALIZED,
-    "dirichlet_normalized": DIRICHLET_NORMALIZED,
-    "dirichlet_total": DIRICHLET_TOTAL,
-    "edge": EDGE_HOMOPHILY,
-    "edge_homophily": EDGE_HOMOPHILY,
-    "node": NODE_HOMOPHILY,
-    "node_homophily": NODE_HOMOPHILY,
-}
+# the short names, and each kind by its own name
+METRIC_ALIASES = {"dirichlet": DIRICHLET_NORMALIZED, "edge": EDGE_HOMOPHILY,
+                  "node": NODE_HOMOPHILY, **{kind: kind for kind in METRIC_KINDS}}
 TABLE_METRICS = (DIRICHLET_NORMALIZED, EDGE_HOMOPHILY, NODE_HOMOPHILY)
 
 
@@ -126,7 +122,8 @@ def _pi_replications(args, reads_pi: bool = True) -> int:
         raise ValueError(f"--pi-reps belongs to --pi empirical, not to --pi {args.pi}")
     if args.pi == "empirical" and not reads_pi:
         raise ValueError("--pi empirical belongs to a mode that reads pi, not to plug_in")
-    return DEFAULT_PI_REPLICATIONS if args.pi_reps is None else args.pi_reps
+    return check_pi_replications(DEFAULT_PI_REPLICATIONS if args.pi_reps is None
+                                 else args.pi_reps)
 
 
 # each design's parameter flags, by their argparse names
@@ -154,7 +151,8 @@ def _values(args, name: str, cast) -> list:
 
 def _design_values(args):
     """Per-sweep design parameter dicts as given by the flags; a flag of
-    another design, or both SRS sizes, is an error that names the flag."""
+    another design, or both SRS sizes, is an error that names the flag, and
+    a fraction that no graph admits is refused (``check_fractions``)."""
     for design, names in _DESIGN_FLAGS.items():
         for name in names:
             if design != args.design and getattr(args, name) is not None:
@@ -163,21 +161,26 @@ def _design_values(args):
     if args.design == "bernoulli":
         if not args.p:
             raise ValueError("bernoulli design requires --p")
-        return [{"p": p} for p in _values(args, "p", float)]
-    if args.design == "srs":
+        values = [{"p": p} for p in _values(args, "p", float)]
+    elif args.design == "srs":
         if args.n_star is not None and args.frac is not None:
             raise ValueError("--n-star and --frac both set the SRS sample size; give one")
         if args.n_star:
-            return [{"n_star": v} for v in _values(args, "n_star", int)]
-        if args.frac:
-            return [{"frac": f} for f in _values(args, "frac", float)]
-        raise ValueError("srs design requires --frac or --n-star")
-    if not (args.sources and args.targets):
-        raise ValueError("traceroute design requires --sources and --targets")
-    src, tgt = _values(args, "sources", int), _values(args, "targets", int)
-    if len(src) != len(tgt):
-        raise ValueError("--sources and --targets must have the same length")
-    return [{"n_sources": s, "n_targets": t} for s, t in zip(src, tgt)]
+            values = [{"n_star": v} for v in _values(args, "n_star", int)]
+        elif args.frac:
+            values = [{"frac": f} for f in _values(args, "frac", float)]
+        else:
+            raise ValueError("srs design requires --frac or --n-star")
+    else:
+        if not (args.sources and args.targets):
+            raise ValueError("traceroute design requires --sources and --targets")
+        src, tgt = _values(args, "sources", int), _values(args, "targets", int)
+        if len(src) != len(tgt):
+            raise ValueError("--sources and --targets must have the same length")
+        values = [{"n_sources": s, "n_targets": t} for s, t in zip(src, tgt)]
+    for value in values:
+        check_fractions(value)
+    return values
 
 
 def _single_design_value(args) -> dict:
@@ -284,21 +287,21 @@ def _cmd_experiment(args):
     names = TABLE_METRICS if args.metric == "all" else args.metric.split(",")
     pairs = tuple(_metric_pair(m, args.mode) for m in names)
     pi_reps = _pi_replications(args, reads_pi=any(mode != PLUG_IN for _, mode in pairs))
-    values = _design_values(args)
-    g, s, name = _load_from_flags(args)
-    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count))) for v in values]
+    # the config refuses its own flags before the dataset loads; the sweep needs its node count
     cfg = ExperimentConfig(
-        dataset=name,
+        dataset="",
         design={"kind": args.design},
         metrics=pairs,
         replications=args.reps,
         base_seed=args.seed,
-        sweep=tuple(sweep),
         bins=args.bins,
         pi_source=args.pi,
         pi_replications=pi_reps,
     )
-    record = run_experiment(cfg, dataset=(g, s))
+    values = _design_values(args)
+    g, s, name = _load_from_flags(args)
+    sweep = [dict(vars(resolve_design({"kind": args.design}, v, g.node_count))) for v in values]
+    record = run_experiment(replace(cfg, dataset=name, sweep=tuple(sweep)), dataset=(g, s))
     for row in summarize(record):
         mean, bias, std = (np.nan if row[c] is None else row[c] for c in ("mean", "bias", "std"))
         print(f"{row['dataset']} {row['kind']}[{row['mode']}] {row['param']}: "

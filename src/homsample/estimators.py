@@ -19,15 +19,15 @@ and the ids of its edges there. Every estimate runs through
 :func:`estimate_block(block, signal, incl, pairs) <estimate_block>`, which
 estimates a block of samples (:class:`~homsample.sampling.SampleBlock`: their
 parent graph, edge ids and row offsets) for all its metric pairs in one
-call: the :mod:`homsample.metrics` kernels and ``pi`` are evaluated once
-per call on the block's edge ids, each row's totals are the pairwise sums
-of its own slice, and each row is checked as one sample is, so a row's
-point, variance and variance status, or its invalid reason, are bit for
-bit those of its sample alone. A pair's estimates of a block are columns
-(:class:`Estimates`): float64 points and variances, their statuses, and
-the reasons of the invalid rows. :func:`estimate_metric` is the one-row,
-one-pair case, and the one place that adds the metric and sizes of an
-:class:`EstimateReport`. Node homophily is a mean of per-node
+call: the kernels of :data:`homsample.metrics.METRICS`, the one table of
+metric kinds, and ``pi`` are evaluated once per call on the block's edge
+ids, each row's totals are the pairwise sums of its own slice, and each
+row is checked as one sample is, so a row's point, variance and variance
+status, or its invalid reason, are bit for bit those of its sample alone.
+A pair's estimates of a block are columns (:class:`Estimates`): float64
+points and variances, their statuses, and the reasons of the invalid
+rows. :func:`estimate_metric` is the one-row, one-pair case, and the one
+place that adds the metric and sizes of an :class:`EstimateReport`. Node homophily is a mean of per-node
 ratios, not an edge total, and is only offered as a plug-in on the sampled
 subgraph; its node sums, like the variance's, are
 :func:`~homsample.metrics.node_sums`, which the exact metric uses too.
@@ -48,12 +48,11 @@ from .metrics import (
     DIRICHLET_NORMALIZED,
     DIRICHLET_TOTAL,
     EDGE_HOMOPHILY,
-    EDGE_METRICS,
     METRIC_KINDS,
+    METRICS,
     NODE_HOMOPHILY,
     checked_total_weight,
     node_sums,
-    same_label_values,
 )
 from .sampling import SampleBlock, SampledGraph, row_offsets
 
@@ -72,10 +71,6 @@ MODES_FOR_KIND = {
     EDGE_HOMOPHILY: (HAJEK_RATIO, KNOWN_DENOMINATOR, PLUG_IN),
     NODE_HOMOPHILY: (PLUG_IN,),
 }
-
-# each metric's per-edge kernel
-_KERNELS = {**{kind: kernel for kind, (kernel, _) in EDGE_METRICS.items()},
-            NODE_HOMOPHILY: same_label_values}
 
 VARIANCE_EXACT = "exact_design"
 VARIANCE_UNSUPPORTED = "unsupported"
@@ -99,9 +94,9 @@ class Estimates:
 
     Row r has point ``points[r]``, variance ``variances[r]`` (float64) and
     variance status ``statuses[r]``; its variance is NaN, and reads None,
-    where its status is "unsupported". A row in ``invalid`` has the
-    DegenerateSampleError its sample raises instead, and nothing in the
-    other columns.
+    where its status is "unsupported". A row in ``invalid`` has the reason
+    its sample raises DegenerateSampleError with instead, and nothing in
+    the other columns.
     """
 
     points: np.ndarray
@@ -111,8 +106,8 @@ class Estimates:
 
     def entries(self, start: int, stop: int) -> list:
         """Rows ``start`` to ``stop``: each row's ``{"point", "variance",
-        "variance_status"}`` in Python floats, or its DegenerateSampleError."""
-        return [self.invalid.get(row) or {
+        "variance_status"}`` in Python floats, or its ``{"invalid": reason}``."""
+        return [{"invalid": self.invalid[row]} if row in self.invalid else {
                     "point": point,
                     "variance": None if status == VARIANCE_UNSUPPORTED else variance,
                     "variance_status": status}
@@ -143,13 +138,12 @@ def check_mode(kind: str, mode: str):
                          f"(supported: {', '.join(MODES_FOR_KIND[kind])})")
 
 
-def _floor_error(g: Graph, edge: int, pi: float, source: str) -> DegenerateSampleError:
-    return DegenerateSampleError(
-        f"sampled edge ({g.edge_i[edge]}, {g.edge_j[edge]}) has inclusion "
-        f"probability {pi:g} below the floor {PI_FLOOR:g} under the "
-        f"{source} model, which contradicts this realization; use the "
-        "empirical inclusion oracle (empirical_pi), with more replications "
-        "if it produced this model")
+def _floor_reason(g: Graph, edge: int, pi: float, source: str) -> str:
+    return (f"sampled edge ({g.edge_i[edge]}, {g.edge_j[edge]}) has inclusion "
+            f"probability {pi:g} below the floor {PI_FLOOR:g} under the "
+            f"{source} model, which contradicts this realization; use the "
+            "empirical inclusion oracle (empirical_pi), with more replications "
+            "if it produced this model")
 
 
 def _block_pi(block: SampleBlock, incl: InclusionModel, invalid: dict) -> np.ndarray:
@@ -166,7 +160,7 @@ def _block_pi(block: SampleBlock, incl: InclusionModel, invalid: dict) -> np.nda
         rows, first = np.unique(np.searchsorted(block.offsets, bad, side="right") - 1,
                                 return_index=True)
         for row, pos in zip(rows.tolist(), bad[first].tolist()):
-            invalid.setdefault(row, _floor_error(block.parent, ids[pos], pi[pos], incl.source))
+            invalid.setdefault(row, _floor_reason(block.parent, ids[pos], pi[pos], incl.source))
         pi[bad] = 1.0
     return pi
 
@@ -216,7 +210,7 @@ def _quotients(num: np.ndarray, den) -> np.ndarray:
 def _flag(invalid: dict, rows: np.ndarray, message: str):
     """Record ``message`` for the flagged rows that no earlier check made invalid."""
     for row in np.flatnonzero(rows).tolist():
-        invalid.setdefault(row, DegenerateSampleError(message))
+        invalid.setdefault(row, message)
 
 
 def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
@@ -227,7 +221,7 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
     invalid = {}
     pi = _block_pi(SampleBlock.of(sample), incl, invalid)
     if invalid:
-        raise invalid[0]
+        raise DegenerateSampleError(invalid[0])
     return float((values / pi).sum())
 
 
@@ -264,10 +258,9 @@ def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
         pairs4 = m * m - m - pairs3
         for span, pairs in ((3, pairs3), (4, pairs4)):
             if pairs and joint[span] <= 0:
-                invalid.setdefault(row, DegenerateSampleError(
-                    f"{pairs} observed ordered edge pairs spanning {span} nodes have joint "
-                    f"inclusion probability 0 under the {incl.source} model, which "
-                    "contradicts this realization"))
+                invalid.setdefault(row, f"{pairs} observed ordered edge pairs spanning {span} "
+                                        f"nodes have joint inclusion probability 0 under the "
+                                        f"{incl.source} model, which contradicts this realization")
         if row in invalid:
             continue
         p = float(pi[bounds[row]])
@@ -318,7 +311,7 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     variances, statuses = _row_span_variances(block, _Rows(block.offsets), values, pi, incl,
                                               invalid, clamp_negative)
     if invalid:
-        raise invalid[0]
+        raise DegenerateSampleError(invalid[0])
     return float(variances[0]), statuses[0]
 
 
@@ -326,12 +319,13 @@ def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel
                    pairs) -> dict:
     """``{"kind:mode": Estimates}`` for each (kind, mode) of ``pairs``, one
     row per row of ``block``: the row's point, variance and variance status
-    as :func:`estimate_metric` reports them, or the DegenerateSampleError it
-    raises. ``incl`` is required unless every mode is "plug_in".
+    as :func:`estimate_metric` reports them, or the reason of the
+    DegenerateSampleError it raises. ``incl`` is required unless every mode
+    is "plug_in".
 
-    - each ``EDGE_METRICS`` kernel, and node homophily's same-label
-      indicator, is evaluated once per call on the block's edge ids and
-      dropped after the last pair that reads it;
+    - each kernel of :data:`~homsample.metrics.METRICS` is evaluated once
+      per call on the block's edge ids and dropped after the last pair that
+      reads it;
     - ``pi``, with its floor test, is gathered once per call, and each
       ratio's ``scale * edge_w`` once per pair; a value weighs 1 (plug-in)
       or 1/pi, and its total divides by 1, the known normalizer, or the
@@ -352,11 +346,11 @@ def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel
             raise ValueError(f"mode {mode!r} requires an inclusion model")
     rows = _Rows(block.offsets)
     # each kernel's values at the block's edges, kept until the last pair that reads them
-    kernels, left = {}, Counter(_KERNELS[kind] for kind, _ in pairs)
+    kernels, left = {}, Counter(METRICS[kind][0] for kind, _ in pairs)
     floor, pi = {}, None   # the rows that fail pi's floor test, and pi at the edges
     out = {}
     for kind, mode in pairs:
-        kernel = _KERNELS[kind]
+        kernel = METRICS[kind][0]
         if kernel not in kernels:
             kernels[kernel] = kernel(block.parent, signal, block.edge_index)
         left[kernel] -= 1
@@ -372,7 +366,7 @@ def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values
                    pi: np.ndarray | None, incl: InclusionModel | None, invalid: dict) -> Estimates:
     """The estimates of one metric pair on the rows of ``block``: ``values``
     is its kernel at the block's edges and ``invalid`` maps a row to the
-    error of the first check it fails."""
+    reason of the first check it fails."""
     g, ids = block.parent, block.edge_index
     variances = np.full(len(rows.lengths), np.nan)
     statuses = [VARIANCE_UNSUPPORTED] * len(rows.lengths)
@@ -382,7 +376,7 @@ def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values
         node_rows = _Rows(row_offsets(node_lengths))
         points = _quotients(node_rows.sums(sums / counts), node_rows.lengths)
     else:
-        scale = EDGE_METRICS[kind][1]
+        scale = METRICS[kind][1]
         if scale is None:
             den = 1.0
         elif mode == KNOWN_DENOMINATOR:
@@ -413,18 +407,18 @@ def estimate_metric(sample: SampledGraph, signal: GraphSignal, kind: str, mode: 
                     incl: InclusionModel | None = None) -> EstimateReport:
     """Estimate one homophily metric from a sampled graph.
 
-    Edge metrics take their per-edge kernel and scale from ``EDGE_METRICS``:
-    a total divides by 1, a ratio by the scale times the total edge weight
-    of the sample ("plug_in"), its HT estimate ("hajek_ratio") or the parent
-    graph ("known_denominator"). ``incl`` is required unless "plug_in".
+    A metric takes its per-edge kernel and scale from ``METRICS``; an edge
+    metric's total divides by 1, a ratio by the scale times the total edge
+    weight of the sample ("plug_in"), its HT estimate ("hajek_ratio") or the
+    parent graph ("known_denominator"). ``incl`` is required unless "plug_in".
     Degenerate realizations (an empty sample under a ratio mode, or an edge
     the model gives probability 0) raise DegenerateSampleError. This is
     the one-row case of :func:`estimate_block`, which evaluates the kernels
     on the sampled edges alone.
     """
     (estimates,) = estimate_block(SampleBlock.of(sample), signal, incl, ((kind, mode),)).values()
+    if estimates.invalid:
+        raise DegenerateSampleError(estimates.invalid[0])
     (estimate,) = estimates.entries(0, 1)
-    if isinstance(estimate, DegenerateSampleError):
-        raise estimate
     return EstimateReport(kind, mode, **estimate, sampled_nodes=sample.node_count,
                           sampled_edges=sample.edge_count)

@@ -63,6 +63,14 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
+def _check_rows(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """Refuse endpoint and weight arrays of unequal lengths, or a node id outside [0, n)."""
+    if i.shape != j.shape or i.shape != w.shape:
+        raise ValueError("endpoint and weight arrays must have equal length")
+    if len(i) and (i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n):
+        raise ValueError(f"node id out of range [0, {n})")
+
+
 class Graph:
     """Undirected weighted graph with canonical edge storage.
 
@@ -77,7 +85,8 @@ class Graph:
         Strictly positive weights, aligned with the endpoint arrays.
 
     Use :meth:`from_arrays` or :meth:`from_edges` to build from raw
-    (possibly unsorted, duplicated, or reversed) pair data.
+    (possibly unsorted, duplicated, or reversed) pair data; arrays given
+    here that are not in that form are refused with the condition they fail.
     """
 
     __slots__ = (
@@ -87,8 +96,16 @@ class Graph:
 
     def __init__(self, node_count, edge_i, edge_j, edge_w):
         # own copies: freezing must not flip writability of caller arrays
-        self._own(node_count, np.array(edge_i, dtype=np.int64), np.array(edge_j, dtype=np.int64),
-                  np.array(edge_w, dtype=np.float64))
+        i, j = np.array(edge_i, dtype=np.int64), np.array(edge_j, dtype=np.int64)
+        w = np.array(edge_w, dtype=np.float64)
+        _check_rows(int(node_count), i, j, w)
+        if np.any(i >= j):
+            raise ValueError("each edge needs edge_i < edge_j")
+        if np.any((i[1:] < i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] <= j[:-1]))):
+            raise ValueError("edge pairs must be strictly increasing: sorted, with no duplicates")
+        if not np.all(w > 0):
+            raise ValueError("edge weights must be > 0")
+        self._own(node_count, i, j, w)
 
     def _own(self, node_count, edge_i, edge_j, edge_w):
         """Set up the graph on ``edge_*``, which it takes and freezes without a copy."""
@@ -112,10 +129,7 @@ class Graph:
         j = np.asarray(j, dtype=np.int64)
         w = np.ones(len(i)) if w is None else np.asarray(w, dtype=np.float64)
         n = int(node_count)
-        if i.shape != j.shape or i.shape != w.shape:
-            raise ValueError("endpoint and weight arrays must have equal length")
-        if len(i) and (i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n):
-            raise ValueError(f"node id out of range [0, {n})")
+        _check_rows(n, i, j, w)
         if np.any(i == j):
             raise ValueError("self-loops are not allowed")
         if not np.all(np.isfinite(w)):

@@ -54,9 +54,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import metrics
-from .estimators import PLUG_IN, DegenerateSampleError, Estimates, check_mode, estimate_block
+from .estimators import PLUG_IN, Estimates, check_mode, estimate_block
 from .graph import Graph, GraphSignal, load_dataset
-from .inclusion import DEFAULT_PI_REPLICATIONS, sweep_inclusion
+from .inclusion import DEFAULT_PI_REPLICATIONS, check_pi_replications, sweep_inclusion
 from .rng import DEFAULT_SEED, derive_seeds
 from .sampling import SampleBlock, draw_block, resolve_design
 
@@ -83,8 +83,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.pi_source == "empirical" and self.pi_replications < 1:
-            raise ValueError(f"pi replications must be >= 1, got {self.pi_replications}")
+        if self.pi_source == "empirical":
+            check_pi_replications(self.pi_replications)
         if not self.metrics:
             raise ValueError("metrics must name at least one (kind, mode) pair")
         seen = set()
@@ -158,7 +158,7 @@ class SweepResult:
             column.points[rows] = est.points
             column.variances[rows] = est.variances
             column.statuses[rows] = est.statuses
-            column.invalid.update((start + row, e) for row, e in est.invalid.items())
+            column.invalid.update((start + row, reason) for row, reason in est.invalid.items())
 
     def rows(self):
         """Each replication's row of the record, in order, one at a time:
@@ -168,9 +168,7 @@ class SweepResult:
         a time."""
         for start in range(0, len(self.seeds), _ROW_CHUNK):
             stop = min(start + _ROW_CHUNK, len(self.seeds))
-            entries = {key: [{"invalid": str(e)} if isinstance(e, DegenerateSampleError) else e
-                             for e in est.entries(start, stop)]
-                       for key, est in self.estimates.items()}
+            entries = {key: est.entries(start, stop) for key, est in self.estimates.items()}
             for i, (seed, nodes, edges) in enumerate(zip(self.seeds[start:stop].tolist(),
                                                          self.sampled_nodes[start:stop].tolist(),
                                                          self.sampled_edges[start:stop].tolist())):

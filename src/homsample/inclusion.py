@@ -120,6 +120,13 @@ def approx_pi_traceroute(b: np.ndarray, n_sources: int, n_targets: int, n: int) 
     return np.where(b > 0, -np.expm1(-rate), 0.0)
 
 
+def check_pi_replications(replications: int) -> int:
+    """``replications`` of the empirical oracle, refused below 1."""
+    if replications < 1:
+        raise ValueError(f"pi replications must be >= 1, got {replications}")
+    return replications
+
+
 def empirical_pi(g: Graph, design: SampleDesign, replications: int,
                  seed: int) -> InclusionModel:
     """Monte Carlo inclusion frequencies over independent design realizations.
@@ -131,8 +138,7 @@ def empirical_pi(g: Graph, design: SampleDesign, replications: int,
     unsampleable.
     """
     design.validate(g.node_count)
-    if replications < 1:
-        raise ValueError(f"pi replications must be >= 1, got {replications}")
+    check_pi_replications(replications)
     counts = design.edge_counts(g, make_rng(seed), replications)
     return InclusionModel(
         source=f"empirical:{design.kind}",

@@ -14,6 +14,9 @@ what published benchmark tables use. Its per-node sums come from
 :func:`node_sums`, which sums rows of edge subsets at once; the exact
 metric is the one row of all edges, and the estimators pass a block of
 samples (their plug-in node homophily and HT variance read it).
+
+:data:`METRICS` is the one table of metric kinds: each kind's per-edge
+kernel and scale, which :func:`exact_metric` and every estimator mode read.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ DIRICHLET_TOTAL = "dirichlet_total"
 DIRICHLET_NORMALIZED = "dirichlet_normalized"
 EDGE_HOMOPHILY = "edge_homophily"
 NODE_HOMOPHILY = "node_homophily"
-METRIC_KINDS = (DIRICHLET_TOTAL, DIRICHLET_NORMALIZED, EDGE_HOMOPHILY, NODE_HOMOPHILY)
 
 
 def _check_dims(g: Graph, s: GraphSignal):
@@ -105,14 +107,17 @@ def same_label_values(g: Graph, s: GraphSignal, edge_ids=None) -> np.ndarray:
     return (labels[i] == labels[j]).astype(np.float64)
 
 
-# An edge metric is a total of per-edge values, which a ratio divides by a multiple
-# of the total edge weight: kind -> (per-edge kernel, scale), scale None for a
-# plain total. The exact metrics and the estimators both read this table.
-EDGE_METRICS = {
+# Every metric kind: kind -> (per-edge kernel, scale). An edge metric is a total
+# of its kernel's values, which a ratio divides by scale times the total edge
+# weight (scale None for a plain total); node homophily averages its same-label
+# indicator per node.
+METRICS = {
     DIRICHLET_TOTAL: (edge_variation_values, None),
     DIRICHLET_NORMALIZED: (edge_variation_values, 2.0),
     EDGE_HOMOPHILY: (same_label_weight_values, 1.0),
+    NODE_HOMOPHILY: (same_label_values, None),
 }
+METRIC_KINDS = tuple(METRICS)
 
 
 def checked_total_weight(g: Graph, kind: str) -> float:
@@ -125,7 +130,9 @@ def checked_total_weight(g: Graph, kind: str) -> float:
 
 
 def _edge_metric(g: Graph, s: GraphSignal, kind: str) -> float:
-    kernel, scale = EDGE_METRICS[kind]
+    if kind == DIRICHLET_NORMALIZED and s.labels is None:
+        raise ValueError("normalized energy is defined for labelled signals")
+    kernel, scale = METRICS[kind]
     total = checked_total_weight(g, kind)
     den = 1.0 if scale is None else scale * total
     if den <= 0:
@@ -140,8 +147,6 @@ def dirichlet_energy(g: Graph, s: GraphSignal) -> float:
 
 def normalized_dirichlet(g: Graph, s: GraphSignal) -> float:
     """Dirichlet energy divided by twice the total edge weight; in [0, 1] for labelled signals."""
-    if s.labels is None:
-        raise ValueError("normalized energy is defined for labelled signals")
     return _edge_metric(g, s, DIRICHLET_NORMALIZED)
 
 
@@ -160,21 +165,11 @@ def node_homophily(g: Graph, s: GraphSignal) -> float:
     return float(np.mean(sums / counts))
 
 
-_EXACT = {
-    DIRICHLET_TOTAL: dirichlet_energy,
-    DIRICHLET_NORMALIZED: normalized_dirichlet,
-    EDGE_HOMOPHILY: edge_homophily,
-    NODE_HOMOPHILY: node_homophily,
-}
-
-
 def exact_metric(g: Graph, s: GraphSignal, kind: str) -> float:
     """Metric ``kind`` of the full graph; a non-finite value is refused as json refuses it."""
-    try:
-        fn = _EXACT[kind]
-    except KeyError:
-        raise ValueError(f"unknown metric kind {kind!r}") from None
-    value = fn(g, s)
+    if kind not in METRICS:
+        raise ValueError(f"unknown metric kind {kind!r}")
+    value = node_homophily(g, s) if kind == NODE_HOMOPHILY else _edge_metric(g, s, kind)
     if not math.isfinite(value):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     return value

@@ -87,8 +87,7 @@ class BernoulliDesign(_InducedDesign):
     kind = "bernoulli"
 
     def validate(self, n: int):
-        if not 0 < self.p <= 1:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
+        check_fractions(vars(self))
 
     def node_sample(self, g: Graph, rng) -> np.ndarray:
         return bernoulli_node_sample(g, self.p, rng)
@@ -238,6 +237,15 @@ def design_from_dict(d: dict) -> SampleDesign:
         raise ValueError(f"bad parameters for {kind!r} design: {exc}") from None
 
 
+def check_fractions(params: dict):
+    """Refuse a Bernoulli ``p`` or an SRS ``frac`` of ``params`` outside (0, 1].
+    No graph admits one, so it can be refused before a graph is read; a size
+    is checked against the node count by its design's ``validate(n)``."""
+    for key, name in (("p", "p"), ("frac", "SRS frac")):
+        if key in params and not 0.0 < params[key] <= 1.0:
+            raise ValueError(f"{name} must be in (0, 1], got {params[key]}")
+
+
 def resolve_design(template: dict, overrides: dict, n: int) -> SampleDesign:
     """Design from a template dict plus overrides; an SRS "frac" in (0, 1]
     becomes ``n_star = max(1, round(frac * n))`` unless n_star is given."""
@@ -245,8 +253,7 @@ def resolve_design(template: dict, overrides: dict, n: int) -> SampleDesign:
     frac = merged.pop("frac", None)
     if frac is not None and "n_star" not in merged:
         frac = float(frac)
-        if not 0.0 < frac <= 1.0:
-            raise ValueError(f"SRS frac must be in (0, 1], got {frac!r}")
+        check_fractions({"frac": frac})
         merged["n_star"] = max(1, round(frac * n))
     return design_from_dict(merged)
 

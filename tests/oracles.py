@@ -28,7 +28,7 @@ from homsample.estimators import (
     DegenerateSampleError,
 )
 from homsample.inclusion import InclusionModel
-from homsample.metrics import EDGE_METRICS, NODE_HOMOPHILY, same_label_values
+from homsample.metrics import METRICS, NODE_HOMOPHILY, same_label_values
 from homsample.rng import child_rng
 from homsample.sampling import induced_subgraph
 
@@ -479,7 +479,7 @@ class ReferenceColumns:
             if kind == NODE_HOMOPHILY:
                 self._values[kind] = same_label_values(g, signal)
                 continue
-            kernel, scale = EDGE_METRICS[kind]
+            kernel, scale = METRICS[kind]
             if kernel not in by_kernel:
                 by_kernel[kernel] = kernel(g, signal)
             self._values[kind] = by_kernel[kernel]

@@ -12,6 +12,7 @@ import pytest
 
 from homsample import cli, graphon, harness, karate_manifest_path
 from homsample.estimators import MODES_FOR_KIND
+from homsample.metrics import METRIC_KINDS
 
 MANIFEST = str(karate_manifest_path())
 
@@ -369,7 +370,20 @@ def test_an_output_in_a_missing_directory_is_named_as_given(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_every_kind_and_short_name_resolves_to_its_kind():
+    names = {"dirichlet": "dirichlet_normalized", "edge": "edge_homophily",
+             "node": "node_homophily", **{kind: kind for kind in METRIC_KINDS}}
+    for name, kind in names.items():
+        assert cli._metric_pair(name, None) == (kind, MODES_FOR_KIND[kind][0])
+        for mode in MODES_FOR_KIND[kind]:
+            assert cli._metric_pair(name, mode) == (kind, mode)
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown metric 'modularity' (choices: {', '.join(sorted(names))})")):
+        cli._metric_pair("modularity", None)
+
+
 NOT_SUPPORTED = "mode 'ht_total' not supported for 'node_homophily' (supported: plug_in)"
+PI_REPS = "pi replications must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -382,6 +396,17 @@ NOT_SUPPORTED = "mode 'ht_total' not supported for 'node_homophily' (supported: 
     (["experiment", "--design", "bernoulli"], "bernoulli design requires --p"),
     (["sample", "--design", "traceroute", "--sources", "2"],
      "traceroute design requires --sources and --targets"),
+    (["experiment", "--design", "bernoulli", "--p", "0.3", "--metric", "edge,edge_homophily"],
+     "metric pair edge_homophily:hajek_ratio is listed more than once"),
+    (["experiment", "--design", "bernoulli", "--p", "1.5"], "p must be in (0, 1], got 1.5"),
+    (["sample", "--design", "bernoulli", "--p", "-1"], "p must be in (0, 1], got -1.0"),
+    (["experiment", "--design", "srs", "--frac", "2"], "SRS frac must be in (0, 1], got 2.0"),
+    (["estimate", "--design", "srs", "--frac", "0"], "SRS frac must be in (0, 1], got 0.0"),
+    (["experiment", "--design", "bernoulli", "--p", "0.3", "--reps", "0"],
+     "replications must be >= 1"),
+    (["experiment", "--design", "bernoulli", "--p", "0.3", "--bins", "0"], "bins must be >= 1"),
+    *(([command, "--design", "bernoulli", "--p", "0.3", "--pi", "empirical", "--pi-reps", "0"],
+       PI_REPS) for command in ("experiment", "estimate", "sample")),
 ])
 def test_a_refusal_that_needs_no_dataset_comes_before_the_load(monkeypatch, capsys, args, message):
     def load(args, need_labels=True):

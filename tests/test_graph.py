@@ -140,6 +140,34 @@ def test_from_arrays_rejects_a_node_count_whose_pair_keys_overflow():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("i, j, w, message", [
+    ([0, 1], [1, 2], [1.0], "endpoint and weight arrays must have equal length"),
+    ([0, 1], [1], [1.0, 1.0], "endpoint and weight arrays must have equal length"),
+    ([0], [3], [1.0], re.escape("node id out of range [0, 3)")),
+    ([-1], [1], [1.0], re.escape("node id out of range [0, 3)")),
+    ([1], [0], [1.0], "each edge needs edge_i < edge_j"),
+    ([1], [1], [1.0], "each edge needs edge_i < edge_j"),
+    # node 0's only neighbour would read as 2
+    ([1, 0], [2, 1], [1.0, 1.0], "strictly increasing: sorted, with no duplicates"),
+    ([0, 0], [2, 1], [1.0, 1.0], "strictly increasing: sorted, with no duplicates"),
+    ([0, 0], [1, 1], [1.0, 1.0], "strictly increasing: sorted, with no duplicates"),
+    ([0], [1], [0.0], "edge weights must be > 0"),
+    ([0], [1], [-1.0], "edge weights must be > 0"),
+    ([0], [1], [np.nan], "edge weights must be > 0"),
+])
+def test_the_constructor_refuses_arrays_out_of_canonical_form(i, j, w, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, i, j, w)
+
+
+def test_the_constructor_takes_canonical_arrays():
+    # a merged weight past the largest float64 is +inf, which from_arrays gives
+    g = Graph(3, [0, 0, 1], [1, 2, 2], [1.0, np.inf, 2.0])
+    assert g == Graph.from_arrays(3, [0, 2, 2, 1], [1, 0, 0, 2], [1.0, 1e308, 1e308, 2.0])
+    assert g.neighbors(0).tolist() == [1, 2]
+    assert Graph(3, [], [], []).edge_count == 0
+
+
 def test_zero_weight_pairs_are_non_edges():
     g = load_edge_list(io.StringIO("0 1 0.0\n1 2 1.0\n"))
     assert g.edge_count == 1

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,13 @@ from homsample import (
     normalized_dirichlet,
 )
 from homsample.estimators import estimate_metric
-from homsample.metrics import METRIC_KINDS, homophily_profile, node_sums, same_label_weight_values
+from homsample.metrics import (
+    DIRICHLET_NORMALIZED,
+    METRIC_KINDS,
+    homophily_profile,
+    node_sums,
+    same_label_weight_values,
+)
 from homsample.sampling import SampledGraph
 from oracles import (
     dense_laplacian_tv,
@@ -172,6 +180,50 @@ def test_profile_and_exact_metric(karate):
     assert exact_metric(g, s, "edge_homophily") == profile["edge_homophily"]
     with pytest.raises(ValueError, match="unknown metric"):
         exact_metric(g, s, "modularity")
+
+
+NEEDS_LABELS = "^normalized energy is defined for labelled signals$"
+
+
+def test_normalized_energy_refuses_a_feature_signal(karate):
+    g, _ = karate
+    features = GraphSignal(np.random.default_rng(3).normal(size=(g.node_count, 2)))
+    # the total weight of this graph overflows: the refusal comes before it is read
+    heavy = Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    cases = [(g, features), (heavy, GraphSignal(np.eye(3)))]
+    for metric in (normalized_dirichlet, partial(exact_metric, kind=DIRICHLET_NORMALIZED)):
+        for graph, signal in cases:
+            with pytest.raises(ValueError, match=NEEDS_LABELS):
+                metric(graph, signal)
+    with pytest.raises(ValueError, match=NEEDS_LABELS):
+        homophily_profile(g, features)
+
+
+PUBLIC_METRICS = {"dirichlet_total": dirichlet_energy,
+                  "dirichlet_normalized": normalized_dirichlet,
+                  "edge_homophily": edge_homophily, "node_homophily": node_homophily}
+
+
+def _value_or_refusal(metric, g, s):
+    try:
+        return np.float64(metric(g, s)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14), classes=st.integers(1, 5),
+       weighted=st.booleans())
+def test_exact_metric_of_each_kind_is_its_public_function_bitwise(karate, seed, n, classes,
+                                                                  weighted):
+    assert set(PUBLIC_METRICS) == set(METRIC_KINDS)
+    rng = np.random.default_rng(seed)
+    # a graph with no edges is refused alike
+    drawn = (random_graph(rng, n, 0.4, weighted), random_onehot_signal(rng, n, classes))
+    for g, s in (karate, drawn):
+        for kind, metric in PUBLIC_METRICS.items():
+            assert _value_or_refusal(partial(exact_metric, kind=kind), g, s) == \
+                _value_or_refusal(metric, g, s)
 
 
 @pytest.mark.parametrize("kind", ["dirichlet_total", "dirichlet_normalized", "edge_homophily"])
