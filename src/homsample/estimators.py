@@ -51,6 +51,7 @@ from .metrics import (
     METRIC_KINDS,
     METRICS,
     NODE_HOMOPHILY,
+    check_signal,
     checked_total_weight,
     node_sums,
 )
@@ -179,6 +180,9 @@ class _Rows:
     def __init__(self, offsets: np.ndarray):
         self.offsets = offsets
         self.lengths = np.diff(offsets)
+        if len(self.lengths) == 1:   # one sample's row: a view, with no sort or gather
+            self._groups = [([0], np.s_[None, offsets[0]:offsets[1]])]
+            return
         order = np.argsort(self.lengths, kind="stable")
         runs = np.split(order, np.flatnonzero(np.diff(self.lengths[order])) + 1)
         # each length's rows and the (rows, length) index of their entries
@@ -226,54 +230,49 @@ def ht_total(sample: SampledGraph, values, incl: InclusionModel) -> float:
 
 
 def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
-                        pi: np.ndarray, incl: InclusionModel, invalid: dict,
+                        incl: InclusionModel, invalid: dict,
                         clamp_negative: bool) -> tuple[np.ndarray, list]:
     """:func:`ht_variance` of each row of ``block`` (``rows`` its offsets)
     that is not ``invalid``, as a variance and a status column (NaN and
     "exact_design" for invalid rows); a row with a sampled pair in a span
-    class of joint probability 0 joins ``invalid``. Totals and node sums
-    come for all rows at once; Q and A are one BLAS ``@`` per row, as on
-    that row's sample alone.
+    class of joint probability 0 joins ``invalid``. Q, A and the totals are
+    each row's own pairwise numpy sums, as on its sample alone, for all rows at once.
     """
     sums, degrees, node_lengths = node_sums(block.parent, block.edge_index, rows.lengths, values)
-    node_offsets = row_offsets(node_lengths)
-    degree_sq = row_offsets(degrees * degrees)[node_offsets]
-    pairs3_by_row = (np.diff(degree_sq) - 2 * rows.lengths).tolist()
-    totals = rows.sums(values).tolist()
-    bounds, node_bounds = rows.offsets.tolist(), node_offsets.tolist()
+    node_rows = _Rows(row_offsets(node_lengths))
+    m = rows.lengths
+    pairs3 = np.diff(row_offsets(degrees * degrees)[node_rows.offsets]) - 2 * m
     joint = incl.joint_by_span
-    variances, statuses = np.full(len(rows.lengths), np.nan), [VARIANCE_EXACT] * len(rows.lengths)
-    for row, m in enumerate(rows.lengths.tolist()):
-        if row in invalid:
-            continue
-        if m == 0:
-            variances[row] = 0.0
-            continue
-        v = values[bounds[row]:bounds[row + 1]]
-        s = sums[node_bounds[row]:node_bounds[row + 1]]
-        q = float(v @ v)
-        a = float(s @ s) - 2.0 * q
-        d = totals[row] ** 2 - q - a
-        pairs3 = pairs3_by_row[row]
-        pairs4 = m * m - m - pairs3
-        for span, pairs in ((3, pairs3), (4, pairs4)):
-            if pairs and joint[span] <= 0:
-                invalid.setdefault(row, f"{pairs} observed ordered edge pairs spanning {span} "
+    spans = ((3, pairs3), (4, m * m - m - pairs3))
+    for span, pairs in spans:
+        if joint[span] <= 0:
+            for row in np.flatnonzero(pairs).tolist():
+                invalid.setdefault(row, f"{pairs[row]} observed ordered edge pairs spanning {span} "
                                         f"nodes have joint inclusion probability 0 under the "
                                         f"{incl.source} model, which contradicts this realization")
-        if row in invalid:
-            continue
-        p = float(pi[bounds[row]])
+    dead = np.zeros(len(m), dtype=bool)
+    dead[list(invalid)] = True
+    live = ~dead & (m > 0)
+    variances, statuses = np.where(dead, np.nan, 0.0), [VARIANCE_EXACT] * len(m)
+    if not live.any():   # pi may be 0 here: an SRS model with n_star = 1
+        return variances, statuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = rows.sums(values * values)
+        a = node_rows.sums(sums * sums) - 2.0 * q
+        # each total squared by Python's float pow (libm's), as one sample's total
+        # is; numpy's square differs from it in about one case in 1,000
+        d = (rows.sums(values).astype(object) ** 2).astype(np.float64) - q - a
+        p = float(incl.pi[0])   # a span model has one pi
         inv_sq = 1.0 / p ** 2
         est = q * (inv_sq - 1.0 / p)
-        if pairs3:
-            est += a * (inv_sq - 1.0 / joint[3])
-        if pairs4:
-            est += d * (inv_sq - 1.0 / joint[4])
-        if est < 0 and clamp_negative:
-            variances[row], statuses[row] = 0.0, VARIANCE_CLAMPED
-        else:
-            variances[row] = est
+        for (span, pairs), x in zip(spans, (a, d)):
+            # a class without a pair in any live row adds nothing; its joint may be 0
+            has = live & (pairs > 0)
+            if has.any():
+                est[has] += x[has] * (inv_sq - 1.0 / joint[span])
+    variances[live] = est[live]
+    for row in np.flatnonzero(live & (est < 0) & clamp_negative).tolist():
+        variances[row], statuses[row] = 0.0, VARIANCE_CLAMPED
     return variances, statuses
 
 
@@ -307,8 +306,8 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
         return None, VARIANCE_UNSUPPORTED
     block = SampleBlock.of(sample)
     invalid = {}   # a pi below the floor, then a zero joint
-    pi = _block_pi(block, incl, invalid)
-    variances, statuses = _row_span_variances(block, _Rows(block.offsets), values, pi, incl,
+    _block_pi(block, incl, invalid)
+    variances, statuses = _row_span_variances(block, _Rows(block.offsets), values, incl,
                                               invalid, clamp_negative)
     if invalid:
         raise DegenerateSampleError(invalid[0])
@@ -321,7 +320,8 @@ def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel
     row per row of ``block``: the row's point, variance and variance status
     as :func:`estimate_metric` reports them, or the reason of the
     DegenerateSampleError it raises. ``incl`` is required unless every mode
-    is "plug_in".
+    is "plug_in". Normalized energy of a feature signal is refused, as the
+    exact metric refuses it.
 
     - each kernel of :data:`~homsample.metrics.METRICS` is evaluated once
       per call on the block's edge ids and dropped after the last pair that
@@ -333,7 +333,8 @@ def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel
     - a row's totals are the 1-D pairwise sums of its contiguous slice
       (``_Rows.sums``), node sums come from one bincount over
       ``row * n + node`` (:func:`~homsample.metrics.node_sums`), and the
-      span-variance dot products are one BLAS ``@`` per row.
+      span variance's Q and A are each row's own pairwise sums too; no BLAS
+      product reads any of them.
 
     A kernel is elementwise in the edges, so every value has the bits of a
     kernel on one row's sample alone, and so has each row's estimate. A row
@@ -342,6 +343,7 @@ def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel
     """
     for kind, mode in pairs:
         check_mode(kind, mode)
+        check_signal(kind, signal)
         if mode != PLUG_IN and incl is None:
             raise ValueError(f"mode {mode!r} requires an inclusion model")
     rows = _Rows(block.offsets)
@@ -394,8 +396,7 @@ def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values
                   "zero HT denominator (empty or degenerate sample)")
         points = _quotients(rows.sums(values if mode == PLUG_IN else values / pi), den)
         if mode in (HT_TOTAL, KNOWN_DENOMINATOR) and incl.has_joint:
-            variances, statuses = _row_span_variances(block, rows, values, pi, incl, invalid,
-                                                      True)
+            variances, statuses = _row_span_variances(block, rows, values, incl, invalid, True)
             # an overflow gives inf, as for the points, and the record refuses it
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 variances /= den ** 2

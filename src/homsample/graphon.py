@@ -32,9 +32,8 @@ from .rng import child_rng
 def _half_ordered_sum(w: np.ndarray, x: np.ndarray) -> float:
     # sum_ab w_ab ||x_a - x_b||^2 expanded bilinearly, halved (see module note)
     sq = np.einsum("af,af->a", x, x)
-    rowsum = w.sum(axis=1)
-    cross = float(np.einsum("ab,ab->", w, x @ x.T))
-    return float(rowsum @ sq) - cross
+    gram = np.einsum("af,bf->ab", x, x)   # numpy's own loops; no BLAS product
+    return float((w.sum(axis=1) * sq).sum()) - float(np.einsum("ab,ab->", w, gram))
 
 
 def phi_step(g: Graph, s: GraphSignal) -> float:
@@ -56,7 +55,7 @@ def phi_step(g: Graph, s: GraphSignal) -> float:
         sq, dots = np.einsum("af,af->a", x, x), np.einsum("ef,ef->e", x[g.edge_i], x[g.edge_j])
     else:   # a label's one-hot row has norm 1, and two rows a dot product of 1 or 0
         sq, dots = np.ones(n), same_label_values(g, s)
-    return (float(degree @ sq) - 2.0 * float(g.edge_w @ dots)) / float(n * n)
+    return (float((degree * sq).sum()) - 2.0 * float((g.edge_w * dots).sum())) / float(n * n)
 
 
 @dataclass(frozen=True, eq=False)

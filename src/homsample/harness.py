@@ -56,7 +56,8 @@ import numpy as np
 from . import metrics
 from .estimators import PLUG_IN, Estimates, check_mode, estimate_block
 from .graph import Graph, GraphSignal, load_dataset
-from .inclusion import DEFAULT_PI_REPLICATIONS, check_pi_replications, sweep_inclusion
+from .inclusion import (DEFAULT_PI_REPLICATIONS, check_pi_replications, check_pi_source,
+                        sweep_inclusion)
 from .rng import DEFAULT_SEED, derive_seeds
 from .sampling import SampleBlock, draw_block, resolve_design
 
@@ -83,7 +84,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.pi_source == "empirical":
+        if check_pi_source(self.pi_source) == "empirical":
             check_pi_replications(self.pi_replications)
         if not self.metrics:
             raise ValueError("metrics must name at least one (kind, mode) pair")

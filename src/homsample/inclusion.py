@@ -25,6 +25,7 @@ span table; the estimators check a realization against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,9 +49,8 @@ class InclusionModel:
     mark edges the design can never sample. ``joint_by_span[k]`` is the
     closed-form joint probability of an edge pair spanning k distinct
     nodes (k = 2..4); without it joints are unavailable. A closed-form
-    model gives every edge the same ``pi``: the variance reads a row's
-    ``pi`` from its first edge, so a span table with a ``pi`` that varies
-    is refused.
+    model gives every edge the same ``pi``: the variance reads it once, as
+    ``pi[0]``, so a span table with a ``pi`` that varies is refused.
     """
 
     source: str
@@ -117,7 +117,15 @@ def approx_pi_traceroute(b: np.ndarray, n_sources: int, n_targets: int, n: int) 
     this only occurs for degenerate inputs.
     """
     rate = b * (n_sources * n_targets) / float(n * n)
-    return np.where(b > 0, -np.expm1(-rate), 0.0)
+    # libm's expm1 an edge at a time: numpy's rounds otherwise on AVX512 CPUs
+    return np.where(b > 0, [-math.expm1(-r) for r in rate.tolist()], 0.0)
+
+
+def check_pi_source(source: str) -> str:
+    """``source`` of an inclusion model, refused unless "analytic" or "empirical"."""
+    if source not in ("analytic", "empirical"):
+        raise ValueError(f"unknown inclusion source {source!r}")
+    return source
 
 
 def check_pi_replications(replications: int) -> int:
@@ -156,12 +164,10 @@ def inclusion_for(g: Graph, design: SampleDesign, source: str = "analytic",
     for traceroute (joint unavailable); ``source="empirical"`` runs the
     Monte Carlo oracle on the stream of ``seed``, which it requires.
     """
-    if source == "empirical":
+    if check_pi_source(source) == "empirical":
         if seed is None:
             raise ValueError("the empirical inclusion oracle needs a seed")
         return empirical_pi(g, design, replications, seed)
-    if source != "analytic":
-        raise ValueError(f"unknown inclusion source {source!r}")
     design.validate(g.node_count)
     return design.inclusion(g)
 

@@ -129,9 +129,15 @@ def checked_total_weight(g: Graph, kind: str) -> float:
     return total
 
 
-def _edge_metric(g: Graph, s: GraphSignal, kind: str) -> float:
+def check_signal(kind: str, s: GraphSignal):
+    """Refuse metric ``kind`` of a signal it is not defined for: normalized
+    energy is defined for labelled signals only."""
     if kind == DIRICHLET_NORMALIZED and s.labels is None:
         raise ValueError("normalized energy is defined for labelled signals")
+
+
+def _edge_metric(g: Graph, s: GraphSignal, kind: str) -> float:
+    check_signal(kind, s)
     kernel, scale = METRICS[kind]
     total = checked_total_weight(g, kind)
     den = 1.0 if scale is None else scale * total

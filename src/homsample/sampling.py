@@ -93,9 +93,10 @@ class BernoulliDesign(_InducedDesign):
         return bernoulli_node_sample(g, self.p, rng)
 
     def inclusion(self, g: Graph) -> InclusionModel:
-        """pi = p^2 per edge; an edge pair spanning k nodes is joint with p^k."""
+        """pi = p^2 per edge; an edge pair spanning k nodes is joint with p^k, by
+        Python's float power (numpy's array power rounds otherwise on AVX512 CPUs)."""
         return InclusionModel(source="analytic:bernoulli", pi=np.full(g.edge_count, self.p ** 2),
-                              joint_by_span=self.p ** np.arange(5.0))
+                              joint_by_span=np.array([self.p ** k for k in range(5)]))
 
 
 @dataclass(frozen=True)
@@ -247,12 +248,17 @@ def check_fractions(params: dict):
 
 
 def resolve_design(template: dict, overrides: dict, n: int) -> SampleDesign:
-    """Design from a template dict plus overrides; an SRS "frac" in (0, 1]
-    becomes ``n_star = max(1, round(frac * n))`` unless n_star is given."""
-    merged = {**template, **overrides}
-    frac = merged.pop("frac", None)
-    if frac is not None and "n_star" not in merged:
-        frac = float(frac)
+    """Design from a template dict plus overrides. An SRS size is an "n_star"
+    or a "frac" in (0, 1], which becomes ``n_star = max(1, round(frac * n))``;
+    an override's size replaces the template's, and one dict gives at most one."""
+    sizes = ("frac", "n_star")
+    if any(all(key in d for key in sizes) for d in (template, overrides)):
+        raise ValueError("frac and n_star both set the SRS sample size; give one")
+    source = overrides if any(key in overrides for key in sizes) else template
+    merged = {key: value for key, value in {**template, **overrides}.items()
+              if key not in sizes or key in source}
+    if "frac" in merged:
+        frac = float(merged.pop("frac"))
         check_fractions({"frac": frac})
         merged["n_star"] = max(1, round(frac * n))
     return design_from_dict(merged)

@@ -440,8 +440,8 @@ def _reference_span_variance(g, ids, values, pi, incl, clamp_negative):
     if m == 0:
         return 0.0, VARIANCE_EXACT
     sums, degrees = reference_node_sums(g.edge_i[ids], g.edge_j[ids], values)
-    q = float(values @ values)
-    a = float(sums @ sums) - 2.0 * q
+    q = float((values * values).sum())
+    a = float((sums * sums).sum()) - 2.0 * q
     d = float(values.sum()) ** 2 - q - a
     pairs3 = int(degrees @ degrees) - 2 * m
     pairs4 = m * m - m - pairs3

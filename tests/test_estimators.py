@@ -358,6 +358,17 @@ def test_estimate_metric_modes_and_validation(karate):
         estimate_metric(sample, s, "assortativity", PLUG_IN)
 
 
+@pytest.mark.parametrize("mode", [HAJEK_RATIO, KNOWN_DENOMINATOR, PLUG_IN])
+def test_normalized_energy_of_a_feature_signal_is_refused(karate, mode):
+    # as the exact metric refuses it; an estimate of it read 1.86 or 3.54, outside [0, 1]
+    g, _ = karate
+    features = GraphSignal(np.random.default_rng(0).normal(size=(g.node_count, 2)))
+    design = BernoulliDesign(p=0.5)
+    sample = draw_sample(g, design, 1)
+    with pytest.raises(ValueError, match="^normalized energy is defined for labelled signals$"):
+        estimate_metric(sample, features, "dirichlet_normalized", mode, design.inclusion(g))
+
+
 def test_estimate_metric_census_recovers_exact(karate):
     g, s = karate
     design = SrsDesign(n_star=34)

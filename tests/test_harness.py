@@ -117,6 +117,22 @@ def test_frac_outside_unit_interval_is_rejected(frac):
     assert resolve_design({"kind": "srs"}, {"frac": 1.0}, 34).n_star == 34
 
 
+def test_an_srs_size_override_replaces_the_templates():
+    template = {"kind": "srs", "n_star": 5}
+    assert resolve_design(template, {"frac": 0.5}, 34) == SrsDesign(n_star=17)
+    assert resolve_design({"kind": "srs", "frac": 0.5}, {"n_star": 4}, 34) == SrsDesign(n_star=4)
+    assert resolve_design(template, {}, 34) == SrsDesign(n_star=5)
+    with pytest.raises(ValueError, match=r"^SRS frac must be in \(0, 1\], got 7.0$"):
+        resolve_design(template, {"frac": 7}, 34)
+    with pytest.raises(ValueError, match="could not convert"):
+        resolve_design(template, {"frac": "abc"}, 34)
+    for template, overrides in (({"kind": "srs", "frac": 0.5, "n_star": 5}, {}),
+                                (template, {"frac": 0.5, "n_star": 4})):
+        with pytest.raises(ValueError, match="^frac and n_star both set the SRS sample size; "
+                                             "give one$"):
+            resolve_design(template, overrides, 34)
+
+
 def test_ground_truth_cached_once():
     rec = run_experiment(_karate_cfg())
     assert rec.ground_truth["dirichlet_normalized"] == pytest.approx(25 / 231, abs=1e-12)
@@ -178,6 +194,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^pi replications must be >= 1, got 0"):
         _karate_cfg(pi_source="empirical", pi_replications=0)
     _karate_cfg(pi_replications=0)     # analytic pi runs no oracle
+    # refused at once, not at the first sweep or, with plug-in pairs alone, never
+    for metrics in (ALL_PAIRS, (("edge_homophily", "plug_in"),)):
+        with pytest.raises(ValueError, match="^unknown inclusion source 'bogus'$"):
+            _karate_cfg(pi_source="bogus", metrics=metrics)
     with pytest.raises(ValueError, match="unknown metric"):
         _karate_cfg(metrics=(("degree", "plug_in"),))
     with pytest.raises(ValueError, match="not supported for 'node_homophily'"):
@@ -492,7 +512,8 @@ def test_traceroute_sweep_computes_betweenness_once(monkeypatch, karate):
     assert pis1 == pis and record1 == record
 
 
-DIRICHLET_PAIRS = ALL_PAIRS[:3]
+# the pairs a feature signal defines: normalized energy is refused for it
+FEATURE_PAIRS = (("dirichlet_total", "ht_total"), ("dirichlet_total", "plug_in"))
 # a phrase of each check's reason, for the test statistics
 INVALID_CHECKS = ("below the floor", "zero HT denominator", "empty sample", "no sampled edges",
                   "joint inclusion probability 0", "non-finite")
@@ -517,7 +538,7 @@ def test_block_engine_matches_the_per_replication_reference(karate, seed, data):
         # one node's infinite feature makes every estimate touching it non-finite
         rows = rng.normal(size=(g.node_count, 2))
         rows[rng.integers(g.node_count), 0] = np.inf
-        s, pairs = GraphSignal(rows), DIRICHLET_PAIRS
+        s, pairs = GraphSignal(rows), FEATURE_PAIRS
     n = g.node_count
     design = design_from_dict(data.draw(st.sampled_from([
         {"kind": "bernoulli", "p": data.draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]), label="p")},
