@@ -253,30 +253,29 @@ def _cmd_homophily(args):
     return 0
 
 
-def _cmd_sample(args):
-    pi_reps = _pi_replications(args)
+def _draw(args, reads_pi=True, need_labels=False):
+    """The signal, dataset name, design dict, sample and inclusion model (None
+    unless ``reads_pi``) of ``sample`` and ``estimate``; flags are refused before the load."""
+    pi_reps = _pi_replications(args, reads_pi)
     value = _single_design_value(args)
-    g, s, name = _load_from_flags(args, need_labels=False)
+    g, s, name = _load_from_flags(args, need_labels)
     design = resolve_design({"kind": args.design}, value, g.node_count)
     sample = draw_sample(g, design, args.seed)
-    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
-    _emit_json({"design": design_to_dict(design, args.seed), "seed": args.seed,
-                **sample.to_json_dict(incl)}, args.out)
+    incl = sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps) if reads_pi else None
+    return s, name, design_to_dict(design, args.seed), sample, incl
+
+
+def _cmd_sample(args):
+    _, _, design, sample, incl = _draw(args)
+    _emit_json({"design": design, "seed": args.seed, **sample.to_json_dict(incl)}, args.out)
     return 0
 
 
 def _cmd_estimate(args):
     kind, mode = _metric_pair(args.metric, args.mode)
-    pi_reps = _pi_replications(args, reads_pi=mode != PLUG_IN)
-    value = _single_design_value(args)
-    g, s, name = _load_from_flags(args)
-    design = resolve_design({"kind": args.design}, value, g.node_count)
-    sample = draw_sample(g, design, args.seed)
-    # plug-in estimates never read pi
-    incl = None if mode == PLUG_IN else sweep_inclusion(g, design, args.seed, 0, args.pi, pi_reps)
+    s, name, design, sample, incl = _draw(args, reads_pi=mode != PLUG_IN, need_labels=True)
     report = estimate_metric(sample, s, kind, mode, incl=incl)
-    _emit_json({"dataset": name, **vars(report), "design": design_to_dict(design, args.seed),
-                "seed": args.seed}, args.out)
+    _emit_json({"dataset": name, **vars(report), "design": design, "seed": args.seed}, args.out)
     return 0
 
 

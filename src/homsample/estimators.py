@@ -235,8 +235,9 @@ def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
     """:func:`ht_variance` of each row of ``block`` (``rows`` its offsets)
     that is not ``invalid``, as a variance and a status column (NaN and
     "exact_design" for invalid rows); a row with a sampled pair in a span
-    class of joint probability 0 joins ``invalid``. Q, A and the totals are
-    each row's own pairwise numpy sums, as on its sample alone, for all rows at once.
+    class of joint probability 0 joins ``invalid``. Q, A and the totals are each
+    row's own pairwise numpy sums, as on its sample alone, for all rows at once; every
+    square is a product (``t * t``), correctly rounded on any libm, and overflows to inf.
     """
     sums, degrees, node_lengths = node_sums(block.parent, block.edge_index, rows.lengths, values)
     node_rows = _Rows(row_offsets(node_lengths))
@@ -259,11 +260,10 @@ def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         q = rows.sums(values * values)
         a = node_rows.sums(sums * sums) - 2.0 * q
-        # each total squared by Python's float pow (libm's), as one sample's total
-        # is; numpy's square differs from it in about one case in 1,000
-        d = (rows.sums(values).astype(object) ** 2).astype(np.float64) - q - a
+        t = rows.sums(values)
+        d = t * t - q - a
         p = float(incl.pi[0])   # a span model has one pi
-        inv_sq = 1.0 / p ** 2
+        inv_sq = 1.0 / (p * p)
         est = q * (inv_sq - 1.0 / p)
         for (span, pairs), x in zip(spans, (a, d)):
             # a class without a pair in any live row adds nothing; its joint may be 0
@@ -271,7 +271,8 @@ def _row_span_variances(block: SampleBlock, rows: _Rows, values: np.ndarray,
             if has.any():
                 est[has] += x[has] * (inv_sq - 1.0 / joint[span])
     variances[live] = est[live]
-    for row in np.flatnonzero(live & (est < 0) & clamp_negative).tolist():
+    # -inf is an overflow, not a rounding below 0: it stays, and makes its estimate invalid
+    for row in np.flatnonzero(live & (est < 0) & (est > -np.inf) & clamp_negative).tolist():
         variances[row], statuses[row] = 0.0, VARIANCE_CLAMPED
     return variances, statuses
 
@@ -281,8 +282,8 @@ def ht_variance(sample: SampledGraph, values, incl: InclusionModel,
     """Design variance estimate of the HT total, from the sample alone.
 
     Returns ``(value, status)``: the double sum over sampled edge pairs of
-    ``V_e V_f (1/(pi_e pi_f) - 1/pi_ef)``, with ``pi_ee = pi_e``. Negative
-    numerical results clamp to 0 with status "negative_clamped" (the raw
+    ``V_e V_f (1/(pi_e pi_f) - 1/pi_ef)``, with ``pi_ee = pi_e``. Finite
+    negative results clamp to 0 with status "negative_clamped" (the raw
     estimator is the design-unbiased one; pass ``clamp_negative=False`` to
     get it). Designs without joint probabilities yield
     ``(None, "unsupported")``.
@@ -339,7 +340,9 @@ def estimate_block(block: SampleBlock, signal: GraphSignal, incl: InclusionModel
     A kernel is elementwise in the edges, so every value has the bits of a
     kernel on one row's sample alone, and so has each row's estimate. A row
     fails the checks in the order one sample does: the pi floor, then a zero
-    denominator or a zero joint, then a non-finite point.
+    denominator or a zero joint, then a non-finite point or, where the mode
+    has a design variance, a non-finite variance, both under the one reason
+    "non-finite estimate for kind/mode".
     """
     for kind, mode in pairs:
         check_mode(kind, mode)
@@ -372,6 +375,7 @@ def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values
     g, ids = block.parent, block.edge_index
     variances = np.full(len(rows.lengths), np.nan)
     statuses = [VARIANCE_UNSUPPORTED] * len(rows.lengths)
+    finite = True   # the rows whose design variance, where the mode has one, is finite
     if kind == NODE_HOMOPHILY:
         _flag(invalid, rows.lengths == 0, "no sampled edges; node homophily undefined")
         sums, counts, node_lengths = node_sums(g, ids, rows.lengths, values)
@@ -397,10 +401,11 @@ def _estimate_rows(block: SampleBlock, rows: _Rows, kind: str, mode: str, values
         points = _quotients(rows.sums(values if mode == PLUG_IN else values / pi), den)
         if mode in (HT_TOTAL, KNOWN_DENOMINATOR) and incl.has_joint:
             variances, statuses = _row_span_variances(block, rows, values, incl, invalid, True)
-            # an overflow gives inf, as for the points, and the record refuses it
+            # an overflow gives inf, as for the points, and makes the row invalid
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                variances /= den ** 2
-    _flag(invalid, ~np.isfinite(points), f"non-finite estimate for {kind}/{mode}")
+                variances /= den * den
+            finite = np.isfinite(variances)
+    _flag(invalid, ~(np.isfinite(points) & finite), f"non-finite estimate for {kind}/{mode}")
     return Estimates(points, variances, statuses, invalid)
 
 

@@ -65,6 +65,8 @@ from .sampling import SampleBlock, draw_block, resolve_design
 _BLOCK_BYTES = 1 << 23
 # rows of a sweep's columns turned into Python objects at once when its rows are read
 _ROW_CHUNK = 1024
+# most histogram bins per sweep and metric pair: the record and --hist-csv hold each
+MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,8 @@ class ExperimentConfig:
             seen.add((kind, mode))
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
+        if self.bins > MAX_BINS:
+            raise ValueError(f"bins must be at most {MAX_BINS}, got {self.bins}")
 
 
 def histogram(points, bins: int):

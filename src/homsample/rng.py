@@ -10,8 +10,9 @@ The streams are numpy's: a path of non-negative integers is hashed as
 128-bit key alone (Salmon et al. 2011), and ``SeedSequence``'s hash is a
 fixed algorithm on uint32 words, so this module computes it itself, with
 numpy arithmetic vectorized over rows: :func:`derive_seeds` hashes a block
-of paths at once and :func:`make_rngs` keys a block of generators at once.
-The tests pin every seed, key and draw to numpy's own ``SeedSequence``.
+of paths at once, and :func:`make_rngs` hashes a block of keys at once and
+re-keys one ``Generator(Philox(key=...))`` per row. The tests pin every
+seed, key and draw to numpy's own ``SeedSequence``.
 
 Pitfall: ``SeedSequence`` pads its entropy with zeros, so paths that
 differ only by trailing zeros name one stream. ``make_rng(s)``,
@@ -124,20 +125,9 @@ def _hash_paths(path, words: int) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """Hands ``Philox`` a key computed by :func:`_hash_paths`; Philox asks
-    its seed sequence for exactly its 2 uint64 key words."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
 def _generator(key: np.ndarray) -> np.random.Generator:
     """Philox generator with counter 0 and an empty buffer on ``key``."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def make_rngs(seeds):

@@ -442,7 +442,8 @@ def _reference_span_variance(g, ids, values, pi, incl, clamp_negative):
     sums, degrees = reference_node_sums(g.edge_i[ids], g.edge_j[ids], values)
     q = float((values * values).sum())
     a = float((sums * sums).sum()) - 2.0 * q
-    d = float(values.sum()) ** 2 - q - a
+    t = float(values.sum())
+    d = t * t - q - a
     pairs3 = int(degrees @ degrees) - 2 * m
     pairs4 = m * m - m - pairs3
     joint = incl.joint_by_span
@@ -453,14 +454,14 @@ def _reference_span_variance(g, ids, values, pi, incl, clamp_negative):
                 f"inclusion probability 0 under the {incl.source} model, which "
                 "contradicts this realization")
     pi = float(pi[0])
-    inv_sq = 1.0 / pi ** 2
+    inv_sq = 1.0 / (pi * pi)
     est = q * (inv_sq - 1.0 / pi)
     if pairs3:
         est += a * (inv_sq - 1.0 / joint[3])
     if pairs4:
         est += d * (inv_sq - 1.0 / joint[4])
     est = float(est)
-    if est < 0 and clamp_negative:
+    if -math.inf < est < 0 and clamp_negative:
         return 0.0, VARIANCE_CLAMPED
     return est, VARIANCE_EXACT
 
@@ -531,9 +532,9 @@ class ReferenceColumns:
                 if self.incl.has_joint:
                     var, variance_status = _reference_span_variance(g, ids, values, pi,
                                                                     self.incl, True)
-                    variance = var / den ** 2
+                    variance = var / (den * den)
 
-        if not math.isfinite(point):
+        if not math.isfinite(point) or (variance is not None and not math.isfinite(variance)):
             raise DegenerateSampleError(f"non-finite estimate for {kind}/{mode}")
         return {"point": point, "variance": variance, "variance_status": variance_status}
 

@@ -407,6 +407,8 @@ PI_REPS = "pi replications must be >= 1, got 0"
     (["experiment", "--design", "bernoulli", "--p", "0.3", "--bins", "0"], "bins must be >= 1"),
     *(([command, "--design", "bernoulli", "--p", "0.3", "--pi", "empirical", "--pi-reps", "0"],
        PI_REPS) for command in ("experiment", "estimate", "sample")),
+    (["experiment", "--design", "bernoulli", "--p", "0.3", "--bins", "10001"],
+     "bins must be at most 10000, got 10001"),
 ])
 def test_a_refusal_that_needs_no_dataset_comes_before_the_load(monkeypatch, capsys, args, message):
     def load(args, need_labels=True):
@@ -784,6 +786,32 @@ def test_experiment_on_a_graph_without_nodes_refuses_a_fixed_size_design(tmp_pat
                                                                          message):
     res = _experiment_on_an_empty_graph(tmp_path, *design)
     assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
+NON_FINITE = "non-finite estimate for dirichlet_total/ht_total"
+
+
+def _on_a_four_cycle_at_1e160(tmp_path, command, *args):
+    edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+    edges.write_text("0 1 1e160\n1 2 1e160\n2 3 1e160\n3 0 1e160\n")
+    labels.write_text("0 0\n1 1\n2 0\n3 1\n")
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "homsample", command, "--edges", str(edges),
+         "--labels", str(labels), "--classes", "2", "--design", "bernoulli", "--p", "0.9",
+         "--metric", "dirichlet_total", "--seed", "1", *args],
+        capture_output=True, text=True)
+
+
+def test_a_non_finite_variance_makes_its_estimate_invalid(tmp_path):
+    # every point is finite, but a sample total of 2e160 or more squares to inf
+    res = _on_a_four_cycle_at_1e160(tmp_path, "estimate", "--mode", "ht_total")
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {NON_FINITE}\n")
+    res = _on_a_four_cycle_at_1e160(tmp_path, "experiment", "--reps", "20",
+                                    "--out", str(tmp_path / "run.json"))
+    assert res.returncode == 0, res.stderr
+    (sweep,) = json.loads((tmp_path / "run.json").read_text())["sweeps"]
+    assert [r["estimates"]["dirichlet_total:ht_total"] for r in sweep["replications"]] == [
+        {"invalid": NON_FINITE}] * 20
 
 
 @pytest.mark.parametrize("args, flag", [

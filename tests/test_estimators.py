@@ -33,6 +33,7 @@ from homsample.estimators import (
 )
 from homsample.metrics import dirichlet_energy, node_homophily
 from oracles import (
+    _reference_span_variance,
     dense_ht_variance,
     dense_joint,
     exact_ht_variance,
@@ -235,6 +236,33 @@ def test_span_sum_variance_has_no_edge_limit():
     values = np.arange(sample.edge_count, dtype=np.float64) % 3
     var, status = ht_variance(sample, values, design.inclusion(g), clamp_negative=False)
     assert sample.edge_count == 4465 and np.isfinite(var) and status == VARIANCE_EXACT
+
+
+def test_span_sum_variance_squares_the_total_by_multiplication():
+    # the total is 78.48650741311735, whose square glibc's pow rounds one ulp
+    # above the correctly rounded t * t; two disjoint edges put it in D
+    g = Graph.from_edges(5, [(0, 1), (2, 3)])
+    sample = induced_subgraph(g, [0, 1, 2, 3])
+    incl = SrsDesign(n_star=4).inclusion(g)
+    values = np.array([70.0, 8.48650741311735])
+    want = _reference_span_variance(g, sample.edge_index, values, incl.pi[sample.edge_index],
+                                    incl, False)
+    assert ht_variance(sample, values, incl, clamp_negative=False) == want
+
+
+def test_an_overflowing_variance_is_not_clamped_to_zero():
+    # 19 disjoint edges of value 2e153: Q is finite, but their total squares to inf
+    # and SRS weighs D below 0, so the variance is -inf, not a rounding below 0
+    k = 20
+    g = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1, 1e153) for i in range(k)])
+    sample = induced_subgraph(g, range(2 * k - 1))
+    incl = SrsDesign(n_star=2 * k - 1).inclusion(g)
+    values = np.full(sample.edge_count, 2e153)
+    assert ht_variance(sample, values, incl) == (-np.inf, VARIANCE_EXACT)
+    with pytest.raises(DegenerateSampleError,
+                       match="^non-finite estimate for dirichlet_total/ht_total$"):
+        estimate_metric(sample, GraphSignal.from_labels([0, 1] * k, 2), "dirichlet_total",
+                        "ht_total", incl)
 
 
 def test_hajek_reductions(triangle):
